@@ -66,8 +66,15 @@ let bench (w : Workload.t) =
   let profile, perf2bolt_wall =
     timed_median (fun () -> Perf2bolt.convert ~binary samples)
   in
-  let result, bolt_wall = timed_median (fun () -> Bolt.run ~binary ~profile ()) in
-  let report, validate_wall = timed_median (fun () -> Validate.run ~binary result) in
+  (* As in a campaign ([Ocolos.run_bolt] then [Ocolos.validate_result]):
+     each BOLT run decodes into a fresh CFG memo, and the validator checks
+     against the memo of the run that produced its input. *)
+  let bolt () =
+    let cfg_of = Ocolos_bolt.Cfg.memoize binary in
+    (Bolt.run ~cfg_of ~binary ~profile (), cfg_of)
+  in
+  let (result, cfg_of), bolt_wall = timed_median bolt in
+  let report, validate_wall = timed_median (fun () -> Validate.run ~cfg_of ~binary result) in
   if not (Validate.ok report) then begin
     Printf.eprintf "FAIL: validator rejected a clean BOLT result on %s\n"
       w.Workload.name;

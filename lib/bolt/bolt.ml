@@ -146,7 +146,7 @@ let logged_pass name f =
    fallback, so the supervisor drops a degradation tier instead. Every
    absorbed firing is attributed to its fid in [result.failed], which feeds
    the supervisor's quarantine. *)
-let run ?(config = default_config) ?extern_entry ?fault ~(binary : Binary.t)
+let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binary.t)
     ~(profile : Profile.t) () =
   Trace.span "bolt.run" ~attrs:[ ("binary", Trace.S binary.Binary.name) ] @@ fun run_sp ->
   let cut name = match fault with None -> () | Some f -> Ocolos_util.Fault.cut f name in
@@ -165,7 +165,7 @@ let run ?(config = default_config) ?extern_entry ?fault ~(binary : Binary.t)
   let reconstructed =
     logged_pass "cfg" @@ fun () ->
     Trace.span "bolt.cfg" @@ fun sp ->
-    let cfg_of = Cfg.reconstructor binary in
+    let cfg_of = match cfg_of with Some f -> f | None -> Cfg.reconstructor binary in
     let r =
       List.filter_map
         (fun fid ->

@@ -70,11 +70,16 @@ val fresh_data_base : Ocolos_binary.Binary.t -> int
     (skip / original block order / no peephole), attributed in
     [result.failed]; [bolt.func_reorder] is cut once per run and raises —
     no per-function fallback exists for a broken global order.
-    {!Ocolos_util.Fault.Killed} always escapes. *)
+    {!Ocolos_util.Fault.Killed} always escapes.
+
+    [cfg_of] reconstructs one function of [binary]'s code (default
+    {!Cfg.reconstructor}); pass a {!Cfg.memoize} memo to share the
+    decoding with {!Validate.run}. *)
 val run :
   ?config:config ->
   ?extern_entry:(int -> int option) ->
   ?fault:Ocolos_util.Fault.t ->
+  ?cfg_of:(int -> Cfg.reconstructed) ->
   binary:Ocolos_binary.Binary.t ->
   profile:Ocolos_profiler.Profile.t ->
   unit ->

@@ -18,6 +18,7 @@ type reconstructed = {
   rc_counts : int array; (* bid -> execution count (0 before attach) *)
   rc_edges : (int * int, int) Hashtbl.t; (* (src bid, dst bid) -> count *)
   rc_instr_count : int;
+  rc_instr_addrs : int array; (* every decoded instruction's address, ascending *)
 }
 
 exception Unsupported of string
@@ -58,6 +59,8 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
   let blocks : (int, mblock) Hashtbl.t = Hashtbl.create 32 in
   let owner : (int, int) Hashtbl.t = Hashtbl.create 64 in
   (* instr addr -> block start *)
+  let runs = ref [] in
+  (* one list per decode run: the addresses it decoded, descending *)
   let worklist = Queue.create () in
   let enqueue addr = Queue.add addr worklist in
   let valid_target addr = in_function addr && read_code addr <> None in
@@ -88,6 +91,7 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
     else begin
       let b = { start = leader; instrs = []; term = Mnone; ended = 0 } in
       Hashtbl.replace blocks leader b;
+      let run = ref [] in
       let pc = ref leader in
       let continue = ref true in
       while !continue do
@@ -113,6 +117,7 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
                (the probe above stopped otherwise), and [split_at] uses
                [replace] when it reassigns ownership. *)
             Hashtbl.add owner !pc b.start;
+            run := !pc :: !run;
             b.instrs <- (!pc, instr) :: b.instrs;
             let next = !pc + Instr.size instr in
             (* Terminators become symbolic block terminators: drop the raw
@@ -168,7 +173,8 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
             | Instr.Store _ | Instr.Call _ | Instr.CallInd _ | Instr.FpCreate _
             | Instr.VtLoad _ | Instr.Rand _ | Instr.TxMark ->
               pc := next))
-      done
+      done;
+      runs := !run :: !runs
     end
   in
   enqueue entry;
@@ -222,13 +228,24 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
   let ir_blocks = Array.init nblocks to_ir_block in
   let block_end = Array.map (fun s -> (Hashtbl.find blocks s).ended) order in
   let instr_count = Hashtbl.length owner in
+  (* A decode run covers one contiguous address range no other run
+     touches, so ordering the runs orders every instruction: no sort of
+     the addresses themselves. Runs are never empty. *)
+  let instr_addrs = Array.make instr_count 0 in
+  let k = ref instr_count in
+  List.iter
+    (List.iter (fun a ->
+         decr k;
+         instr_addrs.(!k) <- a))
+    (List.sort (fun r r' -> Int.compare (List.hd r') (List.hd r)) !runs);
   { rc_fid = fid;
     rc_func = { Ir.fid; fname; blocks = ir_blocks };
     rc_block_addr = order;
     rc_block_end = block_end;
     rc_counts = Array.make nblocks 0;
     rc_edges = Hashtbl.create 32;
-    rc_instr_count = instr_count }
+    rc_instr_count = instr_count;
+    rc_instr_addrs = instr_addrs }
 
 (* Reconstructing from a binary image needs O(binary)-sized lookup
    structures (address index, data image, entry table). [reconstructor]
@@ -251,6 +268,31 @@ let reconstructor (binary : Binary.t) =
       ~in_function:(fun addr -> Binary.index_lookup index addr = Some fid)
       ~fid_of_entry:(fun addr -> Hashtbl.find_opt entry_of addr)
       ~fname:sym.Binary.fs_name
+
+(* [reconstructor] with a memo: each function is decoded at most once. The
+   decoded part is immutable once built and shared by every caller; the
+   profile-count fields [attach_profile] mutates are fresh per call, so one
+   caller's counts never leak into another's reconstruction. BOLT and the
+   Tier-1 validator share one memo per campaign: the validator re-checks
+   against the very CFGs BOLT optimized instead of decoding them again. *)
+let memoize (binary : Binary.t) =
+  let of_fid = reconstructor binary in
+  let memo = Hashtbl.create 64 in
+  fun fid ->
+    let r =
+      match Hashtbl.find_opt memo fid with
+      | Some r -> r
+      | None ->
+        let r = match of_fid fid with rc -> Ok rc | exception Unsupported msg -> Error msg in
+        Hashtbl.add memo fid r;
+        r
+    in
+    match r with
+    | Ok rc ->
+      { rc with
+        rc_counts = Array.make (Array.length rc.rc_counts) 0;
+        rc_edges = Hashtbl.create 32 }
+    | Error msg -> raise (Unsupported msg)
 
 (* Convenience wrapper reconstructing one function from a binary image. *)
 let of_binary (binary : Binary.t) fid = reconstructor binary fid

@@ -14,6 +14,9 @@ type reconstructed = {
   rc_counts : int array;  (** bid -> execution count (0 before attach) *)
   rc_edges : (int * int, int) Hashtbl.t;  (** (src bid, dst bid) -> count *)
   rc_instr_count : int;
+  rc_instr_addrs : int array;
+      (** address of every decoded instruction, terminators included,
+          ascending (empty for CFGs not decoded from machine code) *)
 }
 
 (** Raised when a function cannot be safely reconstructed (unknown indirect
@@ -42,6 +45,14 @@ val of_binary : Ocolos_binary.Binary.t -> int -> reconstructed
     quadratic. The returned closure raises {!Unsupported} like
     {!of_binary}. *)
 val reconstructor : Ocolos_binary.Binary.t -> int -> reconstructed
+
+(** [memoize binary] is {!reconstructor} with a memo: each function is
+    decoded at most once, and every call returns that shared, immutable
+    decoding with fresh zeroed [rc_counts]/[rc_edges] (the fields
+    {!attach_profile} mutates). A refused reconstruction is remembered and
+    re-raised as {!Unsupported}. Lets BOLT and the Tier-1 validator share
+    one decoding of the input binary per campaign. *)
+val memoize : Ocolos_binary.Binary.t -> int -> reconstructed
 
 (** Attach profile counts. [branches] are this function's taken edges as
     (from, to, count); [ranges] its straight-line runs as

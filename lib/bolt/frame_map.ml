@@ -41,7 +41,8 @@ type t = {
   fm_old_entry : int;
   fm_new_entry : int;
   fm_blocks : block_site array; (* sorted by bs_old_start *)
-  fm_exact : (int, int) Hashtbl.t; (* old pc -> new pc *)
+  fm_exact_old : int array; (* exact points' old pcs, strictly ascending *)
+  fm_exact_new : int array; (* new pc of each fm_exact_old entry *)
 }
 
 type resolution = Exact of int | Mid_block of block_site | Unmapped
@@ -134,35 +135,77 @@ let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~rea
   let block_new_tbl = Hashtbl.create (Array.length sites) in
   Array.iter (fun s -> Hashtbl.replace block_new_tbl s.bs_old_start s.bs_new_start) sites;
   let block_new addr = Hashtbl.find_opt block_new_tbl addr in
-  let exact = Hashtbl.create 64 in
-  Array.iter
-    (fun s ->
-      (* Raw old code of the block, by size-accurate walk. *)
-      let olds = ref [] in
-      let a = ref s.bs_old_start in
-      (try
-         while !a < s.bs_old_end do
-           match read_old !a with
-           | Some i ->
-             olds := (!a, i) :: !olds;
-             a := !a + Instr.size i
-           | None -> raise Exit
-         done
-       with Exit -> ());
-      let old_instrs = Array.of_list (List.rev !olds) in
-      let news = new_instrs s.bs_bid in
-      List.iter
-        (fun tk ->
-          List.iter
-            (fun (o, n) -> if not (Hashtbl.mem exact o) then Hashtbl.replace exact o n)
-            (tk.tk_track ~old_instrs ~new_instrs:news ~old_end:s.bs_old_end ~block_new))
-        trackers)
-    sites;
+  (* Exact points are sorted by old PC here, at emission, so consumers
+     binary-search and walk them in order. Each block's pairs are sorted
+     on their own: sites are in old-address order and a tracker pairs only
+     PCs of its own block, so the concatenation is sorted, and a stray
+     tracker's pairs fall back to one global sort. The sorts are stable:
+     among pairs for one old PC, the first tracker's from the first block
+     that maps it is kept. *)
+  let by_old (a, _) (b, _) = Int.compare a b in
+  let pairs =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun s ->
+              (* Raw old code of the block, by size-accurate walk. *)
+              let olds = ref [] in
+              let a = ref s.bs_old_start in
+              (try
+                 while !a < s.bs_old_end do
+                   match read_old !a with
+                   | Some i ->
+                     olds := (!a, i) :: !olds;
+                     a := !a + Instr.size i
+                   | None -> raise Exit
+                 done
+               with Exit -> ());
+              let old_instrs = Array.of_list (List.rev !olds) in
+              let news = new_instrs s.bs_bid in
+              let found =
+                List.map
+                  (fun tk ->
+                    tk.tk_track ~old_instrs ~new_instrs:news ~old_end:s.bs_old_end ~block_new)
+                  trackers
+              in
+              let ps = Array.make (List.fold_left (fun n l -> n + List.length l) 0 found) (0, 0) in
+              let k = ref 0 in
+              List.iter
+                (List.iter (fun p ->
+                     ps.(!k) <- p;
+                     incr k))
+                found;
+              Array.stable_sort by_old ps;
+              ps)
+            sites))
+  in
+  let n = Array.length pairs in
+  let sorted = ref true in
+  for k = 1 to n - 1 do
+    if fst pairs.(k - 1) > fst pairs.(k) then sorted := false
+  done;
+  if not !sorted then Array.stable_sort by_old pairs;
+  let first k = k = 0 || fst pairs.(k - 1) <> fst pairs.(k) in
+  let len = ref 0 in
+  for k = 0 to n - 1 do
+    if first k then incr len
+  done;
+  let olds = Array.make !len 0 and news = Array.make !len 0 in
+  let len = ref 0 in
+  Array.iteri
+    (fun k (o, nw) ->
+      if first k then begin
+        olds.(!len) <- o;
+        news.(!len) <- nw;
+        incr len
+      end)
+    pairs;
   { fm_fid = fid;
     fm_old_entry = old_entry;
     fm_new_entry = new_entry;
     fm_blocks = sites;
-    fm_exact = exact }
+    fm_exact_old = olds;
+    fm_exact_new = news }
 
 let block_new_start t addr =
   (* binary search by old start; hit only on exact block starts *)
@@ -187,10 +230,21 @@ let containing_block t addr =
   done;
   !found
 
-let resolve t addr =
-  match Hashtbl.find_opt t.fm_exact addr with
-  | Some n -> Exact n
-  | None -> (
-    match containing_block t addr with Some s -> Mid_block s | None -> Unmapped)
+(* Index of [addr] among the exact points' old PCs, or -1. *)
+let exact_index t addr =
+  let olds = t.fm_exact_old in
+  let lo = ref 0 and hi = ref (Array.length olds - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let o = olds.(mid) in
+    if o = addr then found := mid else if o < addr then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
 
-let exact_points t = Hashtbl.length t.fm_exact
+let resolve t addr =
+  match exact_index t addr with
+  | i when i >= 0 -> Exact t.fm_exact_new.(i)
+  | _ -> ( match containing_block t addr with Some s -> Mid_block s | None -> Unmapped)
+
+let iter_exact f t = Array.iteri (fun i o -> f o t.fm_exact_new.(i)) t.fm_exact_old
+let exact_points t = Array.length t.fm_exact_old

@@ -20,7 +20,11 @@ type t = {
   fm_old_entry : int;
   fm_new_entry : int;
   fm_blocks : block_site array;  (** sorted by [bs_old_start] *)
-  fm_exact : (int, int) Hashtbl.t;  (** old pc -> new pc *)
+  fm_exact_old : int array;
+      (** the instruction-granular map's old PCs, strictly ascending (a
+          sorted array built at emission: {!resolve} binary-searches it and
+          the validator walks it in order without re-sorting) *)
+  fm_exact_new : int array;  (** new PC of each [fm_exact_old] entry *)
 }
 
 (** How an old-version PC migrates:
@@ -80,6 +84,10 @@ val block_new_start : t -> int -> int option
 
 (** The block whose old range contains the address. *)
 val containing_block : t -> int -> block_site option
+
+(** [iter_exact f t] calls [f old_pc new_pc] on every instruction-granular
+    entry, in ascending old-PC order. *)
+val iter_exact : (int -> int -> unit) -> t -> unit
 
 (** Number of instruction-granular map entries (telemetry). *)
 val exact_points : t -> int

@@ -127,22 +127,22 @@ let frame_map ~salt (result : Bolt.result) =
   let candidates =
     List.concat_map
       (fun (fid, (fm : Frame_map.t)) ->
-        Hashtbl.fold (fun o n acc -> (fid, o, n) :: acc) fm.Frame_map.fm_exact [])
+        List.init (Frame_map.exact_points fm) (fun i -> (fid, i)))
       result.Bolt.frame_maps
     |> List.sort compare
   in
   match candidates with
   | [] -> (result, 0)
   | _ ->
-    let fid, old_pc, new_pc = List.nth candidates (pick salt (List.length candidates)) in
+    let fid, idx = List.nth candidates (pick salt (List.length candidates)) in
     let frame_maps =
       List.map
         (fun (f, (fm : Frame_map.t)) ->
           if f <> fid then (f, fm)
           else begin
-            let fm_exact = Hashtbl.copy fm.Frame_map.fm_exact in
-            Hashtbl.replace fm_exact old_pc (new_pc + 1);
-            (f, { fm with Frame_map.fm_exact })
+            let fm_exact_new = Array.copy fm.Frame_map.fm_exact_new in
+            fm_exact_new.(idx) <- fm_exact_new.(idx) + 1;
+            (f, { fm with Frame_map.fm_exact_new })
           end)
         result.Bolt.frame_maps
     in

@@ -59,7 +59,32 @@ let check_rejections r check =
    rejection has already been recorded. *)
 exception Stop
 
-let run ?extern_entry ~(binary : Binary.t) (result : Bolt.result) =
+(* Position of [x] in the ascending array [a], or -1. *)
+let index_of (a : int array) x =
+  let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = Array.unsafe_get a mid in
+    if v = x then found := mid else if v < x then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
+(* [index_of a x] searched from a cursor first: [!cursor] or just past it,
+   then a binary search; a hit moves the cursor. Exact points arrive in
+   ascending old-PC order and, within a block, in emission order, so the
+   answer is nearly always at or next to the previous one — no
+   branch-mispredicting search per point. *)
+let index_near (a : int array) cursor x =
+  let c = !cursor and n = Array.length a in
+  let i =
+    if c < n && Array.unsafe_get a c = x then c
+    else if c + 1 < n && Array.unsafe_get a (c + 1) = x then c + 1
+    else index_of a x
+  in
+  if i >= 0 then cursor := i;
+  i
+
+let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
   let extern_entry =
     match extern_entry with
     | Some f -> f
@@ -105,10 +130,20 @@ let run ?extern_entry ~(binary : Binary.t) (result : Bolt.result) =
          reject (-1) "func_reorder" "old entries 0x%x and 0x%x both translate to 0x%x" o' o n
        | None -> Hashtbl.add seen n o)
      result.Bolt.translation);
+  (* Injectivity bookkeeping for the exact maps, shared by every function
+     of the run: a new PC on an instruction of the new text is keyed by its
+     index in [code_order] (found from a cursor — no hashing, no
+     per-function table), and [seen_stamp] marks which function last
+     claimed the slot.
+     New PCs off every instruction go to a fallback table. *)
+  let new_order = new_text.Binary.code_order in
+  let seen_stamp = Array.make (Array.length new_order) (-1) in
+  let seen_old = Array.make (Array.length new_order) 0 in
+  let seen_off = Hashtbl.create 8 in
   let funcs = ref 0 in
   let blocks = ref 0 in
   let instrs = ref 0 in
-  let cfg_of = Cfg.reconstructor binary in
+  let cfg_of = match cfg_of with Some f -> f | None -> Cfg.reconstructor binary in
   let validate_func (fid, (fm : Frame_map.t)) =
     incr funcs;
     let sym = binary.Binary.symbols.(fid) in
@@ -304,12 +339,35 @@ let run ?extern_entry ~(binary : Binary.t) (result : Bolt.result) =
           | Some bs -> ( try walk blk bs with Stop -> ()))
         rc.Cfg.rc_func.Ir.blocks;
       (* ---- instruction-granular map ---- *)
-      (* Sorted by old PC for deterministic rejection order; the int-
-         specialized sort matters — this runs per campaign over every
-         mapped instruction. *)
-      let exact = Array.of_seq (Hashtbl.to_seq fm.Frame_map.fm_exact) in
-      Array.sort (fun (a, _) (b, _) -> Int.compare a b) exact;
-      let seen_new = Hashtbl.create 64 in
+      (* Walked in ascending old-PC order — the order the frame map
+         carries its exact points in — for a deterministic rejection
+         order. *)
+      let olds = fm.Frame_map.fm_exact_old and news = fm.Frame_map.fm_exact_new in
+      if Array.length news <> Array.length olds then
+        reject fid "frame_map" "exact map has %d old PCs but %d new PCs" (Array.length olds)
+          (Array.length news);
+      let stamp = !funcs in
+      (* [j] is [new_pc]'s index in [new_order], or -1. *)
+      let seen j new_pc =
+        if j < 0 then Hashtbl.find_opt seen_off new_pc
+        else if seen_stamp.(j) = stamp then Some seen_old.(j)
+        else None
+      in
+      let claim j new_pc old_pc =
+        if j < 0 then Hashtbl.replace seen_off new_pc old_pc
+        else begin
+          seen_stamp.(j) <- stamp;
+          seen_old.(j) <- old_pc
+        end
+      in
+      (* Old instruction boundaries come from this function's own sorted
+         decoding, not a probe of the whole binary's code table; the
+         binary answers only for PCs outside the function. *)
+      let old_cursor = ref 0 and new_cursor = ref 0 in
+      let old_boundary pc =
+        index_near rc.Cfg.rc_instr_addrs old_cursor pc >= 0
+        || Hashtbl.mem binary.Binary.code pc
+      in
       let forwards pc =
         (* An old instruction with no new-text counterpart forwards its map
            entry to the next surviving new PC: peephole-removed no-ops and
@@ -319,36 +377,34 @@ let run ?extern_entry ~(binary : Binary.t) (result : Bolt.result) =
         | Some i -> Peephole.is_noop_instr i
         | None -> false
       in
-      Array.iter
-        (fun (old_pc, new_pc) ->
-          (* Injective, except for forwarding: of all old PCs sharing one
-             new PC, at most one survives in the new text — the rest were
-             removed (and forward to where execution continues). *)
-          (match Hashtbl.find_opt seen_new new_pc with
-          | Some _ when forwards old_pc -> ()
-          | Some prev_old when forwards prev_old -> Hashtbl.replace seen_new new_pc old_pc
-          | Some _ ->
-            reject fid "frame_map" "exact map not injective: two old PCs land on new 0x%x" new_pc
-          | None -> Hashtbl.add seen_new new_pc old_pc);
-          (match Binary.find_instr binary old_pc with
-          | Some _ -> ()
-          | None ->
-            reject fid "frame_map" "exact point old 0x%x is not an instruction boundary" old_pc);
-          (match read_new new_pc with
-          | Some _ -> ()
-          | None ->
-            reject fid "frame_map"
-              "exact point 0x%x -> 0x%x lands off an instruction boundary in the new text"
-              old_pc new_pc);
-          match Frame_map.containing_block fm old_pc with
-          | None ->
-            reject fid "frame_map" "exact point old 0x%x outside every mapped block" old_pc
-          | Some bs ->
-            if new_pc < bs.Frame_map.bs_new_start then
-              reject fid "frame_map"
-                "exact point 0x%x -> 0x%x precedes its block's new start 0x%x" old_pc new_pc
-                bs.Frame_map.bs_new_start)
-        exact
+      Hashtbl.reset seen_off;
+      for k = 0 to min (Array.length olds) (Array.length news) - 1 do
+        let old_pc = olds.(k) and new_pc = news.(k) in
+        if k > 0 && olds.(k - 1) >= old_pc then
+          reject fid "frame_map" "exact map not strictly ascending at old 0x%x" old_pc;
+        (* Injective, except for forwarding: of all old PCs sharing one
+           new PC, at most one survives in the new text — the rest were
+           removed (and forward to where execution continues). *)
+        let j = index_near new_order new_cursor new_pc in
+        (match seen j new_pc with
+        | Some _ when forwards old_pc -> ()
+        | Some prev_old when forwards prev_old -> claim j new_pc old_pc
+        | Some _ ->
+          reject fid "frame_map" "exact map not injective: two old PCs land on new 0x%x" new_pc
+        | None -> claim j new_pc old_pc);
+        if not (old_boundary old_pc) then
+          reject fid "frame_map" "exact point old 0x%x is not an instruction boundary" old_pc;
+        if not (Hashtbl.mem new_text.Binary.code new_pc) then
+          reject fid "frame_map"
+            "exact point 0x%x -> 0x%x lands off an instruction boundary in the new text" old_pc
+            new_pc;
+        match Frame_map.containing_block fm old_pc with
+        | None -> reject fid "frame_map" "exact point old 0x%x outside every mapped block" old_pc
+        | Some bs ->
+          if new_pc < bs.Frame_map.bs_new_start then
+            reject fid "frame_map" "exact point 0x%x -> 0x%x precedes its block's new start 0x%x"
+              old_pc new_pc bs.Frame_map.bs_new_start
+      done
   in
   List.iter validate_func result.Bolt.frame_maps;
   { rp_funcs = !funcs;

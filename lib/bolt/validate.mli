@@ -44,9 +44,13 @@ val check_rejections : report -> string -> int
     optimized. [extern_entry] must be the same resolver passed to
     {!Bolt.run} (continuous campaigns pin calls to non-optimized functions
     at their current entries); it defaults to the input binary's symbol
-    entries. *)
+    entries. [cfg_of] reconstructs one function of [binary] (default
+    {!Cfg.reconstructor}); passing the {!Cfg.memoize} memo {!Bolt.run}
+    used checks against the decoding BOLT optimized instead of decoding
+    the binary a second time. *)
 val run :
   ?extern_entry:(int -> int option) ->
+  ?cfg_of:(int -> Cfg.reconstructed) ->
   binary:Ocolos_binary.Binary.t ->
   Bolt.result ->
   report

@@ -98,6 +98,10 @@ type t = {
   table_addrs : (int, unit) Hashtbl.t;
       (* subset of init_addrs whose registered value was a code address *)
   mutable session : Perf.session option;
+  mutable cfgs : (Binary.t * (int -> Ocolos_bolt.Cfg.reconstructed)) option;
+      (* the campaign's CFG memo over [current]: filled by [run_bolt],
+         reused then dropped by [validate_result], dropped too when
+         [current] is rebuilt *)
 }
 
 (* ---- attach ---- *)
@@ -163,7 +167,8 @@ let attach ?(config = default_config) (proc : Proc.t) =
       rounds = 0;
       init_addrs;
       table_addrs;
-      session = None }
+      session = None;
+      cfgs = None }
   in
   (* The wrapFuncPtrCreation hook: a created function pointer always
      denotes the current version of its function, so no pointer is ever
@@ -241,7 +246,14 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
           t.current.Binary.sections
           @ [ { Binary.sec_name = "mem.hull"; sec_base = hull; sec_size = 0 } ] }
   in
-  let result = Bolt.run ~config ~binary ~extern_entry ?fault:t.config.fault ~profile () in
+  (* [binary] differs from [current] only in its sections, which CFG
+     reconstruction never reads: the memo over [current] serves both BOLT
+     and the validator. *)
+  let cfg_of = Ocolos_bolt.Cfg.memoize t.current in
+  t.cfgs <- Some (t.current, cfg_of);
+  let result =
+    Bolt.run ~config ~binary ~extern_entry ?fault:t.config.fault ~cfg_of ~profile ()
+  in
   (* The bolt.miscompile domain fires *after* every pass has finished: the
      result is silently corrupted in place of crashing, so nothing but the
      Tier-1 validator (and, for its deliberate jump-table blind spot, the
@@ -282,10 +294,14 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
    [validate.reject] event per rejection) and [ocolos_validate_*] metrics. *)
 let validate_result t (result : Bolt.result) =
   Ocolos_obs.Trace.span "ocolos.validate" @@ fun sp ->
+  let cfg_of =
+    match t.cfgs with Some (b, cfg_of) when b == t.current -> Some cfg_of | _ -> None
+  in
+  t.cfgs <- None;
   let report =
     Validate.run ~binary:t.current
       ~extern_entry:(fun fid -> Hashtbl.find_opt t.current_entry fid)
-      result
+      ?cfg_of result
   in
   Ocolos_obs.Trace.set_attr sp "funcs" (Ocolos_obs.Trace.I report.Validate.rp_funcs);
   Ocolos_obs.Trace.set_attr sp "rejections"
@@ -992,6 +1008,7 @@ let verify_no_dangling t ~freed =
    extra sections/init keep the next BOLT round allocating above
    everything mapped. *)
 let refresh_current t ~name_suffix ~extra_sections ~extra_init =
+  t.cfgs <- None (* it decodes the view being replaced *);
   let mem = t.proc.Proc.mem in
   let code = Hashtbl.copy mem.Addr_space.code in
   let code_order =

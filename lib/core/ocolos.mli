@@ -93,14 +93,17 @@ type tier = [ `Full | `Func_reorder_only ]
 
 (** Run BOLT on the current code version. Returns the result and the
     modeled optimization time in seconds. [exclude] adds quarantined fids
-    to the config's exclusion list for this round. *)
+    to the config's exclusion list for this round. The CFGs BOLT decodes
+    are kept (a {!Ocolos_bolt.Cfg.memoize} memo) for {!validate_result}. *)
 val run_bolt :
   ?tier:tier -> ?exclude:int list -> t -> Ocolos_profiler.Profile.t ->
   Ocolos_bolt.Bolt.result * float
 
 (** Tier-1 miscompile containment: run {!Ocolos_bolt.Validate} over a BOLT
     result against the current code version, under the same external-entry
-    resolution {!run_bolt} used. Must be consulted before {!replace_code};
+    resolution {!run_bolt} used, checking against the CFGs the last
+    {!run_bolt} on this code version decoded (then releasing them) rather
+    than decoding the binary again. Must be consulted before {!replace_code};
     logs a [validate.verdict] event (plus one [validate.reject] event per
     rejection) and [ocolos_validate_*] metrics. *)
 val validate_result : t -> Ocolos_bolt.Bolt.result -> Ocolos_bolt.Validate.report

@@ -77,7 +77,7 @@ let arm prepared oc (result : Ocolos_bolt.Bolt.result) =
           Hashtbl.replace new_block bs.Frame_map.bs_new_start (fid, bs.Frame_map.bs_bid);
           Hashtbl.replace xlat bs.Frame_map.bs_old_start bs.Frame_map.bs_new_start)
         fm.Frame_map.fm_blocks;
-      Hashtbl.iter (fun o n -> Hashtbl.replace xlat o n) fm.Frame_map.fm_exact)
+      Frame_map.iter_exact (fun o n -> Hashtbl.replace xlat o n) fm)
     result.Ocolos_bolt.Bolt.frame_maps;
   Metrics.count "ocolos_shadow_armed_total" 1;
   Events.log "shadow.armed"

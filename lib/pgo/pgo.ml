@@ -124,7 +124,8 @@ let pseudo_reconstruction (f : Ir.func) (mf : mapped_func) =
     rc_block_end = addr_end;
     rc_counts = Array.copy mf.mf_counts;
     rc_edges = Hashtbl.copy mf.mf_edges;
-    rc_instr_count = Ir.func_instr_count f }
+    rc_instr_count = Ir.func_instr_count f;
+    rc_instr_addrs = [||] }
 
 type result = {
   binary : Binary.t;

@@ -32,6 +32,8 @@ let add_func_record t fid n = bump t.func_records fid n
 
 let branch_count t key = match Hashtbl.find_opt t.branches key with Some v -> v | None -> 0
 let call_count t key = match Hashtbl.find_opt t.calls key with Some v -> v | None -> 0
+
+(* LBR records touching one function: BOLT's hot-function selection key. *)
 let func_records t fid = match Hashtbl.find_opt t.func_records fid with Some v -> v | None -> 0
 
 (* Merge profiles by summing counts: the paper's "all inputs" aggregate
@@ -48,8 +50,7 @@ let merge profiles =
     profiles;
   out
 
-(* Total taken-branch mass attributed within one function: used for hot
-   function selection. *)
+(* No taken branch recorded at all: nothing for BOLT to act on. *)
 let is_empty t = Hashtbl.length t.branches = 0
 
 let pp_summary fmt t =

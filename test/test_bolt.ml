@@ -59,7 +59,19 @@ let test_reconstruction_roundtrip_counts () =
       let ir_blocks = Array.length rc.Ocolos_bolt.Cfg.rc_func.Ir.blocks in
       Alcotest.(check int) "block arrays consistent" ir_blocks
         (Array.length rc.Ocolos_bolt.Cfg.rc_block_addr);
-      Alcotest.(check bool) "instr count sane" true (rc.Ocolos_bolt.Cfg.rc_instr_count > 0))
+      Alcotest.(check bool) "instr count sane" true (rc.Ocolos_bolt.Cfg.rc_instr_count > 0);
+      (* The decoded addresses, ascending, are exactly the binary's
+         instructions inside the recovered blocks. *)
+      let in_blocks a =
+        let found = ref false in
+        Array.iteri
+          (fun bid s -> if a >= s && a < rc.Ocolos_bolt.Cfg.rc_block_end.(bid) then found := true)
+          rc.Ocolos_bolt.Cfg.rc_block_addr;
+        !found
+      in
+      Alcotest.(check (list int)) "decoded addresses"
+        (List.filter in_blocks (Array.to_list b.Binary.code_order))
+        (Array.to_list rc.Ocolos_bolt.Cfg.rc_instr_addrs))
     b.Binary.symbols
 
 let test_jump_table_recovery () =
@@ -189,7 +201,8 @@ let test_ext_tsp_prefers_fallthrough () =
       rc_block_end = [| 30; 60; 90 |];
       rc_counts = [| 100; 100; 5 |];
       rc_edges = Hashtbl.create 4;
-      rc_instr_count = 10 }
+      rc_instr_count = 10;
+      rc_instr_addrs = [||] }
   in
   Hashtbl.replace rc.Ocolos_bolt.Cfg.rc_edges (0, 2) 5;
   Hashtbl.replace rc.Ocolos_bolt.Cfg.rc_edges (0, 1) 100;
@@ -207,7 +220,8 @@ let test_layout_func_chains_hot_edge () =
       rc_block_end = [| 30; 60; 90; 120 |];
       rc_counts = [| 100; 3; 97; 100 |];
       rc_edges = Hashtbl.create 8;
-      rc_instr_count = 12 }
+      rc_instr_count = 12;
+      rc_instr_addrs = [||] }
   in
   List.iter
     (fun (e, c) -> Hashtbl.replace rc.Ocolos_bolt.Cfg.rc_edges e c)
@@ -234,7 +248,8 @@ let test_layout_func_splits_cold () =
       rc_block_end = [| 30; 60; 90 |];
       rc_counts = [| 10; 0; 10 |];
       rc_edges = Hashtbl.create 4;
-      rc_instr_count = 9 }
+      rc_instr_count = 9;
+      rc_instr_addrs = [||] }
   in
   Hashtbl.replace rc.Ocolos_bolt.Cfg.rc_edges (0, 2) 10;
   let hot, cold = Ocolos_bolt.Bb_reorder.layout_func ~split:true rc in
@@ -249,7 +264,8 @@ let test_layout_func_no_profile_identity () =
       rc_block_end = [| 30; 60 |];
       rc_counts = [| 0; 0 |];
       rc_edges = Hashtbl.create 1;
-      rc_instr_count = 4 }
+      rc_instr_count = 4;
+      rc_instr_addrs = [||] }
   in
   let hot, cold = Ocolos_bolt.Bb_reorder.layout_func rc in
   Alcotest.(check (list int)) "identity" [ 0; 1 ] hot;

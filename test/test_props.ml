@@ -48,6 +48,64 @@ let run_to_completion ?binary w =
   in
   (halted, Workload.checksums proc, Ocolos_proc.Proc.transactions proc)
 
+(* LBR samples of a short profiled run of [w]. *)
+let profile_samples w ~seed =
+  let proc = Workload.launch ~seed w ~input:(Workload.find_input w "p") in
+  let session = Ocolos_profiler.Perf.start proc in
+  Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
+  Ocolos_profiler.Perf.stop session
+
+(* Reference perf2bolt: classify every LBR record on its own, in stream
+   order — the straightforward per-record conversion the aggregating
+   [Perf2bolt.convert] must reproduce table for table. *)
+let reference_convert ~(binary : Ocolos_binary.Binary.t) samples =
+  let module B = Ocolos_binary.Binary in
+  let module P = Ocolos_profiler.Profile in
+  let p = P.create () in
+  let index = B.build_addr_index binary in
+  let fid_of = B.index_lookup index in
+  let is_entry a = Array.exists (fun s -> s.B.fs_entry = a) binary.B.symbols in
+  List.iter
+    (fun (s : Ocolos_profiler.Perf.sample) ->
+      let es = s.Ocolos_profiler.Perf.entries in
+      Array.iteri
+        (fun i { Ocolos_profiler.Lbr.from_addr; to_addr } ->
+          P.add_branch p ~from_addr ~to_addr 1;
+          let ff = fid_of from_addr and ft = fid_of to_addr in
+          Option.iter (fun f -> P.add_func_record p f 1) ff;
+          (match ft with Some f when ff <> Some f -> P.add_func_record p f 1 | _ -> ());
+          (match (ff, ft) with
+          | Some caller, Some callee ->
+            let is_call =
+              match B.find_instr binary from_addr with
+              | Some (Ocolos_isa.Instr.Call _ | Ocolos_isa.Instr.CallInd _) -> true
+              | Some _ -> false
+              | None -> is_entry to_addr && caller <> callee
+            in
+            if is_call then P.add_call p ~caller ~callee 1
+          | _ -> ());
+          if i + 1 < Array.length es then begin
+            let start_addr = to_addr and end_addr = es.(i + 1).Ocolos_profiler.Lbr.from_addr in
+            match (fid_of start_addr, fid_of end_addr) with
+            | Some f1, Some f2 when start_addr <= end_addr && f1 = f2 ->
+              P.add_range p ~start_addr ~end_addr 1
+            | _ -> ()
+          end)
+        es)
+    samples;
+  p
+
+(* Every table's bindings in [Hashtbl.fold] order — unsorted, so two views
+   are equal only if the tables iterate identically — plus the total. *)
+let profile_view (p : Ocolos_profiler.Profile.t) =
+  let module P = Ocolos_profiler.Profile in
+  let bindings h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
+  ( bindings p.P.branches,
+    bindings p.P.ranges,
+    bindings p.P.calls,
+    bindings p.P.func_records,
+    p.P.total_records )
+
 (* 1. Generated programs always validate, emit, and terminate. *)
 let prop_programs_terminate =
   QCheck.Test.make ~name:"generated programs terminate" ~count:25 gen_config_arbitrary
@@ -226,7 +284,8 @@ let prop_layout_func_permutation =
           rc_block_end = Array.init n (fun i -> (i * 20) + 20);
           rc_counts = Array.init n (fun _ -> Ocolos_util.Rng.int rng 100);
           rc_edges = Hashtbl.create 16;
-          rc_instr_count = n * 4 }
+          rc_instr_count = n * 4;
+          rc_instr_addrs = [||] }
       in
       for _ = 1 to n * 2 do
         let u = Ocolos_util.Rng.int rng n and v = Ocolos_util.Rng.int rng n in
@@ -403,7 +462,8 @@ let prop_fleet_rollout_atomic =
    same deterministic binary produce identical sample streams, so keeping
    1/N of the stream per replica at interleaved phases and aggregating
    recovers exactly the full-rate profile — every edge, range, call-graph
-   and per-function count, and the record total. *)
+   and per-function count, and the record total. (Iteration order follows
+   the concatenated streams, not the full-rate one.) *)
 let prop_fleet_aggregation_count_equivalent =
   QCheck.Test.make ~name:"1/N cross-replica aggregate count-equivalent to full rate" ~count:10
     (QCheck.pair gen_config_arbitrary (QCheck.make QCheck.Gen.(int_range 1 4)))
@@ -425,7 +485,40 @@ let prop_fleet_aggregation_count_equivalent =
       && bindings full.Profile.ranges = bindings agg.Profile.ranges
       && bindings full.Profile.calls = bindings agg.Profile.calls
       && bindings full.Profile.func_records = bindings agg.Profile.func_records
-      && full.Profile.total_records = agg.Profile.total_records)
+      && full.Profile.total_records = agg.Profile.total_records
+      (* Order-sensitive too: table for table, iteration order included,
+         the aggregate is the per-record conversion of the concatenated
+         streams. *)
+      && profile_view agg = profile_view (reference_convert ~binary (List.concat sources)))
+
+(* 13b. Aggregate-then-classify perf2bolt is the per-record conversion:
+   over random workloads and seeds, with some batches degraded the way a
+   flaky PMI delivers them (truncated, address-scrambled), [convert] and a
+   multi-source [convert_sources] build all four tables with the same
+   bindings in the same [Hashtbl.fold] order as the reference above, and
+   the same record total. *)
+let prop_perf2bolt_matches_per_record_reference =
+  QCheck.Test.make ~name:"perf2bolt aggregate-then-classify = per-record reference" ~count:12
+    (QCheck.pair gen_config_arbitrary (QCheck.make QCheck.Gen.(int_range 0 1_000)))
+    (fun (params, seed) ->
+      let module Perf = Ocolos_profiler.Perf in
+      let module Lbr = Ocolos_profiler.Lbr in
+      let w = workload_of params in
+      let samples =
+        profile_samples w ~seed
+        |> List.mapi (fun i (s : Perf.sample) ->
+               match (i + seed) mod 7 with
+               | 0 -> { s with Perf.entries = Lbr.truncate_batch s.Perf.entries }
+               | 1 -> { s with Perf.entries = Lbr.corrupt_batch s.Perf.entries }
+               | _ -> s)
+      in
+      let binary = w.Workload.binary in
+      let expected = profile_view (reference_convert ~binary samples) in
+      let k = 1 + (seed mod 3) in
+      let sources = List.init k (fun i -> List.filteri (fun j _ -> j mod k = i) samples) in
+      profile_view (Ocolos_profiler.Perf2bolt.convert ~binary samples) = expected
+      && profile_view (Ocolos_profiler.Perf2bolt.convert_sources ~binary sources)
+         = profile_view (reference_convert ~binary (List.concat sources)))
 
 (* 14. Three-engine differential: over random workloads and seeds, a full
    online cycle — warm-up, profile, BOLT, one replacement rolled back by an
@@ -462,4 +555,5 @@ let suite =
       prop_quarantine_monotone;
       prop_fleet_rollout_atomic;
       prop_fleet_aggregation_count_equivalent;
+      prop_perf2bolt_matches_per_record_reference;
       prop_three_engine_differential ]

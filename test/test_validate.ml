@@ -174,6 +174,115 @@ let test_tier1_rejects_across_salts () =
   Alcotest.(check bool) "most polarity flips are harmful and rejected" true
     (!rejected * 2 > List.length sites)
 
+(* The validator's verdicts are pinned, not just its accept/reject bit:
+   for every corruption mode x salts 1-3, the report's counters and its
+   full rejection list (check, fid, reason text, order) equal the values
+   recorded from the per-record, unshared-reconstruction validator this
+   one replaced. A faster validator must keep every check and word. *)
+let pinned_reports =
+  [ ( "bolt.miscompile.branch_polarity", 1, (15, 66, 585),
+      [ ("bb_reorder", 15, "branch at 0x7000c0 inconsistent under the layout permutation: le r13 -> 0x7000b4 (taken block 1 at 0x7000b4, fallthrough block 2 at 0x7000c4)") ] );
+    ( "bolt.miscompile.branch_polarity", 2, (15, 66, 585),
+      [] );
+    ( "bolt.miscompile.branch_polarity", 3, (15, 66, 585),
+      [ ("bb_reorder", 5, "branch at 0x70013a inconsistent under the layout permutation: lt r9 -> 0x700271 (taken block 3 at 0x70013e, fallthrough block 1 at 0x700271)") ] );
+    ( "bolt.miscompile.drop_block", 1, (15, 66, 584),
+      [ ("emit", 8, "decode hole at 0x70001e in block 2 (dropped block?)");
+        ("frame_map", 8, "exact point 0x10664 -> 0x70001e lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x10678 -> 0x70001e lands off an instruction boundary in the new text") ] );
+    ( "bolt.miscompile.drop_block", 2, (15, 66, 580),
+      [ ("emit", 8, "decode hole at 0x700023 in block 4 (dropped block?)");
+        ("frame_map", 8, "exact point 0x1065f -> 0x700023 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x1067d -> 0x700023 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x10682 -> 0x700028 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x10689 -> 0x70002f lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x1068b -> 0x700031 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x1068c -> 0x700032 lands off an instruction boundary in the new text") ] );
+    ( "bolt.miscompile.drop_block", 3, (15, 66, 580),
+      [ ("emit", 8, "decode hole at 0x700023 in block 4 (dropped block?)");
+        ("frame_map", 8, "exact point 0x1065f -> 0x700023 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x1067d -> 0x700023 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x10682 -> 0x700028 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x10689 -> 0x70002f lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x1068b -> 0x700031 lands off an instruction boundary in the new text");
+        ("frame_map", 8, "exact point 0x1068c -> 0x700032 lands off an instruction boundary in the new text") ] );
+    ( "bolt.miscompile.stale_reloc", 1, (15, 66, 580),
+      [ ("emit", 8, "stale call relocation at 0x700023: callee 5 must resolve to 0x700110, found 0x10370") ] );
+    ( "bolt.miscompile.stale_reloc", 2, (15, 66, 561),
+      [ ("emit", 16, "stale fp-create relocation at 0x700040: function 11 must resolve to 0x700600, found 0x107b0") ] );
+    ( "bolt.miscompile.stale_reloc", 3, (15, 66, 583),
+      [ ("emit", 15, "stale call relocation at 0x7000aa: callee 10 must resolve to 0x700370, found 0x10750") ] );
+    ( "bolt.miscompile.frame_map", 1, (15, 66, 585),
+      [ ("frame_map", 0, "exact point 0x10004 -> 0x700635 lands off an instruction boundary in the new text") ] );
+    ( "bolt.miscompile.frame_map", 2, (15, 66, 585),
+      [ ("frame_map", 0, "exact point 0x10008 -> 0x700639 lands off an instruction boundary in the new text") ] );
+    ( "bolt.miscompile.frame_map", 3, (15, 66, 585),
+      [ ("frame_map", 0, "exact point 0x1000b -> 0x70063c lands off an instruction boundary in the new text") ] );
+    ( "bolt.miscompile.jump_table", 1, (15, 66, 585),
+      [] );
+    ( "bolt.miscompile.jump_table", 2, (15, 66, 585),
+      [] );
+    ( "bolt.miscompile.jump_table", 3, (15, 66, 585),
+      [] ) ]
+
+let test_tier1_reports_pinned () =
+  let _proc, oc, result = profile_and_bolt () in
+  List.iter
+    (fun (point, salt, (funcs, blocks, instrs), rejections) ->
+      let corrupted, _ = Miscompile.apply ~point ~salt result in
+      let r = O.validate_result oc corrupted in
+      let name = Fmt.str "%s salt %d" point salt in
+      Alcotest.(check (list int))
+        (name ^ ": funcs/blocks/instrs") [ funcs; blocks; instrs ]
+        [ r.Validate.rp_funcs; r.Validate.rp_blocks; r.Validate.rp_instrs ];
+      Alcotest.(check (list (triple string int string)))
+        (name ^ ": rejections") rejections
+        (List.map
+           (fun (rj : Validate.rejection) ->
+             (rj.Validate.rj_check, rj.Validate.rj_fid, rj.Validate.rj_reason))
+           r.Validate.rp_rejections))
+    pinned_reports
+
+(* BOLT and the validator share one CFG memo per campaign, so nothing
+   downstream of reconstruction may mutate it: after BOLT (profile counts
+   attached to its copies) and every miscompile mode, each memoized CFG
+   still equals a fresh decoding of the binary, and validating with the
+   shared memo or without it gives the same report. *)
+let test_shared_cfgs_untouched () =
+  let module Cfg = Ocolos_bolt.Cfg in
+  let proc = launch () in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:40_000 proc;
+  O.start_profiling oc;
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  let profile, _ = O.stop_profiling oc in
+  let binary = O.current_binary oc in
+  let cfg_of = Cfg.memoize binary in
+  let result = Bolt.run ~cfg_of ~binary ~profile () in
+  let decoded (rc : Cfg.reconstructed) =
+    ( rc.Cfg.rc_func,
+      rc.Cfg.rc_block_addr,
+      rc.Cfg.rc_block_end,
+      rc.Cfg.rc_instr_addrs )
+  in
+  let corrupted =
+    List.map (fun point -> fst (Miscompile.apply ~point ~salt:1 result)) Miscompile.points
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "same report with and without the shared memo" true
+        (Validate.run ~cfg_of ~binary r = Validate.run ~binary r))
+    (result :: corrupted);
+  Alcotest.(check bool) "BOLT optimized functions" true (result.Bolt.hot_fids <> []);
+  List.iter
+    (fun fid ->
+      let shared = cfg_of fid in
+      Alcotest.(check bool) (Fmt.str "fid %d: memoized CFG = fresh decoding" fid) true
+        (decoded shared = decoded (Cfg.of_binary binary fid));
+      Alcotest.(check bool) (Fmt.str "fid %d: counts fresh per call" fid) true
+        (Array.for_all (( = ) 0) shared.Cfg.rc_counts && Hashtbl.length shared.Cfg.rc_edges = 0))
+    result.Bolt.hot_fids
+
 (* ---- Tier 2: shadow checker ---- *)
 
 (* A clean commit must replay Match: the dual-clone comparison tolerates
@@ -425,6 +534,9 @@ let suite =
     Alcotest.test_case "Tier 1 catches each corruption mode" `Quick
       test_tier1_catches_corruptions;
     Alcotest.test_case "Tier 1 rejects across salts" `Quick test_tier1_rejects_across_salts;
+    Alcotest.test_case "Tier 1 reports pinned across the catalog" `Quick
+      test_tier1_reports_pinned;
+    Alcotest.test_case "shared CFG memo untouched" `Quick test_shared_cfgs_untouched;
     Alcotest.test_case "shadow matches a valid commit" `Quick
       test_shadow_match_on_valid_commit;
     Alcotest.test_case "shadow reverts the jump_table blind spot" `Quick
