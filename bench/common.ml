@@ -43,18 +43,18 @@ let straightline =
      in
      Workload.build ~name:"straightline" ~inputs ~nthreads:4 (Gen.generate cfg))
 
-(* Dispatch-bound microbenchmark for the superblock tier: check-dense
-   code. Nearly every block is an assertion-style guard — materialize a
-   value, check it with a never-taken branch to a cold handler — so the
-   hot path is a fall-through chain of two-instruction decoded blocks.
-   Dispatch — a memo miss, a hash lookup and fresh loop setup every couple
-   of instructions — dominates the block engine, while the per-instruction
-   kernel stays lean (not-taken branches keep the fetch fast path alive:
-   no taken-transfer bubble, no cache-line reset). The trace tier stitches
-   those chains into superblocks and retires them at one dispatch per
-   trace. Functions are long and call-free so returns (which end traces)
-   are rare, and v-table dispatch is on so the hot path crosses
-   monomorphic indirect-call sites, the inline-cache showcase. *)
+(* Dispatch-bound microbenchmark, the floor for the bench-smoke
+   [blocks >= reference] gate: check-dense code. Nearly every block is an
+   assertion-style guard — materialize a value, check it with a never-taken
+   branch to a cold handler — so the hot path is a fall-through chain of
+   two-instruction decoded blocks. Dispatch — a memo miss, a hash lookup
+   and fresh loop setup every couple of instructions — dominates the block
+   engine, while the per-instruction kernel stays lean (not-taken branches
+   keep the fetch fast path alive: no taken-transfer bubble, no cache-line
+   reset). This is where the block engine's per-block amortization buys
+   the least over the reference interpreter. Functions are long and
+   call-free, and v-table dispatch is on so the hot path also crosses
+   monomorphic indirect-call sites. *)
 let branchy =
   lazy
     (let cfg =

@@ -172,33 +172,20 @@ let inspect_cmd =
   in
   Cmd.v (Cmd.info "inspect" ~doc:"Binary summary") Term.(const run $ workload_arg)
 
-let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("reference", `Reference); ("blocks", `Blocks); ("traces", `Traces) ]
-  in
-  Arg.(
-    value & opt engine_conv `Blocks
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,reference) (per-instruction interpreter), $(b,blocks) \
-           (decoded basic-block cache, the default), or $(b,traces) (superblocks with \
-           exit chaining and inline caches). All engines retire identical instruction \
-           streams; only wall-clock differs.")
-
 let run_cmd =
-  let run name input_name seconds engine trace metrics events =
+  let run name input_name seconds trace metrics events =
     with_obs trace metrics events @@ fun () ->
     let w = load_workload name in
     let input = Workload.find_input w input_name in
-    let s = Measure.steady ~engine ~measure:seconds w ~input in
+    let s = Measure.steady ~measure:seconds w ~input in
     Fmt.pr "%s/%s: %.0f tps@.%a@." name input_name s.Measure.tps Ocolos_uarch.Counters.pp
       s.Measure.counters
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Steady-state throughput of the original binary")
     Term.(
-      const run $ workload_arg $ input_arg $ seconds_arg $ engine_arg $ trace_arg
-      $ metrics_arg $ events_arg)
+      const run $ workload_arg $ input_arg $ seconds_arg $ trace_arg $ metrics_arg
+      $ events_arg)
 
 let bolt_cmd =
   let run name input_name seconds trace metrics events =

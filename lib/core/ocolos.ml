@@ -966,11 +966,11 @@ exception Dangling_pointer of string
 
 (* Safety check after GC: no reachable code pointer may reference freed
    code. Scans v-tables, thread PCs/frames, patched call sites, every code
-   address the execution engines hold (cached blocks, chain links, inline
-   caches, per-thread resume memos) and — because true OSR retires whole
-   versions — every static target in the surviving code map. With
-   [freed = []] the scan runs in global mode: every scanned pointer must be
-   mapped, the CI smoke test's whole-process audit. *)
+   address the block engine holds (cached blocks, per-thread resume memos)
+   and — because true OSR retires whole versions — every static target in
+   the surviving code map. With [freed = []] the scan runs in global mode:
+   every scanned pointer must be mapped, the CI smoke test's whole-process
+   audit. *)
 let verify_no_dangling t ~freed =
   let mem = t.proc.Proc.mem in
   let suspect addr =

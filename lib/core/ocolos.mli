@@ -118,12 +118,11 @@ val replace_code : t -> Ocolos_bolt.Bolt.result -> replacement_stats
 exception Dangling_pointer of string
 
 (** Post-GC reachability audit: v-table slots, thread PCs and frames,
-    patched call sites, every code pointer the execution engines hold
-    (cached blocks, chain links, inline caches, per-thread resume memos)
-    and every static target in the surviving code map are checked against
-    [freed]. With [freed = []] the scan runs in {e global} mode — every
-    scanned pointer must be mapped — which is the CI smoke test's
-    whole-process audit. *)
+    patched call sites, every code pointer the block engine holds (cached
+    blocks, per-thread resume memos) and every static target in the
+    surviving code map are checked against [freed]. With [freed = []] the
+    scan runs in {e global} mode — every scanned pointer must be mapped —
+    which is the CI smoke test's whole-process audit. *)
 val verify_no_dangling : t -> freed:(int * int) list -> unit
 
 (** Stack-live function set (by return addresses and PCs), as fids. *)

@@ -62,23 +62,6 @@ let decode ~read ?(max_len = default_max_len) start =
         b_sizes = Array.sub sizes 0 !n;
         b_instrs = Array.sub instrs 0 !n }
 
-(* Flatten several blocks into one trace-shaped pseudo-block. Used by the
-   superblock tier to stitch a hot path: the result deliberately relaxes the
-   only-last-entry-is-control-flow invariant (internal entries may be
-   branches the trace predicts taken or untaken), so it must only be run by
-   an executor that guards each internal control transfer. [b_end] is the
-   end of the *last* constituent — blocks need not be byte-contiguous, since
-   a trace follows jumps. *)
-let concat = function
-  | [] -> invalid_arg "Predecode.concat: empty"
-  | first :: _ as bs ->
-    let last = List.nth bs (List.length bs - 1) in
-    { b_start = first.b_start;
-      b_end = last.b_end;
-      b_addrs = Array.concat (List.map (fun b -> b.b_addrs) bs);
-      b_sizes = Array.concat (List.map (fun b -> b.b_sizes) bs);
-      b_instrs = Array.concat (List.map (fun b -> b.b_instrs) bs) }
-
 (* True when the block's decoded entries still match [read]'s view of the
    code map — the coherence predicate the invalidation discipline maintains. *)
 let coherent ~read b =

@@ -23,13 +23,6 @@ val default_max_len : int
     [None] when [start] itself holds no instruction. *)
 val decode : read:(int -> Instr.t option) -> ?max_len:int -> int -> block option
 
-(** Flatten several blocks into one trace-shaped pseudo-block (a superblock
-    body). Relaxes the only-last-entry-is-control-flow invariant: internal
-    entries may be control transfers, so the result must be run by an
-    executor that guards every internal transfer. Raises [Invalid_argument]
-    on the empty list. *)
-val concat : block list -> block
-
 (** Do the decoded entries still match the code map? *)
 val coherent : read:(int -> Instr.t option) -> block -> bool
 

@@ -48,10 +48,11 @@ type t
     [nthreads] sizes the per-thread dispatch memo. *)
 val create : nthreads:int -> Addr_space.t -> t
 
-(** Run [thread] for at most [max_steps] instructions, stopping early when it
+(** The [`Blocks] per-turn executor of {!Proc.run}'s scheduler: run
+    [thread] for at most [max_steps] instructions, stopping early when it
     halts/faults or its core reaches [cycle_limit]; the same conditions the
-    reference inner loop checks, re-checked before every instruction. Returns
-    the number of instructions executed. Raises {!Fault} on an unmapped
+    reference turn checks, re-checked before every instruction. Returns the
+    number of instructions executed. Raises {!Fault} on an unmapped
     fetch. *)
 val exec : t -> hooks -> Thread.t -> max_steps:int -> cycle_limit:float -> int
 

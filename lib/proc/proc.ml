@@ -35,7 +35,6 @@ type t = {
   mutable instret : int; (* total instructions retired, all threads *)
   mutable paused : bool;
   mutable block_engine : Block_engine.t option; (* created on first `Blocks run *)
-  mutable trace_engine : Superblock.t option; (* created on first `Traces run *)
 }
 
 let load ?(nthreads = 1) ?(cfg = Ocolos_uarch.Config.broadwell) ?(seed = 42) binary =
@@ -51,13 +50,12 @@ let load ?(nthreads = 1) ?(cfg = Ocolos_uarch.Config.broadwell) ?(seed = 42) bin
     hooks = { on_taken_branch = None; translate_fp = None };
     instret = 0;
     paused = false;
-    block_engine = None;
-    trace_engine = None }
+    block_engine = None }
 
 (* Independent deep copy of the whole process — the shadow checker's
    substrate. The clone shares no mutable state with the source: address
    space, threads (registers, stacks, PRNGs) are duplicated; hooks start
-   empty (the caller installs its own observers); the engine caches start
+   empty (the caller installs its own observers); the block cache starts
    cold (a clone replays on whatever engine its caller picks, typically
    [`Reference]); and a paused source yields a runnable clone. *)
 let clone t =
@@ -67,8 +65,7 @@ let clone t =
     hooks = { on_taken_branch = None; translate_fp = None };
     instret = t.instret;
     paused = false;
-    block_engine = None;
-    trace_engine = None }
+    block_engine = None }
 
 exception Fault = Block_engine.Fault
 
@@ -84,8 +81,8 @@ let step t (thread : Thread.t) =
 let runnable t = Array.exists Thread.is_running t.threads
 
 (* [t.instret] equals the sum of per-thread retire counts at all times; the
-   block engine maintains only the per-thread counts, so the blocks path
-   restores the invariant by summation (including when unwinding a fault). *)
+   block engine maintains only the per-thread counts, so [run] restores the
+   invariant by summation (including when unwinding a fault). *)
 let sync_instret t =
   t.instret <-
     Array.fold_left (fun acc (th : Thread.t) -> acc + th.Thread.instret) 0 t.threads
@@ -98,137 +95,81 @@ let engine_of t =
     t.block_engine <- Some e;
     e
 
-let trace_engine_of t =
-  match t.trace_engine with
-  | Some e -> e
-  | None ->
-    let e = Superblock.create ~nthreads:(Array.length t.threads) t.mem in
-    t.trace_engine <- Some e;
-    e
-
-(* The reference interpreter loop: one [step] per inner iteration. *)
-let run_reference ~quantum ~max_instrs ~cycle_limit t =
-  let budget = ref max_instrs in
-  let progress = ref true in
-  while !progress && !budget > 0 do
-    progress := false;
-    Array.iter
-      (fun thread ->
-        if Thread.is_running thread
-           && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-        then begin
-          let steps = min quantum !budget in
-          let i = ref 0 in
-          while
-            !i < steps
-            && Thread.is_running thread
-            && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-          do
-            step t thread;
-            incr i
-          done;
-          budget := !budget - !i;
-          if !i > 0 then progress := true
-        end)
-      t.threads
-  done
-
-(* The decoded-block loop: identical scheduling (each thread turn executes up
-   to [min quantum budget] instructions under the same per-instruction limit
-   checks), so multi-threaded interleaving over shared data memory matches
-   the reference exactly. *)
-let run_blocks ~quantum ~max_instrs ~cycle_limit t =
-  let e = engine_of t in
-  let budget = ref max_instrs in
-  let progress = ref true in
-  (try
-     while !progress && !budget > 0 do
-       progress := false;
-       Array.iter
-         (fun thread ->
-           if Thread.is_running thread
-              && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-           then begin
-             let steps = min quantum !budget in
-             let n = Block_engine.exec e t.hooks thread ~max_steps:steps ~cycle_limit in
-             budget := !budget - n;
-             if n > 0 then progress := true
-           end)
-         t.threads
-     done
-   with exn ->
-     sync_instret t;
-     raise exn);
-  sync_instret t
-
-(* The superblock/trace loop: same scheduling again; the trace tier only
-   changes how the next decoded form is found (chained exits, inline
-   caches, flattened hot paths), never which instructions execute. *)
-let run_traces ~quantum ~max_instrs ~cycle_limit t =
-  let e = trace_engine_of t in
-  let budget = ref max_instrs in
-  let progress = ref true in
-  (try
-     while !progress && !budget > 0 do
-       progress := false;
-       Array.iter
-         (fun thread ->
-           if Thread.is_running thread
-              && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-           then begin
-             let steps = min quantum !budget in
-             let n = Superblock.exec e t.hooks thread ~max_steps:steps ~cycle_limit in
-             budget := !budget - n;
-             if n > 0 then progress := true
-           end)
-         t.threads
-     done
-   with exn ->
-     sync_instret t;
-     raise exn);
-  sync_instret t
+(* The reference interpreter's turn: one [step] per iteration, under the
+   same per-instruction checks [Block_engine.exec] re-applies before every
+   instruction. Returns the number of instructions executed. *)
+let step_turn t (thread : Thread.t) ~max_steps ~cycle_limit =
+  let i = ref 0 in
+  while
+    !i < max_steps
+    && Thread.is_running thread
+    && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
+  do
+    step t thread;
+    incr i
+  done;
+  !i
 
 (* Round-robin execution until every running thread's core has reached the
    cycle horizon, all threads halt, or the global instruction budget is
    exhausted. The cycle horizon is the simulated wall clock: running every
    core to the same cycle count models threads running concurrently on
-   dedicated cores for the same duration. *)
+   dedicated cores for the same duration. Both engines share this scheduler
+   (each thread turn executes up to [min quantum budget] instructions), so
+   multi-threaded interleaving over shared data memory is identical; only
+   the per-turn executor differs. *)
 let run ?(engine = `Blocks) ?(quantum = 64) ?(max_instrs = max_int) ~cycle_limit t =
   if t.paused then invalid_arg "Proc.run: process is paused";
-  match engine with
-  | `Reference -> run_reference ~quantum ~max_instrs ~cycle_limit t
-  | `Blocks -> run_blocks ~quantum ~max_instrs ~cycle_limit t
-  | `Traces -> run_traces ~quantum ~max_instrs ~cycle_limit t
+  let turn =
+    match engine with
+    | `Reference -> step_turn t
+    | `Blocks -> Block_engine.exec (engine_of t) t.hooks
+  in
+  let budget = ref max_instrs in
+  let progress = ref true in
+  (try
+     while !progress && !budget > 0 do
+       progress := false;
+       Array.iter
+         (fun thread ->
+           if Thread.is_running thread
+              && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
+           then begin
+             let n = turn thread ~max_steps:(min quantum !budget) ~cycle_limit in
+             budget := !budget - n;
+             if n > 0 then progress := true
+           end)
+         t.threads
+     done
+   with exn ->
+     sync_instret t;
+     raise exn);
+  sync_instret t
 
 let code_cache_stats t = Option.map Block_engine.stats t.block_engine
-let trace_cache_stats t = Option.map Superblock.stats t.trace_engine
 
-(* True when every cached decoded form — basic blocks and superblocks, with
-   their chain links and inline caches — matches the code map (vacuously
-   true for an engine that hasn't run). Txn checks this after commit and
+(* True when every cached decoded block matches the code map (vacuously true
+   before the block engine has run). Txn checks this after commit and
    rollback. *)
 let validate_code_cache t =
-  (match t.block_engine with None -> true | Some e -> Block_engine.validate e)
-  && match t.trace_engine with None -> true | Some e -> Superblock.validate e
+  match t.block_engine with None -> true | Some e -> Block_engine.validate e
 
 (* ptrace-style control: pause stops execution at an instruction boundary
    (callers may then inspect and patch state); resume allows run again. *)
 let pause t = t.paused <- true
 let resume t = t.paused <- false
 
-(* Every code address the execution engines hold live references to
-   (cached blocks/nodes, chain links, inline caches, per-thread resume
-   memos), labeled. OCOLOS's post-GC reachability scanner audits these. *)
+(* Every code address the block engine holds live references to (cached
+   blocks, per-thread resume memos), labeled. OCOLOS's post-GC reachability
+   scanner audits these. *)
 let engine_code_pointers t =
-  (match t.block_engine with None -> [] | Some e -> Block_engine.code_pointers e)
-  @ match t.trace_engine with None -> [] | Some e -> Superblock.code_pointers e
+  match t.block_engine with None -> [] | Some e -> Block_engine.code_pointers e
 
 (* OCOLOS rewrote paused threads' PCs/frames into another code version
    (on-stack replacement): drop engine state keyed to where the threads
-   were — per-thread resume memos and chain sources. *)
+   were — the per-thread resume memos. *)
 let notify_threads_migrated t =
-  (match t.block_engine with Some e -> Block_engine.on_threads_migrated e | None -> ());
-  match t.trace_engine with Some e -> Superblock.on_threads_migrated e | None -> ()
+  match t.block_engine with Some e -> Block_engine.on_threads_migrated e | None -> ()
 
 (* Advance every running thread's core clock without executing instructions
    (a stop-the-world interval: threads stand still while wall time passes). *)

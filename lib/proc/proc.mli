@@ -27,8 +27,6 @@ type t = {
   mutable paused : bool;
   mutable block_engine : Block_engine.t option;
       (** decoded-block cache, created lazily on the first [`Blocks] run *)
-  mutable trace_engine : Superblock.t option;
-      (** superblock/trace cache, created lazily on the first [`Traces] run *)
 }
 
 (** Launch a process from a binary image with [nthreads] worker threads, all
@@ -39,7 +37,7 @@ val load :
 (** Independent deep copy of the whole process (address space, threads,
     register/stack/PRNG state) — the shadow checker's substrate. The clone
     shares no mutable state with the source; its hooks start empty, its
-    engine caches cold, and it is runnable even if the source is paused. *)
+    block cache cold, and it is runnable even if the source is paused. *)
 val clone : t -> t
 
 exception Fault of string
@@ -55,15 +53,14 @@ val runnable : t -> bool
     every core to a common cycle horizon models concurrent execution on
     dedicated cores. Raises [Invalid_argument] if the process is paused.
 
-    [engine] selects the execution engine: [`Blocks] (the default) runs the
-    decoded basic-block engine ({!Block_engine}); [`Traces] runs the
-    superblock/trace tier ({!Superblock}: exit chaining, inline caches, hot
-    paths flattened into superblocks); [`Reference] runs the
-    one-instruction-at-a-time interpreter. All three produce bit-identical
-    counters, traces and hook calls — the reference path is kept for
-    differential testing. *)
+    [engine] selects the per-turn executor under the one shared scheduler:
+    [`Blocks] (the default) runs the decoded basic-block engine
+    ({!Block_engine}); [`Reference] runs the one-instruction-at-a-time
+    interpreter ({!step}). Both produce bit-identical counters, traces and
+    hook calls — the reference path is the differential-testing oracle
+    that the shadow checker and the tests run. *)
 val run :
-  ?engine:[ `Reference | `Blocks | `Traces ] ->
+  ?engine:[ `Reference | `Blocks ] ->
   ?quantum:int ->
   ?max_instrs:int ->
   cycle_limit:float ->
@@ -73,28 +70,22 @@ val run :
 (** Decoded-block cache statistics, once a [`Blocks] run has created it. *)
 val code_cache_stats : t -> Block_engine.stats option
 
-(** Superblock/trace cache statistics, once a [`Traces] run has created
-    it. *)
-val trace_cache_stats : t -> Superblock.stats option
-
-(** True when every cached decoded form — basic blocks, superblocks, chain
-    links and inline caches — matches the code map (vacuously true for an
-    engine that hasn't run). *)
+(** True when every cached decoded block matches the code map (vacuously
+    true before the block engine has run). *)
 val validate_code_cache : t -> bool
 
 val pause : t -> unit
 val resume : t -> unit
 
-(** Every code address the execution engines hold live references to,
-    labeled: cached block/node starts, chained-exit and inline-cache
-    targets, per-thread resume memos. Empty for engines that haven't run.
-    OCOLOS's post-GC reachability scanner audits these against freed
-    code. *)
+(** Every code address the block engine holds live references to,
+    labeled: cached block starts and per-thread resume memos. Empty before
+    the block engine has run. OCOLOS's post-GC reachability scanner audits
+    these against freed code. *)
 val engine_code_pointers : t -> (string * int) list
 
-(** Tell the engines that paused threads' PCs and frames were rewritten
-    into another code version (on-stack replacement): per-thread resume
-    memos and chain sources are dropped. *)
+(** Tell the block engine that paused threads' PCs and frames were
+    rewritten into another code version (on-stack replacement): its
+    per-thread resume memos are dropped. *)
 val notify_threads_migrated : t -> unit
 
 (** Advance running threads' clocks without executing instructions (a

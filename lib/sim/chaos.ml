@@ -44,7 +44,7 @@ type config = {
   trace_tx_limit : int; (* finite workload size for the trace runs *)
   drain_instrs : int; (* instruction budget to run a trace run to halt *)
   jump_tables : bool; (* keep jump tables so inject_data is reachable *)
-  engine : [ `Reference | `Blocks | `Traces ]; (* target execution engine *)
+  engine : [ `Reference | `Blocks ]; (* target execution engine *)
   daemon : Daemon.config;
 }
 

@@ -15,10 +15,10 @@ type config = {
   trace_tx_limit : int;  (** finite workload size for the trace runs *)
   drain_instrs : int;  (** instruction budget to run a trace run to halt *)
   jump_tables : bool;  (** keep jump tables so [inject_data] is reachable *)
-  engine : [ `Reference | `Blocks | `Traces ];
+  engine : [ `Reference | `Blocks ];
       (** execution engine for all target driving (steps, drains, fleet
-          replicas); [`Traces] puts the superblock cache's chain links and
-          inline caches under every kill/rollback in the sweep *)
+          replicas); [`Reference] drives the targets with no decoded-block
+          cache, as the containment tests do *)
   daemon : Ocolos_core.Daemon.config;
 }
 
@@ -37,8 +37,8 @@ type outcome =
       terminated : bool;  (** both trace runs drained to a halt *)
       cache_ok : bool;
           (** {!Ocolos_proc.Proc.validate_code_cache} held after both
-              drains: no dead block, stale chain link or dangling inline
-              cache survived the death and its rollback *)
+              drains: no dead or stale decoded block survived the death
+              and its rollback *)
       convergence : Ocolos_core.Supervisor.convergence;
     }
   | Not_reached  (** the armed point never fired within the tick budget *)

@@ -1,4 +1,4 @@
-(* Microbenchmark comparing the three execution engines.
+(* Microbenchmark comparing the two execution engines.
 
    Each measurement launches a fresh process (same binary, input and seed),
    runs exactly [max_instrs] instructions under one engine, and reports
@@ -22,11 +22,8 @@ type comparison = {
   instructions : int;
   reference : engine_sample;
   blocks : engine_sample;
-  traces : engine_sample;
   speedup : float; (* blocks.ips / reference.ips *)
-  speedup_traces : float; (* traces.ips / reference.ips *)
-  traces_vs_blocks : float; (* traces.ips / blocks.ips *)
-  counters_equal : bool; (* final Counters.t bit-identical across all engines *)
+  counters_equal : bool; (* final Counters.t bit-identical across both engines *)
 }
 
 let default_max_instrs = 8_000_000
@@ -39,25 +36,11 @@ let run_once ~engine ~max_instrs w ~input =
   let t0 = Unix.gettimeofday () in
   Ocolos_proc.Proc.run proc ~engine ~max_instrs ~cycle_limit:infinity;
   let wall = Unix.gettimeofday () -. t0 in
-  (match (Sys.getenv_opt "OCOLOS_BENCH_DEBUG", Ocolos_proc.Proc.trace_cache_stats proc) with
-  | Some _, Some s ->
-    Printf.eprintf
-      "DEBUG traces: decodes=%d dispatches=%d resumes=%d chained=%d chain_misses=%d \
-       ic_hits=%d ic_misses=%d promotions=%d superblocks=%d invalidations=%d resident=%d\n\
-       %!"
-      s.Ocolos_proc.Superblock.decodes s.Ocolos_proc.Superblock.dispatches
-      s.Ocolos_proc.Superblock.resumes s.Ocolos_proc.Superblock.chained
-      s.Ocolos_proc.Superblock.chain_misses s.Ocolos_proc.Superblock.ic_hits
-      s.Ocolos_proc.Superblock.ic_misses s.Ocolos_proc.Superblock.promotions
-      s.Ocolos_proc.Superblock.superblocks s.Ocolos_proc.Superblock.invalidations
-      s.Ocolos_proc.Superblock.resident
-  | _ -> ());
   (wall, proc.Ocolos_proc.Proc.instret, Ocolos_proc.Proc.total_counters proc)
 
 (* Repeats are interleaved round-robin across the engines (ref, blocks,
-   traces, ref, blocks, traces, ...) rather than measured engine-by-engine:
-   ambient machine load then perturbs every engine's repeat set alike, and
-   best-of still picks each engine's quietest window — the reported ratios
+   ref, blocks, ...) rather than measured engine-by-engine: ambient machine
+   load then perturbs every engine's repeat set alike, and best-of still picks each engine's quietest window — the reported ratios
    survive a noisy host that back-to-back per-engine windows would not. *)
 let measure_interleaved ~engines ~max_instrs ~repeats w ~input =
   let n = Array.length engines in
@@ -83,23 +66,17 @@ let measure_interleaved ~engines ~max_instrs ~repeats w ~input =
 let compare_engines ?(repeats = default_repeats) ?(max_instrs = default_max_instrs) w
     ~input =
   let results =
-    measure_interleaved
-      ~engines:[| `Reference; `Blocks; `Traces |]
-      ~max_instrs ~repeats w ~input
+    measure_interleaved ~engines:[| `Reference; `Blocks |] ~max_instrs ~repeats w ~input
   in
   let reference, ref_counters = results.(0) in
   let blocks, blk_counters = results.(1) in
-  let traces, trc_counters = results.(2) in
   { workload = w.Workload.name;
     input = input.Input.name;
     instructions = blocks.instructions;
     reference;
     blocks;
-    traces;
     speedup = blocks.ips /. reference.ips;
-    speedup_traces = traces.ips /. reference.ips;
-    traces_vs_blocks = traces.ips /. blocks.ips;
-    counters_equal = ref_counters = blk_counters && ref_counters = trc_counters }
+    counters_equal = ref_counters = blk_counters }
 
 let sample_to_json s =
   Ocolos_obs.Json.Obj
@@ -115,8 +92,5 @@ let to_json c =
       ("instructions", Ocolos_obs.Json.Int c.instructions);
       ("reference", sample_to_json c.reference);
       ("blocks", sample_to_json c.blocks);
-      ("traces", sample_to_json c.traces);
       ("speedup", Ocolos_obs.Json.Float c.speedup);
-      ("speedup_traces", Ocolos_obs.Json.Float c.speedup_traces);
-      ("traces_vs_blocks", Ocolos_obs.Json.Float c.traces_vs_blocks);
       ("counters_equal", Ocolos_obs.Json.Bool c.counters_equal) ]

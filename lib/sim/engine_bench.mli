@@ -1,8 +1,8 @@
-(** Microbenchmark comparing the decoded-block and superblock/trace engines
-    against the reference interpreter: same workload, input and seed, fixed
-    instruction budget, best-of-repeats wall time. All engines are
-    deterministic, so the final uarch counters must be bit-identical;
-    {!compare_engines} verifies that alongside the throughput ratios. *)
+(** Microbenchmark comparing the decoded-block engine against the reference
+    interpreter: same workload, input and seed, fixed instruction budget,
+    best-of-repeats wall time. Both engines are deterministic, so the final
+    uarch counters must be bit-identical; {!compare_engines} verifies that
+    alongside the throughput ratio. *)
 
 type engine_sample = {
   wall_s : float;  (** best-of-repeats wall-clock seconds *)
@@ -16,11 +16,8 @@ type comparison = {
   instructions : int;
   reference : engine_sample;
   blocks : engine_sample;
-  traces : engine_sample;
   speedup : float;  (** [blocks.ips /. reference.ips] *)
-  speedup_traces : float;  (** [traces.ips /. reference.ips] *)
-  traces_vs_blocks : float;  (** [traces.ips /. blocks.ips] *)
-  counters_equal : bool;  (** final counters bit-identical across all engines *)
+  counters_equal : bool;  (** final counters bit-identical across both engines *)
 }
 
 val default_max_instrs : int
@@ -33,5 +30,5 @@ val compare_engines :
   input:Ocolos_workloads.Input.t ->
   comparison
 
-(** JSON record for [BENCH_superblock.json]. *)
+(** JSON record for [BENCH_engines.json]. *)
 val to_json : comparison -> Ocolos_obs.Json.t

@@ -26,14 +26,14 @@ let interval_sample ~seconds counters =
     topdown = Counters.topdown counters }
 
 (* Steady-state throughput of [binary] running [input]. *)
-let steady ?(engine = `Blocks) ?binary ?nthreads ?(seed = 1234) ?(warmup = default_warmup)
+let steady ?binary ?nthreads ?(seed = 1234) ?(warmup = default_warmup)
     ?(measure = default_measure) (w : Workload.t) ~input =
   Trace.span "measure.steady" ~attrs:[ ("workload", Trace.S w.Workload.name) ] @@ fun sp ->
   let proc = Workload.launch ?binary ?nthreads ~seed w ~input in
-  Proc.run ~engine ~cycle_limit:(Clock.seconds_to_cycles warmup) proc;
+  Proc.run ~cycle_limit:(Clock.seconds_to_cycles warmup) proc;
   Trace.clock warmup;
   let before = Proc.total_counters proc in
-  Proc.run ~engine ~cycle_limit:(Clock.seconds_to_cycles (warmup +. measure)) proc;
+  Proc.run ~cycle_limit:(Clock.seconds_to_cycles (warmup +. measure)) proc;
   Trace.clock (warmup +. measure);
   let counters = Counters.diff (Proc.total_counters proc) before in
   let s = interval_sample ~seconds:measure counters in

@@ -12,11 +12,8 @@ val default_warmup : float
 val default_measure : float
 
 (** Steady-state throughput of [binary] (default: the workload's original)
-    running [input]. [engine] selects the execution engine (default
-    [`Blocks]); all engines retire identical instruction streams, so it
-    changes wall-clock only, never the measured counters. *)
+    running [input]. *)
 val steady :
-  ?engine:[ `Reference | `Blocks | `Traces ] ->
   ?binary:Ocolos_binary.Binary.t ->
   ?nthreads:int ->
   ?seed:int ->

@@ -120,13 +120,12 @@ let check_scenarios_equal ctx w =
     Alcotest.(check string) (ctx ^ ": chrome trace byte-identical") chrome_r chrome_b;
     Alcotest.(check string) (ctx ^ ": prometheus dump byte-identical") prom_r prom_b
   in
-  check "blocks" (scenario ~engine:`Blocks w);
-  check "traces" (scenario ~engine:`Traces w)
+  check "blocks" (scenario ~engine:`Blocks w)
 
 let test_differential_tiny () = check_scenarios_equal "tiny" (Apps.tiny ~tx_limit:None ())
 
 let test_differential_random_seeds () =
-  let seeds = if deep then [ 2; 3; 4; 5; 6; 7 ] else [ 2; 3; 5 ] in
+  let seeds = if deep then List.init 40 (fun i -> i + 2) else [ 2; 3; 5 ] in
   List.iter (fun s -> check_scenarios_equal (Printf.sprintf "seed %d" s) (random_workload s))
     seeds
 
@@ -187,14 +186,12 @@ let test_engines_interleave () =
     List.iter (fun e -> Proc.run ~engine:e ~cycle_limit:infinity ~max_instrs:500 proc) engines;
     (proc.Proc.instret, proc.Proc.threads.(0).Thread.regs.(2), Proc.total_counters proc)
   in
-  let mixed = run [ `Blocks; `Traces; `Reference; `Blocks; `Traces; `Reference ] in
+  let mixed = run [ `Blocks; `Reference; `Reference; `Blocks; `Blocks; `Reference ] in
   let blocks_only = run [ `Blocks; `Blocks; `Blocks; `Blocks; `Blocks; `Blocks ] in
-  let traces_only = run [ `Traces; `Traces; `Traces; `Traces; `Traces; `Traces ] in
   let reference_only =
     run [ `Reference; `Reference; `Reference; `Reference; `Reference; `Reference ]
   in
   Alcotest.(check bool) "mixed = blocks-only" true (mixed = blocks_only);
-  Alcotest.(check bool) "mixed = traces-only" true (mixed = traces_only);
   Alcotest.(check bool) "mixed = reference-only" true (mixed = reference_only)
 
 (* ---- span-aware invalidation (a write can overlay several blocks) ---- *)
@@ -211,11 +208,6 @@ let blocks_stats proc =
   match Proc.code_cache_stats proc with
   | Some s -> s
   | None -> Alcotest.fail "no block cache"
-
-let traces_stats proc =
-  match Proc.trace_cache_stats proc with
-  | Some s -> s
-  | None -> Alcotest.fail "no trace cache"
 
 let test_write_spanning_blocks_invalidates_both () =
   let proc = launch_blocks straight_70 in
@@ -246,18 +238,6 @@ let test_write_mid_instruction_invalidates () =
   Alcotest.(check bool) "cache valid after mid-instruction write" true
     (Proc.validate_code_cache proc)
 
-let test_trace_cache_span_invalidation () =
-  let proc = launch_blocks straight_70 in
-  let entry = proc.Proc.threads.(0).Thread.pc in
-  Proc.run ~engine:`Traces ~cycle_limit:infinity proc;
-  Alcotest.(check int) "two nodes cached" 2 (traces_stats proc).Ocolos_proc.Superblock.resident;
-  Addr_space.write_code proc.Proc.mem (entry + (63 * 4)) (Instr.Movi (1, 42));
-  let s = traces_stats proc in
-  Alcotest.(check int) "both nodes invalidated" 2 s.Ocolos_proc.Superblock.invalidations;
-  Alcotest.(check int) "no stale node resident" 0 s.Ocolos_proc.Superblock.resident;
-  Alcotest.(check bool) "trace cache valid after overlay write" true
-    (Proc.validate_code_cache proc)
-
 (* ---- resident accounting under overlapping blocks ---- *)
 
 (* Decode two blocks that share bytes (the second starts at the second
@@ -266,86 +246,23 @@ let test_trace_cache_span_invalidation () =
    that isn't idempotent per block drops the overlap twice and [resident]
    drifts from the true cache population. *)
 let test_resident_accounting_overlapping_blocks () =
-  List.iter
-    (fun engine ->
-      let proc = launch_blocks counter_loop in
-      let entry = proc.Proc.threads.(0).Thread.pc in
-      Proc.run ~engine ~cycle_limit:infinity ~max_instrs:50 proc;
-      (* Force a mid-block entry: the Movi at [entry] is 5 bytes, so the
-         block starting at the Alui below it overlaps the loop block. *)
-      proc.Proc.threads.(0).Thread.pc <- entry + 5;
-      Proc.run ~engine ~cycle_limit:infinity ~max_instrs:2 proc;
-      let resident =
-        match engine with
-        | `Blocks -> (blocks_stats proc).Ocolos_proc.Block_engine.resident
-        | `Traces -> (traces_stats proc).Ocolos_proc.Superblock.resident
-        | `Reference -> assert false
-      in
-      Alcotest.(check int) "overlapping blocks both cached" 2 resident;
-      (* One write to a byte both blocks cover kills both, each exactly once. *)
-      Addr_space.write_code proc.Proc.mem (entry + 5) (Instr.Alui (Instr.Add, 2, 2, 1));
-      let invalidations, resident =
-        match engine with
-        | `Blocks ->
-          let s = blocks_stats proc in
-          (s.Ocolos_proc.Block_engine.invalidations, s.Ocolos_proc.Block_engine.resident)
-        | `Traces ->
-          let s = traces_stats proc in
-          (s.Ocolos_proc.Superblock.invalidations, s.Ocolos_proc.Superblock.resident)
-        | `Reference -> assert false
-      in
-      Alcotest.(check int) "each block dropped exactly once" 2 invalidations;
-      Alcotest.(check int) "resident matches live entries" 0 resident;
-      Alcotest.(check bool) "cache valid after double-cover kill" true
-        (Proc.validate_code_cache proc))
-    [ `Blocks; `Traces ]
-
-(* ---- trace tier mechanics: chaining, promotion, inline caches ---- *)
-
-(* A hot loop genuinely spanning two blocks — the loop edges are
-   non-adjacent in layout order, so the emitter cannot elide them into
-   fallthroughs and every iteration really crosses two explicit control
-   transfers. Under `Blocks every iteration pays two dispatches; the trace
-   tier chains the loop-back exits and then flattens the pair into one
-   superblock. *)
-let two_block_loop n =
-  [| { Ir.bid = 0; body = [ Ir.Plain (Instr.Movi (1, n)) ]; term = Ir.Tjump 2 };
-     { Ir.bid = 1;
-       body = [ Ir.Plain (Instr.Alui (Instr.Sub, 1, 1, 1)) ];
-       term = Ir.Tbranch (Instr.Gt, 1, 2, 3) };
-     { Ir.bid = 2;
-       body = [ Ir.Plain (Instr.Alui (Instr.Add, 2, 2, 3)) ];
-       term = Ir.Tjump 1 };
-     { Ir.bid = 3; body = []; term = Ir.Thalt } |]
-
-let test_traces_chain_and_promote () =
-  let proc = launch_blocks (two_block_loop 500) in
-  Proc.run ~engine:`Traces ~cycle_limit:infinity proc;
-  let s = traces_stats proc in
-  Alcotest.(check bool) "exit chaining engaged" true (s.Ocolos_proc.Superblock.chained > 0);
-  Alcotest.(check bool) "hot path promoted to a superblock" true
-    (s.Ocolos_proc.Superblock.promotions > 0);
-  Alcotest.(check bool) "superblock live" true (s.Ocolos_proc.Superblock.superblocks > 0);
-  Alcotest.(check bool) "trace cache valid" true (Proc.validate_code_cache proc);
-  (* And the loop's architectural outcome matches the reference. *)
-  let ref_proc = launch_blocks (two_block_loop 500) in
-  Proc.run ~engine:`Reference ~cycle_limit:infinity ref_proc;
-  Alcotest.(check int) "instret matches reference" ref_proc.Proc.instret proc.Proc.instret;
-  Alcotest.(check int) "accumulator matches reference"
-    ref_proc.Proc.threads.(0).Thread.regs.(2) proc.Proc.threads.(0).Thread.regs.(2);
-  Alcotest.(check bool) "counters bit-identical" true
-    (Proc.total_counters ref_proc = Proc.total_counters proc)
-
-let test_traces_inline_caches () =
-  (* The random workload's parser jump tables and indirect calls exercise
-     IndJump/IndCall exits; the monomorphic ones must hit the inline cache. *)
-  let w = random_workload 2 in
-  let proc = Workload.launch w ~input:(List.hd w.Workload.inputs) in
-  Proc.run ~engine:`Traces ~cycle_limit:infinity ~max_instrs:200_000 proc;
-  let s = traces_stats proc in
-  Alcotest.(check bool) "inline caches hit" true (s.Ocolos_proc.Superblock.ic_hits > 0);
-  Alcotest.(check bool) "superblocks formed" true (s.Ocolos_proc.Superblock.promotions > 0);
-  Alcotest.(check bool) "trace cache valid" true (Proc.validate_code_cache proc)
+  let proc = launch_blocks counter_loop in
+  let entry = proc.Proc.threads.(0).Thread.pc in
+  Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:50 proc;
+  (* Force a mid-block entry: the Movi at [entry] is 5 bytes, so the block
+     starting at the Alui below it overlaps the loop block. *)
+  proc.Proc.threads.(0).Thread.pc <- entry + 5;
+  Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:2 proc;
+  Alcotest.(check int) "overlapping blocks both cached" 2
+    (blocks_stats proc).Ocolos_proc.Block_engine.resident;
+  (* One write to a byte both blocks cover kills both, each exactly once. *)
+  Addr_space.write_code proc.Proc.mem (entry + 5) (Instr.Alui (Instr.Add, 2, 2, 1));
+  let s = blocks_stats proc in
+  Alcotest.(check int) "each block dropped exactly once" 2
+    s.Ocolos_proc.Block_engine.invalidations;
+  Alcotest.(check int) "resident matches live entries" 0 s.Ocolos_proc.Block_engine.resident;
+  Alcotest.(check bool) "cache valid after double-cover kill" true
+    (Proc.validate_code_cache proc)
 
 (* ---- register-operand validation at the code-map boundary ---- *)
 
@@ -392,13 +309,7 @@ let suite =
       test_write_spanning_blocks_invalidates_both;
     Alcotest.test_case "write inside an instruction invalidates its block" `Quick
       test_write_mid_instruction_invalidates;
-    Alcotest.test_case "trace cache span invalidation" `Quick
-      test_trace_cache_span_invalidation;
     Alcotest.test_case "resident accounting under overlapping blocks" `Quick
       test_resident_accounting_overlapping_blocks;
-    Alcotest.test_case "traces: exit chaining and superblock promotion" `Quick
-      test_traces_chain_and_promote;
-    Alcotest.test_case "traces: inline caches at indirect sites" `Quick
-      test_traces_inline_caches;
     Alcotest.test_case "write_code rejects bad register operands" `Quick
       test_write_code_rejects_bad_regs ]

@@ -62,9 +62,9 @@ let test_never_returning_entry_replaced () =
   Proc.run ~cycle_limit:infinity ~max_instrs:100_000 proc;
   Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
 
-(* The reachability scanner must audit code pointers held by the execution
-   engines (superblock resume memos, chain links, inline-cache targets),
-   not just vtables, stacks and code. Severing the invalidation watcher
+(* The reachability scanner must audit code pointers held by the default
+   execution engine (cached block starts, per-thread resume memos), not
+   just vtables, stacks and code. Severing the invalidation watcher
    reproduces the bug class: the engine keeps pointers into the retired
    text, and the post-GC scan has to catch them. *)
 let test_scanner_covers_engine_pointers () =
@@ -72,9 +72,9 @@ let test_scanner_covers_engine_pointers () =
     let w = Apps.tiny ~tx_limit:None () in
     let proc = Workload.launch w ~input:(Workload.find_input w "a") in
     let oc = O.attach proc in
-    Proc.run ~engine:`Traces ~cycle_limit:infinity ~max_instrs:150_000 proc;
+    Proc.run ~cycle_limit:infinity ~max_instrs:150_000 proc;
     O.start_profiling oc;
-    Proc.run ~engine:`Traces ~cycle_limit:infinity ~max_instrs:150_000 proc;
+    Proc.run ~cycle_limit:infinity ~max_instrs:150_000 proc;
     let profile, _ = O.stop_profiling oc in
     let result, _ = O.run_bolt oc profile in
     if sever then proc.Proc.mem.Addr_space.code_watchers <- [];
@@ -86,7 +86,7 @@ let test_scanner_covers_engine_pointers () =
   let proc, stats = run_round ~sever:false () in
   Alcotest.(check int) "replacement committed" 1 stats.O.version;
   Alcotest.(check bool) "caches valid after OSR" true (Proc.validate_code_cache proc);
-  Proc.run ~engine:`Traces ~cycle_limit:infinity ~max_instrs:100_000 proc;
+  Proc.run ~cycle_limit:infinity ~max_instrs:100_000 proc;
   (* Severed path: stale engine pointers into the retired text must be
      reported by the scanner, not silently survive. *)
   match run_round ~sever:true () with

@@ -48,24 +48,6 @@ let test_chaos_subset_sweep () =
       | _ -> ())
     results
 
-(* The same kill/restart property with the target on the superblock/trace
-   engine: every death and rollback now also has to sever exit-chain links
-   and inline caches (Chaos's verdict includes [cache_ok], the
-   [Proc.validate_code_cache] sweep after both drains). The points are the
-   ones whose rollbacks replay live-text writes — the paths that would leave
-   a stale chained exit into aborted or reclaimed text. *)
-let test_chaos_traces_engine () =
-  let config = { Chaos.default_config with Chaos.engine = `Traces } in
-  let points = [ "inject_code"; "commit"; "osr_frame"; "gc_reap" ] in
-  let results = Chaos.sweep ~config ~seeds:[ 1 ] ~points () in
-  Alcotest.(check int) "all scenarios ran" (List.length points) (List.length results);
-  List.iter
-    (fun r ->
-      if not (Chaos.passed r) then
-        Alcotest.fail
-          (Printf.sprintf "chaos scenario failed under `Traces: %s" (Chaos.result_to_string r)))
-    results
-
 let setup ?(seed = 5) ?fault () =
   let w = Apps.tiny ~tx_limit:None () in
   let input = Workload.find_input w "a" in
@@ -140,5 +122,4 @@ let suite =
       test_kill_at_survives_unreached_point;
     Alcotest.test_case "restart carries guard state" `Quick test_restart_carries_guard_state;
     Alcotest.test_case "restart on clean process" `Quick test_restart_on_clean_process;
-    Alcotest.test_case "chaos: kill/restart subset sweep" `Slow test_chaos_subset_sweep;
-    Alcotest.test_case "chaos: kill/restart under `Traces" `Slow test_chaos_traces_engine ]
+    Alcotest.test_case "chaos: kill/restart subset sweep" `Slow test_chaos_subset_sweep ]

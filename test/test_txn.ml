@@ -329,7 +329,7 @@ let test_trace_identical_after_first_round_rollback () =
 
 (* The OSR fault points — kill mid-frame-rewrite (osr_frame), map-lookup
    miss path (osr_map), compensation-stub failure (osr_stub) — swept under
-   all three execution engines: after the rollback, the surviving version's
+   both execution engines: after the rollback, the surviving version's
    taken-branch trace must be byte-identical to a run that never attempted
    the replacement. *)
 let test_trace_identical_after_continuous_rollback () =
@@ -343,85 +343,7 @@ let test_trace_identical_after_continuous_rollback () =
             (traced_run ~engine ~rounds_before:1 ~point:(Some (p, nth)) ())
             reference)
         [ ("osr_frame", 1); ("osr_map", 1); ("osr_stub", 1); ("gc_unmap", 5); ("verify", 1) ])
-    [ ("reference", `Reference); ("blocks", `Blocks); ("traces", `Traces) ]
-
-(* ---- trace-cache severing on rollback (`Traces engine) ---- *)
-
-(* Chain links, inline caches and superblocks must be severed by the journal
-   replay of a rolled-back replacement, not only by a commit: a stale
-   chained exit surviving a rollback is a jump into freed text — the exact
-   bug class OCOLOS's bolt.org.text exists to prevent. Drive the whole
-   round under `Traces so the trace cache is hot (and chained) inside the
-   text the transaction rewrites, roll back at several points, and require
-   the swept cache to validate after every replay: no dead node, no
-   dangling link, no stale superblock. The rollback itself must reach the
-   watcher feed — the trace cache's invalidation count has to grow. *)
-let test_traces_cache_severed_on_rollback () =
-  let base = Apps.tiny ~tx_limit:None () in
-  let w =
-    Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
-      ~nthreads:2 base.Workload.gen
-  in
-  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
-  let fault = F.create ~seed:11 () in
-  let oc = O.attach ~config:{ O.default_config with O.fault = Some fault } proc in
-  let run n = Proc.run ~engine:`Traces ~cycle_limit:infinity ~max_instrs:n proc in
-  let invalidations () =
-    match Proc.trace_cache_stats proc with
-    | Some s -> s.Ocolos_proc.Superblock.invalidations
-    | None -> Alcotest.fail "no trace cache under `Traces"
-  in
-  run 40_000;
-  let points_per_round =
-    [ [ ("pause", 1); ("inject_code", 5); ("vtable_patch", 2); ("commit", 1) ];
-      [ ("osr_frame", 1); ("osr_map", 1); ("verify", 1) ] ]
-  in
-  List.iteri
-    (fun i points ->
-      let round = i + 1 in
-      O.start_profiling oc;
-      run 60_000;
-      let profile, _ = O.stop_profiling oc in
-      let result, _ = O.run_bolt oc profile in
-      List.iter
-        (fun (point, nth) ->
-          let ctx = Printf.sprintf "r%d %s:%d" round point nth in
-          disarm_all fault;
-          F.arm fault point (F.Nth nth);
-          let inv_before = invalidations () in
-          (match Txn.replace_code oc result with
-          | Txn.Rolled_back rb ->
-            Alcotest.(check string) (ctx ^ ": faulted point") point rb.Txn.rb_point
-          | Txn.Committed _ -> Alcotest.fail (ctx ^ ": committed despite armed fault")
-          | Txn.Diverged _ -> Alcotest.fail (ctx ^ ": diverged despite armed fault"));
-          Alcotest.(check bool) (ctx ^ ": trace cache valid after journal replay") true
-            (Proc.validate_code_cache proc);
-          (* Injection points before live-text patching replay only writes
-             to fresh text the cache never executed; by "commit" the replay
-             covers the call-site patches in hot C0 code, so the watcher
-             feed must have fired. *)
-          if point = "commit" then
-            Alcotest.(check bool) (ctx ^ ": rollback reached the invalidation feed") true
-              (invalidations () > inv_before);
-          (* Keep executing through whatever survived: any stale chained
-             exit would now jump into the aborted region. *)
-          run 10_000;
-          Alcotest.(check bool) (ctx ^ ": cache still valid after re-execution") true
-            (Proc.validate_code_cache proc))
-        points;
-      disarm_all fault;
-      (match Txn.replace_code oc result with
-      | Txn.Committed stats ->
-        Alcotest.(check int) (Printf.sprintf "committed C%d after severing sweep" round)
-          round stats.O.version
-      | Txn.Rolled_back _ -> Alcotest.fail "unarmed commit rolled back"
-    | Txn.Diverged _ -> Alcotest.fail "unarmed commit diverged");
-      Alcotest.(check bool)
-        (Printf.sprintf "r%d: trace cache valid after commit" round)
-        true (Proc.validate_code_cache proc);
-      run 40_000)
-    points_per_round;
-  Alcotest.(check bool) "process alive after severing sweep" true (Proc.runnable proc)
+    [ ("reference", `Reference); ("blocks", `Blocks) ]
 
 (* ---- journal/transaction plumbing ---- *)
 
@@ -477,8 +399,6 @@ let suite =
       test_trace_identical_after_first_round_rollback;
     Alcotest.test_case "trace identical after continuous rollback" `Slow
       test_trace_identical_after_continuous_rollback;
-    Alcotest.test_case "trace cache severed on rollback (`Traces)" `Quick
-      test_traces_cache_severed_on_rollback;
     Alcotest.test_case "journal nesting rejected" `Quick test_journal_nesting_rejected;
     Alcotest.test_case "foreign faults roll back too" `Quick
       test_non_fault_exception_rolls_back_and_reraises ]
