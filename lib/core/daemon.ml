@@ -1,4 +1,4 @@
-(* Continuous-optimization controller.
+(* The controller's gate policy.
 
    Decides *when* to (re-)optimize a managed process, combining the paper's
    pieces: the DMon-style stage-1 TopDown gate (only front-end-bound
@@ -9,31 +9,10 @@
    mix shifted and the layout went stale — it re-profiles and replaces
    C_i with C_{i+1}.
 
-   Replacement runs transactionally ({!Txn}): a fault firing mid-replacement
-   rolls the process back to C_i, and the controller retries the same BOLT
-   result after an exponential backoff (with seeded +/-25% jitter so
-   campaigns never synchronize), up to [max_retries] extra attempts, before
-   giving up and returning to monitoring.
-
-   The controller is also a supervisor over the whole pipeline ({!Guard}):
-   faults escaping perf2bolt or BOLT's function-reorder pass, and watchdog
-   deadline trips on modeled phase durations, abort the campaign cleanly
-   (the target keeps its current layout); per-function BOLT failures feed a
-   quarantine that excludes repeat offenders from future reordering; and
-   consecutive failed campaigns open a circuit breaker that refuses new
-   campaigns until a cooldown, then probes half-open. A campaign after a
-   failure runs at a degraded BOLT tier (function reorder only).
-
-   [Fault.Killed] — the daemon dying — is deliberately NOT handled
-   anywhere here: it must escape [tick] so the crash-recovery harness
-   ({!Supervisor}) can observe the death and restart against the live
-   process.
-
-   The controller is driven by periodic ticks from whoever owns the
-   process's execution loop; it keeps no thread of its own. *)
-
-open Ocolos_proc
-open Ocolos_uarch
+   The state machine that acts on these decisions is {!Fleet}; a
+   single-process campaign is a one-replica fleet. This module keeps only
+   the policy record the fleet reads (gate thresholds, profile window,
+   retry budget, shadow sampling) and the pure gate itself. *)
 
 type config = {
   frontend_threshold : float; (* stage-1 gate on TopDown front-end fraction *)
@@ -41,7 +20,7 @@ type config = {
   min_interval_s : float; (* amortization guard between replacements *)
   profile_s : float; (* LBR profiling duration per optimization *)
   warmup_s : float; (* ignore ticks before this *)
-  max_retries : int; (* extra replacement attempts after a rollback *)
+  max_retries : int; (* extra replacement attempts per replica after a rollback *)
   retry_backoff_s : float; (* backoff before the first retry; doubles per retry *)
   shadow_every : int; (* shadow-check every Nth commit (1 = all, 0 = never) *)
 }
@@ -56,68 +35,6 @@ let default_config =
     retry_backoff_s = 1.0;
     shadow_every = 1 }
 
-type phase =
-  | Monitoring
-  | Profiling of float (* profiling since *)
-  | Backoff of { until_s : float; attempt : int } (* waiting to retry *)
-  | Retry_pending of { attempt : int } (* retry announced; replace on next tick *)
-
-type t = {
-  oc : Ocolos.t;
-  proc : Proc.t;
-  config : config;
-  guard : Guard.t;
-  mutable phase : phase;
-  mutable pending : Ocolos_bolt.Bolt.result option; (* BOLT result awaiting retry *)
-  mutable last_counters : Counters.t;
-  mutable last_tick_s : float;
-  mutable best_tps : float; (* best throughput since the last replacement *)
-  mutable last_replacement_s : float;
-  mutable replacements : int;
-  mutable attempts : int; (* every call into Txn.replace_code *)
-  mutable rollbacks : int;
-  mutable retries : int;
-}
-
-let create ?(config = default_config) ?guard (oc : Ocolos.t) (proc : Proc.t) =
-  let guard = match guard with Some g -> g | None -> Guard.create () in
-  { oc;
-    proc;
-    config;
-    guard;
-    phase = Monitoring;
-    pending = None;
-    last_counters = Proc.total_counters proc;
-    last_tick_s = 0.0;
-    best_tps = 0.0;
-    last_replacement_s = neg_infinity;
-    replacements = 0;
-    attempts = 0;
-    rollbacks = 0;
-    retries = 0 }
-
-type action =
-  | Idle (* nothing to do *)
-  | Started_profiling of string (* reason *)
-  | Replaced of Ocolos.replacement_stats
-  | Reverted of { reason : string } (* committed, then shadow divergence reverted it *)
-  | Rolled_back of { point : string; attempt : int; giving_up : bool }
-  | Retrying of { attempt : int }
-  | Campaign_aborted of string (* pipeline fault / watchdog; layout kept *)
-  | Breaker_open of { until_s : float } (* campaign wanted, breaker refused *)
-
-let action_to_string = function
-  | Idle -> "idle"
-  | Started_profiling reason -> "profiling: " ^ reason
-  | Replaced s -> Fmt.str "replaced (C%d)" s.Ocolos.version
-  | Reverted { reason } -> Fmt.str "reverted after shadow divergence (%s)" reason
-  | Rolled_back { point; attempt; giving_up } ->
-    Fmt.str "rolled back at %s (attempt %d%s)" point attempt
-      (if giving_up then ", giving up" else ", will retry")
-  | Retrying { attempt } -> Fmt.str "retrying (attempt %d)" attempt
-  | Campaign_aborted reason -> Fmt.str "campaign aborted (%s), layout kept" reason
-  | Breaker_open { until_s } -> Fmt.str "breaker open until %.1fs" until_s
-
 (* Pure monitoring decision: should a (re-)profile start now? Exposed so the
    boundary conditions — regression exactly at tolerance, the >= amortization
    gate, the >= front-end gate — are directly testable. *)
@@ -126,7 +43,7 @@ let decide config ~replacements ~version ~now_s ~last_replacement_s ~tps ~best_t
      a given-up campaign re-arms [last_replacement_s], and without this
      gate the [replacements = 0] branch would re-enter profiling on the
      very next tick, looping profile/rollback/give-up back to back.
-     Fresh daemons start with [last_replacement_s = neg_infinity], so the
+     Fresh controllers start with [last_replacement_s = neg_infinity], so the
      first-ever profile is never delayed. *)
   if now_s -. last_replacement_s < config.min_interval_s then None
   else if replacements = 0 then
@@ -140,206 +57,3 @@ let decide config ~replacements ~version ~now_s ~last_replacement_s ~tps ~best_t
       (Fmt.str "throughput regressed to %.0f (best since C%d: %.0f) — stale layout" tps
          version best_tps)
   else None
-
-(* One replacement attempt (attempt 1 = the original try). Commits advance
-   the version; rollbacks schedule an exponential-backoff retry of the same
-   BOLT result until [max_retries] extra attempts are spent.
-
-   All attempt accounting lives here so each counter moves exactly once per
-   attempt: [attempts] on every entry, [retries] only for attempts > 1 (the
-   Backoff -> Retrying transition merely announces the retry; counting it
-   there double-counted retries against attempts whenever a scheduled retry
-   never reached [Txn.replace_code]), and [rollbacks] once per rolled-back
-   attempt. *)
-let attempt_replace t ~now_s ~attempt result =
-  t.attempts <- t.attempts + 1;
-  if attempt > 1 then t.retries <- t.retries + 1;
-  Ocolos_obs.Metrics.count "ocolos_daemon_attempts_total" 1;
-  if attempt > 1 then Ocolos_obs.Metrics.count "ocolos_daemon_retries_total" 1;
-  (* Tier-2 sampling: every [shadow_every]-th commit is shadow-checked,
-     counting from the first. The pre-commit capture must exist before
-     [Txn.replace_code] mutates the target; the check itself runs as the
-     transaction's [verify] gate, so a divergence unwinds through the
-     byte-exact journal rollback rather than a forward revert. *)
-  let shadowing =
-    t.config.shadow_every > 0 && t.replacements mod t.config.shadow_every = 0
-  in
-  let verify =
-    if not shadowing then None
-    else
-      let pre = Shadow.prepare t.oc in
-      Some
-        (fun () ->
-          let shadow = Shadow.arm pre t.oc result in
-          match Shadow.check shadow with
-          | Shadow.Match -> Ok ()
-          | Shadow.Divergence why -> Error why)
-  in
-  match Txn.replace_code ?verify t.oc result with
-  | Txn.Committed stats ->
-    t.pending <- None;
-    t.phase <- Monitoring;
-    t.best_tps <- 0.0;
-    t.last_replacement_s <- now_s;
-    t.replacements <- t.replacements + 1;
-    Guard.campaign_succeeded t.guard;
-    Ocolos_obs.Metrics.count "ocolos_daemon_replacements_total" 1;
-    Replaced stats
-  | Txn.Diverged { dv_reason = why; _ } ->
-    (* Wrong code nearly shipped: this is the emergency brake, not the
-       retry loop. The transaction already unwound itself; trip the
-       breaker immediately and drop the BOLT result — replaying it would
-       diverge identically. *)
-    t.pending <- None;
-    t.phase <- Monitoring;
-    t.best_tps <- 0.0;
-    t.last_replacement_s <- now_s;
-    t.rollbacks <- t.rollbacks + 1;
-    Guard.trip_breaker t.guard ~now_s ~reason:("shadow: " ^ why);
-    Ocolos_obs.Metrics.count "ocolos_daemon_shadow_reverts_total" 1;
-    Reverted { reason = why }
-  | Txn.Rolled_back rb ->
-    t.rollbacks <- t.rollbacks + 1;
-    Ocolos_obs.Metrics.count "ocolos_daemon_rollbacks_total" 1;
-    if attempt > t.config.max_retries then begin
-      t.pending <- None;
-      t.phase <- Monitoring;
-      (* The failed campaign still spent a pause; re-arm the amortization
-         guard so the next try is not immediate. *)
-      t.best_tps <- 0.0;
-      t.last_replacement_s <- now_s;
-      Guard.campaign_failed t.guard ~now_s;
-      Rolled_back { point = rb.Txn.rb_point; attempt; giving_up = true }
-    end
-    else begin
-      t.pending <- Some result;
-      let delay =
-        Guard.jittered t.guard
-          (t.config.retry_backoff_s *. (2.0 ** float_of_int (attempt - 1)))
-      in
-      t.phase <- Backoff { until_s = now_s +. delay; attempt = attempt + 1 };
-      Rolled_back { point = rb.Txn.rb_point; attempt; giving_up = false }
-    end
-
-(* A campaign that died before reaching [Txn.replace_code] — a fault
-   escaped perf2bolt or BOLT's function-reorder pass, or a watchdog
-   deadline tripped. The target never paused, so there is nothing to roll
-   back; the current layout stays, the amortization guard re-arms, and the
-   breaker hears about the failure. *)
-let campaign_aborted t ~now_s ~reason =
-  t.pending <- None;
-  t.phase <- Monitoring;
-  t.best_tps <- 0.0;
-  t.last_replacement_s <- now_s;
-  Guard.campaign_failed t.guard ~now_s;
-  Ocolos_obs.Metrics.count "ocolos_daemon_campaigns_aborted_total" 1;
-  Ocolos_obs.Trace.mark "daemon.campaign_aborted"
-    ~attrs:[ ("reason", Ocolos_obs.Trace.S reason) ];
-  Campaign_aborted reason
-
-(* One controller tick at simulated time [now_s]. The caller advances the
-   process between ticks. *)
-let tick t ~now_s =
-  let counters = Proc.total_counters t.proc in
-  let interval = Counters.diff counters t.last_counters in
-  let dt = now_s -. t.last_tick_s in
-  t.last_counters <- counters;
-  t.last_tick_s <- now_s;
-  if dt <= 0.0 || now_s < t.config.warmup_s then Idle
-  else begin
-    let tps = float_of_int interval.Counters.transactions /. dt in
-    let td = Counters.topdown interval in
-    match t.phase with
-    | Profiling since ->
-      if now_s -. since >= t.config.profile_s then begin
-        (* The background pipeline. [Fault.Injected] escaping any stage is
-           a survivable campaign failure; [Fault.Killed] is the daemon
-           dying and must NOT be caught here. *)
-        match
-          let profile, perf2bolt_s = Ocolos.stop_profiling t.oc in
-          if Guard.check_deadline t.guard ~phase:`Perf2bolt ~seconds:perf2bolt_s then
-            `Watchdog "perf2bolt"
-          else begin
-            let result, bolt_s =
-              Ocolos.run_bolt ~tier:(Guard.tier t.guard)
-                ~exclude:(Guard.quarantined t.guard) t.oc profile
-            in
-            Guard.record_func_failures t.guard result.Ocolos_bolt.Bolt.failed;
-            if Guard.check_deadline t.guard ~phase:`Bolt ~seconds:bolt_s then
-              `Watchdog "bolt"
-            else `Bolted result
-          end
-        with
-        | `Bolted result ->
-          (* Tier-1 gate: translation validation before the code ever
-             reaches [Txn.replace_code]. A rejection quarantines every
-             offending function and aborts the campaign — the next one
-             runs without them, at the degraded tier. *)
-          let report = Ocolos.validate_result t.oc result in
-          if Ocolos_bolt.Validate.ok report then
-            attempt_replace t ~now_s ~attempt:1 result
-          else begin
-            List.iter
-              (fun fid -> Guard.quarantine_now t.guard fid ~reason:"validate")
-              (Ocolos_bolt.Validate.rejected_fids report);
-            campaign_aborted t ~now_s
-              ~reason:
-                (Fmt.str "validation rejected: %s"
-                   (String.concat ","
-                      (List.filter
-                         (fun c -> Ocolos_bolt.Validate.check_rejections report c > 0)
-                         Ocolos_bolt.Validate.checks)))
-          end
-        | `Watchdog phase ->
-          campaign_aborted t ~now_s ~reason:(Fmt.str "watchdog: %s deadline" phase)
-        | exception Ocolos_util.Fault.Injected (point, _) ->
-          campaign_aborted t ~now_s ~reason:(Fmt.str "fault at %s" point)
-      end
-      else Idle
-    | Backoff { until_s; attempt } ->
-      if now_s >= until_s then begin
-        (* The retry is only announced here; [attempt_replace] counts it
-           when it actually runs. *)
-        t.phase <- Retry_pending { attempt };
-        Retrying { attempt }
-      end
-      else Idle
-    | Retry_pending { attempt } -> (
-      match t.pending with
-      | Some result -> attempt_replace t ~now_s ~attempt result
-      | None ->
-        (* unreachable: pending is set whenever a retry is scheduled *)
-        t.phase <- Monitoring;
-        Idle)
-    | Monitoring ->
-      t.best_tps <- Float.max t.best_tps tps;
-      let reason =
-        decide t.config ~replacements:t.replacements ~version:(Ocolos.version t.oc) ~now_s
-          ~last_replacement_s:t.last_replacement_s ~tps ~best_tps:t.best_tps
-          ~frontend:td.Counters.frontend
-      in
-      (match reason with
-      | Some why ->
-        if Guard.allow_campaign t.guard ~now_s then begin
-          Ocolos.start_profiling t.oc;
-          t.phase <- Profiling now_s;
-          Ocolos_obs.Trace.mark "daemon.profiling_started"
-            ~attrs:[ ("reason", Ocolos_obs.Trace.S why) ];
-          Started_profiling why
-        end
-        else begin
-          match Guard.breaker_state t.guard with
-          | Guard.Open { until_s } -> Breaker_open { until_s }
-          | Guard.Closed | Guard.Half_open -> Idle (* unreachable *)
-        end
-      | None -> Idle)
-  end
-
-let replacements t = t.replacements
-let attempts t = t.attempts
-let rollbacks t = t.rollbacks
-let retries t = t.retries
-let phase t = t.phase
-let guard t = t.guard
-let breaker_state t = Guard.breaker_state t.guard
-let quarantined t = Guard.quarantined t.guard

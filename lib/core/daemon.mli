@@ -1,34 +1,16 @@
-(** Continuous-optimization controller: decides {e when} to (re-)optimize a
+(** The controller's gate policy: decides {e when} to (re-)optimize a
     managed process. Combines the DMon-style stage-1 TopDown gate (paper
     Section V), the amortization rule of Section VI-C3, and drift detection
     for continuous mode (Section IV-C): a throughput regression relative to
     the post-optimization steady state — a stale layout after an input
     shift — triggers re-profiling and replacement of C_i by C_{i+1}.
 
-    Replacements run transactionally ({!Txn}): a fault mid-replacement
-    rolls the process back to C_i and the controller retries the same BOLT
-    result after exponential backoff (with seeded +/-25% jitter), up to
-    [max_retries] extra attempts.
-
-    The controller also supervises the whole pipeline through a {!Guard}:
-    faults escaping perf2bolt or BOLT's function-reorder pass and watchdog
-    deadline trips abort the campaign cleanly (current layout kept);
-    per-function BOLT failures feed a quarantine excluding repeat offenders
-    from reordering; consecutive failed campaigns open a circuit breaker.
-    Post-failure campaigns run at a degraded BOLT tier.
-    {!Ocolos_util.Fault.Killed} is never caught: it escapes {!tick} so the
-    {!Supervisor} crash harness can observe the daemon's death.
-
-    Miscompile containment runs in two tiers around every replacement:
-    Tier-1 translation validation ({!Ocolos_bolt.Validate}) gates each
-    BOLT result before {!Txn.replace_code} — a rejection quarantines the
-    offending functions and aborts the campaign — and the Tier-2 shadow
-    checker ({!Shadow}) replays a sampled window after each commit,
-    reverting to the pre-commit snapshot and tripping the breaker on
-    divergence.
-
-    Driven by periodic {!tick}s from whoever owns the process's execution
-    loop; the controller keeps no thread of its own. *)
+    The campaign state machine acting on the gate is {!Fleet}; a
+    single-process campaign is [Fleet.create [| proc |]]. {!config} is the
+    policy record it reads as [Fleet.config.daemon]: the gate thresholds,
+    the profile window and warmup, the per-replica retry budget a fleet
+    spends on a rolled-back {!Txn.replace_code} before its staged rollback,
+    and the Tier-2 shadow sampling rate. *)
 
 type config = {
   frontend_threshold : float;
@@ -36,7 +18,9 @@ type config = {
   min_interval_s : float;
   profile_s : float;
   warmup_s : float;
-  max_retries : int;  (** extra replacement attempts after a rollback *)
+  max_retries : int;
+      (** extra replacement attempts per replica after its transaction
+          rolls back *)
   retry_backoff_s : float;
       (** backoff before the first retry; doubles on each further retry *)
   shadow_every : int;
@@ -45,37 +29,6 @@ type config = {
 }
 
 val default_config : config
-
-type phase =
-  | Monitoring
-  | Profiling of float
-  | Backoff of { until_s : float; attempt : int }
-  | Retry_pending of { attempt : int }
-
-type t
-
-(** [create oc proc] builds a controller; [guard] (default: a fresh
-    {!Guard.create}) carries the supervision state, and may be shared with
-    a restarted daemon to keep quarantine/breaker memory across a crash. *)
-val create : ?config:config -> ?guard:Guard.t -> Ocolos.t -> Ocolos_proc.Proc.t -> t
-
-type action =
-  | Idle
-  | Started_profiling of string
-  | Replaced of Ocolos.replacement_stats
-  | Reverted of { reason : string }
-      (** a commit passed {!Txn} but the {!Shadow} replay diverged: the
-          process was reverted to the pre-commit snapshot and the breaker
-          tripped *)
-  | Rolled_back of { point : string; attempt : int; giving_up : bool }
-  | Retrying of { attempt : int }
-  | Campaign_aborted of string
-      (** a fault escaped the background pipeline or a watchdog tripped;
-          the target kept its current layout, nothing was rolled back *)
-  | Breaker_open of { until_s : float }
-      (** a campaign was warranted but the circuit breaker refused it *)
-
-val action_to_string : action -> string
 
 (** Pure monitoring decision: the reason to start (re-)profiling now, if
     any. Exposed so the gate boundaries — a regression exactly at
@@ -91,34 +44,3 @@ val decide :
   best_tps:float ->
   frontend:float ->
   string option
-
-(** One controller tick at simulated time [now_s]; the caller advances the
-    process between ticks. *)
-val tick : t -> now_s:float -> action
-
-val replacements : t -> int
-
-(** Replacement attempts since creation: every entry into
-    [Txn.replace_code], i.e. [replacements + rollbacks] at quiescence.
-    Also exported as the [ocolos_daemon_attempts_total] counter through the
-    ambient metrics registry ({!Ocolos_obs.Metrics}). *)
-val attempts : t -> int
-
-(** Rolled-back replacement attempts since creation; incremented exactly
-    once per rolled-back attempt. *)
-val rollbacks : t -> int
-
-(** Retry attempts actually executed (attempts beyond the first of a
-    campaign); incremented exactly once per retry, when the retry runs —
-    not when it is announced by the backoff timer. *)
-val retries : t -> int
-
-val phase : t -> phase
-
-(** The supervision state (breaker, quarantine, watchdog, jitter stream). *)
-val guard : t -> Guard.t
-
-val breaker_state : t -> Guard.breaker_state
-
-(** Quarantined fids, sorted ascending. *)
-val quarantined : t -> int list

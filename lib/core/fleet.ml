@@ -1,14 +1,19 @@
 (* Fleet-scale orchestration (see fleet.mli).
 
-   The state machine, per campaign:
+   The one campaign state machine; a single process is a one-replica
+   fleet. Per campaign:
 
      Monitoring --gate--> Profiling --window--> [stop, aggregate, BOLT]
        --> canary replace --> Verifying --soak--> verdict
              |                                  |        |
-             | any replica rolls back           | pass   | breach
+             | a replica rolls back             | pass   | breach
              v                                  v        v
-       staged rollback                      promote   staged rollback
-       (revert committed)                   rest      (revert canaries)
+           Backoff --retry--> (same stage)    promote   staged rollback
+             |                                rest      (revert canaries)
+             | retry budget spent
+             v
+       staged rollback
+       (revert committed)
 
    Everything faultable — profiling, aggregation, BOLT, each replica's
    transactional replacement — fails safe to C_i before the fleet diverges;
@@ -103,10 +108,9 @@ let cohort_of ~ids ~baseline ~verify ?(ipc_scale = 1.0) ~p99 ~base_p99 () =
    its own profiling-window baseline first (difference-in-differences): the
    canary breaches when its verify/baseline ratio falls more than
    [max_ipc_drop] below the rest-of-fleet ratio. With no rest cohort (every
-   replica a canary) the canary is judged against its own baseline alone,
-   which keeps a one-replica fleet's verdict identical to the
-   single-process daemon differential. p99 is symmetric with the guard on
-   the other side. *)
+   replica a canary) the canary is judged against its own baseline alone
+   — the single-process campaign's verdict. p99 is symmetric with the
+   guard on the other side. *)
 let judge config ~canary ~rest =
   let ipc_guard = 1.0 -. config.max_ipc_drop in
   let ipc_breach =
@@ -157,10 +161,21 @@ let judge config ~canary ~rest =
         else None
     end
 
+type stage = Canary | Promotion
+
 type phase =
   | Monitoring
   | Profiling of { since : float }
   | Verifying of { until_s : float; canaries : int list; result : Ocolos_bolt.Bolt.result }
+  | Backoff of {
+      until_s : float;
+      attempt : int; (* the attempt the retry will be *)
+      point : string; (* where the previous attempt rolled back *)
+      stage : stage;
+      replica : replica; (* the replica whose transaction rolled back *)
+      rest : replica list; (* the stage's replicas after it *)
+      result : Ocolos_bolt.Bolt.result;
+    }
 
 type t = {
   config : config;
@@ -392,6 +407,93 @@ let stage_replace t r result =
   | Txn.Diverged { dv_reason; _ } -> `Diverged dv_reason
   | Txn.Rolled_back rb -> `Rolled_back rb.Txn.rb_point
 
+let probe t r = match t.config.latency_probe with Some probe -> probe r.id | None -> 0.0
+
+(* The canary stage is fully staged: anchor the rest-of-fleet cohort's
+   verify window at the same instant as the canaries' (A/B comparison
+   needs both cohorts measured over the same soak), then start the soak. *)
+let start_verify t ~now_s ~result =
+  let k = canary_count t in
+  let ids = List.init k Fun.id in
+  let version = Ocolos.version t.reps.(0).oc in
+  Array.iter
+    (fun r ->
+      if r.id >= k then begin
+        r.verify_base <- Proc.total_counters r.proc;
+        r.baseline_p99 <- probe t r
+      end)
+    t.reps;
+  t.phase <- Verifying { until_s = now_s +. t.config.verify_s; canaries = ids; result };
+  Trace.mark "fleet.canary_started"
+    ~attrs:[ ("version", Trace.I version); ("canaries", Trace.I k) ];
+  Metrics.count "ocolos_fleet_canaries_total" k;
+  Events.log "fleet.canary_started"
+    ~fields:[ ("version", Trace.I version); ("canaries", Trace.I k) ];
+  record_versions t;
+  Canary_started { version; canaries = ids }
+
+let promote t ~now_s =
+  let version = Ocolos.version t.reps.(0).oc in
+  t.staged <- [];
+  t.phase <- Monitoring;
+  t.best_tps <- 0.0;
+  t.last_replacement_s <- now_s;
+  t.rollouts <- t.rollouts + 1;
+  Guard.campaign_succeeded t.guard;
+  Trace.mark "fleet.promoted"
+    ~attrs:[ ("version", Trace.I version); ("replicas", Trace.I (Array.length t.reps)) ];
+  Metrics.count "ocolos_fleet_rollouts_total" 1;
+  Events.log "fleet.promoted"
+    ~fields:[ ("version", Trace.I version); ("replicas", Trace.I (Array.length t.reps)) ];
+  record_versions t;
+  Promoted { version; replicas = Array.length t.reps }
+
+let stage_name = function Canary -> "canary" | Promotion -> "promotion"
+
+(* Replace on the stage's remaining replicas in order, then finish the
+   stage (start the canary soak, or promote). A replica whose
+   transaction rolled back is retried with the same BOLT result after an
+   exponential backoff (seeded +/-25% jitter, so campaigns never
+   synchronize); only once [max_retries] extra attempts are spent does the
+   fleet take the staged rollback. [attempt] counts this replica's tries,
+   1 for the first. A shadow divergence is never retried: replaying the
+   result would diverge identically. *)
+let rec roll_out t ~now_s ~stage ~result ~attempt = function
+  | [] -> (
+    match stage with Canary -> start_verify t ~now_s ~result | Promotion -> promote t ~now_s)
+  | r :: rest -> (
+    match stage_replace t r result with
+    | `Staged ->
+      if stage = Canary then r.baseline_p99 <- probe t r;
+      roll_out t ~now_s ~stage ~result ~attempt:1 rest
+    | `Diverged why ->
+      shadow_diverged t ~now_s ~reason:(Fmt.str "%s shadow divergence: %s" (stage_name stage) why)
+    | `Rolled_back point ->
+      let policy = t.config.daemon in
+      if attempt > policy.Daemon.max_retries then
+        rollback t ~now_s ~reason:(Fmt.str "%s replace rolled back at %s" (stage_name stage) point)
+      else begin
+        let delay =
+          Guard.jittered t.guard
+            (policy.Daemon.retry_backoff_s *. (2.0 ** float_of_int (attempt - 1)))
+        in
+        t.phase <-
+          Backoff
+            { until_s = now_s +. delay; attempt = attempt + 1; point; stage; replica = r; rest;
+              result };
+        Idle
+      end)
+
+(* The backoff elapsed: run the retry, counted here and nowhere else. *)
+let retry t ~now_s ~attempt ~point ~stage ~replica ~rest ~result =
+  let fields =
+    [ ("replica", Trace.I replica.id); ("attempt", Trace.I attempt); ("point", Trace.S point) ]
+  in
+  Trace.mark "fleet.retry" ~attrs:fields;
+  Metrics.count "ocolos_fleet_retries_total" 1;
+  Events.log "fleet.retry" ~fields;
+  roll_out t ~now_s ~stage ~result ~attempt (replica :: rest)
+
 (* Profiling window complete: stop every replica's session, aggregate the
    decimated streams, BOLT once, then start the canary stage. *)
 let finish_profiling t ~now_s =
@@ -460,51 +562,9 @@ let finish_profiling t ~now_s =
                    (fun c -> Ocolos_bolt.Validate.check_rejections report c > 0)
                    Ocolos_bolt.Validate.checks)))
     end
-    else begin
-    let k = canary_count t in
-    let canaries = Array.to_list (Array.sub t.reps 0 k) in
-    let failed =
-      List.fold_left
-        (fun failed r ->
-          match failed with
-          | `Staged -> (
-            match stage_replace t r result with
-            | `Staged ->
-              r.baseline_p99 <-
-                (match t.config.latency_probe with Some probe -> probe r.id | None -> 0.0);
-              `Staged
-            | other -> other)
-          | other -> other)
-        `Staged canaries
-    in
-    match failed with
-    | `Rolled_back point ->
-      rollback t ~now_s ~reason:(Fmt.str "canary replace rolled back at %s" point)
-    | `Diverged why ->
-      shadow_diverged t ~now_s ~reason:(Fmt.str "canary shadow divergence: %s" why)
-    | `Staged ->
-      let version = Ocolos.version (List.hd canaries).oc in
-      let ids = List.map (fun r -> r.id) canaries in
-      (* Anchor the rest-of-fleet cohort's verify window at the same instant
-         as the canaries': A/B comparison needs both cohorts measured over
-         the same soak. *)
-      Array.iter
-        (fun r ->
-          if not (List.mem r.id ids) then begin
-            r.verify_base <- Proc.total_counters r.proc;
-            r.baseline_p99 <-
-              (match t.config.latency_probe with Some probe -> probe r.id | None -> 0.0)
-          end)
-        t.reps;
-      t.phase <- Verifying { until_s = now_s +. t.config.verify_s; canaries = ids; result };
-      Trace.mark "fleet.canary_started"
-        ~attrs:[ ("version", Trace.I version); ("canaries", Trace.I k) ];
-      Metrics.count "ocolos_fleet_canaries_total" k;
-      Events.log "fleet.canary_started"
-        ~fields:[ ("version", Trace.I version); ("canaries", Trace.I k) ];
-      record_versions t;
-      Canary_started { version; canaries = ids }
-    end)
+    else
+      roll_out t ~now_s ~stage:Canary ~result ~attempt:1
+        (Array.to_list (Array.sub t.reps 0 (canary_count t))))
 
 (* Sum a cohort's profiling-window and verify-window counter intervals. *)
 let cohort_totals t ids =
@@ -598,37 +658,9 @@ let finish_verify t ~now_s ~canaries ~result =
       | None -> [ ("breach", Trace.S "none") ]);
   match ro_breach with
   | Some (_, reason) -> rollback t ~now_s ~reason
-  | None -> (
-    let rest =
-      Array.to_list t.reps |> List.filter (fun r -> not (List.mem r.id canaries))
-    in
-    let failed =
-      List.fold_left
-        (fun failed r ->
-          match failed with `Staged -> stage_replace t r result | other -> other)
-        `Staged rest
-    in
-    match failed with
-    | `Rolled_back point ->
-      rollback t ~now_s ~reason:(Fmt.str "promotion replace rolled back at %s" point)
-    | `Diverged why ->
-      shadow_diverged t ~now_s ~reason:(Fmt.str "promotion shadow divergence: %s" why)
-    | `Staged ->
-      let version = Ocolos.version t.reps.(0).oc in
-      t.staged <- [];
-      t.phase <- Monitoring;
-      t.best_tps <- 0.0;
-      t.last_replacement_s <- now_s;
-      t.rollouts <- t.rollouts + 1;
-      Guard.campaign_succeeded t.guard;
-      Trace.mark "fleet.promoted"
-        ~attrs:[ ("version", Trace.I version); ("replicas", Trace.I (Array.length t.reps)) ];
-      Metrics.count "ocolos_fleet_rollouts_total" 1;
-      Events.log "fleet.promoted"
-        ~fields:
-          [ ("version", Trace.I version); ("replicas", Trace.I (Array.length t.reps)) ];
-      record_versions t;
-      Promoted { version; replicas = Array.length t.reps })
+  | None ->
+    roll_out t ~now_s ~stage:Promotion ~result ~attempt:1
+      (Array.to_list t.reps |> List.filter (fun r -> not (List.mem r.id canaries)))
 
 let tick t ~now_s =
   let counters = fleet_counters t in
@@ -646,6 +678,9 @@ let tick t ~now_s =
       else Idle
     | Verifying { until_s; canaries; result } ->
       if now_s >= until_s then finish_verify t ~now_s ~canaries ~result else Idle
+    | Backoff { until_s; attempt; point; stage; replica; rest; result } ->
+      if now_s >= until_s then retry t ~now_s ~attempt ~point ~stage ~replica ~rest ~result
+      else Idle
     | Monitoring -> (
       t.best_tps <- Float.max t.best_tps tps;
       let reason =
@@ -691,6 +726,7 @@ let converged t =
   match vs with [] -> true | v :: rest -> List.for_all (fun x -> x = v) rest
 
 let mixed t = not (converged t)
+let monitoring t = match t.phase with Monitoring -> true | _ -> false
 let rollouts t = t.rollouts
 let rollbacks t = t.rollbacks
 let reverted_on_reattach t = t.restart_reverted

@@ -1,8 +1,13 @@
-(** Fleet-scale orchestration: one campaign, many replicas, staged rollout.
+(** The campaign state machine: one campaign, N replicas, staged rollout.
 
-    The paper's deployments run thousands of identical replicas behind a
-    load balancer, not one process. A fleet campaign manages N replicas of
-    the same binary through a single optimization cycle:
+    This is the only controller. The paper's daemon reruns one cycle —
+    profile, perf2bolt, BOLT, replace, then watch for drift (Sections IV-C
+    and V) — and a single-process campaign is that cycle over a one-replica
+    fleet, [create [| proc |]]; {!Daemon} supplies only the gate policy
+    ([config.daemon], {!Daemon.decide}). The paper's deployments run
+    thousands of identical replicas behind a load balancer; a fleet
+    campaign manages N replicas of the same binary through a single
+    optimization cycle:
 
     + {b profile} every replica, decimating each stream to a configurable
       per-replica fraction (default 1/N) and aggregating the union through
@@ -19,11 +24,16 @@
       are compared against the rest-of-fleet cohort measured over the same
       soak, and only a clean readout widens the rollout to the rest.
 
-    A canary regression — or any replica's transactional replacement
-    rolling back — triggers a staged rollback: every replica already on
-    C_{i+1} is {!Ocolos.revert}ed to C_i (the revert path has no fault
-    cuts, so a partial rollout always unwinds completely), and the shared
-    {!Guard} hears a failed campaign, feeding its circuit breaker. The
+    A replica whose transactional replacement rolls back is retried with
+    the same BOLT result after [Guard.jittered (retry_backoff_s *. 2 **
+    (attempt - 1))], up to [max_retries] extra attempts ([config.daemon]);
+    each retry that runs counts in [ocolos_fleet_retries_total] and logs a
+    [fleet.retry] event. A canary regression, a shadow divergence, or a
+    replica whose retry budget is spent triggers a staged rollback: every
+    replica already on C_{i+1} is {!Ocolos.revert}ed to C_i (the revert
+    path has no fault cuts, so a partial rollout always unwinds
+    completely), and the shared {!Guard} hears a failed campaign, feeding
+    its circuit breaker. The
     invariant the property suite locks in: a rollout terminates with every
     replica on C_{i+1} or every replica on C_i — never permanently mixed.
 
@@ -34,11 +44,16 @@
     (always possible — design principle #1 keeps C0 resident) so a fresh
     homogeneous campaign can run.
 
+    A one-replica fleet has no rest-of-fleet cohort, so its canary soaks
+    for [verify_s] and is judged against its own profiling baseline before
+    [Promoted].
+
     Observability: fleet-level events are [fleet.*] trace marks and
     [ocolos_fleet_*] metrics (gauges labelled [replica="i"]), strictly
     additive over what the per-replica pipeline already emits — a
-    one-replica fleet is byte-identical to the single-process
-    {!Ocolos.attach} path apart from those families. *)
+    one-replica fleet is byte-identical to the direct single-process
+    pipeline ({!Ocolos.start_profiling} through {!Txn.replace_code}) apart
+    from those families. *)
 
 type config = {
   canary_fraction : float;  (** fraction of replicas in the canary stage *)
@@ -62,7 +77,8 @@ type config = {
       (** current p99 (simulated seconds) per replica id, wired by the
           driver that owns the traffic model *)
   daemon : Daemon.config;
-      (** monitoring gate ({!Daemon.decide}), profile window and warmup *)
+      (** gate policy: monitoring gate ({!Daemon.decide}), profile window,
+          warmup, per-replica retry budget and backoff, shadow sampling *)
 }
 
 val default_config : config
@@ -141,8 +157,10 @@ type action =
 val action_to_string : action -> string
 
 (** One controller tick at simulated time [now_s]; the caller advances the
-    replicas between ticks. {!Ocolos_util.Fault.Killed} escapes (the
-    daemon dying), possibly leaving a mixed fleet for {!reattach}. *)
+    replicas between ticks. A tick that rolls a replica back with retry
+    budget left, or that is still inside the backoff, is [Idle].
+    {!Ocolos_util.Fault.Killed} escapes (the daemon dying), possibly
+    leaving a mixed fleet for {!reattach}. *)
 val tick : t -> now_s:float -> action
 
 val replicas : t -> int
@@ -157,6 +175,10 @@ val versions : t -> int list
 val converged : t -> bool
 
 val mixed : t -> bool
+
+(** No campaign in flight: not profiling, soaking a canary, or backing off
+    before a replica's retry. *)
+val monitoring : t -> bool
 
 (** Completed fleet-wide rollouts / staged rollbacks. *)
 val rollouts : t -> int

@@ -1,21 +1,22 @@
 (* Crash-recovery harness: simulated daemon death and restart.
 
    [kill_at] arms a fault point *lethally* ([Fault.kill]) and drives the
-   daemon's tick loop until [Fault.Killed] escapes — the moment the OCOLOS
-   daemon process dies. By construction the target is never corrupted by a
-   death: perf kills detach the sampling hook before the exception
-   surfaces, perf2bolt/BOLT kills happen in background work that never
-   touched the target, and kills inside the stop-the-world transaction are
-   rolled back (and the target resumed) by {!Txn} before the exception
-   re-raises. So at death the target runs exactly the code version that
-   last committed.
+   campaign controller's tick loop until [Fault.Killed] escapes — the
+   moment the OCOLOS daemon process dies. By construction a replica is never
+   corrupted by a death: perf kills detach the sampling hook before the
+   exception surfaces, perf2bolt/BOLT kills happen in background work that
+   never touched the target, and kills inside the stop-the-world
+   transaction are rolled back (and the target resumed) by {!Txn} before
+   the exception re-raises. So at death every replica runs exactly the code
+   version it last committed — though a death between two replicas of a
+   staged rollout can leave the fleet mixed.
 
-   [restart] then stands up a fresh daemon against the live process via
-   {!Ocolos.reattach}, optionally inheriting the dead daemon's {!Guard}
+   [restart] then stands up a fresh controller over the live replicas via
+   {!Fleet.reattach}, optionally inheriting the dead daemon's {!Guard}
    (quarantine and breaker memory survive the way an on-disk sidecar
-   would). [run_to_convergence] drives the new daemon until it commits a
-   replacement or cleanly gives up — the restart contract the chaos
-   property test asserts for every fault point. *)
+   would). [run_to_convergence] drives it until a rollout completes or the
+   campaign cleanly gives up — the restart contract the chaos property test
+   asserts for every fault point, for one replica and for many. *)
 
 type death = {
   d_point : string; (* the lethally armed point that fired *)
@@ -26,7 +27,7 @@ type death = {
 type kill_outcome = Died of death | Survived (* point never reached *)
 
 let kill_at ~(fault : Ocolos_util.Fault.t) ~point ?(schedule = Ocolos_util.Fault.Nth 1)
-    (daemon : Daemon.t) ~step ~max_ticks =
+    (fleet : Fleet.t) ~step ~max_ticks =
   Ocolos_util.Fault.kill fault point schedule;
   let rec loop i =
     if i >= max_ticks then begin
@@ -35,7 +36,7 @@ let kill_at ~(fault : Ocolos_util.Fault.t) ~point ?(schedule = Ocolos_util.Fault
     end
     else
       let now_s = step i in
-      match Daemon.tick daemon ~now_s with
+      match Fleet.tick fleet ~now_s with
       | _ -> loop (i + 1)
       | exception Ocolos_util.Fault.Killed (p, hit) ->
         Ocolos_util.Fault.disarm fault point;
@@ -43,20 +44,16 @@ let kill_at ~(fault : Ocolos_util.Fault.t) ~point ?(schedule = Ocolos_util.Fault
           ~attrs:
             [ ("point", Ocolos_obs.Trace.S p);
               ("hit", Ocolos_obs.Trace.I hit);
-              ("tick", Ocolos_obs.Trace.I i) ];
+              ("tick", Ocolos_obs.Trace.I i);
+              ("mixed", Ocolos_obs.Trace.B (Fleet.mixed fleet)) ];
         Ocolos_obs.Metrics.count "ocolos_supervisor_deaths_total" 1;
         Died { d_point = p; d_hit = hit; d_tick = i }
   in
   loop 0
 
-(* Stand up a replacement daemon against the live process. The dead
-   daemon's in-memory state is gone; {!Ocolos.reattach} rebuilds the
-   controller view from the target, and [guard] optionally carries the old
-   supervision memory across the restart. *)
-let restart ?config ?ocolos_config ?guard (proc : Ocolos_proc.Proc.t) =
-  let oc = Ocolos.reattach ?config:ocolos_config proc in
+let restart ?config ?ocolos_config ?guard procs =
   Ocolos_obs.Metrics.count "ocolos_supervisor_restarts_total" 1;
-  Daemon.create ?config ?guard oc proc
+  Fleet.reattach ?config ?ocolos_config ?guard procs
 
 type convergence =
   | Converged_replaced of { version : int; ticks : int }
@@ -70,71 +67,12 @@ let convergence_to_string = function
     Fmt.str "gave up (%s after %d ticks)" reason ticks
   | Diverged -> "diverged"
 
-(* Drive [daemon] until it commits a replacement or cleanly gives up.
-   "Cleanly gives up" is any terminal no-replacement outcome: exhausting
-   the transaction retry budget, aborting the campaign on a pipeline fault
-   or watchdog, or the breaker refusing further campaigns. *)
-let run_to_convergence (daemon : Daemon.t) ~step ~max_ticks =
-  let rec loop i =
-    if i >= max_ticks then Diverged
-    else
-      let now_s = step i in
-      match Daemon.tick daemon ~now_s with
-      | Daemon.Replaced stats ->
-        Converged_replaced { version = stats.Ocolos.version; ticks = i + 1 }
-      | Daemon.Rolled_back { point; attempt; giving_up = true } ->
-        Converged_gave_up
-          { reason = Fmt.str "rolled back at %s, attempt %d" point attempt; ticks = i + 1 }
-      | Daemon.Campaign_aborted reason -> Converged_gave_up { reason; ticks = i + 1 }
-      | Daemon.Reverted { reason } ->
-        Converged_gave_up
-          { reason = Fmt.str "shadow divergence: %s" reason; ticks = i + 1 }
-      | Daemon.Breaker_open { until_s } ->
-        Converged_gave_up { reason = Fmt.str "breaker open until %.1fs" until_s; ticks = i + 1 }
-      | Daemon.Idle | Daemon.Started_profiling _ | Daemon.Retrying _
-      | Daemon.Rolled_back { giving_up = false; _ } ->
-        loop (i + 1)
-  in
-  loop 0
-
-(* ---- fleet crash recovery ---- *)
-
-(* Same loop as [kill_at], over the fleet controller. A death between
-   replicas of a staged rollout leaves the fleet mixed — exactly the state
-   [restart_fleet] exists to recover. *)
-let kill_fleet_at ~(fault : Ocolos_util.Fault.t) ~point
-    ?(schedule = Ocolos_util.Fault.Nth 1) (fleet : Fleet.t) ~step ~max_ticks =
-  Ocolos_util.Fault.kill fault point schedule;
-  let rec loop i =
-    if i >= max_ticks then begin
-      Ocolos_util.Fault.disarm fault point;
-      Survived
-    end
-    else
-      let now_s = step i in
-      match Fleet.tick fleet ~now_s with
-      | _ -> loop (i + 1)
-      | exception Ocolos_util.Fault.Killed (p, hit) ->
-        Ocolos_util.Fault.disarm fault point;
-        Ocolos_obs.Trace.mark "supervisor.fleet_daemon_died"
-          ~attrs:
-            [ ("point", Ocolos_obs.Trace.S p);
-              ("hit", Ocolos_obs.Trace.I hit);
-              ("tick", Ocolos_obs.Trace.I i);
-              ("mixed", Ocolos_obs.Trace.B (Fleet.mixed fleet)) ];
-        Ocolos_obs.Metrics.count "ocolos_supervisor_deaths_total" 1;
-        Died { d_point = p; d_hit = hit; d_tick = i }
-  in
-  loop 0
-
-let restart_fleet ?config ?ocolos_config ?guard procs =
-  Ocolos_obs.Metrics.count "ocolos_supervisor_restarts_total" 1;
-  Fleet.reattach ?config ?ocolos_config ?guard procs
-
-(* Terminal fleet outcomes: a completed rollout converges; a staged
-   rollback, a campaign abort or a breaker refusal is a clean give-up (the
-   fleet is homogeneous on the old version in all three). *)
-let run_fleet_to_convergence (fleet : Fleet.t) ~step ~max_ticks =
+(* Terminal outcomes: a completed rollout converges; a staged rollback
+   (retry budget spent, shadow divergence, or a failed verdict), a campaign
+   abort (pipeline fault, watchdog, validation rejection) or a breaker
+   refusal is a clean give-up — the fleet is homogeneous on the old version
+   in all three. *)
+let run_to_convergence (fleet : Fleet.t) ~step ~max_ticks =
   let rec loop i =
     if i >= max_ticks then Diverged
     else

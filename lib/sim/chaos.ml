@@ -8,12 +8,16 @@
    - a KILL run on a finite workload: the daemon dies at the armed point,
      then the orphaned target runs to termination with its full taken-branch
      trace recorded;
-   - a REFERENCE run, same seed: an identical daemon commits exactly the
-     replacements the dead daemon had committed, is then stopped (no death,
-     no further interference), and the target runs to termination;
+   - a REFERENCE run, same seed: an identical controller commits exactly
+     the replacements the dead daemon had committed, is then stopped (no
+     death, no further interference), and the target runs to termination;
    - a CONVERGENCE run on an endless workload: after the kill, a fresh
-     daemon is stood up with {!Ocolos_core.Supervisor.restart} and must
+     controller is stood up with {!Ocolos_core.Supervisor.restart} and must
      reach a committed replacement or a clean give-up.
+
+   The controller is always a {!Ocolos_core.Fleet}: these single-process
+   scenarios run a one-replica fleet, and the fleet scenarios below run N
+   replicas through the same construction, stepping and drive loop.
 
    The trace property needs the two runs' target-visible histories to match
    instruction-for-instruction up to the death. Two mechanisms make that
@@ -33,6 +37,7 @@ module F = Ocolos_util.Fault
 module Events = Ocolos_obs.Events
 module O = Ocolos_core.Ocolos
 module Daemon = Ocolos_core.Daemon
+module Fleet = Ocolos_core.Fleet
 module Supervisor = Ocolos_core.Supervisor
 module Proc = Ocolos_proc.Proc
 module Workload = Ocolos_workloads.Workload
@@ -81,17 +86,15 @@ type outcome =
 
 type result = { r_seed : int; r_point : string; r_outcome : outcome }
 
+let converged = function
+  | Supervisor.Converged_replaced _ | Supervisor.Converged_gave_up _ -> true
+  | Supervisor.Diverged -> false
+
 let verdict r =
   match r.r_outcome with
   | Not_reached -> `Unreached
   | Verified { trace_equal; convergence; terminated; cache_ok; _ } ->
-    if
-      trace_equal && terminated && cache_ok
-      && (match convergence with
-         | Supervisor.Converged_replaced _ | Supervisor.Converged_gave_up _ -> true
-         | Supervisor.Diverged -> false)
-    then `Pass
-    else `Fail
+    if trace_equal && terminated && cache_ok && converged convergence then `Pass else `Fail
 
 let passed r = verdict r = `Pass
 
@@ -124,7 +127,7 @@ let result_to_string r =
     (F.domain_of r.r_point)
     r.r_point (outcome_to_string r.r_outcome)
 
-(* ---- the three runs ---- *)
+(* ---- shared construction: every scenario drives a fleet ---- *)
 
 (* The tiny workload, optionally rebuilt with its jump tables kept (the
    default lowers them away, which leaves BOLT's output with no table data
@@ -136,8 +139,6 @@ let tiny_workload cfg ~tx_limit =
     Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
       ~nthreads:2 base.Workload.gen
 
-(* A trace-run process: tiny workload, finite, recorder installed before
-   attach so every later hook (the profiler's) chains to it. *)
 (* Boundary-only frame maps: paused PCs then land mid-block, so OSR has to
    build compensation stubs — which is what makes the osr_stub point (and
    the gc_reap point, which needs residue to die) reachable in a sweep. *)
@@ -146,9 +147,65 @@ let ocolos_config ~fault =
     O.fault = Some fault;
     bolt = { O.default_config.O.bolt with Ocolos_bolt.Bolt.exact_frame_maps = false } }
 
+(* BOLT on these tiny inputs can land IPC-neutral-or-worse layouts, and a
+   verdict that always rolls back would never let continuous rounds
+   (C1 -> C2 -> ...) or a kill mid-promotion happen. The permissive verify
+   thresholds keep rollouts flowing, for one replica and for many. *)
+let fleet_config cfg =
+  { Fleet.default_config with
+    Fleet.daemon = cfg.daemon;
+    max_ipc_drop = 1.0;
+    max_p99_rise = infinity }
+
+(* One fault registry across the whole fleet: an Nth schedule counts hits
+   fleet-wide, which is what lets a kill land between two replicas'
+   commits. *)
+let make_fleet cfg ~fault procs =
+  Fleet.create ~config:(fleet_config cfg) ~ocolos_config:(ocolos_config ~fault) procs
+
+let version fleet = O.version (Fleet.ocolos fleet 0)
+
+(* Advance every replica one tick's worth of instructions; tick i is
+   simulated second i+1. Instruction driving, never cycle driving — see the
+   module comment. *)
+let make_step cfg procs i =
+  Array.iter
+    (fun p -> Proc.run ~engine:cfg.engine ~cycle_limit:infinity ~max_instrs:cfg.step_instrs p)
+    procs;
+  float_of_int (i + 1)
+
+(* Tick the fleet until [terminal] classifies an action, or the tick budget
+   is spent. Returns the terminal and the number of steps executed. *)
+let drive cfg fleet ~step ~terminal =
+  let rec loop i =
+    if i >= cfg.max_ticks then (None, i)
+    else
+      match terminal (Fleet.tick fleet ~now_s:(step i)) with
+      | Some x -> (Some x, i + 1)
+      | None -> loop (i + 1)
+  in
+  loop 0
+
+(* [n] endless replicas on a heterogeneous input mix ("a" on even replicas,
+   "b" on odd), so the aggregated profile is a genuine cross-replica
+   union. *)
+let launch_replicas cfg ~seed n =
+  let w = tiny_workload cfg ~tx_limit:None in
+  Array.init n (fun i ->
+      Workload.launch ~seed:(seed + i) w
+        ~input:(Workload.find_input w (if i mod 2 = 0 then "a" else "b")))
+
+(* The single-process target of the trace and convergence runs: the tiny
+   workload on input "a". *)
+let launch_one cfg ~tx_limit =
+  let w = tiny_workload cfg ~tx_limit in
+  Workload.launch w ~input:(Workload.find_input w "a")
+
+(* A trace-run process, finite, under a one-replica fleet: the recorder is
+   installed before attach so every later hook (the profiler's) chains to
+   it. *)
 let launch_traced cfg ~seed =
-  let w = tiny_workload cfg ~tx_limit:(Some cfg.trace_tx_limit) in
-  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let proc = launch_one cfg ~tx_limit:(Some cfg.trace_tx_limit) in
   let buf = ref [] in
   proc.Proc.hooks.Proc.on_taken_branch <-
     Some
@@ -156,15 +213,13 @@ let launch_traced cfg ~seed =
         ignore cycles;
         buf := (tid, from_addr, to_addr, kind) :: !buf);
   let fault = F.create ~seed () in
-  let oc = O.attach ~config:(ocolos_config ~fault) proc in
-  (proc, oc, fault, buf)
+  (proc, make_fleet cfg ~fault [| proc |], fault, buf)
 
-(* Advance the target one tick's worth of instructions; tick i is simulated
-   second i+1. Instruction driving, never cycle driving — see the module
-   comment. *)
-let make_step cfg proc i =
-  Proc.run ~engine:cfg.engine ~cycle_limit:infinity ~max_instrs:cfg.step_instrs proc;
-  float_of_int (i + 1)
+(* An endless single-process target under a one-replica fleet. *)
+let launch_endless cfg ~seed =
+  let proc = launch_one cfg ~tx_limit:None in
+  let fault = F.create ~seed () in
+  (proc, make_fleet cfg ~fault [| proc |], fault)
 
 let drain cfg proc =
   Proc.run ~engine:cfg.engine ~cycle_limit:infinity ~max_instrs:cfg.drain_instrs proc
@@ -187,13 +242,15 @@ let finish cfg proc buf =
     t_halted = not (Proc.runnable proc);
     t_cache_ok = Proc.validate_code_cache proc }
 
+(* ---- the three runs ---- *)
+
 (* Kill run: die at [point], then run the orphan to termination. Returns the
    death, the version that survived it, and the recorded tail. *)
 let kill_run cfg ~seed ~point =
-  let proc, oc, fault, buf = launch_traced cfg ~seed in
-  let d = Daemon.create ~config:cfg.daemon oc proc in
+  let proc, fleet, fault, buf = launch_traced cfg ~seed in
   match
-    Supervisor.kill_at ~fault ~point d ~step:(make_step cfg proc) ~max_ticks:cfg.max_ticks
+    Supervisor.kill_at ~fault ~point fleet ~step:(make_step cfg [| proc |])
+      ~max_ticks:cfg.max_ticks
   with
   | Supervisor.Survived -> None
   | Supervisor.Died death ->
@@ -202,49 +259,25 @@ let kill_run cfg ~seed ~point =
         [ ("point", Ocolos_obs.Trace.S death.Supervisor.d_point);
           ("hit", Ocolos_obs.Trace.I death.Supervisor.d_hit);
           ("tick", Ocolos_obs.Trace.I death.Supervisor.d_tick);
-          ("survivor_version", Ocolos_obs.Trace.I (O.version oc)) ];
-    Some (death, O.version oc, finish cfg proc buf)
+          ("survivor_version", Ocolos_obs.Trace.I (version fleet)) ];
+    Some (death, version fleet, finish cfg proc buf)
 
 (* Reference run: same seed, nothing armed. The scheduler hands out quantum
    turns from thread 0 at the start of every [Proc.run] call, so the merged
    branch order is only comparable if both runs chunk execution identically
    — the reference replays the kill run's step schedule exactly
    ([pre_steps] = steps executed before the death tick finished), ticking
-   its daemon only until it has committed [version] replacements (the kill
-   run's campaigns 1..v were fault-free, so they replay identically; its
-   later profiling and rolled-back final transaction shift cycle time
-   only). Then the daemon is stopped cold and the target drains. *)
-let reference_run cfg ~seed ~version ~pre_steps =
-  let proc, oc, _fault, buf = launch_traced cfg ~seed in
-  let d = Daemon.create ~config:cfg.daemon oc proc in
+   its controller only until it has committed [version] replacements (the
+   kill run's campaigns 1..v were fault-free, so they replay identically;
+   its later profiling and rolled-back final transaction shift cycle time
+   only). Then the controller is stopped cold and the target drains. *)
+let reference_run cfg ~seed ~version:v ~pre_steps =
+  let proc, fleet, _fault, buf = launch_traced cfg ~seed in
   for i = 0 to pre_steps - 1 do
-    let now_s = make_step cfg proc i in
-    if O.version oc < version then ignore (Daemon.tick d ~now_s)
+    let now_s = make_step cfg [| proc |] i in
+    if version fleet < v then ignore (Fleet.tick fleet ~now_s)
   done;
-  if O.version oc <> version then None else Some (finish cfg proc buf)
-
-(* Convergence run: endless workload, die at [point], restart against the
-   live process ({!Ocolos.reattach} under the hood, the old daemon's guard
-   carried across like an on-disk sidecar), drive to a terminal outcome. *)
-let convergence_run cfg ~seed ~point =
-  let w = tiny_workload cfg ~tx_limit:None in
-  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
-  let fault = F.create ~seed () in
-  let oc = O.attach ~config:(ocolos_config ~fault) proc in
-  let d = Daemon.create ~config:cfg.daemon oc proc in
-  match
-    Supervisor.kill_at ~fault ~point d ~step:(make_step cfg proc) ~max_ticks:cfg.max_ticks
-  with
-  | Supervisor.Survived -> None
-  | Supervisor.Died _ ->
-    let d' = Supervisor.restart ~config:cfg.daemon ~guard:(Daemon.guard d) proc in
-    Events.log "chaos.daemon_restarted"
-      ~fields:[ ("point", Ocolos_obs.Trace.S point); ("seed", Ocolos_obs.Trace.I seed) ];
-    Some
-      (Supervisor.run_to_convergence d' ~step:(make_step cfg proc)
-         ~max_ticks:cfg.max_ticks)
-
-(* ---- scenarios and sweeps ---- *)
+  if version fleet <> v then None else Some (finish cfg proc buf)
 
 (* References are shared: one per (seed, survivor version, step schedule),
    not per point. *)
@@ -252,29 +285,56 @@ type ref_cache = (int * int * int, tail option) Hashtbl.t
 
 let new_cache () : ref_cache = Hashtbl.create 4
 
+(* Compare a run's tail against the cached reference: (trace equal,
+   both drained, both code caches valid). A reference that could not reach
+   the survivor version fails all three. *)
+let against_reference cfg cache ~seed ~version ~pre_steps tail =
+  let key = (seed, version, pre_steps) in
+  let reference =
+    match Hashtbl.find_opt cache key with
+    | Some r -> r
+    | None ->
+      let r = reference_run cfg ~seed ~version ~pre_steps in
+      Hashtbl.add cache key r;
+      r
+  in
+  match reference with
+  | None -> (false, false, false)
+  | Some ref_tail ->
+    ( tail.t_trace = ref_tail.t_trace
+      && tail.t_checksums = ref_tail.t_checksums
+      && tail.t_transactions = ref_tail.t_transactions,
+      tail.t_halted && ref_tail.t_halted,
+      tail.t_cache_ok && ref_tail.t_cache_ok )
+
+(* Convergence run: endless workload, die at [point], restart against the
+   live process ({!Ocolos.reattach} under the hood, the old controller's
+   guard carried across like an on-disk sidecar), drive to a terminal
+   outcome. *)
+let convergence_run cfg ~seed ~point =
+  let proc, fleet, fault = launch_endless cfg ~seed in
+  let step = make_step cfg [| proc |] in
+  match Supervisor.kill_at ~fault ~point fleet ~step ~max_ticks:cfg.max_ticks with
+  | Supervisor.Survived -> None
+  | Supervisor.Died _ ->
+    let fleet' =
+      Supervisor.restart ~config:(fleet_config cfg) ~ocolos_config:(ocolos_config ~fault)
+        ~guard:(Fleet.guard fleet) [| proc |]
+    in
+    Events.log "chaos.daemon_restarted"
+      ~fields:[ ("point", Ocolos_obs.Trace.S point); ("seed", Ocolos_obs.Trace.I seed) ];
+    Some (Supervisor.run_to_convergence fleet' ~step ~max_ticks:cfg.max_ticks)
+
+(* ---- scenarios and sweeps ---- *)
+
 let scenario ?(config = default_config) ?cache ~seed ~point () =
   let cache = match cache with Some c -> c | None -> new_cache () in
   match kill_run config ~seed ~point with
   | None -> { r_seed = seed; r_point = point; r_outcome = Not_reached }
   | Some (death, survivor_version, killed_tail) ->
-    let pre_steps = death.Supervisor.d_tick + 1 in
-    let reference =
-      match Hashtbl.find_opt cache (seed, survivor_version, pre_steps) with
-      | Some r -> r
-      | None ->
-        let r = reference_run config ~seed ~version:survivor_version ~pre_steps in
-        Hashtbl.add cache (seed, survivor_version, pre_steps) r;
-        r
-    in
     let trace_equal, terminated, cache_ok =
-      match reference with
-      | None -> (false, false, false) (* reference could not reach the survivor version *)
-      | Some ref_tail ->
-        ( killed_tail.t_trace = ref_tail.t_trace
-          && killed_tail.t_checksums = ref_tail.t_checksums
-          && killed_tail.t_transactions = ref_tail.t_transactions,
-          killed_tail.t_halted && ref_tail.t_halted,
-          killed_tail.t_cache_ok && ref_tail.t_cache_ok )
+      against_reference config cache ~seed ~version:survivor_version
+        ~pre_steps:(death.Supervisor.d_tick + 1) killed_tail
     in
     let convergence =
       match convergence_run config ~seed ~point with
@@ -297,13 +357,12 @@ let scenario ?(config = default_config) ?cache ~seed ~point () =
 
 (* ---- fleet chaos ---- *)
 
-(* Kill the *fleet* daemon mid-campaign and verify recovery. A staged
-   rollout dies between replicas (e.g. kill "commit" on its (K+1)-th hit —
-   the first post-canary promotion commit), stranding a mixed C_i/C_{i+1}
-   fleet. The restart must detect the mix, revert the optimized replicas to
-   C0, and drive a fresh homogeneous campaign to a terminal outcome. The
-   fleet is deliberately heterogeneous (input "a" on even replicas, "b" on
-   odd) so the aggregated profile is a genuine cross-replica union. *)
+(* Kill the daemon mid-campaign over N replicas and verify recovery. A
+   staged rollout dies between replicas (e.g. kill "commit" on its (K+1)-th
+   hit — the first post-canary promotion commit), stranding a mixed
+   C_i/C_{i+1} fleet. The restart must detect the mix, revert the optimized
+   replicas to C0, and drive a fresh homogeneous campaign to a terminal
+   outcome. *)
 
 type fleet_outcome = {
   fo_death : Supervisor.death;
@@ -318,11 +377,7 @@ type fleet_result = Fleet_verified of fleet_outcome | Fleet_not_reached
 
 let fleet_passed = function
   | Fleet_not_reached -> false
-  | Fleet_verified o -> (
-    o.fo_final_converged
-    && match o.fo_convergence with
-       | Supervisor.Converged_replaced _ | Supervisor.Converged_gave_up _ -> true
-       | Supervisor.Diverged -> false)
+  | Fleet_verified o -> o.fo_final_converged && converged o.fo_convergence
 
 let fleet_result_to_string ~seed ~point = function
   | Fleet_not_reached -> Fmt.str "fleet seed %d %-22s not reached" seed point
@@ -338,40 +393,11 @@ let fleet_result_to_string ~seed ~point = function
       (if o.fo_final_converged then "(converged)" else "(STILL MIXED)")
 
 let fleet_scenario ?(config = default_config) ?(replicas = 4) ?schedule ~seed ~point () =
-  let module Fleet = Ocolos_core.Fleet in
-  let w = tiny_workload config ~tx_limit:None in
-  (* One fault registry across the whole fleet: an Nth schedule counts hits
-     fleet-wide, which is what lets a kill land between two replicas'
-     commits. *)
   let fault = F.create ~seed () in
-  let ocfg = ocolos_config ~fault in
-  (* Mirror the daemon's continuous-replacement tolerance: BOLT on these
-     tiny inputs can land IPC-neutral-or-worse layouts, and a canary that
-     always rolls back would never put a kill point mid-promotion. The
-     permissive verify thresholds keep rollouts flowing so fault schedules
-     can strand genuinely mixed fleets. *)
-  let fcfg =
-    { Fleet.default_config with
-      Fleet.daemon = config.daemon;
-      max_ipc_drop = 1.0;
-      max_p99_rise = infinity }
-  in
-  let procs =
-    Array.init replicas (fun i ->
-        Workload.launch ~seed:(seed + i) w
-          ~input:(Workload.find_input w (if i mod 2 = 0 then "a" else "b")))
-  in
-  let fleet = Fleet.create ~config:fcfg ~ocolos_config:ocfg procs in
-  let step i =
-    Array.iter
-      (fun p ->
-        Proc.run ~engine:config.engine ~cycle_limit:infinity ~max_instrs:config.step_instrs p)
-      procs;
-    float_of_int (i + 1)
-  in
-  match
-    Supervisor.kill_fleet_at ~fault ~point ?schedule fleet ~step ~max_ticks:config.max_ticks
-  with
+  let procs = launch_replicas config ~seed replicas in
+  let fleet = make_fleet config ~fault procs in
+  let step = make_step config procs in
+  match Supervisor.kill_at ~fault ~point ?schedule fleet ~step ~max_ticks:config.max_ticks with
   | Supervisor.Survived -> Fleet_not_reached
   | Supervisor.Died death ->
     let mixed_at_death = Fleet.mixed fleet in
@@ -382,7 +408,7 @@ let fleet_scenario ?(config = default_config) ?(replicas = 4) ?schedule ~seed ~p
           ("tick", Ocolos_obs.Trace.I death.Supervisor.d_tick);
           ("mixed", Ocolos_obs.Trace.B mixed_at_death) ];
     let fleet' =
-      Supervisor.restart_fleet ~config:fcfg ~ocolos_config:ocfg
+      Supervisor.restart ~config:(fleet_config config) ~ocolos_config:(ocolos_config ~fault)
         ~guard:(Fleet.guard fleet) procs
     in
     Events.log "chaos.daemon_restarted"
@@ -392,9 +418,7 @@ let fleet_scenario ?(config = default_config) ?(replicas = 4) ?schedule ~seed ~p
            Ocolos_obs.Trace.S
              (String.concat ";"
                 (List.map string_of_int (Fleet.reverted_on_reattach fleet')))) ];
-    let convergence =
-      Supervisor.run_fleet_to_convergence fleet' ~step ~max_ticks:config.max_ticks
-    in
+    let convergence = Supervisor.run_to_convergence fleet' ~step ~max_ticks:config.max_ticks in
     Fleet_verified
       { fo_death = death;
         fo_mixed_at_death = mixed_at_death;
@@ -406,14 +430,14 @@ let fleet_scenario ?(config = default_config) ?(replicas = 4) ?schedule ~seed ~p
 (* ---- miscompile containment chaos ---- *)
 
 (* The bolt.miscompile points are survivable, not lethal: arming one makes
-   {!Ocolos.run_bolt} hand a silently corrupted result to the daemon, and
-   the property under test is that the two containment tiers stop it — a
-   Tier-1 validation rejection (campaign aborted before [Txn.replace_code],
-   offending functions quarantined, [validate.reject] events logged) or a
-   Tier-2 shadow revert (the commit undone within the same tick, breaker
-   tripped) — with the surviving target's taken-branch trace byte-identical
-   to an uninterrupted run of the version that survived. A corrupted
-   version that commits and stays committed is an escape. *)
+   {!Ocolos.run_bolt} hand a silently corrupted result to the controller,
+   and the property under test is that the two containment tiers stop it —
+   a Tier-1 validation rejection (campaign aborted before
+   [Txn.replace_code], offending functions quarantined, [validate.reject]
+   events logged) or a Tier-2 shadow revert (the commit undone within the
+   same tick, breaker tripped) — with the surviving target's taken-branch
+   trace byte-identical to an uninterrupted run of the version that
+   survived. A corrupted version that gets promoted is an escape. *)
 
 module Miscompile = Ocolos_bolt.Miscompile
 
@@ -458,25 +482,21 @@ let mc_mutations log point =
       else acc)
     0 (Events.events log)
 
-(* Tick the daemon until the corrupted campaign reaches a containment
-   terminal: a validation abort, a shadow revert, or — the escape — a
-   replacement that sticks. Returns the terminal and the number of steps
-   executed (the reference run's [pre_steps]). *)
-let mc_drive cfg d fault ~point ~step =
-  let rec loop i =
-    if i >= cfg.max_ticks then (`None, i)
-    else
-      let now_s = step i in
-      match Daemon.tick d ~now_s with
-      | Daemon.Campaign_aborted reason
-        when String.starts_with ~prefix:"validation rejected" reason ->
-        (`Rejected reason, i + 1)
-      | Daemon.Reverted { reason } -> (`Reverted reason, i + 1)
-      | Daemon.Replaced stats when F.fired fault point > 0 ->
-        (`Committed stats.O.version, i + 1)
-      | _ -> loop (i + 1)
-  in
-  loop 0
+(* The containment terminals of a corrupted campaign: a validation abort,
+   a shadow revert, or — the escape — a promotion once the point fired. *)
+let mc_terminal fault point = function
+  | Fleet.Campaign_aborted reason when String.starts_with ~prefix:"validation rejected" reason
+    ->
+    Some (`Rejected reason)
+  | Fleet.Rolled_back { reason; _ } when contains_sub reason "shadow divergence" ->
+    Some (`Reverted reason)
+  | Fleet.Promoted { version; _ } when F.fired fault point > 0 -> Some (`Committed version)
+  | _ -> None
+
+(* Drive the corrupted campaign to its containment terminal with the event
+   log captured. *)
+let mc_drive cfg fleet fault ~point ~step =
+  with_events (fun () -> drive cfg fleet ~step ~terminal:(mc_terminal fault point))
 
 type mc_outcome =
   | Mc_contained of {
@@ -508,13 +528,10 @@ let mc_verdict r =
       | `Validate -> o.mc_quarantined <> [] && o.mc_reject_events > 0
       | `Shadow -> o.mc_breaker_tripped
     in
-    let conv_ok =
-      match o.mc_convergence with
-      | Supervisor.Converged_replaced _ | Supervisor.Converged_gave_up _ -> true
-      | Supervisor.Diverged -> false
-    in
-    if tier_ok && o.mc_trace_equal && o.mc_terminated && o.mc_cache_ok && conv_ok then
-      `Pass
+    if
+      tier_ok && o.mc_trace_equal && o.mc_terminated && o.mc_cache_ok
+      && converged o.mc_convergence
+    then `Pass
     else `Fail
 
 let mc_passed r = mc_verdict r = `Pass
@@ -547,90 +564,45 @@ let mc_result_to_string r =
     r.mc_point
     (mc_outcome_to_string r.mc_outcome)
 
-(* Finite traced run under the armed corruption: drive to the containment
-   terminal, record guard state, stop the daemon cold, drain the target. *)
-let mc_trace_run cfg ~seed ~point =
-  let proc, oc, fault, buf = launch_traced cfg ~seed in
-  F.arm fault point (F.Nth 1);
-  let d = Daemon.create ~config:cfg.daemon oc proc in
-  let (terminal, pre_steps), log =
-    with_events (fun () -> mc_drive cfg d fault ~point ~step:(make_step cfg proc))
-  in
-  let quarantined = Daemon.quarantined d in
-  let breaker_tripped = Daemon.breaker_state d <> Ocolos_core.Guard.Closed in
-  let mutations = mc_mutations log point in
-  let reject_events = count_events log "validate.reject" in
-  ( terminal,
-    pre_steps,
-    O.version oc,
-    mutations,
-    quarantined,
-    reject_events,
-    breaker_tripped,
-    F.fired fault point,
-    finish cfg proc buf )
-
 (* Endless run: reach the same containment terminal, then keep driving the
-   *same* daemon (guard memory intact: the failed campaign degraded the
+   *same* controller (guard memory intact: the failed campaign degraded the
    next tier, the quarantine excludes the rejected functions, a tripped
    breaker may refuse outright) until it commits a valid replacement or
    cleanly gives up. *)
 let mc_convergence_run cfg ~seed ~point =
-  let w = tiny_workload cfg ~tx_limit:None in
-  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
-  let fault = F.create ~seed () in
+  let proc, fleet, fault = launch_endless cfg ~seed in
   F.arm fault point (F.Nth 1);
-  let oc = O.attach ~config:(ocolos_config ~fault) proc in
-  let d = Daemon.create ~config:cfg.daemon oc proc in
-  let (terminal, ticks), _log =
-    with_events (fun () -> mc_drive cfg d fault ~point ~step:(make_step cfg proc))
-  in
-  match terminal with
-  | `None | `Committed _ -> None
-  | `Rejected _ | `Reverted _ ->
+  let step = make_step cfg [| proc |] in
+  match fst (mc_drive cfg fleet fault ~point ~step) with
+  | (None | Some (`Committed _)), _ -> None
+  | Some (`Rejected _ | `Reverted _), ticks ->
     Some
-      (Supervisor.run_to_convergence d
-         ~step:(fun i -> make_step cfg proc (ticks + i))
+      (Supervisor.run_to_convergence fleet
+         ~step:(fun i -> step (ticks + i))
          ~max_ticks:cfg.max_ticks)
 
+(* Finite traced run under the armed corruption: drive to the containment
+   terminal, then stop the controller cold and drain the target. *)
 let miscompile_scenario ?(config = default_config) ?cache ~seed ~point () =
   let cache = match cache with Some c -> c | None -> new_cache () in
-  let ( terminal,
-        pre_steps,
-        survivor_version,
-        mutations,
-        quarantined,
-        reject_events,
-        breaker_tripped,
-        fired,
-        tail ) =
-    mc_trace_run config ~seed ~point
+  let proc, fleet, fault, buf = launch_traced config ~seed in
+  F.arm fault point (F.Nth 1);
+  let (terminal, pre_steps), log =
+    mc_drive config fleet fault ~point ~step:(make_step config [| proc |])
   in
+  let guard = Fleet.guard fleet in
+  let survivor_version = version fleet in
+  let mutations = mc_mutations log point in
+  let tail = finish config proc buf in
   let outcome =
     match terminal with
-    | `None when fired = 0 -> Mc_not_reached
-    | (`None | `Committed _) when mutations = 0 -> Mc_benign
-    | `None -> Mc_escaped { mc_version = survivor_version; mc_mutations = mutations }
-    | `Committed v -> Mc_escaped { mc_version = v; mc_mutations = mutations }
-    | (`Rejected reason | `Reverted reason) as t ->
-      let tier = match t with `Rejected _ -> `Validate | `Reverted _ -> `Shadow in
-      let reference =
-        match Hashtbl.find_opt cache (seed, survivor_version, pre_steps) with
-        | Some r -> r
-        | None ->
-          let r = reference_run config ~seed ~version:survivor_version ~pre_steps in
-          Hashtbl.add cache (seed, survivor_version, pre_steps) r;
-          r
-      in
+    | None when F.fired fault point = 0 -> Mc_not_reached
+    | (None | Some (`Committed _)) when mutations = 0 -> Mc_benign
+    | None -> Mc_escaped { mc_version = survivor_version; mc_mutations = mutations }
+    | Some (`Committed v) -> Mc_escaped { mc_version = v; mc_mutations = mutations }
+    | Some ((`Rejected reason | `Reverted reason) as t) ->
       let trace_equal, terminated, cache_ok =
-        match reference with
-        | None -> (false, false, false)
-        | Some ref_tail ->
-          ( tail.t_trace = ref_tail.t_trace
-            && tail.t_checksums = ref_tail.t_checksums
-            && tail.t_transactions = ref_tail.t_transactions,
-            tail.t_halted && ref_tail.t_halted,
-            tail.t_cache_ok && ref_tail.t_cache_ok )
+        against_reference config cache ~seed ~version:survivor_version ~pre_steps tail
       in
       let convergence =
         match mc_convergence_run config ~seed ~point with
@@ -638,12 +610,12 @@ let miscompile_scenario ?(config = default_config) ?cache ~seed ~point () =
         | None -> Supervisor.Diverged (* contained in the trace run but not here *)
       in
       Mc_contained
-        { mc_tier = tier;
+        { mc_tier = (match t with `Rejected _ -> `Validate | `Reverted _ -> `Shadow);
           mc_reason = reason;
           mc_mutations = mutations;
-          mc_quarantined = quarantined;
-          mc_reject_events = reject_events;
-          mc_breaker_tripped = breaker_tripped;
+          mc_quarantined = Ocolos_core.Guard.quarantined guard;
+          mc_reject_events = count_events log "validate.reject";
+          mc_breaker_tripped = Ocolos_core.Guard.breaker_state guard <> Ocolos_core.Guard.Closed;
           mc_survivor_version = survivor_version;
           mc_trace_equal = trace_equal;
           mc_terminated = terminated;
@@ -674,11 +646,8 @@ type mc_fleet_result =
 let mc_fleet_passed = function
   | Mc_fleet_not_reached -> false
   | Mc_fleet_escaped _ -> false
-  | Mc_fleet_contained o -> (
-    (not o.mf_mixed_after) && o.mf_converged
-    && match o.mf_convergence with
-       | Supervisor.Converged_replaced _ | Supervisor.Converged_gave_up _ -> true
-       | Supervisor.Diverged -> false)
+  | Mc_fleet_contained o ->
+    (not o.mf_mixed_after) && o.mf_converged && converged o.mf_convergence
 
 let mc_fleet_result_to_string ~seed ~point = function
   | Mc_fleet_not_reached -> Fmt.str "fleet seed %d %-31s not reached" seed point
@@ -700,65 +669,27 @@ let mc_fleet_result_to_string ~seed ~point = function
 
 let miscompile_fleet_scenario ?(config = default_config) ?(replicas = 4) ~seed ~point ()
     =
-  let module Fleet = Ocolos_core.Fleet in
-  let w = tiny_workload config ~tx_limit:None in
   let fault = F.create ~seed () in
   F.arm fault point (F.Nth 1);
-  let ocfg = ocolos_config ~fault in
-  let fcfg =
-    { Fleet.default_config with
-      Fleet.daemon = config.daemon;
-      max_ipc_drop = 1.0;
-      max_p99_rise = infinity }
-  in
-  let procs =
-    Array.init replicas (fun i ->
-        Workload.launch ~seed:(seed + i) w
-          ~input:(Workload.find_input w (if i mod 2 = 0 then "a" else "b")))
-  in
-  let fleet = Fleet.create ~config:fcfg ~ocolos_config:ocfg procs in
-  let step i =
-    Array.iter
-      (fun p ->
-        Proc.run ~engine:config.engine ~cycle_limit:infinity ~max_instrs:config.step_instrs p)
-      procs;
-    float_of_int (i + 1)
-  in
-  let drive () =
-    let rec loop i =
-      if i >= config.max_ticks then (`None, i)
-      else
-        let now_s = step i in
-        match Fleet.tick fleet ~now_s with
-        | Fleet.Campaign_aborted reason
-          when String.starts_with ~prefix:"validation rejected" reason ->
-          (`Rejected reason, i + 1)
-        | Fleet.Rolled_back { reason; _ } when contains_sub reason "shadow divergence"
-          ->
-          (`Reverted reason, i + 1)
-        | Fleet.Promoted { version; _ } when F.fired fault point > 0 ->
-          (`Committed version, i + 1)
-        | _ -> loop (i + 1)
-    in
-    loop 0
-  in
-  let (terminal, ticks), log = with_events drive in
+  let procs = launch_replicas config ~seed replicas in
+  let fleet = make_fleet config ~fault procs in
+  let step = make_step config procs in
+  let (terminal, ticks), log = mc_drive config fleet fault ~point ~step in
   let mutations = mc_mutations log point in
   match terminal with
-  | `None when F.fired fault point = 0 -> Mc_fleet_not_reached
-  | (`None | `Committed _) when mutations = 0 -> Mc_fleet_not_reached
-  | `None | `Committed _ ->
+  | None when F.fired fault point = 0 -> Mc_fleet_not_reached
+  | (None | Some (`Committed _)) when mutations = 0 -> Mc_fleet_not_reached
+  | None | Some (`Committed _) ->
     Mc_fleet_escaped { mf_versions = Fleet.versions fleet; mf_mutations = mutations }
-  | (`Rejected reason | `Reverted reason) as t ->
-    let tier = match t with `Rejected _ -> `Validate | `Reverted _ -> `Shadow in
+  | Some ((`Rejected reason | `Reverted reason) as t) ->
     let mixed_after = Fleet.mixed fleet in
     let convergence =
-      Supervisor.run_fleet_to_convergence fleet
+      Supervisor.run_to_convergence fleet
         ~step:(fun i -> step (ticks + i))
         ~max_ticks:config.max_ticks
     in
     Mc_fleet_contained
-      { mf_tier = tier;
+      { mf_tier = (match t with `Rejected _ -> `Validate | `Reverted _ -> `Shadow);
         mf_reason = reason;
         mf_mutations = mutations;
         mf_mixed_after = mixed_after;

@@ -1,8 +1,15 @@
 (** Kill/restart chaos harness: for every pipeline fault point, kill the
     daemon there, assert the orphaned target's taken-branch trace is
     byte-identical to an uninterrupted run of the code version that
-    survived, and assert a restarted daemon ({!Ocolos_core.Supervisor})
-    converges to a committed replacement or a clean give-up.
+    survived, and assert a restarted controller
+    ({!Ocolos_core.Supervisor}) converges to a committed replacement or a
+    clean give-up.
+
+    The controller is always an {!Ocolos_core.Fleet}: single-process
+    scenarios run a one-replica fleet under the same permissive verdict
+    thresholds as the N-replica ones ([max_ipc_drop = 1], no p99 guard),
+    and all scenarios share one fleet construction, stepping and drive
+    loop.
 
     All target driving is by instruction budget (never cycle horizon), so
     profiling stalls shift cycle time without reordering the branch stream
@@ -88,11 +95,11 @@ val sweep :
 
 (** {2 Fleet chaos}
 
-    Kill the {e fleet} daemon mid-campaign (one shared fault registry, so
-    [Nth] schedules count hits fleet-wide — arming ["commit"] at hit K+1
-    lands between the canaries' commits and the promotion wave, stranding
-    a mixed C_i/C_{i+1} fleet), then restart with
-    {!Ocolos_core.Supervisor.restart_fleet} and require a homogeneous
+    Kill the daemon mid-campaign over N replicas (one shared fault
+    registry, so [Nth] schedules count hits fleet-wide — arming ["commit"]
+    at hit K+1 lands between the canaries' commits and the promotion wave,
+    stranding a mixed C_i/C_{i+1} fleet), then restart with
+    {!Ocolos_core.Supervisor.restart} and require a homogeneous
     terminal state. *)
 
 type fleet_outcome = {
@@ -127,15 +134,15 @@ val fleet_scenario :
 (** {2 Miscompile containment chaos}
 
     The [bolt.miscompile] points are survivable corruption, not deaths:
-    arming one makes {!Ocolos_core.Ocolos.run_bolt} hand the daemon a
+    arming one makes {!Ocolos_core.Ocolos.run_bolt} hand the controller a
     silently corrupted result, and these scenarios assert the containment
     tiers stop it — a Tier-1 validation rejection (campaign aborted before
     commit, offending functions quarantined, [validate.reject] events
     logged) or a Tier-2 shadow revert (the commit undone within the same
     tick, breaker tripped) — with the surviving target's taken-branch
     trace byte-identical to an uninterrupted run of the surviving version,
-    and a subsequent campaign converging on the same daemon. A corrupted
-    version that commits and stays committed is an escape. *)
+    and a subsequent campaign converging on the same controller. A
+    corrupted version that gets promoted is an escape. *)
 
 (** The five [bolt.miscompile.*] points ({!Ocolos_bolt.Miscompile.points}). *)
 val miscompile_points : string list

@@ -1,37 +1,62 @@
 (* Tests for the continuous-optimization controller and the perf-report
-   analog. *)
+   analog. A single-process campaign is a one-replica fleet; its gate
+   policy is [Daemon.config]. *)
 
 open Ocolos_workloads
 module Daemon = Ocolos_core.Daemon
+module Fleet = Ocolos_core.Fleet
 module Clock = Ocolos_sim.Clock
+module Metrics = Ocolos_obs.Metrics
+module Events = Ocolos_obs.Events
 
 let drive proc horizon = Ocolos_proc.Proc.run ~cycle_limit:(Clock.seconds_to_cycles horizon) proc
 
-(* Tick the daemon once per simulated second for [seconds]; collect
+(* A single-process campaign over [proc] under the gate policy [config]. *)
+let campaign ?guard ?ocolos_config config proc =
+  Fleet.create ~config:{ Fleet.default_config with Fleet.daemon = config } ?ocolos_config
+    ?guard [| proc |]
+
+let version fleet = Ocolos_core.Ocolos.version (Fleet.ocolos fleet 0)
+
+(* Tick the controller once per simulated second for [seconds]; collect
    non-idle actions. *)
-let run_daemon d proc ~from ~seconds =
+let run_daemon fleet proc ~from ~seconds =
   let actions = ref [] in
   for s = from + 1 to from + seconds do
     drive proc (float_of_int s);
-    match Daemon.tick d ~now_s:(float_of_int s) with
-    | Daemon.Idle -> ()
+    match Fleet.tick fleet ~now_s:(float_of_int s) with
+    | Fleet.Idle -> ()
     | a -> actions := (s, a) :: !actions
   done;
   List.rev !actions
+
+(* Run [f] with a fresh metrics registry and event log installed; return
+   its result, a counter reader and the logged events. *)
+let observed f =
+  let reg = Metrics.create () and log = Events.create () in
+  Metrics.install reg;
+  Events.install log;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.uninstall ();
+        Events.uninstall ())
+      f
+  in
+  (r, (fun name -> Metrics.counter_value (Metrics.counter reg name)), Events.events log)
 
 let test_daemon_optimizes_frontend_bound () =
   let w = Apps.tiny ~tx_limit:None () in
   let input = Workload.find_input w "a" in
   let proc = Workload.launch w ~input in
-  let oc = Ocolos_core.Ocolos.attach proc in
   let config = { Daemon.default_config with Daemon.profile_s = 1.0; warmup_s = 0.5 } in
-  let d = Daemon.create ~config oc proc in
-  let actions = run_daemon d proc ~from:0 ~seconds:6 in
+  let fleet = campaign config proc in
+  let actions = run_daemon fleet proc ~from:0 ~seconds:6 in
   Alcotest.(check bool) "started profiling" true
-    (List.exists (fun (_, a) -> match a with Daemon.Started_profiling _ -> true | _ -> false)
+    (List.exists (fun (_, a) -> match a with Fleet.Started_profiling _ -> true | _ -> false)
        actions);
-  Alcotest.(check int) "replaced once" 1 (Daemon.replacements d);
-  Alcotest.(check int) "version 1" 1 (Ocolos_core.Ocolos.version oc)
+  Alcotest.(check int) "replaced once" 1 (Fleet.rollouts fleet);
+  Alcotest.(check int) "version 1" 1 (version fleet)
 
 let test_daemon_steady_state_no_churn () =
   (* After the first optimization, a steady workload must not trigger
@@ -39,20 +64,18 @@ let test_daemon_steady_state_no_churn () =
   let w = Apps.tiny ~tx_limit:None () in
   let input = Workload.find_input w "a" in
   let proc = Workload.launch w ~input in
-  let oc = Ocolos_core.Ocolos.attach proc in
   let config =
     { Daemon.default_config with Daemon.profile_s = 1.0; warmup_s = 0.5; min_interval_s = 3.0 }
   in
-  let d = Daemon.create ~config oc proc in
-  ignore (run_daemon d proc ~from:0 ~seconds:20);
-  Alcotest.(check int) "exactly one replacement" 1 (Daemon.replacements d)
+  let fleet = campaign config proc in
+  ignore (run_daemon fleet proc ~from:0 ~seconds:20);
+  Alcotest.(check int) "exactly one replacement" 1 (Fleet.rollouts fleet)
 
 let test_daemon_reoptimizes_on_input_shift () =
   (* Needs a workload where layout actually matters (tiny fits the L1i, so
      a stale layout costs nothing there). *)
   let w = Apps.mysql_like () in
   let proc = Workload.launch w ~input:(Workload.find_input w "point_select") in
-  let oc = Ocolos_core.Ocolos.attach proc in
   let config =
     { Daemon.default_config with
       Daemon.profile_s = 2.0;
@@ -60,15 +83,15 @@ let test_daemon_reoptimizes_on_input_shift () =
       min_interval_s = 2.0;
       regression_tolerance = 0.08 }
   in
-  let d = Daemon.create ~config oc proc in
-  ignore (run_daemon d proc ~from:0 ~seconds:8);
-  Alcotest.(check int) "optimized for point_select" 1 (Daemon.replacements d);
+  let fleet = campaign config proc in
+  ignore (run_daemon fleet proc ~from:0 ~seconds:8);
+  Alcotest.(check int) "optimized for point_select" 1 (Fleet.rollouts fleet);
   (* Shift the input; throughput under the stale C1 layout drops, and the
-     daemon must produce C2. *)
+     controller must produce C2. *)
   Workload.set_input w proc (Workload.find_input w "write_only");
-  ignore (run_daemon d proc ~from:8 ~seconds:12);
-  Alcotest.(check bool) "re-optimized after shift" true (Daemon.replacements d >= 2);
-  Alcotest.(check bool) "version advanced" true (Ocolos_core.Ocolos.version oc >= 2)
+  ignore (run_daemon fleet proc ~from:8 ~seconds:12);
+  Alcotest.(check bool) "re-optimized after shift" true (Fleet.rollouts fleet >= 2);
+  Alcotest.(check bool) "version advanced" true (version fleet >= 2)
 
 (* ---- decision-boundary tests on the pure gate ---- *)
 
@@ -138,7 +161,7 @@ let test_decide_min_interval_gates_first_campaign () =
        ~tps:100.0 ~best_tps:100.0 ~frontend:0.9
     <> None)
 
-(* ---- rollback / retry actions through the tick loop ---- *)
+(* ---- rollback / retry through the tick loop ---- *)
 
 let fault_setup schedule_point schedule =
   let w = Apps.tiny ~tx_limit:None () in
@@ -146,18 +169,27 @@ let fault_setup schedule_point schedule =
   let proc = Workload.launch w ~input in
   let fault = Ocolos_util.Fault.create ~seed:5 () in
   Ocolos_util.Fault.arm fault schedule_point schedule;
-  let oc =
-    Ocolos_core.Ocolos.attach
-      ~config:{ Ocolos_core.Ocolos.default_config with Ocolos_core.Ocolos.fault = Some fault }
-      proc
-  in
-  (proc, oc)
+  (proc, { Ocolos_core.Ocolos.default_config with Ocolos_core.Ocolos.fault = Some fault })
+
+let retry_events events =
+  List.filter_map
+    (fun (e : Events.event) ->
+      if e.Events.e_type <> "fleet.retry" then None
+      else
+        match
+          (List.assoc_opt "point" e.Events.e_fields, List.assoc_opt "attempt" e.Events.e_fields)
+        with
+        | Some (Ocolos_obs.Trace.S point), Some (Ocolos_obs.Trace.I attempt) ->
+          Some (point, attempt)
+        | _ -> None)
+    events
 
 let test_daemon_rolls_back_then_retries () =
-  (* An Nth 1 fault fires on the first attempt only: the daemon must report
-     Rolled_back (will retry), back off, announce Retrying, and commit on
-     the second attempt. *)
-  let proc, oc = fault_setup "vtable_patch" (Ocolos_util.Fault.Nth 1) in
+  (* An Nth 1 fault fires on the first attempt only: the transaction rolls
+     back at the armed point, the controller backs off, retries the same
+     BOLT result as attempt 2 and commits it, and the rollout completes
+     without a staged rollback. *)
+  let proc, ocolos_config = fault_setup "vtable_patch" (Ocolos_util.Fault.Nth 1) in
   let config =
     { Daemon.default_config with
       Daemon.profile_s = 1.0;
@@ -165,26 +197,28 @@ let test_daemon_rolls_back_then_retries () =
       max_retries = 3;
       retry_backoff_s = 1.0 }
   in
-  let d = Daemon.create ~config oc proc in
-  let actions = List.map snd (run_daemon d proc ~from:0 ~seconds:10) in
+  let (fleet, actions), counter, events =
+    observed (fun () ->
+        let fleet = campaign ~ocolos_config config proc in
+        (fleet, List.map snd (run_daemon fleet proc ~from:0 ~seconds:10)))
+  in
   let has p = List.exists p actions in
-  Alcotest.(check bool) "rolled back at the armed point, not giving up" true
-    (has (function
-      | Daemon.Rolled_back { point = "vtable_patch"; attempt = 1; giving_up = false } -> true
-      | _ -> false));
-  Alcotest.(check bool) "announced the retry" true
-    (has (function Daemon.Retrying { attempt = 2 } -> true | _ -> false));
+  Alcotest.(check (list (pair string int))) "retried attempt 2 after rolling back at the armed point"
+    [ ("vtable_patch", 2) ] (retry_events events);
+  Alcotest.(check bool) "no staged rollback" false
+    (has (function Fleet.Rolled_back _ -> true | _ -> false));
   Alcotest.(check bool) "then committed" true
-    (has (function Daemon.Replaced _ -> true | _ -> false));
-  Alcotest.(check int) "one rollback counted" 1 (Daemon.rollbacks d);
-  Alcotest.(check int) "one retry counted" 1 (Daemon.retries d);
-  Alcotest.(check int) "one replacement" 1 (Daemon.replacements d);
-  Alcotest.(check int) "version advanced" 1 (Ocolos_core.Ocolos.version oc)
+    (has (function Fleet.Promoted _ -> true | _ -> false));
+  Alcotest.(check int) "one rollback counted" 1 (counter "ocolos_txn_rollbacks_total");
+  Alcotest.(check int) "one retry counted" 1 (counter "ocolos_fleet_retries_total");
+  Alcotest.(check int) "one replacement" 1 (Fleet.rollouts fleet);
+  Alcotest.(check int) "version advanced" 1 (version fleet)
 
 let test_daemon_gives_up_after_max_retries () =
   (* Every 1: the fault fires on every attempt; after max_retries extra
-     tries the daemon reports giving_up and the process stays on C0. *)
-  let proc, oc = fault_setup "pause" (Ocolos_util.Fault.Every 1) in
+     tries the controller takes the staged rollback and the process stays
+     on C0. *)
+  let proc, ocolos_config = fault_setup "pause" (Ocolos_util.Fault.Every 1) in
   let config =
     { Daemon.default_config with
       Daemon.profile_s = 1.0;
@@ -193,26 +227,34 @@ let test_daemon_gives_up_after_max_retries () =
       max_retries = 2;
       retry_backoff_s = 1.0 }
   in
-  let d = Daemon.create ~config oc proc in
-  (* Tick until the first giving-up action; after it the daemon would start
-     a fresh campaign (replacements is still 0), so stop right there to
-     keep the counters exact. *)
+  (* Tick until the first give-up; after it the controller would start a
+     fresh campaign (replacements is still 0), so stop right there to keep
+     the counters exact. *)
   let gave_up = ref false in
   let now = ref 0 in
-  while (not !gave_up) && !now < 20 do
-    incr now;
-    drive proc (float_of_int !now);
-    match Daemon.tick d ~now_s:(float_of_int !now) with
-    | Daemon.Rolled_back { attempt = 3; giving_up = true; point = "pause" } -> gave_up := true
-    | Daemon.Rolled_back { giving_up = true; _ } -> Alcotest.fail "gave up early"
-    | _ -> ()
-  done;
+  let fleet, counter, events =
+    observed (fun () ->
+        let fleet = campaign ~ocolos_config config proc in
+        while (not !gave_up) && !now < 20 do
+          incr now;
+          drive proc (float_of_int !now);
+          match Fleet.tick fleet ~now_s:(float_of_int !now) with
+          | Fleet.Rolled_back { reason; _ } ->
+            Alcotest.(check string) "gave up at the armed point"
+              "canary replace rolled back at pause" reason;
+            gave_up := true
+          | _ -> ()
+        done;
+        fleet)
+  in
   Alcotest.(check bool) "gave up after exhausting retries" true !gave_up;
-  Alcotest.(check int) "three attempts rolled back" 3 (Daemon.rollbacks d);
-  Alcotest.(check int) "two retries" 2 (Daemon.retries d);
-  Alcotest.(check int) "nothing replaced" 0 (Daemon.replacements d);
-  Alcotest.(check int) "still on C0" 0 (Ocolos_core.Ocolos.version oc);
-  Alcotest.(check bool) "back to monitoring" true (Daemon.phase d = Daemon.Monitoring);
+  Alcotest.(check (list (pair string int))) "retried attempts 2 and 3"
+    [ ("pause", 2); ("pause", 3) ] (retry_events events);
+  Alcotest.(check int) "three attempts rolled back" 3 (counter "ocolos_txn_rollbacks_total");
+  Alcotest.(check int) "two retries" 2 (counter "ocolos_fleet_retries_total");
+  Alcotest.(check int) "nothing replaced" 0 (Fleet.rollouts fleet);
+  Alcotest.(check int) "still on C0" 0 (version fleet);
+  Alcotest.(check bool) "back to monitoring" true (Fleet.monitoring fleet);
   (* The managed process survived three aborted attempts. *)
   let tx = Ocolos_proc.Proc.transactions proc in
   drive proc (float_of_int !now +. 2.0);
@@ -311,28 +353,33 @@ let test_guard_watchdog () =
 let test_daemon_campaign_abort_on_pipeline_fault () =
   (* A fault escaping perf2bolt is not a rollback: nothing was paused. The
      campaign aborts cleanly, the layout is kept, and monitoring resumes. *)
-  let proc, oc = fault_setup "perf2bolt.aggregate" (Ocolos_util.Fault.Every 1) in
+  let proc, ocolos_config = fault_setup "perf2bolt.aggregate" (Ocolos_util.Fault.Every 1) in
   let config =
     { Daemon.default_config with Daemon.profile_s = 1.0; warmup_s = 0.5; min_interval_s = 30.0 }
   in
-  let d = Daemon.create ~config oc proc in
-  let actions = List.map snd (run_daemon d proc ~from:0 ~seconds:6) in
+  let (fleet, actions), counter, _ =
+    observed (fun () ->
+        let fleet = campaign ~ocolos_config config proc in
+        (fleet, List.map snd (run_daemon fleet proc ~from:0 ~seconds:6)))
+  in
   Alcotest.(check bool) "campaign aborted naming the point" true
     (List.exists
        (function
-         | Daemon.Campaign_aborted reason -> contains ~affix:"perf2bolt.aggregate" reason
+         | Fleet.Campaign_aborted reason -> contains ~affix:"perf2bolt.aggregate" reason
          | _ -> false)
        actions);
-  Alcotest.(check int) "no attempts entered the transaction" 0 (Daemon.attempts d);
-  Alcotest.(check int) "still on C0" 0 (Ocolos_core.Ocolos.version oc);
-  Alcotest.(check bool) "back to monitoring" true (Daemon.phase d = Daemon.Monitoring)
+  Alcotest.(check int) "no attempts entered the transaction" 0
+    (counter "ocolos_txn_commits_total" + counter "ocolos_txn_rollbacks_total"
+    + counter "ocolos_txn_divergence_rollbacks_total");
+  Alcotest.(check int) "still on C0" 0 (version fleet);
+  Alcotest.(check bool) "back to monitoring" true (Fleet.monitoring fleet)
 
 let test_daemon_breaker_opens_then_recovers () =
   (* One aborted campaign with breaker_threshold = 1: the breaker opens, a
      warranted campaign is refused (Breaker_open), the half-open probe after
      cooldown runs fault-free (Nth 1 already fired) and commits, closing the
      breaker. *)
-  let proc, oc = fault_setup "perf2bolt.aggregate" (Ocolos_util.Fault.Nth 1) in
+  let proc, ocolos_config = fault_setup "perf2bolt.aggregate" (Ocolos_util.Fault.Nth 1) in
   let config =
     { Daemon.default_config with Daemon.profile_s = 1.0; warmup_s = 0.5; min_interval_s = 2.0 }
   in
@@ -342,26 +389,25 @@ let test_daemon_breaker_opens_then_recovers () =
         { Guard.default_config with Guard.breaker_threshold = 1; breaker_cooldown_s = 5.0 }
       ~seed:2 ()
   in
-  let d = Daemon.create ~config ~guard oc proc in
-  let actions = List.map snd (run_daemon d proc ~from:0 ~seconds:20) in
+  let fleet = campaign ~guard ~ocolos_config config proc in
+  let actions = List.map snd (run_daemon fleet proc ~from:0 ~seconds:20) in
   let has p = List.exists p actions in
   Alcotest.(check bool) "campaign aborted" true
-    (has (function Daemon.Campaign_aborted _ -> true | _ -> false));
+    (has (function Fleet.Campaign_aborted _ -> true | _ -> false));
   Alcotest.(check bool) "breaker refused a warranted campaign" true
-    (has (function Daemon.Breaker_open _ -> true | _ -> false));
+    (has (function Fleet.Breaker_open _ -> true | _ -> false));
   Alcotest.(check bool) "half-open probe committed" true
-    (has (function Daemon.Replaced _ -> true | _ -> false));
-  Alcotest.(check bool) "breaker closed again" true
-    (Daemon.breaker_state d = Guard.Closed);
+    (has (function Fleet.Promoted _ -> true | _ -> false));
+  Alcotest.(check bool) "breaker closed again" true (Guard.breaker_state guard = Guard.Closed);
   Alcotest.(check int) "opened exactly once" 1 (Guard.breaker_opens guard);
-  Alcotest.(check int) "one replacement" 1 (Daemon.replacements d)
+  Alcotest.(check int) "one replacement" 1 (Fleet.rollouts fleet)
 
 let test_daemon_quarantines_repeat_offenders () =
   (* bolt.cfg on every cut: every hot function's CFG reconstruction fails
      in every campaign (absorbed as skip-this-function degradation), so
      after quarantine_after campaigns those fids are excluded for good.
      regression_tolerance < 0 forces a campaign every min_interval. *)
-  let proc, oc = fault_setup "bolt.cfg" (Ocolos_util.Fault.Every 1) in
+  let proc, ocolos_config = fault_setup "bolt.cfg" (Ocolos_util.Fault.Every 1) in
   let config =
     { Daemon.default_config with
       Daemon.profile_s = 1.0;
@@ -369,13 +415,14 @@ let test_daemon_quarantines_repeat_offenders () =
       min_interval_s = 2.0;
       regression_tolerance = -0.5 }
   in
-  let d = Daemon.create ~config oc proc in
-  ignore (run_daemon d proc ~from:0 ~seconds:8);
-  Alcotest.(check bool) "campaigns still commit (degraded)" true (Daemon.replacements d >= 2);
-  let q1 = Daemon.quarantined d in
+  let fleet = campaign ~ocolos_config config proc in
+  let quarantined () = Guard.quarantined (Fleet.guard fleet) in
+  ignore (run_daemon fleet proc ~from:0 ~seconds:10);
+  Alcotest.(check bool) "campaigns still commit (degraded)" true (Fleet.rollouts fleet >= 2);
+  let q1 = quarantined () in
   Alcotest.(check bool) "repeat offenders quarantined" true (q1 <> []);
-  ignore (run_daemon d proc ~from:8 ~seconds:4);
-  let q2 = Daemon.quarantined d in
+  ignore (run_daemon fleet proc ~from:10 ~seconds:4);
+  let q2 = quarantined () in
   Alcotest.(check bool) "quarantine is monotone" true
     (List.for_all (fun fid -> List.mem fid q2) q1)
 
@@ -384,7 +431,6 @@ let test_daemon_watchdog_aborts_campaign () =
      aborts before BOLT, nothing is paused, the layout is kept. *)
   let w = Apps.tiny ~tx_limit:None () in
   let proc = Workload.launch w ~input:(Workload.find_input w "a") in
-  let oc = Ocolos_core.Ocolos.attach proc in
   let config =
     { Daemon.default_config with Daemon.profile_s = 1.0; warmup_s = 0.5; min_interval_s = 30.0 }
   in
@@ -393,16 +439,16 @@ let test_daemon_watchdog_aborts_campaign () =
       ~config:{ Guard.default_config with Guard.perf2bolt_deadline_s = Some 0.0 }
       ()
   in
-  let d = Daemon.create ~config ~guard oc proc in
-  let actions = List.map snd (run_daemon d proc ~from:0 ~seconds:6) in
+  let fleet = campaign ~guard config proc in
+  let actions = List.map snd (run_daemon fleet proc ~from:0 ~seconds:6) in
   Alcotest.(check bool) "watchdog abort" true
     (List.exists
        (function
-         | Daemon.Campaign_aborted reason -> contains ~affix:"watchdog" reason
+         | Fleet.Campaign_aborted reason -> contains ~affix:"watchdog" reason
          | _ -> false)
        actions);
   Alcotest.(check int) "watchdog tripped" 1 (Guard.watchdog_trips guard);
-  Alcotest.(check int) "still on C0" 0 (Ocolos_core.Ocolos.version oc)
+  Alcotest.(check int) "still on C0" 0 (version fleet)
 
 let test_perf_report_finds_hot_function () =
   (* Under the original layout, the parser should rank among the top L1i

@@ -1,7 +1,8 @@
 (* Fleet orchestration tests: canary promotion and rollback state machines,
-   mid-rollout daemon death + restart convergence, the 1-replica
-   fleet-vs-daemon byte differential, the open-loop traffic model, and the
-   chaos scenario-label regression. *)
+   the per-replica retry before a staged rollback, mid-rollout daemon
+   death + restart convergence, the 1-replica fleet-vs-direct-pipeline byte
+   differential, the open-loop traffic model, and the chaos scenario-label
+   regression. *)
 
 open Ocolos_workloads
 module Fleet = Ocolos_core.Fleet
@@ -120,6 +121,63 @@ let test_canary_rollback () =
   Alcotest.(check int) "guard heard the failure" 1
     (Guard.consecutive_failures (Fleet.guard fleet))
 
+(* ---- per-replica retry before the staged rollback ---- *)
+
+(* A 4-replica fleet with vtable_patch armed on its first hit: the canary's
+   transaction rolls back once. Returns the non-idle actions up to the
+   first terminal one, the transaction-rollback and retry counts, and the
+   per-replica versions. *)
+let retry_run ~max_retries =
+  let reg = Obs.Metrics.create () in
+  Obs.Metrics.install reg;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.uninstall ()) @@ fun () ->
+  let procs = launch_procs () in
+  let fault = Fault.create ~seed:5 () in
+  Fault.arm fault "vtable_patch" (Fault.Nth 1);
+  let config =
+    { fleet_config with Fleet.daemon = { daemon_config with Daemon.max_retries } }
+  in
+  let fleet =
+    Fleet.create ~config ~ocolos_config:{ Ocolos.default_config with Ocolos.fault = Some fault }
+      procs
+  in
+  let actions, _ =
+    drive fleet procs ~max_ticks:30
+      ~until:(function Fleet.Promoted _ | Fleet.Rolled_back _ -> true | _ -> false)
+  in
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter reg name) in
+  ( actions,
+    counter "ocolos_txn_rollbacks_total",
+    counter "ocolos_fleet_retries_total",
+    Fleet.versions fleet )
+
+let test_canary_retry_then_promote () =
+  let actions, txn_rollbacks, retries, versions = retry_run ~max_retries:3 in
+  (match actions with
+  | [ Fleet.Started_profiling _; Fleet.Canary_started { version = 1; canaries = [ 0 ] };
+      Fleet.Promoted { version = 1; replicas = 4 } ] -> ()
+  | _ ->
+    Alcotest.fail
+      ("expected profile, canary, promote; got "
+      ^ String.concat "; " (List.map Fleet.action_to_string actions)));
+  Alcotest.(check int) "the canary rolled back once" 1 txn_rollbacks;
+  Alcotest.(check int) "and was retried once" 1 retries;
+  Alcotest.(check (list int)) "every replica on C1" [ 1; 1; 1; 1 ] versions
+
+let test_canary_no_retry_budget_rolls_back () =
+  let actions, txn_rollbacks, retries, versions = retry_run ~max_retries:0 in
+  (match actions with
+  | [ Fleet.Started_profiling _;
+      Fleet.Rolled_back { reason = "canary replace rolled back at vtable_patch"; reverted = [] } ]
+    -> ()
+  | _ ->
+    Alcotest.fail
+      ("expected an immediate staged rollback; got "
+      ^ String.concat "; " (List.map Fleet.action_to_string actions)));
+  Alcotest.(check int) "the canary rolled back once" 1 txn_rollbacks;
+  Alcotest.(check int) "no retry" 0 retries;
+  Alcotest.(check (list int)) "every replica on C0" [ 0; 0; 0; 0 ] versions
+
 (* ---- cohort A/B readout, hand-computed ---- *)
 
 let test_cohort_readout_hand_computed () =
@@ -227,14 +285,18 @@ let test_kill_before_canary_leaves_fleet_homogeneous () =
     Alcotest.(check (list int)) "nothing to revert on reattach" [] o.Chaos.fo_reverted;
     Alcotest.(check bool) "restart converges" true (Chaos.fleet_passed r)
 
-(* ---- 1-replica differential: fleet == daemon, byte for byte ---- *)
+(* ---- 1-replica differential: fleet == direct pipeline, byte for byte ---- *)
 
-(* The fleet path must be the single-process path plus strictly additive
-   observability. Same seed, same instruction-budget schedule, finite
-   workload: the taken-branch trace, checksums, transaction count and the
-   Prometheus export — minus the ocolos_fleet_* / ocolos_daemon_* /
-   ocolos_guard_* controller families, which name who was in charge — must
-   be byte-identical between a 1-replica fleet and a plain daemon. *)
+(* A one-replica fleet must be the single-process pipeline plus strictly
+   additive observability: its Perf.start + decimate ~keep_every:1 +
+   convert_sources profile path must equal Ocolos.stop_profiling, and its
+   canary replace must be the same shadow-gated transaction. Same seed, same
+   instruction-budget schedule, finite workload: the taken-branch trace,
+   checksums, transaction count and the Prometheus export — minus the
+   ocolos_fleet_* / ocolos_guard_* controller families, which name who was
+   in charge — must be byte-identical between a 1-replica fleet and the
+   direct Ocolos.start_profiling / stop_profiling / run_bolt /
+   validate_result / Txn.replace_code sequence. *)
 let differential_run mode =
   let reg = Obs.Metrics.create () in
   Obs.Metrics.install reg;
@@ -247,23 +309,43 @@ let differential_run mode =
       (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
         ignore cycles;
         buf := (tid, from_addr, to_addr, kind) :: !buf);
-  (* min_interval_s blocks any second campaign, so both controllers go
-     quiet after the first replacement at exactly the same tick. *)
-  let dcfg = { daemon_config with Daemon.min_interval_s = 1000.0 } in
   let version =
     match mode with
-    | `Daemon ->
+    | `Direct ->
+      (* The fleet's schedule: its gate opens on the first tick past warmup
+         (tick 0, the tiny workload is front-end bound) and the profiling
+         window closes [profile_s] = 1 tick later, where the canary
+         replaces. *)
       let oc = Ocolos.attach proc in
-      let d = Daemon.create ~config:dcfg oc proc in
       for i = 0 to 11 do
-        ignore (Daemon.tick d ~now_s:(step [| proc |] i))
+        ignore (step [| proc |] i);
+        if i = 0 then Ocolos.start_profiling oc
+        else if i = 1 then begin
+          let profile, _ = Ocolos.stop_profiling oc in
+          let result, _ = Ocolos.run_bolt oc profile in
+          if not (Ocolos_bolt.Validate.ok (Ocolos.validate_result oc result)) then
+            Alcotest.fail "direct pipeline: validation rejected";
+          let pre = Ocolos_core.Shadow.prepare oc in
+          let verify () =
+            match Ocolos_core.Shadow.check (Ocolos_core.Shadow.arm pre oc result) with
+            | Ocolos_core.Shadow.Match -> Ok ()
+            | Ocolos_core.Shadow.Divergence why -> Error why
+          in
+          match Ocolos_core.Txn.replace_code ~verify oc result with
+          | Ocolos_core.Txn.Committed _ -> ()
+          | _ -> Alcotest.fail "direct pipeline: replacement did not commit"
+        end
       done;
       Ocolos.version oc
     | `Fleet ->
+      (* min_interval_s blocks any second campaign, so the fleet goes quiet
+         after its first rollout. *)
+      let dcfg = { daemon_config with Daemon.min_interval_s = 1000.0 } in
       let fleet = Fleet.create ~config:{ fleet_config with Fleet.daemon = dcfg } [| proc |] in
       for i = 0 to 11 do
         ignore (Fleet.tick fleet ~now_s:(step [| proc |] i))
       done;
+      Alcotest.(check int) "fleet promoted once" 1 (Fleet.rollouts fleet);
       (match Fleet.versions fleet with [ v ] -> v | _ -> -1)
   in
   Proc.run ~cycle_limit:infinity ~max_instrs:50_000_000 proc;
@@ -276,15 +358,13 @@ let differential_run mode =
 let filter_controller_families export =
   String.split_on_char '\n' export
   |> List.filter (fun line ->
-         not
-           (List.exists (contains line)
-              [ "ocolos_fleet_"; "ocolos_daemon_"; "ocolos_guard_" ]))
+         not (List.exists (contains line) [ "ocolos_fleet_"; "ocolos_guard_" ]))
   |> String.concat "\n"
 
 let test_one_replica_fleet_differential () =
-  let dv, dtrace, dsums, dtx, dexport = differential_run `Daemon in
+  let dv, dtrace, dsums, dtx, dexport = differential_run `Direct in
   let fv, ftrace, fsums, ftx, fexport = differential_run `Fleet in
-  Alcotest.(check int) "daemon replaced" 1 dv;
+  Alcotest.(check int) "direct pipeline replaced" 1 dv;
   Alcotest.(check int) "fleet replaced" 1 fv;
   Alcotest.(check bool) "taken-branch traces byte-identical" true (dtrace = ftrace);
   Alcotest.(check (list int)) "checksums identical" dsums fsums;
@@ -388,13 +468,17 @@ let suite =
   [ Alcotest.test_case "canary promotion widens to the fleet" `Slow test_canary_promotion;
     Alcotest.test_case "canary IPC regression rolls the stage back" `Slow
       test_canary_rollback;
+    Alcotest.test_case "canary replace rolls back, is retried, promotes" `Slow
+      test_canary_retry_then_promote;
+    Alcotest.test_case "max_retries 0: canary rollback is immediate" `Slow
+      test_canary_no_retry_budget_rolls_back;
     Alcotest.test_case "cohort A/B readout matches hand computation" `Quick
       test_cohort_readout_hand_computed;
     Alcotest.test_case "kill mid-rollout: mixed fleet recovers on restart" `Slow
       test_kill_mid_rollout_restart_converges;
     Alcotest.test_case "kill at canary commit: fleet never mixed" `Slow
       test_kill_before_canary_leaves_fleet_homogeneous;
-    Alcotest.test_case "1-replica fleet == daemon, byte for byte" `Slow
+    Alcotest.test_case "1-replica fleet == direct pipeline, byte for byte" `Slow
       test_one_replica_fleet_differential;
     Alcotest.test_case "open-loop schedules are deterministic" `Quick
       test_openloop_schedules_deterministic;

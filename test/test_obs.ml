@@ -14,6 +14,7 @@ module Measure = Ocolos_sim.Measure
 module Timeline = Ocolos_sim.Timeline
 module Clock = Ocolos_sim.Clock
 module Daemon = Ocolos_core.Daemon
+module Fleet = Ocolos_core.Fleet
 
 (* ---- span tracing ---- *)
 
@@ -596,8 +597,12 @@ let test_timeline_trace_integration () =
   Alcotest.(check bool) "first window ends at ~1 simulated second" true
     (match ts with t0 :: _ -> t0 >= 1_000_000 && t0 < 1_100_000 | [] -> false)
 
-(* ---- daemon attempt accounting through the registry ---- *)
+(* ---- single-process attempt accounting through the registry ---- *)
 
+(* A single-process campaign (a one-replica fleet) with [vtable_patch]
+   armed under [schedule]. Attempts are read off the transaction counters
+   (every attempt commits, rolls back or diverges) and retries off the
+   fleet's, which moves only when a retry actually runs. *)
 let run_daemon_with_fault schedule ~max_retries ~seconds =
   let reg = Metrics.create () in
   Metrics.install reg;
@@ -609,12 +614,6 @@ let run_daemon_with_fault schedule ~max_retries ~seconds =
       let proc = Workload.launch w ~input in
       let fault = Ocolos_util.Fault.create ~seed:5 () in
       Ocolos_util.Fault.arm fault "vtable_patch" schedule;
-      let oc =
-        Ocolos_core.Ocolos.attach
-          ~config:
-            { Ocolos_core.Ocolos.default_config with Ocolos_core.Ocolos.fault = Some fault }
-          proc
-      in
       let config =
         { Daemon.default_config with
           Daemon.profile_s = 1.0;
@@ -623,49 +622,53 @@ let run_daemon_with_fault schedule ~max_retries ~seconds =
           retry_backoff_s = 1.0;
           min_interval_s = 30.0 }
       in
-      let d = Daemon.create ~config oc proc in
-      (* Stop at the first give-up: after it the daemon starts a fresh
+      let fleet =
+        Fleet.create
+          ~config:{ Fleet.default_config with Fleet.daemon = config }
+          ~ocolos_config:
+            { Ocolos_core.Ocolos.default_config with Ocolos_core.Ocolos.fault = Some fault }
+          [| proc |]
+      in
+      (* Stop at the first give-up: after it the controller starts a fresh
          campaign, which would blur the per-campaign counters. *)
       let s = ref 0 and gave_up = ref false in
       while (not !gave_up) && !s < seconds do
         incr s;
         Ocolos_proc.Proc.run ~cycle_limit:(Clock.seconds_to_cycles (float_of_int !s)) proc;
-        match Daemon.tick d ~now_s:(float_of_int !s) with
-        | Daemon.Rolled_back { giving_up = true; _ } -> gave_up := true
+        match Fleet.tick fleet ~now_s:(float_of_int !s) with
+        | Fleet.Rolled_back _ -> gave_up := true
         | _ -> ()
       done;
-      (d, reg))
+      reg)
 
 let counter_of reg name = Metrics.counter_value (Metrics.counter reg name)
+
+let attempts reg =
+  counter_of reg "ocolos_txn_commits_total"
+  + counter_of reg "ocolos_txn_rollbacks_total"
+  + counter_of reg "ocolos_txn_divergence_rollbacks_total"
 
 let test_daemon_attempt_accounting_commit () =
   (* Nth 1: attempt 1 rolls back, attempt 2 commits. Each counter must move
      exactly once per event: 2 attempts, 1 retry, 1 rollback, 1 commit. *)
-  let d, reg = run_daemon_with_fault (Ocolos_util.Fault.Nth 1) ~max_retries:3 ~seconds:10 in
-  Alcotest.(check int) "attempts" 2 (Daemon.attempts d);
-  Alcotest.(check int) "retries = attempts - 1" 1 (Daemon.retries d);
-  Alcotest.(check int) "rollbacks" 1 (Daemon.rollbacks d);
-  Alcotest.(check int) "replacements" 1 (Daemon.replacements d);
-  Alcotest.(check int) "registry attempts" 2 (counter_of reg "ocolos_daemon_attempts_total");
-  Alcotest.(check int) "registry retries" 1 (counter_of reg "ocolos_daemon_retries_total");
-  Alcotest.(check int) "registry rollbacks" 1 (counter_of reg "ocolos_daemon_rollbacks_total");
-  Alcotest.(check int) "registry replacements" 1
-    (counter_of reg "ocolos_daemon_replacements_total")
+  let reg = run_daemon_with_fault (Ocolos_util.Fault.Nth 1) ~max_retries:3 ~seconds:10 in
+  Alcotest.(check int) "attempts" 2 (attempts reg);
+  Alcotest.(check int) "retries = attempts - 1" 1 (counter_of reg "ocolos_fleet_retries_total");
+  Alcotest.(check int) "rollbacks" 1 (counter_of reg "ocolos_txn_rollbacks_total");
+  Alcotest.(check int) "replacements" 1 (counter_of reg "ocolos_txn_commits_total");
+  Alcotest.(check int) "rollouts" 1 (counter_of reg "ocolos_fleet_rollouts_total")
 
 let test_daemon_attempt_accounting_giving_up () =
   (* Every 1 with max_retries 2: attempts 1..3 all roll back, then the
-     daemon gives up. attempts = 3, retries = 2 (announced AND executed),
-     rollbacks = 3 — the old announce-time counting would have drifted had
-     any scheduled retry been skipped. *)
-  let d, reg = run_daemon_with_fault (Ocolos_util.Fault.Every 1) ~max_retries:2 ~seconds:12 in
-  Alcotest.(check int) "attempts" 3 (Daemon.attempts d);
-  Alcotest.(check int) "retries" 2 (Daemon.retries d);
-  Alcotest.(check int) "rollbacks" 3 (Daemon.rollbacks d);
-  Alcotest.(check int) "nothing replaced" 0 (Daemon.replacements d);
-  Alcotest.(check int) "attempts = rollbacks + replacements" (Daemon.attempts d)
-    (Daemon.rollbacks d + Daemon.replacements d);
-  Alcotest.(check int) "registry attempts" 3 (counter_of reg "ocolos_daemon_attempts_total");
-  Alcotest.(check int) "registry retries" 2 (counter_of reg "ocolos_daemon_retries_total")
+     controller takes the staged rollback. attempts = 3, retries = 2
+     (counted when each retry runs, not when it is scheduled),
+     rollbacks = 3. *)
+  let reg = run_daemon_with_fault (Ocolos_util.Fault.Every 1) ~max_retries:2 ~seconds:12 in
+  Alcotest.(check int) "attempts" 3 (attempts reg);
+  Alcotest.(check int) "retries" 2 (counter_of reg "ocolos_fleet_retries_total");
+  Alcotest.(check int) "rollbacks" 3 (counter_of reg "ocolos_txn_rollbacks_total");
+  Alcotest.(check int) "nothing replaced" 0 (counter_of reg "ocolos_txn_commits_total");
+  Alcotest.(check int) "one staged rollback" 1 (counter_of reg "ocolos_fleet_rollbacks_total")
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_span_tree_well_formed;

@@ -306,9 +306,11 @@ let prop_emit_deterministic =
          = b.Workload.binary.Ocolos_binary.Binary.entry)
 
 (* 10. Supervision: under ANY survivable fault schedule at ANY catalog
-   point, a campaign never runs more than max_retries + 1 attempts, the
-   attempt ledger balances (attempts = replacements + rollbacks after every
-   tick), and giving_up is announced exactly at the budget boundary. *)
+   point, a single-process campaign (a one-replica fleet) never runs more
+   than max_retries + 1 attempts, the attempt ledger balances (every
+   transaction begun committed, rolled back or diverged, after every tick),
+   and the staged rollback for a rolled-back replacement comes exactly at
+   the budget boundary. *)
 let fault_catalog = Ocolos_core.Ocolos.fault_catalog
 
 let gen_fault_run =
@@ -324,6 +326,9 @@ let prop_campaign_respects_retry_budget =
   QCheck.Test.make ~name:"campaign never exceeds the retry budget" ~count:10 gen_fault_run
     (fun (pi, kind, k, seed, max_retries) ->
       let module Daemon = Ocolos_core.Daemon in
+      let module Fleet = Ocolos_core.Fleet in
+      let module Metrics = Ocolos_obs.Metrics in
+      let module Events = Ocolos_obs.Events in
       let point = List.nth fault_catalog (pi mod List.length fault_catalog) in
       let schedule =
         match kind with
@@ -335,12 +340,6 @@ let prop_campaign_respects_retry_budget =
       let proc = Workload.launch ~seed:(1 + (seed mod 97)) w ~input:(Workload.find_input w "a") in
       let fault = Ocolos_util.Fault.create ~seed () in
       Ocolos_util.Fault.arm fault point schedule;
-      let oc =
-        Ocolos_core.Ocolos.attach
-          ~config:
-            { Ocolos_core.Ocolos.default_config with Ocolos_core.Ocolos.fault = Some fault }
-          proc
-      in
       let config =
         { Daemon.default_config with
           Daemon.profile_s = 1.0;
@@ -349,21 +348,53 @@ let prop_campaign_respects_retry_budget =
           max_retries;
           retry_backoff_s = 0.25 }
       in
-      let d = Daemon.create ~config oc proc in
+      let reg = Metrics.create () and log = Events.create () in
+      Metrics.install reg;
+      Events.install log;
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.uninstall ();
+          Events.uninstall ())
+      @@ fun () ->
+      let counter name = Metrics.counter_value (Metrics.counter reg name) in
+      let fleet =
+        Fleet.create
+          ~config:{ Fleet.default_config with Fleet.daemon = config }
+          ~ocolos_config:
+            { Ocolos_core.Ocolos.default_config with Ocolos_core.Ocolos.fault = Some fault }
+          [| proc |]
+      in
       let ok = ref true in
+      (* Counter readings at the start of the current campaign. *)
+      let base_retries = ref 0 and base_rollbacks = ref 0 in
       for s = 1 to 10 do
         let now_s = float_of_int s in
         Ocolos_proc.Proc.run ~cycle_limit:(Ocolos_sim.Clock.seconds_to_cycles now_s) proc;
-        (match Daemon.tick d ~now_s with
-        | Daemon.Rolled_back { attempt; giving_up; _ } ->
-          if attempt > max_retries + 1 then ok := false;
-          if giving_up <> (attempt = max_retries + 1) then ok := false
-        | Daemon.Retrying { attempt } -> if attempt > max_retries + 1 then ok := false
+        (match Fleet.tick fleet ~now_s with
+        | Fleet.Started_profiling _ ->
+          base_retries := counter "ocolos_fleet_retries_total";
+          base_rollbacks := counter "ocolos_txn_rollbacks_total"
+        | Fleet.Rolled_back { reason; _ }
+          when String.starts_with ~prefix:"canary replace rolled back" reason ->
+          if counter "ocolos_fleet_retries_total" - !base_retries <> max_retries then ok := false;
+          if counter "ocolos_txn_rollbacks_total" - !base_rollbacks <> max_retries + 1 then
+            ok := false
         | _ -> ());
+        if counter "ocolos_fleet_retries_total" - !base_retries > max_retries then ok := false;
         (* The ledger balances after every tick: each attempt either
-           committed or rolled back, never vanished. *)
-        if Daemon.attempts d <> Daemon.replacements d + Daemon.rollbacks d then ok := false;
-        if Daemon.retries d > Daemon.rollbacks d then ok := false
+           committed, rolled back or diverged, never vanished. *)
+        let begun =
+          List.length
+            (List.filter (fun e -> e.Events.e_type = "txn.begin") (Events.events log))
+        in
+        if
+          begun
+          <> counter "ocolos_txn_commits_total"
+             + counter "ocolos_txn_rollbacks_total"
+             + counter "ocolos_txn_divergence_rollbacks_total"
+        then ok := false;
+        if counter "ocolos_fleet_retries_total" > counter "ocolos_txn_rollbacks_total" then
+          ok := false
       done;
       !ok)
 

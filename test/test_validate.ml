@@ -305,45 +305,51 @@ let test_shadow_match_on_valid_commit () =
 
 (* The jump_table blind spot end-to-end: the corrupted result passes
    Tier 1, commits, and the shadow replay catches the rotated indirect
-   targets — the daemon reports [Reverted], the transaction has already
-   unwound (version unchanged), and the breaker is tripped so the same
-   result is not replayed. *)
+   targets — the single-process campaign (a one-replica fleet) takes a
+   staged rollback naming the shadow divergence, the transaction has
+   already unwound (version unchanged), and the breaker is tripped so the
+   same result is not replayed. *)
 let test_jump_table_caught_by_shadow () =
   let proc = launch () in
   let fault = F.create ~seed:1 () in
   F.arm fault "bolt.miscompile.jump_table" (F.Nth 1);
-  let oc = O.attach ~config:{ O.default_config with O.fault = Some fault } proc in
-  let d =
-    Daemon.create
+  let fleet =
+    Fleet.create
       ~config:
-        { Daemon.default_config with
-          Daemon.profile_s = 1.0;
-          warmup_s = 0.5;
-          min_interval_s = 2.0 }
-      oc proc
+        { Fleet.default_config with
+          Fleet.daemon =
+            { Daemon.default_config with
+              Daemon.profile_s = 1.0;
+              warmup_s = 0.5;
+              min_interval_s = 2.0 } }
+      ~ocolos_config:{ O.default_config with O.fault = Some fault }
+      [| proc |]
   in
+  let oc = Fleet.ocolos fleet 0 in
   let reverted = ref None in
-  let ticks = ref 0 in
   (try
      for i = 0 to 29 do
        Proc.run ~cycle_limit:infinity ~max_instrs:12_000 proc;
-       match Daemon.tick d ~now_s:(float_of_int (i + 1)) with
-       | Daemon.Reverted { reason } ->
+       match Fleet.tick fleet ~now_s:(float_of_int (i + 1)) with
+       | Fleet.Rolled_back { reason; reverted = replicas } ->
+         Alcotest.(check (list int)) "the divergent replica unwound itself" [] replicas;
          reverted := Some reason;
-         ticks := i;
          raise Exit
-       | Daemon.Replaced _ -> Alcotest.fail "corrupted jump table commit survived"
+       | Fleet.Promoted _ -> Alcotest.fail "corrupted jump table commit survived"
        | _ -> ()
      done
    with Exit -> ());
   (match !reverted with
   | None -> Alcotest.fail "shadow never caught the rotated jump table"
   | Some reason ->
+    Alcotest.(check bool) "reverted on shadow divergence" true
+      (contains reason "shadow divergence");
     Alcotest.(check bool) "divergence names an indirect jump" true
       (contains reason "ijmp"));
   Alcotest.(check int) "transaction unwound: version still 0" 0 (O.version oc);
-  Alcotest.(check bool) "breaker tripped" true (Daemon.breaker_state d <> Guard.Closed);
-  Alcotest.(check int) "counted as a rollback" 1 (Daemon.rollbacks d);
+  Alcotest.(check bool) "breaker tripped" true
+    (Guard.breaker_state (Fleet.guard fleet) <> Guard.Closed);
+  Alcotest.(check int) "counted as a rollback" 1 (Fleet.rollbacks fleet);
   (* Global-mode dangling-pointer audit: raises on any stale reference. *)
   O.verify_no_dangling oc ~freed:[]
 
@@ -464,7 +470,7 @@ let test_fleet_restart_carries_quarantine () =
   let before = List.map (fun fid -> (fid, fid_ranges procs.(0) fid)) quarantined in
   (* Restart with the old guard, like an on-disk sidecar carried across. *)
   let fleet' =
-    Supervisor.restart_fleet ~config:fcfg ~ocolos_config:ocfg
+    Supervisor.restart ~config:fcfg ~ocolos_config:ocfg
       ~guard:(Fleet.guard fleet) procs
   in
   Alcotest.(check (list int))
@@ -473,7 +479,7 @@ let test_fleet_restart_carries_quarantine () =
   (* The armed corruption is spent; the restarted fleet must re-BOLT
      without the quarantined functions and promote a valid layout. *)
   (match
-     Supervisor.run_fleet_to_convergence fleet'
+     Supervisor.run_to_convergence fleet'
        ~step:(fun i -> step (ticks + i))
        ~max_ticks:40
    with
