@@ -93,8 +93,9 @@ let continuous_ablation w =
     Ocolos_core.Ocolos.start_profiling oc;
     advance 2.0;
     let profile, _ = Ocolos_core.Ocolos.stop_profiling oc in
-    let result, _ = Ocolos_core.Ocolos.run_bolt oc profile in
-    Ocolos_core.Ocolos.replace_code oc result
+    match Ocolos_core.Step.optimize oc profile with
+    | Ok stats -> stats
+    | Error reason -> failwith ("continuous ablation: nothing committed: " ^ reason)
   in
   advance 0.5;
   let base_a = tps_over 1.5 in

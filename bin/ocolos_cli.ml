@@ -269,7 +269,7 @@ let ocolos_cmd =
     | exception Measure.Replacement_failed msg ->
       Fmt.pr "original: %.0f tps@." orig.Measure.tps;
       Fmt.pr "OCOLOS:   replacement failed — %s@." msg;
-      Fmt.pr "process continues on the original layout (all attempts rolled back)@.");
+      Fmt.pr "process continues on the original layout@.");
     match fault with
     | None -> ()
     | Some f ->
@@ -538,19 +538,24 @@ let osr_smoke_cmd =
     let c0_total = Ocolos_core.Ocolos.c0_text_resident_bytes oc in
     Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:100_000 proc;
     let rounds = ref 0 in
-    while Ocolos_core.Ocolos.c0_text_resident_bytes oc > 0 && !rounds < max_rounds do
+    while
+      (not !failed) && Ocolos_core.Ocolos.c0_text_resident_bytes oc > 0 && !rounds < max_rounds
+    do
       incr rounds;
       Ocolos_core.Ocolos.start_profiling oc;
       Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:300_000 proc;
       let profile, _ = Ocolos_core.Ocolos.stop_profiling oc in
-      let result, _ = Ocolos_core.Ocolos.run_bolt oc profile in
-      let stats = Ocolos_core.Ocolos.replace_code oc result in
-      Fmt.pr "round %d: C%d live, %d frames migrated, %d stubs, %d bytes freed, %d/%d \
-              original bytes resident@."
-        !rounds stats.Ocolos_core.Ocolos.version stats.Ocolos_core.Ocolos.frames_migrated
-        stats.Ocolos_core.Ocolos.osr_stubs stats.Ocolos_core.Ocolos.gc_bytes_freed
-        (Ocolos_core.Ocolos.c0_text_resident_bytes oc)
-        c0_total
+      match Ocolos_core.Step.optimize oc profile with
+      | Ok stats ->
+        Fmt.pr "round %d: C%d live, %d frames migrated, %d stubs, %d bytes freed, %d/%d \
+                original bytes resident@."
+          !rounds stats.Ocolos_core.Ocolos.version stats.Ocolos_core.Ocolos.frames_migrated
+          stats.Ocolos_core.Ocolos.osr_stubs stats.Ocolos_core.Ocolos.gc_bytes_freed
+          (Ocolos_core.Ocolos.c0_text_resident_bytes oc)
+          c0_total
+      | Error reason ->
+        Fmt.pr "FAIL: round %d committed nothing: %s@." !rounds reason;
+        failed := true
     done;
     Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
     ignore (Ocolos_core.Ocolos.gc_residue oc);

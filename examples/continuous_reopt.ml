@@ -1,8 +1,9 @@
 (* Continuous optimization (paper Section IV-C, implemented here although
    the paper could not evaluate it): the server's input mix shifts at run
    time; OCOLOS re-profiles the already-optimized process, replaces C1 with
-   C2, copies stack-live functions, and garbage-collects the old version so
-   code memory does not grow.
+   C2 through the gated step (validate, shadow-check, commit), migrates
+   stack-live frames, and garbage-collects the old version so code memory
+   does not grow.
 
      dune exec examples/continuous_reopt.exe *)
 
@@ -29,8 +30,12 @@ let () =
     Ocolos.start_profiling oc;
     advance 2.0;
     let profile, _ = Ocolos.stop_profiling oc in
-    let result, _ = Ocolos.run_bolt oc profile in
-    let s = Ocolos.replace_code oc result in
+    (* BOLT, Tier-1 validation, then the shadow-gated transaction. *)
+    let s =
+      match Ocolos_core.Step.optimize oc profile with
+      | Ok s -> s
+      | Error reason -> failwith (label ^ ": " ^ reason)
+    in
     Fmt.pr
       "%s -> C%d: %d funcs optimized, %d sites + %d v-table entries patched, %d frames migrated, GC freed %d bytes@."
       label s.Ocolos.version s.Ocolos.funcs_optimized s.Ocolos.call_sites_patched

@@ -3,12 +3,14 @@
      dune exec examples/quickstart.exe
 
    Walks the whole public API once: build a workload, launch a simulated
-   server process, attach OCOLOS, profile the live process, run BOLT in the
-   background, replace the code, and compare throughput. *)
+   server process, attach OCOLOS, profile the live process, run BOLT and
+   validate its output in the background, replace the code under the
+   shadow check, and compare throughput. *)
 
 open Ocolos_workloads
 module Proc = Ocolos_proc.Proc
 module Ocolos = Ocolos_core.Ocolos
+module Step = Ocolos_core.Step
 module Clock = Ocolos_sim.Clock
 
 let () =
@@ -48,14 +50,26 @@ let () =
     perf2bolt_s;
 
   (* 6. BOLT in the background: CFG reconstruction, basic-block reordering
-     (ExtTSP), hot/cold splitting, C3 function reordering. *)
-  let result, bolt_s = Ocolos.run_bolt oc profile in
+     (ExtTSP), hot/cold splitting, C3 function reordering. Step.build then
+     runs the Tier-1 translation validator over the result; a rejected
+     result never reaches the process. *)
+  let result, bolt_s =
+    match Step.build (Ocolos_core.Guard.create ()) oc profile with
+    | Ok built -> built
+    | Error reason -> failwith reason
+  in
   Fmt.pr "BOLT: %d functions optimized into a new .text at 0x%x (%.2f s)@."
     result.Ocolos_bolt.Bolt.funcs_reordered result.Ocolos_bolt.Bolt.bolt_base bolt_s;
 
-  (* 7. Stop-the-world code replacement: inject C1, patch v-tables and
-     stack-live direct calls, resume. *)
-  let stats = Ocolos.replace_code oc result in
+  (* 7. Stop-the-world code replacement as one transaction: inject C1,
+     patch v-tables and stack-live direct calls, replay a clone of the old
+     and of the new process side by side (the Tier-2 shadow check), and
+     commit only if they agree — otherwise every mutation is undone. *)
+  let stats =
+    match Step.(committed (commit oc result)) with
+    | Ok stats -> stats
+    | Error reason -> failwith reason
+  in
   Fmt.pr
     "replacement: %d v-table entries + %d call sites patched, %d funcs on stack, pause %.3f s@."
     stats.Ocolos.vtable_entries_patched stats.Ocolos.call_sites_patched

@@ -389,17 +389,7 @@ let stage_replace t r result =
     let every = t.config.daemon.Daemon.shadow_every in
     every > 0 && t.rollouts mod every = 0
   in
-  let verify =
-    if not shadowing then None
-    else
-      let pre = Shadow.prepare r.oc in
-      Some
-        (fun () ->
-          match Shadow.check (Shadow.arm pre r.oc result) with
-          | Shadow.Match -> Ok ()
-          | Shadow.Divergence why -> Error why)
-  in
-  match Txn.replace_code ?verify r.oc result with
+  match Step.commit ~shadow:shadowing r.oc result with
   | Txn.Committed stats ->
     r.pause_debt <- r.pause_debt +. stats.Ocolos.pause_seconds;
     t.staged <- (r, sn) :: t.staged;
@@ -531,40 +521,19 @@ let finish_profiling t ~now_s =
       Cost.perf2bolt_seconds (Ocolos.config oc0).Ocolos.cost ~records
     in
     if Guard.check_deadline t.guard ~phase:`Perf2bolt ~seconds:perf2bolt_s then
-      `Watchdog "perf2bolt"
-    else begin
-      let result, bolt_s =
-        Ocolos.run_bolt ~tier:(Guard.tier t.guard) ~exclude:(Guard.quarantined t.guard) oc0
-          profile
-      in
-      Guard.record_func_failures t.guard result.Ocolos_bolt.Bolt.failed;
-      if Guard.check_deadline t.guard ~phase:`Bolt ~seconds:bolt_s then `Watchdog "bolt"
-      else `Bolted result
-    end
+      Error "watchdog: perf2bolt deadline"
+    else
+      (* One build covers the whole fleet: every replica would commit the
+         same BOLT result, so a Tier-1 rejection aborts before any replica
+         pauses. *)
+      Step.build t.guard oc0 profile
   with
-  | `Watchdog phase -> abort t ~now_s ~reason:(Fmt.str "watchdog: %s deadline" phase)
+  | Error reason -> abort t ~now_s ~reason
   | exception Ocolos_util.Fault.Injected (point, _) ->
     abort t ~now_s ~reason:(Fmt.str "fault at %s" point)
-  | `Bolted result -> (
-    (* Tier-1 gate: one validation covers the whole fleet — every replica
-       would commit the same BOLT result. A rejection quarantines the
-       offending functions and aborts before any replica pauses. *)
-    let report = Ocolos.validate_result oc0 result in
-    if not (Ocolos_bolt.Validate.ok report) then begin
-      List.iter
-        (fun fid -> Guard.quarantine_now t.guard fid ~reason:"validate")
-        (Ocolos_bolt.Validate.rejected_fids report);
-      abort t ~now_s
-        ~reason:
-          (Fmt.str "validation rejected: %s"
-             (String.concat ","
-                (List.filter
-                   (fun c -> Ocolos_bolt.Validate.check_rejections report c > 0)
-                   Ocolos_bolt.Validate.checks)))
-    end
-    else
-      roll_out t ~now_s ~stage:Canary ~result ~attempt:1
-        (Array.to_list (Array.sub t.reps 0 (canary_count t))))
+  | Ok (result, _) ->
+    roll_out t ~now_s ~stage:Canary ~result ~attempt:1
+      (Array.to_list (Array.sub t.reps 0 (canary_count t)))
 
 (* Sum a cohort's profiling-window and verify-window counter intervals. *)
 let cohort_totals t ids =

@@ -25,6 +25,8 @@ open Ocolos_binary
 open Ocolos_proc
 open Ocolos_profiler
 open Ocolos_bolt
+module Trace = Ocolos_obs.Trace
+module Metrics = Ocolos_obs.Metrics
 
 type config = {
   bolt : Bolt.config;
@@ -202,6 +204,15 @@ let stop_profiling t =
     in
     (profile, seconds)
 
+(* A fault that fired at [point] (its [hit]th hit): one trace instant, one
+   [ocolos_fault_fired_total] tick and one [fault.fired] event. Shared by
+   the stop-the-world cuts and BOLT's silent-miscompile points. *)
+let fault_fired point hit =
+  let attrs = [ ("point", Trace.S point); ("hit", Trace.I hit) ] in
+  Trace.mark "fault.fired" ~attrs;
+  Metrics.count ~labels:[ ("point", point) ] "ocolos_fault_fired_total" 1;
+  Ocolos_obs.Events.log "fault.fired" ~fields:attrs
+
 (* ---- BOLT (background) ---- *)
 
 (* Degradation tiers (supervisor-driven): [`Full] is the configured BOLT;
@@ -269,11 +280,7 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
           match Ocolos_util.Fault.cut f point with
           | () -> result
           | exception Ocolos_util.Fault.Injected (p, hit) ->
-            Ocolos_obs.Trace.mark "fault.fired"
-              ~attrs:[ ("point", Ocolos_obs.Trace.S p); ("hit", Ocolos_obs.Trace.I hit) ];
-            Ocolos_obs.Metrics.count ~labels:[ ("point", p) ] "ocolos_fault_fired_total" 1;
-            Ocolos_obs.Events.log "fault.fired"
-              ~fields:[ ("point", Ocolos_obs.Trace.S p); ("hit", Ocolos_obs.Trace.I hit) ];
+            fault_fired p hit;
             let result, mutations = Miscompile.apply ~point:p ~salt:hit result in
             Ocolos_obs.Events.log "bolt.miscompile.applied"
               ~fields:
@@ -289,7 +296,7 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
 
 (* Tier-1 miscompile containment: validate a BOLT result against the
    binary it was derived from, under the same external-entry resolution
-   [run_bolt] used. Must run before {!replace_code} / {!Txn.replace_code};
+   [run_bolt] used. {!Step.build} runs it before any commit;
    the verdict is logged as a [validate.verdict] event (with one
    [validate.reject] event per rejection) and [ocolos_validate_*] metrics. *)
 let validate_result t (result : Bolt.result) =
@@ -373,9 +380,6 @@ let fault_catalog =
     "bolt.peephole" ]
   @ Miscompile.points @ injection_points
 
-module Trace = Ocolos_obs.Trace
-module Metrics = Ocolos_obs.Metrics
-
 (* Register a hit at a fault-injection point. Hits are counted per point in
    the ambient metrics registry; a firing fault additionally leaves an
    instant event on the trace before the exception unwinds into {!Txn}. *)
@@ -386,10 +390,7 @@ let cut t point =
     Metrics.count ~labels:[ ("point", point) ] "ocolos_fault_cuts_total" 1;
     try Ocolos_util.Fault.cut f point with
     | Ocolos_util.Fault.Injected (p, hit) as e ->
-      Trace.mark "fault.fired" ~attrs:[ ("point", Trace.S p); ("hit", Trace.I hit) ];
-      Metrics.count ~labels:[ ("point", p) ] "ocolos_fault_fired_total" 1;
-      Ocolos_obs.Events.log "fault.fired"
-        ~fields:[ ("point", Trace.S p); ("hit", Trace.I hit) ];
+      fault_fired p hit;
       raise e
     | Ocolos_util.Fault.Killed (p, hit) as e ->
       Trace.mark "fault.killed" ~attrs:[ ("point", Trace.S p); ("hit", Trace.I hit) ];

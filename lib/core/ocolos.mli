@@ -16,7 +16,13 @@
     retires as coverage grows (even for never-returning entry functions),
     and after convergence exactly one code version is resident; transient
     stub/copy residue and the jump-table words it still reads are reaped by
-    a reachability-proven GC as frames drain. *)
+    a reachability-proven GC as frames drain.
+
+    This module holds the mechanisms. The policy that decides whether a
+    BOLT result may reach the process is {!Step}: {!run_bolt}, then the
+    Tier-1 {!validate_result}, then {!replace_code} inside a {!Txn}
+    transaction gated by the Tier-2 {!Shadow} check. Every driver commits
+    through {!Step}. *)
 
 type config = {
   bolt : Ocolos_bolt.Bolt.config;
@@ -103,14 +109,16 @@ val run_bolt :
     result against the current code version, under the same external-entry
     resolution {!run_bolt} used, checking against the CFGs the last
     {!run_bolt} on this code version decoded (then releasing them) rather
-    than decoding the binary again. Must be consulted before {!replace_code};
+    than decoding the binary again. {!Step.build} runs it before any commit;
     logs a [validate.verdict] event (plus one [validate.reject] event per
     rejection) and [ocolos_validate_*] metrics. *)
 val validate_result : t -> Ocolos_bolt.Bolt.result -> Ocolos_bolt.Validate.report
 
 (** The stop-the-world phase: pause, inject C_{i+1}, patch pointers,
     migrate live frames into the new text (on-stack replacement) and unmap
-    every retired range, resume. *)
+    every retired range, resume. Unjournaled and ungated: only
+    {!Txn.replace_code} calls it (drivers go through {!Step.commit}); the
+    unit tests of the mechanism itself are the one other caller. *)
 val replace_code : t -> Ocolos_bolt.Bolt.result -> replacement_stats
 
 (** Raised by the post-GC safety scan when a reachable code pointer

@@ -3,7 +3,9 @@
    Provides the paper's experimental configurations: steady-state throughput
    of a binary under an input; profile collection runs; the four Fig. 5
    comparators (original, BOLT oracle, PGO oracle, BOLT average-case); and
-   full online OCOLOS runs. *)
+   full online OCOLOS runs, which optimize through the same gated step
+   ({!Ocolos_core.Step}: BOLT -> Tier-1 validation -> shadow-gated
+   transaction) as the fleet controller. *)
 
 open Ocolos_workloads
 open Ocolos_proc
@@ -80,11 +82,13 @@ type ocolos_run = {
 exception Replacement_failed of string
 
 (* A full online OCOLOS cycle on a freshly launched process: warm up,
-   profile the running process for [profile_s], BOLT in the background
-   (charging contention stalls to the target), replace code (charging the
-   stop-the-world pause), then measure steady state. Replacement runs
-   transactionally: a rolled-back attempt charges its aborted pause to the
-   target and is retried, up to [max_attempts] in total. *)
+   profile the running process for [profile_s], BOLT and validate in the
+   background (charging contention stalls to the target), replace code
+   under the shadow gate (charging the stop-the-world pause), then measure
+   steady state. A rolled-back attempt charges its aborted pause to the
+   target and is retried, up to [max_attempts] in total; a Tier-1
+   rejection or a shadow divergence ends the run at once. Validation and
+   the shadow replay are not charged: the paper's cost model has neither. *)
 let ocolos_steady ?config ?guard ?nthreads ?(seed = 1234) ?(warmup = default_warmup)
     ?(profile_s = 2.0) ?(measure = default_measure) ?(max_attempts = 4) (w : Workload.t)
     ~input =
@@ -112,10 +116,18 @@ let ocolos_steady ?config ?guard ?nthreads ?(seed = 1234) ?(warmup = default_war
   Ocolos_core.Ocolos.start_profiling oc;
   advance profile_s;
   let profile, perf2bolt_seconds = Ocolos_core.Ocolos.stop_profiling oc in
-  let result, bolt_seconds =
-    Ocolos_core.Ocolos.run_bolt ~exclude:(Ocolos_core.Guard.quarantined guard) oc profile
+  (* The guard hears about a failed campaign before we raise, so a
+     continuous driver sharing [guard] backs off instead of hammering. *)
+  let fail reason =
+    Ocolos_core.Guard.campaign_failed guard ~now_s:!horizon;
+    Ocolos_core.Guard.export guard;
+    raise (Replacement_failed reason)
   in
-  Ocolos_core.Guard.record_func_failures guard result.Ocolos_bolt.Bolt.failed;
+  let result, bolt_seconds =
+    match Ocolos_core.Step.build guard oc profile with
+    | Ok built -> built
+    | Error reason -> fail reason
+  in
   (* Background perf2bolt + BOLT compete with the target for cycles. Only a
      bounded slice of that interval is actually simulated (it does not
      affect the post-replacement steady state we are measuring); the
@@ -133,17 +145,19 @@ let ocolos_steady ?config ?guard ?nthreads ?(seed = 1234) ?(warmup = default_war
         ~cycles:
           (Clock.seconds_to_cycles (bg_sim *. cost.Ocolos_core.Cost.background_contention))
         ~category:`Backend);
-  (* Transactional replacement with bounded retries: each rolled-back
-     attempt still pauses the target (the aborted mutations plus their
-     undo), modeled as a pause over the journal entries undone. *)
+  (* Gated, transactional replacement with bounded retries: each
+     rolled-back attempt still pauses the target (the aborted mutations
+     plus their undo), modeled as a pause over the journal entries undone.
+     A shadow divergence is never retried: the same result would diverge
+     again. *)
   let rollbacks = ref 0 in
   let rec attempt n =
-    match Ocolos_core.Txn.replace_code oc result with
+    match Ocolos_core.Step.commit oc result with
     | Ocolos_core.Txn.Committed stats -> stats
-    (* No [verify] gate is passed above, so the transaction cannot report a
-       divergence; measurement runs pay the shadow cost separately. *)
     | Ocolos_core.Txn.Diverged dv ->
-      raise (Replacement_failed (Fmt.str "shadow divergence: %s" dv.Ocolos_core.Txn.dv_reason))
+      let reason = Fmt.str "shadow divergence: %s" dv.Ocolos_core.Txn.dv_reason in
+      Ocolos_core.Guard.trip_breaker guard ~now_s:!horizon ~reason;
+      raise (Replacement_failed (reason ^ " (rolled back)"))
     | Ocolos_core.Txn.Rolled_back rb ->
       incr rollbacks;
       let rb_pause =
@@ -151,16 +165,10 @@ let ocolos_steady ?config ?guard ?nthreads ?(seed = 1234) ?(warmup = default_war
       in
       Metrics.sample ~buckets:Metrics.pause_buckets "ocolos_replace_pause_seconds" rb_pause;
       Proc.stall_all proc ~cycles:(Clock.seconds_to_cycles rb_pause) ~category:`Backend;
-      if n >= max_attempts then begin
-        (* The breaker hears about the failed campaign before we raise, so a
-           continuous driver sharing [guard] backs off instead of hammering. *)
-        Ocolos_core.Guard.campaign_failed guard ~now_s:!horizon;
-        Ocolos_core.Guard.export guard;
-        raise
-          (Replacement_failed
-             (Fmt.str "all %d attempts rolled back (last at %s, hit %d)" max_attempts
-                rb.Ocolos_core.Txn.rb_point rb.Ocolos_core.Txn.rb_hit))
-      end
+      if n >= max_attempts then
+        fail
+          (Fmt.str "all %d attempts rolled back (last at %s, hit %d)" max_attempts
+             rb.Ocolos_core.Txn.rb_point rb.Ocolos_core.Txn.rb_hit)
       else attempt (n + 1)
   in
   let stats = attempt 1 in

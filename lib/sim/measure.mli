@@ -69,20 +69,28 @@ type ocolos_run = {
   quarantined : int list;  (** fids the guard excluded from reordering *)
 }
 
-(** Raised by {!ocolos_steady} when every replacement attempt rolled back. *)
+(** Raised by {!ocolos_steady} when nothing was committed: the Tier-1
+    validator rejected the BOLT result, the shadow check diverged, or every
+    replacement attempt rolled back. The message says which; the process
+    still runs its original layout. *)
 exception Replacement_failed of string
 
 (** A full online OCOLOS cycle on a freshly launched process: warm up,
     profile the running process, BOLT in the background (charging
     contention stalls), replace code (charging the pause), then measure.
-    Replacement runs transactionally ({!Ocolos_core.Txn}): rolled-back
-    attempts charge their aborted pause and are retried up to
-    [max_attempts] times in total before {!Replacement_failed}.
+    It optimizes through {!Ocolos_core.Step}: the BOLT result must pass
+    the Tier-1 validator, and each replacement attempt is a transaction
+    gated by the Tier-2 shadow check. Rolled-back attempts charge their
+    aborted pause and are retried up to [max_attempts] times in total; a
+    rejection, a divergence or a spent retry budget raises
+    {!Replacement_failed}. Neither gate is charged to the simulated clock.
 
     [guard] (default: fresh) carries supervision state: per-function BOLT
-    failures feed its quarantine (excluded from reordering on this and
-    later runs sharing the guard), the commit/failure outcome feeds its
-    circuit breaker, and the final state is reported in the result. *)
+    failures and Tier-1 rejections feed its quarantine (excluded from
+    reordering on this and later runs sharing the guard), its tier picks
+    the BOLT pipeline, the commit/failure outcome feeds its circuit breaker
+    (a divergence trips it), and the final state is reported in the
+    result. *)
 val ocolos_steady :
   ?config:Ocolos_core.Ocolos.config ->
   ?guard:Ocolos_core.Guard.t ->

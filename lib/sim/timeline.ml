@@ -79,7 +79,13 @@ let run ?config ?(seed = 1234) ?(warmup_s = 8) ?(profile_s = 4) ?(post_s = 12)
         window Profiling
       done);
   let profile, perf2bolt_seconds = Ocolos_core.Ocolos.stop_profiling oc in
-  let result, bolt_seconds = Ocolos_core.Ocolos.run_bolt oc profile in
+  let gated = function
+    | Ok x -> x
+    | Error reason -> Fmt.failwith "Timeline: nothing committed (%s)" reason
+  in
+  let result, bolt_seconds =
+    gated (Ocolos_core.Step.build (Ocolos_core.Guard.create ()) oc profile)
+  in
   (* Region 3: the background work contends with the target. We charge the
      contention stall at the start of each affected window. *)
   let background = perf2bolt_seconds +. bolt_seconds in
@@ -93,10 +99,10 @@ let run ?config ?(seed = 1234) ?(warmup_s = 8) ?(profile_s = 4) ?(post_s = 12)
           ~category:`Backend;
         window Background
       done);
-  (* Region 4: stop-the-world replacement. *)
+  (* Region 4: stop-the-world replacement, shadow-gated. *)
   let stats =
     region_span Pause 1 (fun () ->
-        let stats = Ocolos_core.Ocolos.replace_code oc result in
+        let stats = gated Ocolos_core.Step.(committed (commit oc result)) in
         Proc.stall_all proc
           ~cycles:(Clock.seconds_to_cycles stats.Ocolos_core.Ocolos.pause_seconds)
           ~category:`Backend;

@@ -295,8 +295,8 @@ let test_kill_before_canary_leaves_fleet_homogeneous () =
    checksums, transaction count and the Prometheus export — minus the
    ocolos_fleet_* / ocolos_guard_* controller families, which name who was
    in charge — must be byte-identical between a 1-replica fleet and the
-   direct Ocolos.start_profiling / stop_profiling / run_bolt /
-   validate_result / Txn.replace_code sequence. *)
+   direct Ocolos.start_profiling / stop_profiling / Step.optimize
+   sequence. *)
 let differential_run mode =
   let reg = Obs.Metrics.create () in
   Obs.Metrics.install reg;
@@ -322,18 +322,9 @@ let differential_run mode =
         if i = 0 then Ocolos.start_profiling oc
         else if i = 1 then begin
           let profile, _ = Ocolos.stop_profiling oc in
-          let result, _ = Ocolos.run_bolt oc profile in
-          if not (Ocolos_bolt.Validate.ok (Ocolos.validate_result oc result)) then
-            Alcotest.fail "direct pipeline: validation rejected";
-          let pre = Ocolos_core.Shadow.prepare oc in
-          let verify () =
-            match Ocolos_core.Shadow.check (Ocolos_core.Shadow.arm pre oc result) with
-            | Ocolos_core.Shadow.Match -> Ok ()
-            | Ocolos_core.Shadow.Divergence why -> Error why
-          in
-          match Ocolos_core.Txn.replace_code ~verify oc result with
-          | Ocolos_core.Txn.Committed _ -> ()
-          | _ -> Alcotest.fail "direct pipeline: replacement did not commit"
+          match Ocolos_core.Step.optimize oc profile with
+          | Ok _ -> ()
+          | Error reason -> Alcotest.fail ("direct pipeline: " ^ reason)
         end
       done;
       Ocolos.version oc

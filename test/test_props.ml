@@ -157,8 +157,9 @@ let prop_ocolos_replacement_preserves_semantics =
       Ocolos_core.Ocolos.start_profiling oc;
       Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:stop_point proc;
       let profile, _ = Ocolos_core.Ocolos.stop_profiling oc in
-      let result, _ = Ocolos_core.Ocolos.run_bolt oc profile in
-      ignore (Ocolos_core.Ocolos.replace_code oc result);
+      (match Ocolos_core.Step.optimize oc profile with
+      | Ok _ -> ()
+      | Error reason -> QCheck.Test.fail_reportf "nothing committed: %s" reason);
       Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:30_000_000 proc;
       let halted =
         Array.for_all
@@ -216,7 +217,9 @@ let prop_differential_c0_c1 =
           let r = Ocolos_bolt.Bolt.run ~binary:w.Workload.binary ~profile () in
           let oc = Ocolos_core.Ocolos.attach proc in
           Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:stop_point proc;
-          ignore (Ocolos_core.Ocolos.replace_code oc r)
+          match Ocolos_core.Step.(committed (commit oc r)) with
+          | Ok _ -> ()
+          | Error reason -> QCheck.Test.fail_reportf "nothing committed: %s" reason
         end;
         Ocolos_proc.Proc.run ~cycle_limit:infinity ~max_instrs:30_000_000 proc;
         ( per_tid_traces buf (Array.length proc.Ocolos_proc.Proc.threads),

@@ -39,12 +39,13 @@ let contains hay needle =
 
 (* Tiny workload with its jump tables kept, so the jump_table corruption
    mode has data to rotate. *)
-let launch () =
+let tiny_jt () =
   let base = Apps.tiny ~tx_limit:None () in
-  let w =
-    Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
-      ~nthreads:2 base.Workload.gen
-  in
+  Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
+    ~nthreads:2 base.Workload.gen
+
+let launch () =
+  let w = tiny_jt () in
   Workload.launch w ~input:(Workload.find_input w "a")
 
 let profile_and_bolt ?config () =
@@ -410,6 +411,83 @@ let test_miscompile_fleet () =
       | _ -> Alcotest.fail (point ^ ": not contained"))
     [ "bolt.miscompile.drop_block"; "bolt.miscompile.jump_table" ]
 
+(* ---- the measurement driver commits through the same gates ---- *)
+
+(* Measure.ocolos_steady produces the paper figures, and it optimizes
+   through the same gated step as the controller: every miscompile point
+   injected into a run is contained. The four structural modes are
+   rejected by Tier 1 before any transaction begins (no [txn.begin], so
+   the process never leaves C0) and their offenders are quarantined; the
+   jump_table blind spot, on the jump-table build of tiny, passes Tier 1,
+   commits into a transaction and is unwound by the shadow check. *)
+let test_measure_contains_miscompiles () =
+  let module Events = Ocolos_obs.Events in
+  let module Trace = Ocolos_obs.Trace in
+  let module Measure = Ocolos_sim.Measure in
+  let tiny = Apps.tiny ~tx_limit:None () and jt = tiny_jt () in
+  let seeds = if deep then [ 1; 2; 3 ] else [ 1 ] in
+  let int_field name (e : Events.event) =
+    match List.assoc_opt name e.Events.e_fields with Some (Trace.I i) -> i | _ -> -1
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun point ->
+          let name = Fmt.str "%s seed %d" point seed in
+          let blind_spot = point = "bolt.miscompile.jump_table" in
+          let w = if blind_spot then jt else tiny in
+          let fault = F.create ~seed () in
+          F.arm fault point (F.Nth 1);
+          let guard = Guard.create () in
+          let ev = Events.create () in
+          Events.install ev;
+          let failure =
+            Fun.protect ~finally:Events.uninstall (fun () ->
+                match
+                  Measure.ocolos_steady
+                    ~config:{ O.default_config with O.fault = Some fault }
+                    ~guard ~seed ~warmup:0.1 ~profile_s:0.5 ~measure:0.2 w
+                    ~input:(Workload.find_input w "a")
+                with
+                | _ -> None
+                | exception Measure.Replacement_failed msg -> Some msg)
+          in
+          let events = Events.events ev in
+          let of_type t = List.filter (fun (e : Events.event) -> e.Events.e_type = t) events in
+          Alcotest.(check int) (name ^ ": fault fired once") 1 (F.fired fault point);
+          Alcotest.(check int) (name ^ ": nothing committed") 0
+            (List.length (of_type "txn.commit"));
+          let msg =
+            match failure with
+            | Some msg -> msg
+            | None -> Alcotest.fail (name ^ ": corrupted layout committed")
+          in
+          if blind_spot then begin
+            Alcotest.(check bool) (name ^ ": shadow divergence reported") true
+              (contains msg "shadow divergence");
+            match of_type "txn.diverged" with
+            | [ dv ] ->
+              Alcotest.(check bool) (name ^ ": transaction unwound") true
+                (int_field "undone" dv > 0);
+              Alcotest.(check bool) (name ^ ": breaker tripped") true
+                (Guard.breaker_state guard <> Guard.Closed)
+            | _ -> Alcotest.fail (name ^ ": expected exactly one txn.diverged")
+          end
+          else begin
+            Alcotest.(check bool) (name ^ ": Tier-1 rejection reported") true
+              (String.starts_with ~prefix:"validation rejected" msg);
+            Alcotest.(check int) (name ^ ": no transaction begun (C0 live)") 0
+              (List.length (of_type "txn.begin"));
+            let rejected =
+              List.sort_uniq compare (List.map (int_field "fid") (of_type "validate.reject"))
+            in
+            Alcotest.(check bool) (name ^ ": offenders named") true (rejected <> []);
+            Alcotest.(check (list int)) (name ^ ": offenders quarantined") rejected
+              (Guard.quarantined guard)
+          end)
+        Chaos.miscompile_points)
+    seeds
+
 (* ---- satellite: Guard quarantine survives a fleet restart ---- *)
 
 (* The smallest code address each of [fid]'s symbol ranges starts at — a
@@ -423,11 +501,7 @@ let fid_ranges (proc : Proc.t) fid =
   |> List.sort compare
 
 let test_fleet_restart_carries_quarantine () =
-  let base = Apps.tiny ~tx_limit:None () in
-  let w =
-    Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
-      ~nthreads:2 base.Workload.gen
-  in
+  let w = tiny_jt () in
   let fault = F.create ~seed:3 () in
   F.arm fault "bolt.miscompile.branch_polarity" (F.Nth 1);
   let ocfg = { O.default_config with O.fault = Some fault } in
@@ -548,6 +622,8 @@ let suite =
     Alcotest.test_case "miscompile chaos on other engines" `Slow
       test_miscompile_chaos_engines;
     Alcotest.test_case "miscompile fleet containment" `Slow test_miscompile_fleet;
+    Alcotest.test_case "Measure contains the miscompile catalog" `Quick
+      test_measure_contains_miscompiles;
     Alcotest.test_case "fleet restart carries quarantine" `Quick
       test_fleet_restart_carries_quarantine;
     Alcotest.test_case "decimate edge cases" `Quick test_decimate_edges ]
