@@ -127,14 +127,14 @@ module Events = Ocolos_obs.Events
    raises (e.g. an injected [bolt.func_reorder] fault) still gets its end
    event, tagged with the error, before the exception propagates. *)
 let logged_pass name f =
-  Events.log "bolt.pass_start" ~fields:[ ("pass", Trace.S name) ];
+  Events.emit "bolt.pass_start" [ ("pass", Trace.S name) ];
   match f () with
   | r ->
-    Events.log "bolt.pass_end" ~fields:[ ("pass", Trace.S name) ];
+    Events.emit "bolt.pass_end" [ ("pass", Trace.S name) ];
     r
   | exception e ->
-    Events.log "bolt.pass_end"
-      ~fields:[ ("pass", Trace.S name); ("error", Trace.S (Printexc.to_string e)) ];
+    Events.emit "bolt.pass_end"
+      [ ("pass", Trace.S name); ("error", Trace.S (Printexc.to_string e)) ];
     raise e
 
 (* Per-function fault points of the bolt domain — [bolt.cfg],

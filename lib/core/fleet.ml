@@ -290,11 +290,8 @@ let reattach ?config ?ocolos_config ?guard procs =
         end)
       t.reps;
     t.restart_reverted <- List.rev t.restart_reverted;
-    Trace.mark "fleet.restart_reverted"
-      ~attrs:[ ("replicas", Trace.I (List.length t.restart_reverted)) ];
-    Metrics.count "ocolos_fleet_restart_reverts_total" (List.length t.restart_reverted);
-    Events.log "fleet.restart_reverted"
-      ~fields:[ ("replicas", Trace.I (List.length t.restart_reverted)) ]
+    Events.emit "fleet.restart_reverted"
+      [ ("replicas", Trace.I (List.length t.restart_reverted)) ]
   end;
   t.last_counters <- fleet_counters t;
   t
@@ -334,12 +331,8 @@ let rollback t ~now_s ~reason =
   t.last_replacement_s <- now_s;
   t.rollbacks <- t.rollbacks + 1;
   Guard.campaign_failed t.guard ~now_s;
-  Trace.mark "fleet.rolled_back" ~attrs:[ ("reason", Trace.S reason) ];
-  Metrics.count "ocolos_fleet_rollbacks_total" 1;
-  Metrics.count "ocolos_fleet_reverted_replicas_total" (List.length reverted);
-  Events.log "fleet.rolled_back"
-    ~fields:
-      [ ("reason", Trace.S reason); ("reverted", Trace.I (List.length reverted)) ];
+  Events.emit "fleet.rolled_back"
+    [ ("reason", Trace.S reason); ("reverted", Trace.I (List.length reverted)) ];
   record_versions t;
   Rolled_back { reason; reverted }
 
@@ -355,13 +348,9 @@ let shadow_diverged t ~now_s ~reason =
   t.last_replacement_s <- now_s;
   t.rollbacks <- t.rollbacks + 1;
   Guard.trip_breaker t.guard ~now_s ~reason;
-  Trace.mark "fleet.rolled_back" ~attrs:[ ("reason", Trace.S reason) ];
-  Metrics.count "ocolos_fleet_rollbacks_total" 1;
   Metrics.count "ocolos_fleet_shadow_reverts_total" 1;
-  Metrics.count "ocolos_fleet_reverted_replicas_total" (List.length reverted);
-  Events.log "fleet.rolled_back"
-    ~fields:
-      [ ("reason", Trace.S reason); ("reverted", Trace.I (List.length reverted)) ];
+  Events.emit "fleet.rolled_back"
+    [ ("reason", Trace.S reason); ("reverted", Trace.I (List.length reverted)) ];
   record_versions t;
   Rolled_back { reason; reverted }
 
@@ -370,9 +359,7 @@ let abort t ~now_s ~reason =
   t.best_tps <- 0.0;
   t.last_replacement_s <- now_s;
   Guard.campaign_failed t.guard ~now_s;
-  Trace.mark "fleet.campaign_aborted" ~attrs:[ ("reason", Trace.S reason) ];
-  Metrics.count "ocolos_fleet_campaigns_aborted_total" 1;
-  Events.log "fleet.campaign_aborted" ~fields:[ ("reason", Trace.S reason) ];
+  Events.emit "fleet.campaign_aborted" [ ("reason", Trace.S reason) ];
   Campaign_aborted reason
 
 (* Replace on one replica, staging its pre-replace snapshot for rollback.
@@ -414,11 +401,7 @@ let start_verify t ~now_s ~result =
       end)
     t.reps;
   t.phase <- Verifying { until_s = now_s +. t.config.verify_s; canaries = ids; result };
-  Trace.mark "fleet.canary_started"
-    ~attrs:[ ("version", Trace.I version); ("canaries", Trace.I k) ];
-  Metrics.count "ocolos_fleet_canaries_total" k;
-  Events.log "fleet.canary_started"
-    ~fields:[ ("version", Trace.I version); ("canaries", Trace.I k) ];
+  Events.emit "fleet.canary_started" [ ("version", Trace.I version); ("canaries", Trace.I k) ];
   record_versions t;
   Canary_started { version; canaries = ids }
 
@@ -430,11 +413,8 @@ let promote t ~now_s =
   t.last_replacement_s <- now_s;
   t.rollouts <- t.rollouts + 1;
   Guard.campaign_succeeded t.guard;
-  Trace.mark "fleet.promoted"
-    ~attrs:[ ("version", Trace.I version); ("replicas", Trace.I (Array.length t.reps)) ];
-  Metrics.count "ocolos_fleet_rollouts_total" 1;
-  Events.log "fleet.promoted"
-    ~fields:[ ("version", Trace.I version); ("replicas", Trace.I (Array.length t.reps)) ];
+  Events.emit "fleet.promoted"
+    [ ("version", Trace.I version); ("replicas", Trace.I (Array.length t.reps)) ];
   record_versions t;
   Promoted { version; replicas = Array.length t.reps }
 
@@ -476,12 +456,8 @@ let rec roll_out t ~now_s ~stage ~result ~attempt = function
 
 (* The backoff elapsed: run the retry, counted here and nowhere else. *)
 let retry t ~now_s ~attempt ~point ~stage ~replica ~rest ~result =
-  let fields =
-    [ ("replica", Trace.I replica.id); ("attempt", Trace.I attempt); ("point", Trace.S point) ]
-  in
-  Trace.mark "fleet.retry" ~attrs:fields;
-  Metrics.count "ocolos_fleet_retries_total" 1;
-  Events.log "fleet.retry" ~fields;
+  Events.emit "fleet.retry"
+    [ ("replica", Trace.I replica.id); ("attempt", Trace.I attempt); ("point", Trace.S point) ];
   roll_out t ~now_s ~stage ~result ~attempt (replica :: rest)
 
 (* Profiling window complete: stop every replica's session, aggregate the
@@ -613,18 +589,17 @@ let finish_verify t ~now_s ~canaries ~result =
   t.last_readout <- Some { ro_version = version; ro_canary; ro_rest; ro_breach };
   export_cohort "canary" ro_canary;
   (match ro_rest with Some c -> export_cohort "rest" c | None -> ());
-  Events.log "fleet.verify_readout"
-    ~fields:
-      ([ ("version", Trace.I version);
-         ("canary_ipc_ratio", Trace.F ro_canary.co_ipc_ratio);
-         ( "rest_ipc_ratio",
-           Trace.F (match ro_rest with Some c -> c.co_ipc_ratio | None -> 0.0) );
-         ("canary_l1i_mpki", Trace.F ro_canary.co_l1i_mpki);
-         ("canary_taken_pki", Trace.F ro_canary.co_taken_pki) ]
-      @
-      match ro_breach with
-      | Some (signal, detail) -> [ ("breach", Trace.S signal); ("detail", Trace.S detail) ]
-      | None -> [ ("breach", Trace.S "none") ]);
+  Events.emit "fleet.verify_readout"
+    ([ ("version", Trace.I version);
+       ("canary_ipc_ratio", Trace.F ro_canary.co_ipc_ratio);
+       ( "rest_ipc_ratio",
+         Trace.F (match ro_rest with Some c -> c.co_ipc_ratio | None -> 0.0) );
+       ("canary_l1i_mpki", Trace.F ro_canary.co_l1i_mpki);
+       ("canary_taken_pki", Trace.F ro_canary.co_taken_pki) ]
+    @
+    match ro_breach with
+    | Some (signal, detail) -> [ ("breach", Trace.S signal); ("detail", Trace.S detail) ]
+    | None -> [ ("breach", Trace.S "none") ]);
   match ro_breach with
   | Some (_, reason) -> rollback t ~now_s ~reason
   | None ->
@@ -672,8 +647,7 @@ let tick t ~now_s =
                      ?fault:(Ocolos.config r.oc).Ocolos.fault r.proc))
             t.reps;
           t.phase <- Profiling { since = now_s };
-          Trace.mark "fleet.profiling_started" ~attrs:[ ("reason", Trace.S why) ];
-          Events.log "fleet.profiling_started" ~fields:[ ("reason", Trace.S why) ];
+          Events.emit "fleet.profiling_started" [ ("reason", Trace.S why) ];
           Started_profiling why
         end
         else begin

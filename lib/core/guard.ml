@@ -99,8 +99,7 @@ let allow_campaign t ~now_s =
   | Open { until_s } ->
     if now_s >= until_s then begin
       t.breaker <- Half_open;
-      Ocolos_obs.Trace.mark "guard.breaker_half_open";
-      Ocolos_obs.Events.log "guard.breaker_half_open";
+      Ocolos_obs.Events.emit "guard.breaker_half_open" [];
       export t;
       true
     end
@@ -110,15 +109,9 @@ let open_breaker t ~now_s =
   let cooldown = jittered t t.config.breaker_cooldown_s in
   t.breaker <- Open { until_s = now_s +. cooldown };
   t.breaker_opens <- t.breaker_opens + 1;
-  Ocolos_obs.Metrics.count "ocolos_guard_breaker_opens_total" 1;
-  Ocolos_obs.Trace.mark "guard.breaker_opened"
-    ~attrs:
-      [ ("consecutive_failures", Ocolos_obs.Trace.I t.consecutive_failures);
-        ("cooldown_s", Ocolos_obs.Trace.F cooldown) ];
-  Ocolos_obs.Events.log "guard.breaker_opened"
-    ~fields:
-      [ ("consecutive_failures", Ocolos_obs.Trace.I t.consecutive_failures);
-        ("cooldown_s", Ocolos_obs.Trace.F cooldown) ]
+  Ocolos_obs.Events.emit "guard.breaker_opened"
+    [ ("consecutive_failures", Ocolos_obs.Trace.I t.consecutive_failures);
+      ("cooldown_s", Ocolos_obs.Trace.F cooldown) ]
 
 let campaign_failed t ~now_s =
   t.consecutive_failures <- t.consecutive_failures + 1;
@@ -134,7 +127,7 @@ let campaign_failed t ~now_s =
 
 let campaign_succeeded t =
   if t.breaker <> Closed || t.consecutive_failures > 0 then
-    Ocolos_obs.Events.log "guard.breaker_closed";
+    Ocolos_obs.Events.emit "guard.breaker_closed" [];
   t.consecutive_failures <- 0;
   t.breaker <- Closed;
   t.tier <- `Full;
@@ -148,6 +141,14 @@ let quarantined t =
 let quarantined_count t = Hashtbl.length t.quarantine
 let is_quarantined t fid = Hashtbl.mem t.quarantine fid
 
+(* [point] names the failing pass, or the validator check that rejected. *)
+let enter_quarantine t fid ~point ~failures =
+  Hashtbl.replace t.quarantine fid ();
+  Ocolos_obs.Events.emit "guard.quarantined"
+    [ ("fid", Ocolos_obs.Trace.I fid);
+      ("point", Ocolos_obs.Trace.S point);
+      ("failures", Ocolos_obs.Trace.I failures) ]
+
 (* Fold one BOLT round's per-function failures ([Bolt.result.failed]) into
    the cumulative counts; a function reaching [quarantine_after] enters
    quarantine permanently. *)
@@ -156,20 +157,8 @@ let record_func_failures t failed =
     (fun (fid, point) ->
       let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.func_failures fid) in
       Hashtbl.replace t.func_failures fid n;
-      if n >= t.config.quarantine_after && not (Hashtbl.mem t.quarantine fid) then begin
-        Hashtbl.replace t.quarantine fid ();
-        Ocolos_obs.Metrics.count "ocolos_guard_quarantines_total" 1;
-        Ocolos_obs.Trace.mark "guard.quarantined"
-          ~attrs:
-            [ ("fid", Ocolos_obs.Trace.I fid);
-              ("point", Ocolos_obs.Trace.S point);
-              ("failures", Ocolos_obs.Trace.I n) ];
-        Ocolos_obs.Events.log "guard.quarantined"
-          ~fields:
-            [ ("fid", Ocolos_obs.Trace.I fid);
-              ("point", Ocolos_obs.Trace.S point);
-              ("failures", Ocolos_obs.Trace.I n) ]
-      end)
+      if n >= t.config.quarantine_after && not (Hashtbl.mem t.quarantine fid) then
+        enter_quarantine t fid ~point ~failures:n)
     failed;
   if failed <> [] then export t
 
@@ -184,18 +173,7 @@ let quarantine_now t fid ~reason =
   in
   Hashtbl.replace t.func_failures fid n;
   if not (Hashtbl.mem t.quarantine fid) then begin
-    Hashtbl.replace t.quarantine fid ();
-    Ocolos_obs.Metrics.count "ocolos_guard_quarantines_total" 1;
-    Ocolos_obs.Trace.mark "guard.quarantined"
-      ~attrs:
-        [ ("fid", Ocolos_obs.Trace.I fid);
-          ("point", Ocolos_obs.Trace.S reason);
-          ("failures", Ocolos_obs.Trace.I n) ];
-    Ocolos_obs.Events.log "guard.quarantined"
-      ~fields:
-        [ ("fid", Ocolos_obs.Trace.I fid);
-          ("point", Ocolos_obs.Trace.S reason);
-          ("failures", Ocolos_obs.Trace.I n) ];
+    enter_quarantine t fid ~point:reason ~failures:n;
     export t
   end
 
@@ -206,9 +184,7 @@ let trip_breaker t ~now_s ~reason =
   t.consecutive_failures <- t.consecutive_failures + 1;
   Ocolos_obs.Metrics.count "ocolos_guard_campaign_failures_total" 1;
   if t.tier = `Full then t.tier <- `Func_reorder_only;
-  Ocolos_obs.Trace.mark "guard.breaker_tripped" ~attrs:[ ("reason", Ocolos_obs.Trace.S reason) ];
-  Ocolos_obs.Events.log "guard.breaker_tripped"
-    ~fields:[ ("reason", Ocolos_obs.Trace.S reason) ];
+  Ocolos_obs.Events.emit "guard.breaker_tripped" [ ("reason", Ocolos_obs.Trace.S reason) ];
   (match t.breaker with Open _ -> () | Closed | Half_open -> open_breaker t ~now_s);
   export t
 
@@ -229,17 +205,10 @@ let check_deadline t ~phase ~seconds =
     if seconds > d then begin
       t.watchdog_trips <- t.watchdog_trips + 1;
       let name = match phase with `Perf2bolt -> "perf2bolt" | `Bolt -> "bolt" in
-      Ocolos_obs.Metrics.count ~labels:[ ("phase", name) ] "ocolos_guard_watchdog_trips_total" 1;
-      Ocolos_obs.Trace.mark "guard.watchdog_tripped"
-        ~attrs:
-          [ ("phase", Ocolos_obs.Trace.S name);
-            ("seconds", Ocolos_obs.Trace.F seconds);
-            ("deadline_s", Ocolos_obs.Trace.F d) ];
-      Ocolos_obs.Events.log "guard.watchdog_tripped"
-        ~fields:
-          [ ("phase", Ocolos_obs.Trace.S name);
-            ("seconds", Ocolos_obs.Trace.F seconds);
-            ("deadline_s", Ocolos_obs.Trace.F d) ];
+      Ocolos_obs.Events.emit "guard.watchdog_tripped"
+        [ ("phase", Ocolos_obs.Trace.S name);
+          ("seconds", Ocolos_obs.Trace.F seconds);
+          ("deadline_s", Ocolos_obs.Trace.F d) ];
       true
     end
     else false

@@ -27,6 +27,7 @@ open Ocolos_profiler
 open Ocolos_bolt
 module Trace = Ocolos_obs.Trace
 module Metrics = Ocolos_obs.Metrics
+module Events = Ocolos_obs.Events
 
 type config = {
   bolt : Bolt.config;
@@ -204,15 +205,6 @@ let stop_profiling t =
     in
     (profile, seconds)
 
-(* A fault that fired at [point] (its [hit]th hit): one trace instant, one
-   [ocolos_fault_fired_total] tick and one [fault.fired] event. Shared by
-   the stop-the-world cuts and BOLT's silent-miscompile points. *)
-let fault_fired point hit =
-  let attrs = [ ("point", Trace.S point); ("hit", Trace.I hit) ] in
-  Trace.mark "fault.fired" ~attrs;
-  Metrics.count ~labels:[ ("point", point) ] "ocolos_fault_fired_total" 1;
-  Ocolos_obs.Events.log "fault.fired" ~fields:attrs
-
 (* ---- BOLT (background) ---- *)
 
 (* Degradation tiers (supervisor-driven): [`Full] is the configured BOLT;
@@ -280,14 +272,10 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
           match Ocolos_util.Fault.cut f point with
           | () -> result
           | exception Ocolos_util.Fault.Injected (p, hit) ->
-            fault_fired p hit;
+            Events.emit "fault.fired" [ ("point", Trace.S p); ("hit", Trace.I hit) ];
             let result, mutations = Miscompile.apply ~point:p ~salt:hit result in
-            Ocolos_obs.Events.log "bolt.miscompile.applied"
-              ~fields:
-                [ ("point", Ocolos_obs.Trace.S p);
-                  ("mutations", Ocolos_obs.Trace.I mutations) ];
-            Ocolos_obs.Metrics.count ~labels:[ ("point", p) ]
-              "ocolos_miscompile_mutations_total" mutations;
+            Events.emit "bolt.miscompile.applied"
+              [ ("point", Trace.S p); ("mutations", Trace.I mutations) ];
             result)
         result Miscompile.points
   in
@@ -313,24 +301,18 @@ let validate_result t (result : Bolt.result) =
   Ocolos_obs.Trace.set_attr sp "funcs" (Ocolos_obs.Trace.I report.Validate.rp_funcs);
   Ocolos_obs.Trace.set_attr sp "rejections"
     (Ocolos_obs.Trace.I (List.length report.Validate.rp_rejections));
-  Ocolos_obs.Metrics.count "ocolos_validate_runs_total" 1;
-  Ocolos_obs.Metrics.count "ocolos_validate_funcs_total" report.Validate.rp_funcs;
   List.iter
     (fun (rj : Validate.rejection) ->
-      Ocolos_obs.Metrics.count ~labels:[ ("check", rj.Validate.rj_check) ]
-        "ocolos_validate_rejections_total" 1;
-      Ocolos_obs.Events.log "validate.reject"
-        ~fields:
-          [ ("fid", Ocolos_obs.Trace.I rj.Validate.rj_fid);
-            ("check", Ocolos_obs.Trace.S rj.Validate.rj_check);
-            ("reason", Ocolos_obs.Trace.S rj.Validate.rj_reason) ])
+      Events.emit "validate.reject"
+        [ ("fid", Trace.I rj.Validate.rj_fid);
+          ("check", Trace.S rj.Validate.rj_check);
+          ("reason", Trace.S rj.Validate.rj_reason) ])
     report.Validate.rp_rejections;
-  Ocolos_obs.Events.log "validate.verdict"
-    ~fields:
-      [ ("ok", Ocolos_obs.Trace.B (Validate.ok report));
-        ("funcs", Ocolos_obs.Trace.I report.Validate.rp_funcs);
-        ("blocks", Ocolos_obs.Trace.I report.Validate.rp_blocks);
-        ("rejections", Ocolos_obs.Trace.I (List.length report.Validate.rp_rejections)) ];
+  Events.emit "validate.verdict"
+    [ ("ok", Trace.B (Validate.ok report));
+      ("funcs", Trace.I report.Validate.rp_funcs);
+      ("blocks", Trace.I report.Validate.rp_blocks);
+      ("rejections", Trace.I (List.length report.Validate.rp_rejections)) ];
   report
 
 (* ---- code replacement ---- *)
@@ -390,13 +372,10 @@ let cut t point =
     Metrics.count ~labels:[ ("point", point) ] "ocolos_fault_cuts_total" 1;
     try Ocolos_util.Fault.cut f point with
     | Ocolos_util.Fault.Injected (p, hit) as e ->
-      fault_fired p hit;
+      Events.emit "fault.fired" [ ("point", Trace.S p); ("hit", Trace.I hit) ];
       raise e
     | Ocolos_util.Fault.Killed (p, hit) as e ->
-      Trace.mark "fault.killed" ~attrs:[ ("point", Trace.S p); ("hit", Trace.I hit) ];
-      Metrics.count ~labels:[ ("point", p) ] "ocolos_fault_killed_total" 1;
-      Ocolos_obs.Events.log "fault.killed"
-        ~fields:[ ("point", Trace.S p); ("hit", Trace.I hit) ];
+      Events.emit "fault.killed" [ ("point", Trace.S p); ("hit", Trace.I hit) ];
       raise e)
 
 let in_range (s, e) addr = addr >= s && addr < e
@@ -1263,22 +1242,18 @@ let replace_code t (result : Bolt.result) : replacement_stats =
   let pause_seconds = Cost.pause_seconds t.config.cost ~sites ~bytes:bytes_injected in
   Trace.set_attr stw_sp "version" (Trace.I t.version);
   Trace.set_attr stw_sp "pause_seconds" (Trace.F pause_seconds);
-  Metrics.count "ocolos_replacements_total" 1;
   Metrics.count "ocolos_vtable_entries_patched_total" !vt_patched;
   Metrics.count "ocolos_call_sites_patched_total" !sites_patched;
   Metrics.count "ocolos_code_bytes_injected_total" bytes_injected;
   Metrics.count "ocolos_gc_bytes_freed_total" !gc_bytes;
-  Metrics.count "ocolos_frames_migrated_total" !frames_migrated;
-  Metrics.count "ocolos_osr_stubs_total" ctx.ox_stub_count;
   Metrics.sample ~buckets:Metrics.pause_buckets "ocolos_replace_pause_seconds" pause_seconds;
-  Ocolos_obs.Events.log "osr.migrate"
-    ~fields:
-      [ ("round", Trace.I ctx.ox_round);
-        ("version", Trace.I t.version);
-        ("frames", Trace.I !frames_migrated);
-        ("stubs", Trace.I ctx.ox_stub_count);
-        ("copies", Trace.I ctx.ox_copy_count);
-        ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
+  Events.emit "osr.migrate"
+    [ ("round", Trace.I ctx.ox_round);
+      ("version", Trace.I t.version);
+      ("frames", Trace.I !frames_migrated);
+      ("stubs", Trace.I ctx.ox_stub_count);
+      ("copies", Trace.I ctx.ox_copy_count);
+      ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
   Proc.resume proc;
   { version = t.version;
     vtable_entries_patched = !vt_patched;
@@ -1697,18 +1672,15 @@ let revert t (s : snapshot) : revert_stats =
   let sites = !vt_patched + !sites_patched in
   let pause_seconds = Cost.pause_seconds t.config.cost ~sites ~bytes:!reinjected in
   Trace.set_attr sp "pause_seconds" (Trace.F pause_seconds);
-  Metrics.count "ocolos_reverts_total" 1;
   Metrics.count "ocolos_code_bytes_reinjected_total" !reinjected;
   Metrics.count "ocolos_gc_bytes_freed_total" !gc_bytes;
-  Metrics.count "ocolos_frames_migrated_total" frames_migrated;
   Metrics.sample ~buckets:Metrics.pause_buckets "ocolos_replace_pause_seconds" pause_seconds;
-  Ocolos_obs.Events.log "osr.revert"
-    ~fields:
-      [ ("round", Trace.I ctx.ox_round);
-        ("to_version", Trace.I s.sn_version);
-        ("frames", Trace.I frames_migrated);
-        ("copies", Trace.I ctx.ox_copy_count);
-        ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
+  Events.emit "osr.revert"
+    [ ("round", Trace.I ctx.ox_round);
+      ("to_version", Trace.I s.sn_version);
+      ("frames", Trace.I frames_migrated);
+      ("copies", Trace.I ctx.ox_copy_count);
+      ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
   Proc.resume proc;
   { rv_from_version = from_version;
     rv_to_version = s.sn_version;

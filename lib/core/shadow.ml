@@ -79,11 +79,9 @@ let arm prepared oc (result : Ocolos_bolt.Bolt.result) =
         fm.Frame_map.fm_blocks;
       Frame_map.iter_exact (fun o n -> Hashtbl.replace xlat o n) fm)
     result.Ocolos_bolt.Bolt.frame_maps;
-  Metrics.count "ocolos_shadow_armed_total" 1;
-  Events.log "shadow.armed"
-    ~fields:
-      [ ("window", Trace.I prepared.pre_cfg.window);
-        ("funcs", Trace.I (List.length result.Ocolos_bolt.Bolt.frame_maps)) ];
+  Events.emit "shadow.armed"
+    [ ("window", Trace.I prepared.pre_cfg.window);
+      ("funcs", Trace.I (List.length result.Ocolos_bolt.Bolt.frame_maps)) ];
   { cfg = prepared.pre_cfg;
     ref_proc = prepared.pre_proc;
     new_proc = np;
@@ -235,20 +233,14 @@ let check t =
       t.ref_proc.Proc.mem.Addr_space.data
   end;
   let verdict = match !divergence with None -> Match | Some r -> Divergence r in
-  Metrics.count "ocolos_shadow_checks_total" 1;
   Trace.set_attr sp "ok" (Trace.B (verdict = Match));
   (match verdict with
-  | Match ->
-    Events.log "shadow.verdict"
-      ~fields:[ ("ok", Trace.B true); ("window", Trace.I t.cfg.window) ]
+  | Match -> Events.emit "shadow.verdict" [ ("ok", Trace.B true); ("window", Trace.I t.cfg.window) ]
   | Divergence reason ->
     Metrics.count "ocolos_shadow_divergences_total" 1;
     Trace.set_attr sp "reason" (Trace.S reason);
-    Events.log "shadow.verdict"
-      ~fields:
-        [ ("ok", Trace.B false);
-          ("window", Trace.I t.cfg.window);
-          ("reason", Trace.S reason) ]);
+    Events.emit "shadow.verdict"
+      [ ("ok", Trace.B false); ("window", Trace.I t.cfg.window); ("reason", Trace.S reason) ]);
   verdict
 
 let pp_verdict fmt = function

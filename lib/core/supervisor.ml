@@ -40,13 +40,11 @@ let kill_at ~(fault : Ocolos_util.Fault.t) ~point ?(schedule = Ocolos_util.Fault
       | _ -> loop (i + 1)
       | exception Ocolos_util.Fault.Killed (p, hit) ->
         Ocolos_util.Fault.disarm fault point;
-        Ocolos_obs.Trace.mark "supervisor.daemon_died"
-          ~attrs:
-            [ ("point", Ocolos_obs.Trace.S p);
-              ("hit", Ocolos_obs.Trace.I hit);
-              ("tick", Ocolos_obs.Trace.I i);
-              ("mixed", Ocolos_obs.Trace.B (Fleet.mixed fleet)) ];
-        Ocolos_obs.Metrics.count "ocolos_supervisor_deaths_total" 1;
+        Ocolos_obs.Events.emit "supervisor.daemon_died"
+          [ ("point", Ocolos_obs.Trace.S p);
+            ("hit", Ocolos_obs.Trace.I hit);
+            ("tick", Ocolos_obs.Trace.I i);
+            ("mixed", Ocolos_obs.Trace.B (Fleet.mixed fleet)) ];
         Died { d_point = p; d_hit = hit; d_tick = i }
   in
   loop 0

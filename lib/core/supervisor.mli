@@ -24,8 +24,9 @@ type kill_outcome = Died of death | Survived  (** point never reached *)
     ([schedule] defaults to [Nth 1]) and drives {!Fleet.tick} — [step i]
     advances the replicas and returns the simulated time for tick [i] —
     until {!Ocolos_util.Fault.Killed} escapes a tick or the tick budget is
-    spent. The point is disarmed on exit either way. A death is marked
-    [supervisor.daemon_died] with a [mixed] attr. *)
+    spent. The point is disarmed on exit either way. A death is one
+    [supervisor.daemon_died] emit — trace instant, event and
+    [ocolos_supervisor_deaths_total] — with point, hit, tick and mixed. *)
 val kill_at :
   fault:Ocolos_util.Fault.t ->
   point:string ->

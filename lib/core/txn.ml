@@ -68,7 +68,6 @@ let restore_threads (proc : Proc.t) snaps =
     snaps
 
 module Trace = Ocolos_obs.Trace
-module Metrics = Ocolos_obs.Metrics
 module Events = Ocolos_obs.Events
 
 (* The decoded-block engine invalidates its cache through the address-space
@@ -98,7 +97,7 @@ let replace_code ?verify (oc : Ocolos.t) (result : Ocolos_bolt.Bolt.result) =
   let oc_snap = Ocolos.snapshot oc in
   let th_snap = snapshot_threads proc in
   Addr_space.begin_journal mem;
-  Events.log "txn.begin" ~fields:[ ("incumbent", Trace.I (Ocolos.version oc)) ];
+  Events.emit "txn.begin" [ ("incumbent", Trace.I (Ocolos.version oc)) ];
   let undo () =
     let undone = Addr_space.rollback_journal mem in
     restore_threads proc th_snap;
@@ -120,34 +119,21 @@ let replace_code ?verify (oc : Ocolos.t) (result : Ocolos_bolt.Bolt.result) =
       Trace.set_attr txn_sp "outcome" (Trace.S "committed");
       Trace.set_attr txn_sp "version" (Trace.I stats.Ocolos.version);
       Trace.set_attr txn_sp "journaled" (Trace.I journaled);
-      Metrics.count "ocolos_txn_commits_total" 1;
-      Events.log "txn.commit"
-        ~fields:
-          [ ("version", Trace.I stats.Ocolos.version); ("journaled", Trace.I journaled) ];
+      Events.emit "txn.commit"
+        [ ("version", Trace.I stats.Ocolos.version); ("journaled", Trace.I journaled) ];
       Committed stats
     | Error reason ->
       let undone = undo () in
       Trace.set_attr txn_sp "outcome" (Trace.S "diverged");
-      Trace.mark "txn.diverged"
-        ~attrs:[ ("reason", Trace.S reason); ("undone", Trace.I undone) ];
-      Metrics.count "ocolos_txn_divergence_rollbacks_total" 1;
-      Metrics.count "ocolos_txn_mutations_undone_total" undone;
-      Events.log "txn.diverged"
-        ~fields:[ ("reason", Trace.S reason); ("undone", Trace.I undone) ];
+      Events.emit "txn.diverged" [ ("reason", Trace.S reason); ("undone", Trace.I undone) ];
       Diverged { dv_reason = reason; dv_undone = undone })
   | exception e ->
     let undone = undo () in
     (match e with
     | Ocolos_util.Fault.Injected (point, hit) ->
       Trace.set_attr txn_sp "outcome" (Trace.S "rolled_back");
-      Trace.mark "txn.rollback"
-        ~attrs:
-          [ ("point", Trace.S point); ("hit", Trace.I hit); ("undone", Trace.I undone) ];
-      Metrics.count "ocolos_txn_rollbacks_total" 1;
-      Metrics.count "ocolos_txn_mutations_undone_total" undone;
-      Events.log "txn.rollback"
-        ~fields:
-          [ ("point", Trace.S point); ("hit", Trace.I hit); ("undone", Trace.I undone) ];
+      Events.emit "txn.rollback"
+        [ ("point", Trace.S point); ("hit", Trace.I hit); ("undone", Trace.I undone) ];
       Rolled_back { rb_point = point; rb_hit = hit; rb_undone = undone }
     | e -> raise e)
 

@@ -1,4 +1,5 @@
-(** Structured event log: one JSON object per line (JSONL), byte-stable.
+(** Structured event log: one JSON object per line (JSONL), byte-stable,
+    and {!emit}, the one instrumentation call of the pipeline.
 
     Where {!Trace} captures durations for a timeline UI and {!Metrics}
     captures aggregates for dashboards, this log captures the pipeline's
@@ -6,6 +7,11 @@
     query engine: profile windows opening and closing, each BOLT pass,
     every transaction phase and fault injection, guard state transitions,
     and canary promote/rollback/recover actions at fleet scale.
+
+    Pipeline code reports an occurrence once, with {!emit}: the {!catalog}
+    row for its type decides whether it is also a trace instant and which
+    counters it feeds, so the instant, the event and the counters can never
+    disagree. The catalog is the list of event types and their counters.
 
     Every event cross-links into the Chrome/Perfetto export: its [ts_us]
     is read from the ambient {!Trace} clock (without ticking it, so
@@ -16,8 +22,8 @@
     the replica's Perfetto process track.
 
     Like the other sinks, a log can be {!install}ed as the ambient event
-    log; {!log} then feeds it, or cheaply does nothing when none is
-    installed. Sequence numbers and the simulated clock are the only time
+    log, which {!emit} feeds; with nothing installed it cheaply does
+    nothing. Sequence numbers and the simulated clock are the only time
     sources, so two identical seeded runs emit byte-identical JSONL. *)
 
 type event = {
@@ -55,5 +61,28 @@ val install : t -> unit
 val uninstall : unit -> unit
 val installed : unit -> t option
 
-(** Ambient {!record}; a no-op when no log is installed. *)
-val log : ?fields:(string * Trace.value) list -> string -> unit
+(** {2 The event catalog} *)
+
+(** How much one occurrence adds to a counter family: [1], or the value of
+    the named int field. *)
+type increment = One | Field of string
+
+(** A counter family fed by an event type; its label values are the named
+    string fields. *)
+type family = { family : string; by : increment; labels : string list }
+
+(** One row per event type: whether an occurrence is also a trace instant
+    (with the event's fields as args), and the counter families it feeds.
+    A counter family is fed either here or by direct {!Metrics} calls,
+    never both. *)
+type kind = { instant : bool; counters : family list }
+
+val catalog : (string * kind) list
+
+(** [emit type_ fields] reports one occurrence: the trace instant first
+    (when the row says so; its tick decides the event's [ts_us]), then the
+    event, with the same fields, then the row's counters — each to the
+    ambient sink, if any is installed. Raises [Invalid_argument] for a type
+    missing from {!catalog}, or a counter field missing or of the wrong
+    type. *)
+val emit : string -> (string * Trace.value) list -> unit

@@ -142,9 +142,6 @@ let close_span ?attrs sp =
 
 let set_attr sp k v = match sp with Some sp -> add_attr sp k v | None -> ()
 
-let mark ?attrs name =
-  match !current with Some t -> instant t ?attrs name | None -> ()
-
 let plot name series =
   match !current with Some t -> counter t name series | None -> ()
 

@@ -14,8 +14,10 @@
 
     Instrumented code does not thread a trace handle through every call:
     one trace can be {!install}ed as the ambient current trace, and the
-    lower-case helpers ({!span}, {!open_span}, {!mark}, {!plot}, {!clock})
-    write to it — or do nothing, cheaply, when no trace is installed. *)
+    lower-case helpers ({!span}, {!open_span}, {!plot}, {!clock}) write to
+    it — or do nothing, cheaply, when no trace is installed. Pipeline code
+    never writes an instant itself: {!Events.emit} writes it, together with
+    the matching event and counters. *)
 
 type value = S of string | I of int | F of float | B of bool
 
@@ -96,9 +98,6 @@ val span : ?attrs:(string * value) list -> string -> (span option -> 'a) -> 'a
 val open_span : ?attrs:(string * value) list -> string -> span option
 val close_span : ?attrs:(string * value) list -> span option -> unit
 val set_attr : span option -> string -> value -> unit
-
-(** Ambient {!instant}. *)
-val mark : ?attrs:(string * value) list -> string -> unit
 
 (** Ambient {!counter}. *)
 val plot : string -> (string * float) list -> unit

@@ -128,10 +128,8 @@ let start ?(cfg = default_config) ?fault proc =
     | None -> ()
   in
   proc.Ocolos_proc.Proc.hooks.on_taken_branch <- Some hook;
-  Ocolos_obs.Events.log "profile.window_open"
-    ~fields:
-      [ ("sample_period", Ocolos_obs.Trace.I cfg.sample_period);
-        ("threads", Ocolos_obs.Trace.I n) ];
+  Ocolos_obs.Events.emit "profile.window_open"
+    [ ("sample_period", Ocolos_obs.Trace.I cfg.sample_period); ("threads", Ocolos_obs.Trace.I n) ];
   session
 
 (* Detach and return the collected samples, oldest first. A Killed stashed
@@ -142,11 +140,9 @@ let stop session =
   detach session;
   Ocolos_obs.Trace.close_span session.sp
     ~attrs:[ ("samples", Ocolos_obs.Trace.I session.nsamples) ];
-  Ocolos_obs.Metrics.count "ocolos_perf_samples_total" session.nsamples;
-  Ocolos_obs.Events.log "profile.window_close"
-    ~fields:
-      [ ("samples", Ocolos_obs.Trace.I session.nsamples);
-        ("detached_by_fault", Ocolos_obs.Trace.B (session.killed <> None)) ];
+  Ocolos_obs.Events.emit "profile.window_close"
+    [ ("samples", Ocolos_obs.Trace.I session.nsamples);
+      ("detached_by_fault", Ocolos_obs.Trace.B (session.killed <> None)) ];
   match session.killed with
   | Some e -> raise e
   | None -> List.rev session.samples

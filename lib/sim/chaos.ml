@@ -254,12 +254,11 @@ let kill_run cfg ~seed ~point =
   with
   | Supervisor.Survived -> None
   | Supervisor.Died death ->
-    Events.log "chaos.daemon_killed"
-      ~fields:
-        [ ("point", Ocolos_obs.Trace.S death.Supervisor.d_point);
-          ("hit", Ocolos_obs.Trace.I death.Supervisor.d_hit);
-          ("tick", Ocolos_obs.Trace.I death.Supervisor.d_tick);
-          ("survivor_version", Ocolos_obs.Trace.I (version fleet)) ];
+    Events.emit "chaos.daemon_killed"
+      [ ("point", Ocolos_obs.Trace.S death.Supervisor.d_point);
+        ("hit", Ocolos_obs.Trace.I death.Supervisor.d_hit);
+        ("tick", Ocolos_obs.Trace.I death.Supervisor.d_tick);
+        ("survivor_version", Ocolos_obs.Trace.I (version fleet)) ];
     Some (death, version fleet, finish cfg proc buf)
 
 (* Reference run: same seed, nothing armed. The scheduler hands out quantum
@@ -321,8 +320,8 @@ let convergence_run cfg ~seed ~point =
       Supervisor.restart ~config:(fleet_config cfg) ~ocolos_config:(ocolos_config ~fault)
         ~guard:(Fleet.guard fleet) [| proc |]
     in
-    Events.log "chaos.daemon_restarted"
-      ~fields:[ ("point", Ocolos_obs.Trace.S point); ("seed", Ocolos_obs.Trace.I seed) ];
+    Events.emit "chaos.daemon_restarted"
+      [ ("point", Ocolos_obs.Trace.S point); ("seed", Ocolos_obs.Trace.I seed) ];
     Some (Supervisor.run_to_convergence fleet' ~step ~max_ticks:cfg.max_ticks)
 
 (* ---- scenarios and sweeps ---- *)
@@ -401,23 +400,15 @@ let fleet_scenario ?(config = default_config) ?(replicas = 4) ?schedule ~seed ~p
   | Supervisor.Survived -> Fleet_not_reached
   | Supervisor.Died death ->
     let mixed_at_death = Fleet.mixed fleet in
-    Events.log "chaos.daemon_killed"
-      ~fields:
-        [ ("point", Ocolos_obs.Trace.S death.Supervisor.d_point);
-          ("hit", Ocolos_obs.Trace.I death.Supervisor.d_hit);
-          ("tick", Ocolos_obs.Trace.I death.Supervisor.d_tick);
-          ("mixed", Ocolos_obs.Trace.B mixed_at_death) ];
     let fleet' =
       Supervisor.restart ~config:(fleet_config config) ~ocolos_config:(ocolos_config ~fault)
         ~guard:(Fleet.guard fleet) procs
     in
-    Events.log "chaos.daemon_restarted"
-      ~fields:
-        [ ("point", Ocolos_obs.Trace.S point);
-          ("reverted",
-           Ocolos_obs.Trace.S
-             (String.concat ";"
-                (List.map string_of_int (Fleet.reverted_on_reattach fleet')))) ];
+    Events.emit "chaos.daemon_restarted"
+      [ ("point", Ocolos_obs.Trace.S point);
+        ("reverted",
+         Ocolos_obs.Trace.S
+           (String.concat ";" (List.map string_of_int (Fleet.reverted_on_reattach fleet')))) ];
     let convergence = Supervisor.run_to_convergence fleet' ~step ~max_ticks:config.max_ticks in
     Fleet_verified
       { fo_death = death;

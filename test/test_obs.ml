@@ -113,16 +113,17 @@ let test_clock_monotonic () =
 let test_ambient_helpers_noop_when_uninstalled () =
   Trace.uninstall ();
   Metrics.uninstall ();
+  Events.uninstall ();
   let got = Trace.span "x" (fun sp -> sp) in
   Alcotest.(check bool) "span passes None" true (got = None);
-  Trace.mark "nothing";
+  Events.emit "fault.fired" [ ("point", Trace.S "p"); ("hit", Trace.I 1) ];
   Trace.plot "nothing" [ ("v", 1.0) ];
   Trace.clock 5.0;
   Metrics.count "c" 1;
   Metrics.record "g" 1.0;
   Metrics.sample ~buckets:[| 1.0 |] "h" 0.5;
   Alcotest.(check bool) "nothing installed" true
-    (Trace.installed () = None && Metrics.installed () = None)
+    (Trace.installed () = None && Metrics.installed () = None && Events.installed () = None)
 
 (* ---- metrics registry ---- *)
 
@@ -427,16 +428,12 @@ let test_event_jsonl_format () =
   let tr = Trace.create () in
   let ev = Events.create () in
   Trace.install tr;
-  Events.install ev;
   Fun.protect
-    ~finally:(fun () ->
-      Trace.uninstall ();
-      Events.uninstall ())
+    ~finally:(fun () -> Trace.uninstall ())
     (fun () ->
-      Events.log "first";
-      Trace.with_span tr "outer" (fun sp ->
-          Events.log "inner" ~fields:[ ("k", Trace.S "v"); ("n", Trace.I 3) ];
-          ignore sp));
+      Events.record ev "first";
+      Trace.with_span tr "outer" (fun _ ->
+          Events.record ev "inner" ~fields:[ ("k", Trace.S "v"); ("n", Trace.I 3) ]));
   match Events.events ev with
   | [ e1; e2 ] ->
     Alcotest.(check string) "bare event golden"
@@ -450,6 +447,168 @@ let test_event_jsonl_format () =
       (Events.event_to_string e1 ^ "\n" ^ Events.event_to_string e2 ^ "\n")
       (Events.to_jsonl ev)
   | l -> Alcotest.failf "expected two events, got %d" (List.length l)
+
+(* ---- the one emit point and its catalog ---- *)
+
+(* Run [f] with a fresh trace, event log and registry installed. *)
+let with_sinks f =
+  let tr = Trace.create () and ev = Events.create () and reg = Metrics.create () in
+  Trace.install tr;
+  Events.install ev;
+  Metrics.install reg;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.uninstall ();
+      Events.uninstall ();
+      Metrics.uninstall ())
+    f;
+  (tr, ev, reg)
+
+let test_emit () =
+  let drop_block n =
+    [ ("point", Trace.S "bolt.miscompile.drop_block"); ("mutations", Trace.I n) ]
+  in
+  let tr, ev, reg =
+    with_sinks (fun () ->
+        Events.emit "txn.rollback"
+          [ ("point", Trace.S "vtable_patch"); ("hit", Trace.I 2); ("undone", Trace.I 5) ];
+        Events.emit "bolt.miscompile.applied" (drop_block 3);
+        Events.emit "bolt.miscompile.applied" (drop_block 4))
+  in
+  (* Only txn.rollback is also an instant; its tick puts the event at 1. *)
+  Alcotest.(check string) "instant bytes"
+    "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"ocolos\"}},{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"pipeline\"}},{\"ph\":\"i\",\"s\":\"t\",\"name\":\"txn.rollback\",\"cat\":\"ocolos\",\"ts\":0,\"pid\":1,\"tid\":1,\"args\":{\"point\":\"vtable_patch\",\"hit\":2,\"undone\":5}}],\"displayTimeUnit\":\"ms\"}"
+    (Chrome.to_string tr);
+  Alcotest.(check string) "event bytes"
+    "{\"seq\":0,\"ts_us\":1,\"type\":\"txn.rollback\",\"span\":null,\"fields\":{\"point\":\"vtable_patch\",\"hit\":2,\"undone\":5}}\n\
+     {\"seq\":1,\"ts_us\":1,\"type\":\"bolt.miscompile.applied\",\"span\":null,\"fields\":{\"point\":\"bolt.miscompile.drop_block\",\"mutations\":3}}\n\
+     {\"seq\":2,\"ts_us\":1,\"type\":\"bolt.miscompile.applied\",\"span\":null,\"fields\":{\"point\":\"bolt.miscompile.drop_block\",\"mutations\":4}}\n"
+    (Events.to_jsonl ev);
+  Alcotest.(check string) "counter bytes"
+    "# TYPE ocolos_miscompile_mutations_total counter\n\
+     ocolos_miscompile_mutations_total{point=\"bolt.miscompile.drop_block\"} 7\n\
+     # TYPE ocolos_txn_mutations_undone_total counter\n\
+     ocolos_txn_mutations_undone_total 5\n\
+     # TYPE ocolos_txn_rollbacks_total counter\n\
+     ocolos_txn_rollbacks_total 1\n"
+    (Metrics.to_prometheus reg);
+  Alcotest.check_raises "unknown type"
+    (Invalid_argument "Events.emit: unknown event type txn.rolback") (fun () ->
+      Events.emit "txn.rolback" []);
+  let tr, ev, _ =
+    with_sinks (fun () ->
+        Trace.in_replica 2 (fun () ->
+            Events.emit "fleet.campaign_aborted" [ ("reason", Trace.S "watchdog") ]))
+  in
+  let tagged = [ ("reason", Trace.S "watchdog"); ("replica", Trace.I 2) ] in
+  match (Trace.events tr, Events.events ev) with
+  | [ i ], [ e ] ->
+    Alcotest.(check bool) "instant tagged" true (i.Trace.ev_args = tagged);
+    Alcotest.(check bool) "event tagged" true (e.Events.e_fields = tagged)
+  | _ -> Alcotest.fail "expected one instant and one event"
+
+(* Every instant of a 4-replica injected-regression fleet run has its event,
+   with the same type and fields, in order; every catalog-fed counter in the
+   registry equals its sum recomputed from the event log, so no family is
+   also fed by a direct [Metrics.count]. *)
+let test_catalog_consistency () =
+  let config =
+    { Fleet.default_config with
+      Fleet.canary_fraction = 0.25;
+      canary_ipc_scale = 0.5;
+      daemon =
+        { Daemon.default_config with
+          Daemon.profile_s = 1.0;
+          warmup_s = 0.5;
+          min_interval_s = 2.0 } }
+  in
+  let tr, ev, reg =
+    with_sinks (fun () ->
+        let report, _ = Ocolos_sim.Fleet_driver.run ~replicas:4 ~seed:2 ~ticks:5 ~config () in
+        Alcotest.(check bool) "rolled back" true (report.Ocolos_sim.Fleet_driver.fd_rollbacks > 0))
+  in
+  let kind type_ = List.assoc type_ Events.catalog in
+  let show (name, fields) =
+    let value = function
+      | Trace.S s -> s
+      | Trace.I i -> string_of_int i
+      | Trace.F f -> string_of_float f
+      | Trace.B b -> string_of_bool b
+    in
+    String.concat " " (name :: List.map (fun (k, v) -> k ^ "=" ^ value v) fields)
+  in
+  let instants =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.ev_kind = Trace.Instant then Some (e.Trace.ev_name, e.Trace.ev_args) else None)
+      (Trace.events tr)
+  in
+  let instant_events =
+    List.filter_map
+      (fun (e : Events.event) ->
+        if (kind e.Events.e_type).Events.instant then Some (e.Events.e_type, e.Events.e_fields)
+        else None)
+      (Events.events ev)
+  in
+  Alcotest.(check bool) "has rolled_back instant" true
+    (List.mem_assoc "fleet.rolled_back" instants);
+  Alcotest.(check (list string)) "instants = instant events"
+    (List.map show instants) (List.map show instant_events);
+  (* Recompute each catalog family from the log. *)
+  let derived = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Events.event) ->
+      List.iter
+        (fun (f : Events.family) ->
+          let field name = List.assoc name e.Events.e_fields in
+          let labels =
+            List.sort compare
+              (List.map
+                 (fun l -> match field l with Trace.S s -> (l, s) | _ -> assert false)
+                 f.Events.labels)
+          in
+          let n =
+            match f.Events.by with
+            | Events.One -> 1
+            | Events.Field name -> ( match field name with Trace.I n -> n | _ -> assert false)
+          in
+          let key = (f.Events.family, labels) in
+          Hashtbl.replace derived key (n + Option.value ~default:0 (Hashtbl.find_opt derived key)))
+        (kind e.Events.e_type).Events.counters)
+    (Events.events ev);
+  let families =
+    List.concat_map
+      (fun (_, (k : Events.kind)) ->
+        List.map (fun (f : Events.family) -> f.Events.family) k.Events.counters)
+      Events.catalog
+  in
+  let registry =
+    match Metrics.to_json reg with
+    | Json.Obj [ ("metrics", Json.List ms) ] ->
+      List.filter_map
+        (function
+          | Json.Obj
+              [ ("name", Json.String name);
+                ("labels", Json.Obj labels);
+                ("type", Json.String "counter");
+                ("value", Json.Int v) ]
+            when List.mem name families ->
+            Some
+              ( ( name,
+                  List.map (function k, Json.String s -> (k, s) | _ -> assert false) labels ),
+                v )
+          | _ -> None)
+        ms
+    | _ -> Alcotest.fail "unexpected registry JSON"
+  in
+  Alcotest.(check bool) "some catalog counters" true (List.length registry > 5);
+  List.iter
+    (fun ((name, labels), v) ->
+      Alcotest.(check int) name v
+        (Option.value ~default:0 (Hashtbl.find_opt derived (name, labels))))
+    registry;
+  Alcotest.(check int) "every derived counter registered" (Hashtbl.length derived)
+    (List.length registry)
 
 (* ---- per-replica Perfetto process tracks ---- *)
 
@@ -691,6 +850,9 @@ let suite =
     Alcotest.test_case "event log covers the pipeline and cross-links spans" `Quick
       test_event_log_covers_pipeline_and_cross_links;
     Alcotest.test_case "event JSONL format golden" `Quick test_event_jsonl_format;
+    Alcotest.test_case "emit writes instant, event and counters" `Quick test_emit;
+    Alcotest.test_case "catalog consistent over a fleet rollback" `Quick
+      test_catalog_consistency;
     Alcotest.test_case "chrome gives replicas their own pids" `Quick test_chrome_replica_pids;
     Alcotest.test_case "layout health matches hand computation" `Quick
       test_layout_health_hand_computed;
