@@ -16,7 +16,11 @@
     retires as coverage grows (even for never-returning entry functions),
     and after convergence exactly one code version is resident; transient
     stub/copy residue and the jump-table words it still reads are reaped by
-    a reachability-proven GC as frames drain.
+    a reachability-proven GC as frames drain, and the post-GC reachability
+    scan runs after every round that retires text. A commit and a
+    {!revert} run the same two {!Osr} steps — migrate, then retire — and
+    differ only in the doomed text, the desired entries, the frame maps and
+    the fault cut.
 
     This module holds the mechanisms. The policy that decides whether a
     BOLT result may reach the process is {!Step}: {!run_bolt}, then the
@@ -31,7 +35,6 @@ type config = {
   patch_all_direct_calls : bool;
       (** ablation: the paper found patching non-stack-live calls does not
           help and only slows replacement *)
-  verify_gc : bool;  (** scan for dangling pointers after each GC *)
   fault : Ocolos_util.Fault.t option;
       (** fault-injection registry consulted at every {!fault_catalog} cut
           across the pipeline — profiling ([perf.*]), aggregation
@@ -114,9 +117,11 @@ val run_bolt :
     rejection) and [ocolos_validate_*] metrics. *)
 val validate_result : t -> Ocolos_bolt.Bolt.result -> Ocolos_bolt.Validate.report
 
-(** The stop-the-world phase: pause, inject C_{i+1}, patch pointers,
-    migrate live frames into the new text (on-stack replacement) and unmap
-    every retired range, resume. Unjournaled and ungated: only
+(** The stop-the-world phase: pause, inject C_{i+1}, then {!Osr.migrate}
+    (patch v-tables and call sites, migrate live frames into the new text
+    through BOLT's frame maps, redirect code and data) and {!Osr.retire}
+    (unmap every retired range, reap residue, post-GC scan), commit the new
+    view, resume. Unjournaled and ungated: only
     {!Txn.replace_code} calls it (drivers go through {!Step.commit}); the
     unit tests of the mechanism itself are the one other caller. *)
 val replace_code : t -> Ocolos_bolt.Bolt.result -> replacement_stats
@@ -216,14 +221,16 @@ type revert_stats = {
 }
 
 (** Un-commit: a reverse replacement taking the process from the live
-    version back to the (strictly older) version [snapshot] describes —
-    re-injects the snapshot's text (its forward GC removed it), patches
-    v-tables and call sites back, migrates live frames out of the newer
-    text (through the copy fallback: no frame map exists from a newer
-    version back to an older one), restores patched data words, and unmaps
-    the reverted text outright — no landing-pad trampolines are left
-    behind; register migration makes them unnecessary, and the transient
-    copies are reaped by the same reachability proof forward OSR uses. The
+    version back to the (strictly older) version [snapshot] describes. It
+    re-injects the snapshot's text (its forward GC removed it), then runs
+    the same {!Osr.migrate} as {!replace_code} onto the snapshot's entries
+    with no frame maps (no map exists from a newer version back to an older
+    one, so live frames leave the newer text through the copy fallback),
+    restores patched data words, and runs the same {!Osr.retire}: the
+    reverted text is unmapped outright — no landing-pad trampolines are
+    left behind; register migration makes them unnecessary — the transient
+    copies are reaped by the same reachability proof, and the post-GC scan
+    runs. The snapshot's view is then installed as {!restore} would. The
     staged-rollback path of a fleet canary that regressed; deliberately
     contains {e no} fault cuts — the emergency brake must not itself be
     able to fail. Raises [Invalid_argument] if the snapshot is not older

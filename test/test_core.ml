@@ -223,12 +223,11 @@ let test_semantics_preserved_continuous () =
     (Workload.checksums proc)
 
 let test_verify_gc_runs_clean () =
-  (* verify_gc is on by default in these tests: reaching here without a
-     Dangling_pointer exception across two rounds is itself the check; do a
-     third round explicitly. *)
+  (* The post-GC scan runs after every round that retires text: reaching
+     here without a Dangling_pointer exception across three rounds is
+     itself the check. *)
   let _, proc = setup () in
-  let config = { O.default_config with O.verify_gc = true } in
-  let oc = O.attach ~config proc in
+  let oc = O.attach proc in
   Ocolos_proc.Proc.run ~cycle_limit:40_000.0 proc;
   for _ = 1 to 3 do
     let from = Ocolos_proc.Proc.max_cycles proc in

@@ -1,7 +1,8 @@
 (* True on-stack replacement acceptance tests: a never-returning entry
    function migrated out of its original text, the post-GC reachability
    scanner covering engine-held code pointers, revert leaving no
-   ever-growing residue, and drain-window accounting converging to zero. *)
+   ever-growing residue, revert to a version other than C0, revert taking
+   no fault cuts, and drain-window accounting converging to zero. *)
 
 open Ocolos_workloads
 module O = Ocolos_core.Ocolos
@@ -122,10 +123,103 @@ let test_attach_revert_cycles_leak_no_text () =
   Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
   Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
 
+(* fid -> live entry, read from the controller's current binary view. *)
+let live_entries oc =
+  let tbl = Hashtbl.create 64 in
+  Array.iter
+    (fun (s : Ocolos_binary.Binary.func_sym) ->
+      Hashtbl.replace tbl s.Ocolos_binary.Binary.fs_fid s.Ocolos_binary.Binary.fs_entry)
+    (O.current_binary oc).Ocolos_binary.Binary.symbols;
+  tbl
+
+(* C2 -> C1: the snapshot's text is re-injected and every code pointer the
+   forward rounds patched points back at C1's entries, not C0's. *)
+let test_revert_to_intermediate_version () =
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let mem = proc.Proc.mem in
+  let binary = proc.Proc.binary in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  let c1 = O.snapshot oc in
+  let c1_entry = live_entries oc in
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  Alcotest.(check int) "at C2" 2 (O.version oc);
+  let rv = O.revert oc c1 in
+  Alcotest.(check int) "reverted from C2" 2 rv.O.rv_from_version;
+  Alcotest.(check int) "reverted to C1" 1 rv.O.rv_to_version;
+  let fid_of_c0_entry = Hashtbl.create 64 in
+  Array.iter
+    (fun (s : Ocolos_binary.Binary.func_sym) ->
+      Hashtbl.replace fid_of_c0_entry s.Ocolos_binary.Binary.fs_entry
+        s.Ocolos_binary.Binary.fs_fid)
+    binary.Ocolos_binary.Binary.symbols;
+  Array.iter
+    (fun (vt : Ocolos_binary.Binary.vtable) ->
+      Array.iteri
+        (fun slot c0 ->
+          let fid = Hashtbl.find fid_of_c0_entry c0 in
+          let v =
+            Addr_space.read_data mem (Addr_space.vtable_base mem vt.Ocolos_binary.Binary.vt_id + slot)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "vtable %d slot %d reads C1" vt.Ocolos_binary.Binary.vt_id slot)
+            (Hashtbl.find c1_entry fid) v)
+        vt.Ocolos_binary.Binary.vt_entries)
+    binary.Ocolos_binary.Binary.vtables;
+  (* The offline call sites sit in C0 text, which C1 unmapped for every
+     re-emitted owner; so check every direct call still mapped — the
+     offline sites that survive, C1's re-injected text and the revert's
+     copies alike. *)
+  let calls = ref 0 in
+  Hashtbl.iter
+    (fun addr instr ->
+      match instr with
+      | Ocolos_isa.Instr.Call target ->
+        incr calls;
+        let callee = Addr_space.fid_of_addr mem target in
+        Alcotest.(check (option int))
+          (Printf.sprintf "call at 0x%x reads C1" addr)
+          (Option.map (Hashtbl.find c1_entry) callee)
+          (Some target)
+      | _ -> ())
+    mem.Addr_space.code;
+  Alcotest.(check bool) "direct calls checked" true (!calls > 0);
+  O.verify_no_dangling oc ~freed:[];
+  Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
+  ignore (O.gc_residue oc);
+  Alcotest.(check int) "no residue after the drain" 0 (O.resident_extra_bytes oc);
+  let tx = Proc.transactions proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
+
+(* Revert is the emergency brake: with every stop-the-world point armed to
+   fire on its first hit, it must still complete, and reach none of them. *)
+let test_revert_takes_no_fault_cuts () =
+  let fault = Ocolos_util.Fault.create () in
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let oc = O.attach ~config:{ O.default_config with O.fault = Some fault } proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  List.iter
+    (fun p -> Ocolos_util.Fault.arm fault p (Ocolos_util.Fault.Every 1))
+    O.injection_points;
+  let hits () = List.map (fun p -> (p, Ocolos_util.Fault.hits fault p)) O.injection_points in
+  let before = hits () in
+  let rv = O.revert oc (O.c0_snapshot oc) in
+  Alcotest.(check int) "reverted to C0" 0 rv.O.rv_to_version;
+  Alcotest.(check (list (pair string int))) "no injection point hit" before (hits ());
+  O.verify_no_dangling oc ~freed:[]
+
 let suite =
   [ Alcotest.test_case "never-returning entry replaced" `Slow
       test_never_returning_entry_replaced;
     Alcotest.test_case "scanner covers engine pointers" `Quick
       test_scanner_covers_engine_pointers;
     Alcotest.test_case "attach/revert cycles leak no text" `Quick
-      test_attach_revert_cycles_leak_no_text ]
+      test_attach_revert_cycles_leak_no_text;
+    Alcotest.test_case "revert to an intermediate version" `Quick
+      test_revert_to_intermediate_version;
+    Alcotest.test_case "revert takes no fault cuts" `Quick test_revert_takes_no_fault_cuts ]
