@@ -5,10 +5,10 @@
    bound: the floor for the block engine's lead) and `straightline` (long
    blocks: the case block decoding exists for) — plus, when
    OCOLOS_BENCH_APP is set, one of the paper's app workloads. Emits
-   BENCH_engines.json with instructions-per-wall-second for both engines
-   and exits non-zero if their final counters diverge or if the block
-   engine is slower than the reference — the regressions CI's bench-smoke
-   job keys on.
+   BENCH_engines.json with instructions per wall second and minor-heap
+   words per retired instruction for both engines, and exits non-zero if
+   their final counters diverge or if the block engine is slower than the
+   reference — the regressions CI's bench-smoke job keys on.
 
    Meaningful numbers need the release profile (`dune exec --profile
    release ...`): the dev profile compiles with -opaque, which turns every
@@ -28,12 +28,14 @@ let bench w =
   let c = Engine_bench.compare_engines w ~input in
   Printf.printf "engine throughput (%s/%s, %d instructions):\n" c.Engine_bench.workload
     c.Engine_bench.input c.Engine_bench.instructions;
-  Printf.printf "  reference  %8.0f kinstr/s  (%.3f s)\n"
+  Printf.printf "  reference  %8.0f kinstr/s  (%.3f s)  %.3f minor words/instr\n"
     (c.Engine_bench.reference.Engine_bench.ips /. 1e3)
-    c.Engine_bench.reference.Engine_bench.wall_s;
-  Printf.printf "  blocks     %8.0f kinstr/s  (%.3f s)  %.2fx\n"
+    c.Engine_bench.reference.Engine_bench.wall_s
+    c.Engine_bench.reference.Engine_bench.minor_words_per_instr;
+  Printf.printf "  blocks     %8.0f kinstr/s  (%.3f s)  %.3f minor words/instr  %.2fx\n"
     (c.Engine_bench.blocks.Engine_bench.ips /. 1e3)
-    c.Engine_bench.blocks.Engine_bench.wall_s c.Engine_bench.speedup;
+    c.Engine_bench.blocks.Engine_bench.wall_s
+    c.Engine_bench.blocks.Engine_bench.minor_words_per_instr c.Engine_bench.speedup;
   Printf.printf "  counters_equal=%b\n%!" c.Engine_bench.counters_equal;
   c
 

@@ -113,7 +113,7 @@ let replay cfg block_of (p : Proc.t) =
   let evs = Array.make nth [] in
   p.Proc.hooks.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr:_ ~to_addr ~kind ~cycles:_ ->
+      (fun ~tid ~from_addr:_ ~to_addr ~kind ->
         let tag = kind_tag kind in
         if tag >= 0 then begin
           let fid =

@@ -24,7 +24,7 @@ type branch_kind = Cond | Jump | IndJump | DirectCall | IndCall | Return
 
 type hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit) option;
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit) option;
   mutable translate_fp : (int -> int) option;
       (* wrapFuncPtrCreation: rewrites the value materialized by FpCreate *)
 }
@@ -41,9 +41,7 @@ let fault_unmapped (thread : Thread.t) ~pc =
 let notify_branch hooks (thread : Thread.t) ~from_addr ~to_addr ~kind =
   match hooks.on_taken_branch with
   | None -> ()
-  | Some f ->
-    f ~tid:thread.Thread.tid ~from_addr ~to_addr ~kind
-      ~cycles:(Ocolos_uarch.Core.cycles thread.Thread.core)
+  | Some f -> f ~tid:thread.Thread.tid ~from_addr ~to_addr ~kind
 
 (* The shared semantic kernel: execute exactly one already-fetched-and-sized
    instruction on [thread]. Event order is the contract both engines rely on
@@ -61,8 +59,9 @@ let[@inline] execute mem hooks (thread : Thread.t) ~pc ~size instr =
   thread.Thread.instret <- thread.Thread.instret + 1;
   let next = pc + size in
   match instr with
-  | Instr.Nop | Instr.TxMark ->
-    if instr = Instr.TxMark then Ocolos_uarch.Core.on_tx core;
+  | Instr.Nop -> thread.Thread.pc <- next
+  | Instr.TxMark ->
+    Ocolos_uarch.Core.on_tx core;
     thread.Thread.pc <- next
   | Instr.Alu (op, d, a, b) ->
     Array.unsafe_set regs d
@@ -144,15 +143,29 @@ type stats = {
   resident : int;
 }
 
+(* Tables keyed by code address. [blocks] is read on every dispatch that
+   misses the per-thread memo — once per taken transfer — where the
+   polymorphic [Hashtbl] would pay a [caml_hash] and a generic [compare]
+   C call per lookup. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (a : int) = a land max_int
+end)
+
 type t = {
   mem : Addr_space.t;
-  blocks : (int, Predecode.block) Hashtbl.t; (* entry address -> block *)
-  cover : (int, int list) Hashtbl.t;
-      (* code byte -> entry addresses of blocks whose decoded entries span
-         it; the index that makes invalidation precise. Keyed by every byte
-         of every entry (not just instruction starts) so a write whose span
-         clips the tail of one instruction or crosses a block boundary
-         still reaches each overlapping block. *)
+  blocks : Predecode.block Addr_tbl.t; (* entry address -> block *)
+  cover : int list Addr_tbl.t;
+      (* 64-byte code line -> entry addresses of the blocks whose bytes
+         touch it: the candidate index behind precise invalidation. A
+         block's entries are contiguous, so its bytes are exactly
+         [b_start, b_end); [invalidate] checks that range against the
+         write, so a write that clips the tail of one instruction or
+         crosses a block boundary still reaches each overlapping block and
+         no other. One slot per line rather than per byte keeps the index
+         a few percent of a large kernel's cached blocks. *)
   memo : Predecode.block array; (* per-tid in-flight block ([no_block] = none) ... *)
   memo_idx : int array; (* ... and the entry index to resume at *)
   mutable gen : int; (* bumped on every code write; guards in-flight blocks *)
@@ -167,62 +180,60 @@ type t = {
 let no_block =
   { Predecode.b_start = -1; b_end = -1; b_addrs = [||]; b_sizes = [||]; b_instrs = [||] }
 
-(* Apply [f start byte] for every byte of every decoded entry of [b]. *)
-let iter_block_bytes (b : Predecode.block) f =
-  let start = b.Predecode.b_start in
-  Array.iteri
-    (fun i addr ->
-      let size = Array.unsafe_get b.Predecode.b_sizes i in
-      for j = 0 to size - 1 do
-        f start (addr + j)
-      done)
-    b.Predecode.b_addrs
+let line_bits = 6
 
+(* Add or remove [b] in the cover list of every line its bytes touch. *)
 let register t (b : Predecode.block) =
-  Hashtbl.replace t.blocks b.Predecode.b_start b;
-  iter_block_bytes b (fun start byte ->
-      let starts = match Hashtbl.find_opt t.cover byte with Some l -> l | None -> [] in
-      if not (List.mem start starts) then Hashtbl.replace t.cover byte (start :: starts))
+  let start = b.Predecode.b_start in
+  Addr_tbl.replace t.blocks start b;
+  for line = start lsr line_bits to (b.Predecode.b_end - 1) lsr line_bits do
+    let starts = match Addr_tbl.find_opt t.cover line with Some l -> l | None -> [] in
+    if not (List.mem start starts) then Addr_tbl.replace t.cover line (start :: starts)
+  done
 
 let unregister t (b : Predecode.block) =
-  Hashtbl.remove t.blocks b.Predecode.b_start;
-  iter_block_bytes b (fun start byte ->
-      match Hashtbl.find_opt t.cover byte with
-      | None -> ()
-      | Some starts -> (
-        match List.filter (fun s -> s <> start) starts with
-        | [] -> Hashtbl.remove t.cover byte
-        | rest -> Hashtbl.replace t.cover byte rest))
+  let start = b.Predecode.b_start in
+  Addr_tbl.remove t.blocks start;
+  for line = start lsr line_bits to (b.Predecode.b_end - 1) lsr line_bits do
+    match Addr_tbl.find_opt t.cover line with
+    | None -> ()
+    | Some starts -> (
+      match List.filter (fun s -> s <> start) starts with
+      | [] -> Addr_tbl.remove t.cover line
+      | rest -> Addr_tbl.replace t.cover line rest)
+  done
 
 (* A code write dirtying bytes [start, start+len): drop every cached block
    whose decoded entries overlap the span — not just the one keyed at
    [start]; a wide encoding can overlay the tail of one block and the head
    of the next — bump the generation so any in-flight block re-dispatches,
    and clear the per-thread memos (they may point at dropped blocks). The
-   probe touches at most [len] cover slots ([len] <= the widest encoding,
-   7 bytes), so invalidation stays O(write span), not O(cache). *)
+   probe touches at most two cover lines ([len] <= the widest encoding, 7
+   bytes), so invalidation stays O(write span), not O(cache). *)
 let invalidate t ~start ~len =
   t.gen <- t.gen + 1;
-  for off = 0 to len - 1 do
-    match Hashtbl.find_opt t.cover (start + off) with
-    | None -> ()
-    | Some starts ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt t.blocks s with
-          | None -> ()
-          | Some b ->
-            t.invalidations <- t.invalidations + 1;
-            unregister t b)
-        starts
-  done;
+  let stop = start + len in
+  if len > 0 then
+    for line = start lsr line_bits to (stop - 1) lsr line_bits do
+      match Addr_tbl.find_opt t.cover line with
+      | None -> ()
+      | Some starts ->
+        List.iter
+          (fun s ->
+            match Addr_tbl.find_opt t.blocks s with
+            | Some b when b.Predecode.b_start < stop && start < b.Predecode.b_end ->
+              t.invalidations <- t.invalidations + 1;
+              unregister t b
+            | Some _ | None -> ())
+          starts
+    done;
   Array.fill t.memo 0 (Array.length t.memo) no_block
 
 let create ~nthreads mem =
   let t =
     { mem;
-      blocks = Hashtbl.create 1024;
-      cover = Hashtbl.create 4096;
+      blocks = Addr_tbl.create 1024;
+      cover = Addr_tbl.create 4096;
       memo = Array.make (max 1 nthreads) no_block;
       memo_idx = Array.make (max 1 nthreads) 0;
       gen = 0;
@@ -250,10 +261,12 @@ let lookup t (thread : Thread.t) pc =
     m
   end
   else begin
+    (* [find] with its exception, not [find_opt]: a table hit, once per
+       taken transfer, allocates no [Some]. *)
     let b =
-      match Hashtbl.find_opt t.blocks pc with
-      | Some b -> b
-      | None -> (
+      match Addr_tbl.find t.blocks pc with
+      | b -> b
+      | exception Not_found -> (
         match Predecode.decode ~read:(fun a -> Addr_space.read_code t.mem a) pc with
         | Some b ->
           t.decodes <- t.decodes + 1;
@@ -281,7 +294,7 @@ let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
   while
     !n < max_steps
     && Thread.is_running thread
-    && ((not check_cycles) || Ocolos_uarch.Core.cycles core < cycle_limit)
+    && ((not check_cycles) || Ocolos_uarch.Core.cycles_below core cycle_limit)
   do
     let block = lookup t thread thread.Thread.pc in
     t.dispatches <- t.dispatches + 1;
@@ -296,7 +309,7 @@ let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
     let live = ref true in
     (* [n] and [k] advance in lockstep, so one bound covers both the block
        end and the step budget. *)
-    let stop = min (!n + (len - !k)) max_steps in
+    let stop = if !n + (len - !k) < max_steps then !n + (len - !k) else max_steps in
     (* By the decode invariant, only the last entry can be a control
        transfer, so pc always equals the next entry's address inside the
        loop; a mid-block code write bumps [gen] and forces re-dispatch. *)
@@ -304,7 +317,7 @@ let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
       !live
       && !n < stop
       && t.gen = gen0
-      && ((not check_cycles) || Ocolos_uarch.Core.cycles core < cycle_limit)
+      && ((not check_cycles) || Ocolos_uarch.Core.cycles_below core cycle_limit)
     do
       let i = !k in
       execute t.mem hooks thread ~pc:(Array.unsafe_get addrs i)
@@ -327,14 +340,14 @@ let stats t =
   { decodes = t.decodes;
     dispatches = t.dispatches;
     invalidations = t.invalidations;
-    resident = Hashtbl.length t.blocks }
+    resident = Addr_tbl.length t.blocks }
 
 (* Every cached block must still match the code map. [Txn.replace_code]
    checks this after both commit and rollback: an incoherent entry here
    means the invalidation feed missed a write. *)
 let validate t =
   let read a = Addr_space.read_code t.mem a in
-  Hashtbl.fold (fun _ b acc -> acc && Predecode.coherent ~read b) t.blocks true
+  Addr_tbl.fold (fun _ b acc -> acc && Predecode.coherent ~read b) t.blocks true
 
 (* Every code address the engine holds a live reference to: cached block
    starts and each thread's in-flight resume point. OCOLOS's post-GC
@@ -342,7 +355,7 @@ let validate t =
    its bytes means the invalidation feed missed a write. *)
 let code_pointers t =
   let acc = ref [] in
-  Hashtbl.iter (fun start _ -> acc := ("block", start) :: !acc) t.blocks;
+  Addr_tbl.iter (fun start _ -> acc := ("block", start) :: !acc) t.blocks;
   Array.iteri
     (fun tid (m : Predecode.block) ->
       if m != no_block then begin

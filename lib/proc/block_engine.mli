@@ -9,7 +9,13 @@
     Cached blocks are invalidated precisely by code-map writes: {!create}
     installs the engine as the address space's code watcher, which covers
     direct writes, removals, and the journal replay of a rolled-back
-    transaction. *)
+    transaction.
+
+    Invariant: the per-instruction and per-taken-branch paths allocate
+    nothing (no closure, option, boxed float or polymorphic compare), so a
+    warmed process allocates only per block-table miss, per scheduler
+    round and per PMI. The [block_engine] tests gate this in minor words
+    per retired instruction. *)
 
 open Ocolos_isa
 
@@ -17,8 +23,12 @@ type branch_kind = Cond | Jump | IndJump | DirectCall | IndCall | Return
 
 type hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit)
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit)
     option;
+      (** fired after every taken control transfer, once its costs are
+          charged to the thread's core. Clock-free: an observer that needs
+          the time reads the core, so the hot path boxes no [float] per
+          branch. *)
   mutable translate_fp : (int -> int) option;
       (** the wrapFuncPtrCreation callback: rewrites values materialized by
           [FpCreate] *)

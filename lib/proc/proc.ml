@@ -22,7 +22,7 @@ type branch_kind = Block_engine.branch_kind =
 
 type hooks = Block_engine.hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit) option;
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit) option;
   mutable translate_fp : (int -> int) option;
       (* wrapFuncPtrCreation: rewrites the value materialized by FpCreate *)
 }
@@ -103,7 +103,7 @@ let step_turn t (thread : Thread.t) ~max_steps ~cycle_limit =
   while
     !i < max_steps
     && Thread.is_running thread
-    && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
+    && Ocolos_uarch.Core.cycles_below thread.Thread.core cycle_limit
   do
     step t thread;
     incr i
@@ -117,29 +117,31 @@ let step_turn t (thread : Thread.t) ~max_steps ~cycle_limit =
    dedicated cores for the same duration. Both engines share this scheduler
    (each thread turn executes up to [min quantum budget] instructions), so
    multi-threaded interleaving over shared data memory is identical; only
-   the per-turn executor differs. *)
+   the per-turn executor differs. The rounds are plain loops: no closure or
+   partial application is built per turn. *)
 let run ?(engine = `Blocks) ?(quantum = 64) ?(max_instrs = max_int) ~cycle_limit t =
   if t.paused then invalid_arg "Proc.run: process is paused";
-  let turn =
-    match engine with
-    | `Reference -> step_turn t
-    | `Blocks -> Block_engine.exec (engine_of t) t.hooks
-  in
+  let blocks = match engine with `Reference -> None | `Blocks -> Some (engine_of t) in
   let budget = ref max_instrs in
   let progress = ref true in
   (try
      while !progress && !budget > 0 do
        progress := false;
-       Array.iter
-         (fun thread ->
-           if Thread.is_running thread
-              && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-           then begin
-             let n = turn thread ~max_steps:(min quantum !budget) ~cycle_limit in
-             budget := !budget - n;
-             if n > 0 then progress := true
-           end)
-         t.threads
+       for i = 0 to Array.length t.threads - 1 do
+         let thread = Array.unsafe_get t.threads i in
+         if Thread.is_running thread
+            && Ocolos_uarch.Core.cycles_below thread.Thread.core cycle_limit
+         then begin
+           let max_steps = if quantum < !budget then quantum else !budget in
+           let n =
+             match blocks with
+             | None -> step_turn t thread ~max_steps ~cycle_limit
+             | Some e -> Block_engine.exec e t.hooks thread ~max_steps ~cycle_limit
+           in
+           budget := !budget - n;
+           if n > 0 then progress := true
+         end
+       done
      done
    with exn ->
      sync_instret t;

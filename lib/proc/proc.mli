@@ -11,8 +11,13 @@ type branch_kind = Cond | Jump | IndJump | DirectCall | IndCall | Return
 
 type hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit)
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit)
     option;
+      (** fired after every taken control transfer (the LBR feed). It
+          carries no clock: a [float] argument would be boxed once per
+          taken branch. An observer that needs time reads its thread's
+          core ([Core.cycles] / [Core.cycles_below]), which the engine has
+          already charged for the transfer. *)
   mutable translate_fp : (int -> int) option;
       (** the wrapFuncPtrCreation callback: rewrites values materialized by
           [FpCreate] (paper Section IV-C2) *)

@@ -2,29 +2,37 @@
 
    Models Intel's LBR facility (Section II-A of the paper): the 32 most
    recent taken control transfers, recorded as (source PC, target) pairs.
-   Software samples the ring to reconstruct hot control-flow paths. *)
+   Software samples the ring to reconstruct hot control-flow paths.
+
+   The ring is two parallel [int array]s, so [record] (once per taken
+   branch while sampling) stores two ints and allocates nothing; entry
+   records are built only by [snapshot], at a PMI. *)
 
 type entry = { from_addr : int; to_addr : int }
 
 type t = {
-  slots : entry array;
+  from_addrs : int array;
+  to_addrs : int array;
   mutable head : int; (* next write position *)
   mutable filled : int;
 }
 
 let capacity = 32
 
-let create () = { slots = Array.make capacity { from_addr = 0; to_addr = 0 }; head = 0; filled = 0 }
+let create () =
+  { from_addrs = Array.make capacity 0; to_addrs = Array.make capacity 0; head = 0; filled = 0 }
 
 let record t ~from_addr ~to_addr =
-  t.slots.(t.head) <- { from_addr; to_addr };
+  Array.unsafe_set t.from_addrs t.head from_addr;
+  Array.unsafe_set t.to_addrs t.head to_addr;
   t.head <- (t.head + 1) mod capacity;
-  t.filled <- min capacity (t.filled + 1)
+  if t.filled < capacity then t.filled <- t.filled + 1
 
 (* Entries oldest-first, as a sample snapshot. *)
 let snapshot t =
   Array.init t.filled (fun i ->
-      t.slots.((t.head + capacity - t.filled + i) mod capacity))
+      let slot = (t.head + capacity - t.filled + i) mod capacity in
+      { from_addr = t.from_addrs.(slot); to_addr = t.to_addrs.(slot) })
 
 let clear t =
   t.head <- 0;

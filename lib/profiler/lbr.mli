@@ -6,9 +6,12 @@ type t
 
 val capacity : int
 val create : unit -> t
+
+(** Record one taken transfer; allocates nothing. *)
 val record : t -> from_addr:int -> to_addr:int -> unit
 
-(** Current contents, oldest first. *)
+(** Current contents, oldest first, as fresh entries (built only here, at
+    a PMI). *)
 val snapshot : t -> entry array
 
 val clear : t -> unit

@@ -26,8 +26,7 @@ type session = {
   mutable detached : bool; (* sampling hook already torn down (fault path) *)
   mutable killed : exn option; (* stashed Fault.Killed, re-raised at [stop] *)
   saved_hook :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:Ocolos_proc.Proc.branch_kind ->
-    cycles:float -> unit)
+    (tid:int -> from_addr:int -> to_addr:int -> kind:Ocolos_proc.Proc.branch_kind -> unit)
     option;
   sp : Ocolos_obs.Trace.span option; (* open span over the sampling window *)
 }
@@ -102,14 +101,16 @@ let start ?(cfg = default_config) ?fault proc =
      an observer of the branch stream, not its consumer, and outer
      instrumentation — e.g. the chaos harness's trace recorder — must see
      every branch whether or not sampling is attached. *)
-  let hook ~tid ~from_addr ~to_addr ~kind ~cycles =
+  let hook ~tid ~from_addr ~to_addr ~kind =
     Lbr.record session.rings.(tid) ~from_addr ~to_addr;
-    (if cycles >= session.next_sample.(tid) then begin
-      session.next_sample.(tid) <- cycles +. float_of_int session.cfg.sample_period;
+    (* The branch carries no clock; the thread's core has it. Only a due
+       PMI reads the cycle count itself. *)
+    let core = proc.Ocolos_proc.Proc.threads.(tid).Ocolos_proc.Thread.core in
+    (if not (Ocolos_uarch.Core.cycles_below core session.next_sample.(tid)) then begin
+      session.next_sample.(tid) <-
+        Ocolos_uarch.Core.cycles core +. float_of_int session.cfg.sample_period;
       (* The interrupt fires regardless of what happens to the batch. *)
-      Ocolos_uarch.Core.stall
-        session.proc.Ocolos_proc.Proc.threads.(tid).Ocolos_proc.Thread.core
-        ~cycles:session.cfg.pmi_overhead ~category:`Backend;
+      Ocolos_uarch.Core.stall core ~cycles:session.cfg.pmi_overhead ~category:`Backend;
       match pmi_faults session with
       | `Drop -> ()
       | (`Keep | `Truncate | `Corrupt) as verdict ->
@@ -124,7 +125,7 @@ let start ?(cfg = default_config) ?fault proc =
         session.nsamples <- session.nsamples + 1
     end);
     match session.saved_hook with
-    | Some f -> f ~tid ~from_addr ~to_addr ~kind ~cycles
+    | Some f -> f ~tid ~from_addr ~to_addr ~kind
     | None -> ()
   in
   proc.Ocolos_proc.Proc.hooks.on_taken_branch <- Some hook;

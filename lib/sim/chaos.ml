@@ -209,8 +209,7 @@ let launch_traced cfg ~seed =
   let buf = ref [] in
   proc.Proc.hooks.Proc.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
-        ignore cycles;
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         buf := (tid, from_addr, to_addr, kind) :: !buf);
   let fault = F.create ~seed () in
   (proc, make_fleet cfg ~fault [| proc |], fault, buf)

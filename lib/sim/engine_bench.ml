@@ -14,6 +14,7 @@ type engine_sample = {
   wall_s : float; (* best-of-repeats wall time *)
   instructions : int; (* instructions retired in the measured run *)
   ips : float; (* instructions / wall_s *)
+  minor_words_per_instr : float; (* minor-heap words / instruction retired *)
 }
 
 type comparison = {
@@ -34,9 +35,11 @@ let default_repeats = 4
 let run_once ~engine ~max_instrs w ~input =
   let proc = Workload.launch w ~input in
   let t0 = Unix.gettimeofday () in
+  let words0 = Gc.minor_words () in
   Ocolos_proc.Proc.run proc ~engine ~max_instrs ~cycle_limit:infinity;
+  let words = Gc.minor_words () -. words0 in
   let wall = Unix.gettimeofday () -. t0 in
-  (wall, proc.Ocolos_proc.Proc.instret, Ocolos_proc.Proc.total_counters proc)
+  (wall, words, proc.Ocolos_proc.Proc.instret, Ocolos_proc.Proc.total_counters proc)
 
 (* Repeats are interleaved round-robin across the engines (ref, blocks,
    ref, blocks, ...) rather than measured engine-by-engine: ambient machine
@@ -45,22 +48,26 @@ let run_once ~engine ~max_instrs w ~input =
 let measure_interleaved ~engines ~max_instrs ~repeats w ~input =
   let n = Array.length engines in
   let best_wall = Array.make n infinity in
+  let minor_words = Array.make n 0.0 in
   let instructions = Array.make n 0 in
   let counters = Array.make n Ocolos_uarch.Counters.zero in
   for _ = 1 to max 1 repeats do
     Array.iteri
       (fun i engine ->
-        let wall, instret, c = run_once ~engine ~max_instrs w ~input in
+        let wall, words, instret, c = run_once ~engine ~max_instrs w ~input in
         if wall < best_wall.(i) then best_wall.(i) <- wall;
+        minor_words.(i) <- words;
         instructions.(i) <- instret;
         counters.(i) <- c)
       engines
   done;
   Array.init n (fun i ->
       let wall_s = Float.max best_wall.(i) 1e-9 in
+      let instrs = float_of_int (max 1 instructions.(i)) in
       ( { wall_s;
           instructions = instructions.(i);
-          ips = float_of_int instructions.(i) /. wall_s },
+          ips = float_of_int instructions.(i) /. wall_s;
+          minor_words_per_instr = minor_words.(i) /. instrs },
         counters.(i) ))
 
 let compare_engines ?(repeats = default_repeats) ?(max_instrs = default_max_instrs) w
@@ -82,7 +89,8 @@ let sample_to_json s =
   Ocolos_obs.Json.Obj
     [ ("wall_s", Ocolos_obs.Json.Float s.wall_s);
       ("instructions", Ocolos_obs.Json.Int s.instructions);
-      ("ips", Ocolos_obs.Json.Float s.ips) ]
+      ("ips", Ocolos_obs.Json.Float s.ips);
+      ("minor_words_per_instr", Ocolos_obs.Json.Float s.minor_words_per_instr) ]
 
 let to_json c =
   Ocolos_obs.Json.Obj

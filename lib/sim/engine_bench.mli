@@ -8,6 +8,9 @@ type engine_sample = {
   wall_s : float;  (** best-of-repeats wall-clock seconds *)
   instructions : int;  (** instructions retired in the measured run *)
   ips : float;  (** instructions per wall-clock second *)
+  minor_words_per_instr : float;
+      (** minor-heap words allocated per retired instruction (the same on
+          every repeat: the run is deterministic) *)
 }
 
 type comparison = {

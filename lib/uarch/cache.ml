@@ -66,27 +66,33 @@ let line_of t addr = addr lsr t.line_bits
 
 let set_of t line = line land (t.sets - 1)
 
-(* Access a byte address; returns true on hit. Miss fills the line, evicting
-   the least-recently-used way. *)
-(* [set] is masked into range and the way loops are bounded by the row
-   length, so the unchecked array reads below are safe; this path runs
-   once or more per simulated instruction. *)
-let find_way tags ways line =
-  let rec go w =
-    if w >= ways then -1 else if Array.unsafe_get tags w = line then w else go (w + 1)
-  in
-  go 0
+(* Row helpers over one set's [int array] rows, shared with {!Btb}. The
+   loops are bounded by the row's own length, so the unchecked reads are
+   safe (a set's tag and stamp rows have the same length); they are
+   top-level functions over explicit arguments because a local [let rec]
+   capturing the row would allocate its closure on every probe, and these
+   run once or more per simulated instruction. *)
+let rec find_from (row : int array) (key : int) w =
+  if w >= Array.length row then -1
+  else if Array.unsafe_get row w = key then w
+  else find_from row key (w + 1)
+
+let find_way row key = find_from row key 0
 
 (* Victim: first invalid way if any, else least-recently-used (ties go to
    the lowest way index, matching the strict-< scan). *)
-let victim_way tags stamp ways =
-  let rec go v w =
-    if w >= ways then v
-    else if Array.unsafe_get tags w = -1 then w
-    else go (if Array.unsafe_get stamp w < Array.unsafe_get stamp v then w else v) (w + 1)
-  in
-  if Array.unsafe_get tags 0 = -1 then 0 else go 0 1
+let rec victim_from (tags : int array) (stamp : int array) v w =
+  if w >= Array.length tags then v
+  else if Array.unsafe_get tags w = -1 then w
+  else
+    victim_from tags stamp
+      (if Array.unsafe_get stamp w < Array.unsafe_get stamp v then w else v)
+      (w + 1)
 
+let victim_way tags stamp = if Array.unsafe_get tags 0 = -1 then 0 else victim_from tags stamp 0 1
+
+(* Access a byte address; returns true on hit. Miss fills the line, evicting
+   the least-recently-used way. *)
 let access t addr =
   t.tick <- t.tick + 1;
   let line = line_of t addr in
@@ -99,7 +105,7 @@ let access t addr =
     true
   end
   else begin
-    let w = find_way tags t.ways line in
+    let w = find_way tags line in
     if w >= 0 then begin
       Array.unsafe_set stamp w t.tick;
       t.hits <- t.hits + 1;
@@ -109,7 +115,7 @@ let access t addr =
     end
     else begin
       t.misses <- t.misses + 1;
-      let victim = victim_way tags stamp t.ways in
+      let victim = victim_way tags stamp in
       Array.unsafe_set tags victim line;
       Array.unsafe_set stamp victim t.tick;
       t.m_line <- line;
@@ -129,7 +135,7 @@ let prefetch t addr =
   let tags = Array.unsafe_get t.tags set in
   if line = t.p_line && Array.unsafe_get tags t.p_way = line then true
   else begin
-    let w = find_way tags t.ways line in
+    let w = find_way tags line in
     if w >= 0 then begin
       t.p_line <- line;
       t.p_way <- w;
@@ -138,7 +144,7 @@ let prefetch t addr =
     else begin
       t.tick <- t.tick + 1;
       let stamp = Array.unsafe_get t.stamp set in
-      let victim = victim_way tags stamp t.ways in
+      let victim = victim_way tags stamp in
       Array.unsafe_set tags victim line;
       Array.unsafe_set stamp victim t.tick;
       t.p_line <- line;
@@ -150,10 +156,7 @@ let prefetch t addr =
 (* Probe without updating state or counters. *)
 let probe t addr =
   let line = line_of t addr in
-  let set = set_of t line in
-  let tags = t.tags.(set) in
-  let rec find w = if w >= t.ways then false else tags.(w) = line || find (w + 1) in
-  find 0
+  find_way (Array.unsafe_get t.tags (set_of t line)) line >= 0
 
 let reset_counters t =
   t.hits <- 0;

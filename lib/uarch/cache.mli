@@ -45,6 +45,16 @@ val prefetch : t -> int -> bool
 (** Check residency without updating LRU state or counters. *)
 val probe : t -> int -> bool
 
+(** Row helpers for set-associative tables kept as one [int array] row per
+    set (also used by {!Btb}); both allocate nothing. [find_way row key]
+    is the way holding [key], or -1. [victim_way tags stamps] is the way a
+    fill takes: the first invalid ([-1]) way, else the least recently
+    stamped one, ties to the lowest way. [tags] must be non-empty and
+    [stamps] at least as long. *)
+val find_way : int array -> int -> int
+
+val victim_way : int array -> int array -> int
+
 val reset_counters : t -> unit
 
 (** Invalidate all lines and reset counters. *)

@@ -118,21 +118,28 @@ let[@inline] fire_fe t ev addr =
 (* Issue ("base") cycles. With [exact_base] the stored accumulator stays 0
    and the product below is bit-identical to what the accumulator would
    hold; otherwise [cyc.base] carries the per-fetch sum. *)
-let base_cycles t =
+let[@inline] base_cycles t =
   if t.exact_base then float_of_int t.instructions *. t.issue_cost else t.cyc.base
 
-let cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs +. t.cyc.be
+let[@inline] cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs +. t.cyc.be
+
+(* The engines' horizon check, asked once per instruction. It returns a
+   bool rather than the cycle count: a float result that crosses a module
+   boundary is boxed wherever the call is not inlined (every call under
+   the dev profile's -opaque). *)
+let[@inline] cycles_below t limit = cycles t < limit
 
 (* Core-issue ("demand") time: cycles excluding back-end memory stalls.
    Measures how bursty the core's memory demand is independent of the
    backpressure those requests later suffer. *)
-let demand_cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs
+let[@inline] demand_cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs
 
 (* DRAM for instruction fetch: blocking, full latency (the front-end cannot
-   overlap a fetch miss). *)
+   overlap a fetch miss). Charged in place, like every cost below: a
+   float-returning helper would box its result on every miss. *)
 let dram_ifetch t =
   t.l2_misses <- t.l2_misses + 1;
-  float_of_int t.cfg.dram_latency
+  t.cyc.fe <- t.cyc.fe +. float_of_int t.cfg.dram_latency
 
 (* DRAM for data: latency is overlapped by memory-level parallelism, but
    requests issued close together in *demand time* suffer bank conflicts at
@@ -153,7 +160,8 @@ let dram_data t =
   let wait = Float.max 0.0 (t.cyc.dram_next_free -. now) in
   t.cyc.dram_next_free <- Float.max now t.cyc.dram_next_free +. interval;
   t.l2_misses <- t.l2_misses + 1;
-  wait +. (float_of_int t.cfg.dram_latency /. float_of_int t.cfg.dram_mlp)
+  t.cyc.be <-
+    t.cyc.be +. (wait +. (float_of_int t.cfg.dram_latency /. float_of_int t.cfg.dram_mlp))
 
 (* Instruction fetch: charge L1i and iTLB effects once per line / page
    transition, covering lines an instruction straddles. The [fetch] wrapper
@@ -175,7 +183,7 @@ let fetch_slow t ~addr ~size =
           t.cyc.fe <- t.cyc.fe +. float_of_int t.cfg.l2_latency
         else if Cache.access t.l3 byte then
           t.cyc.fe <- t.cyc.fe +. float_of_int t.cfg.l3_latency
-        else t.cyc.fe <- t.cyc.fe +. dram_ifetch t
+        else dram_ifetch t
       end;
       (* Next-line prefetcher: straight-line code streams hide their own
          fetch misses, which is a large part of why packed layouts win. *)
@@ -268,7 +276,7 @@ let on_mem_miss t ~addr =
   t.l1d_misses <- t.l1d_misses + 1;
   if Cache.access t.l2 addr then t.cyc.be <- t.cyc.be +. float_of_int t.cfg.l2_latency
   else if Cache.access t.l3 addr then t.cyc.be <- t.cyc.be +. float_of_int t.cfg.l3_latency
-  else t.cyc.be <- t.cyc.be +. dram_data t
+  else dram_data t
 
 let[@inline] on_mem t ~addr =
   t.l1d_accesses <- t.l1d_accesses + 1;

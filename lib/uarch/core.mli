@@ -25,6 +25,11 @@ val set_fe_observer : t -> (fe_event -> int -> unit) option -> unit
 (** Total cycles so far (base + front-end + bad-speculation + back-end). *)
 val cycles : t -> float
 
+(** [cycles_below t limit] is [cycles t < limit], without a float result:
+    the engines ask it before every instruction, and a float returned
+    across a module boundary is boxed wherever the call is not inlined. *)
+val cycles_below : t -> float -> bool
+
 (** Per-instruction fetch accounting (L1i, iTLB, issue slots). *)
 val fetch : t -> addr:int -> size:int -> unit
 

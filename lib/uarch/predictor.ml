@@ -29,7 +29,9 @@ let predict_and_update t pc ~taken =
   let correct = predicted = taken in
   if not correct then t.mispredictions <- t.mispredictions + 1;
   let c = t.counters.(i) in
-  t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  (* Int comparisons written out: the polymorphic [min]/[max] would call
+     the generic compare once per conditional branch. *)
+  t.counters.(i) <- (if taken then (if c < 3 then c + 1 else 3) else if c > 0 then c - 1 else 0);
   t.history <- ((t.history lsl 1) lor if taken then 1 else 0) land ((1 lsl t.history_bits) - 1);
   correct
 
@@ -54,7 +56,7 @@ module Ras = struct
   let push t addr =
     t.slots.(t.top) <- addr;
     t.top <- (t.top + 1) mod Array.length t.slots;
-    t.depth <- min (Array.length t.slots) (t.depth + 1)
+    if t.depth < Array.length t.slots then t.depth <- t.depth + 1
 
   (* Pop the predicted return address; None if empty (mispredict). *)
   let pop t =

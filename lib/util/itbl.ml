@@ -45,15 +45,16 @@ let copy t =
     live = t.live;
     used = t.used }
 
-(* Probe for [key]: index of its slot, or (-1) if absent. Tombstones are
-   skipped; an empty slot terminates the probe. *)
-let probe t key =
-  let keys = t.keys and mask = t.mask in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i else if k = empty_key then -1 else go ((i + 1) land mask)
-  in
-  go (slot_of mask key)
+(* Probe for [key] from slot [i]: index of its slot, or (-1) if absent.
+   Tombstones are skipped; an empty slot terminates the probe. A top-level
+   loop over explicit arguments, so a probe allocates no closure. *)
+let rec probe_from keys mask key i =
+  let k = Array.unsafe_get keys i in
+  if k = key then i
+  else if k = empty_key then -1
+  else probe_from keys mask key ((i + 1) land mask)
+
+let probe t key = probe_from t.keys t.mask key (slot_of t.mask key)
 
 (* Value bound to [key], or [default] when absent. Never allocates;
    inlined into the simulator's load path. *)
@@ -79,26 +80,23 @@ let rec grow t =
     (fun i k -> if k <> empty_key && k <> tomb_key then replace t k (Array.unsafe_get old_vals i))
     old_keys
 
-and replace t key v =
-  let keys = t.keys and mask = t.mask in
-  (* First pass: existing binding or first reusable tombstone. *)
-  let rec go i tomb =
-    let k = Array.unsafe_get keys i in
-    if k = key then begin
-      Array.unsafe_set t.vals i v
-    end
-    else if k = empty_key then begin
-      let target = if tomb >= 0 then tomb else i in
-      Array.unsafe_set keys target key;
-      Array.unsafe_set t.vals target v;
-      t.live <- t.live + 1;
-      if tomb < 0 then t.used <- t.used + 1;
-      if t.used * 3 > (mask + 1) * 2 then grow t
-    end
-    else if k = tomb_key then go ((i + 1) land mask) (if tomb >= 0 then tomb else i)
-    else go ((i + 1) land mask) tomb
-  in
-  go (slot_of mask key) (-1)
+(* First pass: existing binding or first reusable tombstone [tomb]. *)
+and replace_from t keys mask key v i tomb =
+  let k = Array.unsafe_get keys i in
+  if k = key then Array.unsafe_set t.vals i v
+  else if k = empty_key then begin
+    let target = if tomb >= 0 then tomb else i in
+    Array.unsafe_set keys target key;
+    Array.unsafe_set t.vals target v;
+    t.live <- t.live + 1;
+    if tomb < 0 then t.used <- t.used + 1;
+    if t.used * 3 > (mask + 1) * 2 then grow t
+  end
+  else
+    let tomb = if k = tomb_key && tomb < 0 then i else tomb in
+    replace_from t keys mask key v ((i + 1) land mask) tomb
+
+and replace t key v = replace_from t t.keys t.mask key v (slot_of t.mask key) (-1)
 
 let remove t key =
   let i = probe t key in

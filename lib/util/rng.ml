@@ -1,23 +1,35 @@
 (* Deterministic splitmix64 PRNG. All simulation randomness flows through
-   this module so that every experiment is reproducible from a seed. *)
+   this module so that every experiment is reproducible from a seed.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field would
+   box a fresh state on every draw, and the [Rand] instruction draws on the
+   simulator's per-instruction path. *)
+
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let copy = Bytes.copy
+
+let[@inline] next_int64 t =
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* A fresh generator whose stream is independent of the parent's future. *)
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 

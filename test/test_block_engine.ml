@@ -33,8 +33,7 @@ let record_branches (proc : Proc.t) =
   let buf = ref [] in
   proc.Proc.hooks.Proc.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
-        ignore cycles;
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         buf := (tid, from_addr, to_addr, kind) :: !buf);
   buf
 
@@ -296,6 +295,38 @@ let test_write_code_rejects_bad_regs () =
     (Instr.valid_regs (Instr.Alu (Instr.Add, 0, Instr.num_regs - 1, 1)));
   Alcotest.(check bool) "valid_regs rejects" false (Instr.valid_regs (Instr.Movi (99, 1)))
 
+(* ---- allocation gate: the Blocks hot path allocates nothing ---- *)
+
+(* Minor words per retired instruction over [instrs] instructions of
+   [proc] on [`Blocks]. The horizon is finite, so the per-instruction
+   cycle check runs, as it does in every timed window. *)
+let minor_words_per_instr proc ~instrs =
+  let instret0 = proc.Proc.instret in
+  let words0 = Gc.minor_words () in
+  Proc.run ~engine:`Blocks ~cycle_limit:1e18 ~max_instrs:instrs proc;
+  let words = Gc.minor_words () -. words0 in
+  words /. float_of_int (proc.Proc.instret - instret0)
+
+(* The per-instruction and per-taken-branch paths (caches, BTB, RNG, data
+   memory, horizon check, LBR) allocate nothing, so a warmed server
+   allocates only per dispatch-table miss, per scheduler round and per
+   PMI. Measured in the default (dev) profile, whose [-opaque] boxes any
+   float that crosses a module boundary: a horizon check that returns
+   [Core.cycles] alone costs 2 words per instruction. *)
+let test_hot_path_allocation () =
+  let w = Apps.memcached_like () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "set10_get90") in
+  ignore (minor_words_per_instr proc ~instrs:300_000);
+  let bare = minor_words_per_instr proc ~instrs:300_000 in
+  let session = Ocolos_profiler.Perf.start proc in
+  let sampled = minor_words_per_instr proc ~instrs:300_000 in
+  ignore (Ocolos_profiler.Perf.stop session);
+  Printf.printf "minor words/instr: %.3f bare, %.3f under Perf\n" bare sampled;
+  Alcotest.(check bool) (Printf.sprintf "bare %.3f <= 0.5 words/instr" bare) true (bare <= 0.5);
+  Alcotest.(check bool)
+    (Printf.sprintf "under Perf %.3f <= 1.0 words/instr" sampled)
+    true (sampled <= 1.0)
+
 let suite =
   [ Alcotest.test_case "differential: tiny app, fault + replacement" `Quick
       test_differential_tiny;
@@ -312,4 +343,5 @@ let suite =
     Alcotest.test_case "resident accounting under overlapping blocks" `Quick
       test_resident_accounting_overlapping_blocks;
     Alcotest.test_case "write_code rejects bad register operands" `Quick
-      test_write_code_rejects_bad_regs ]
+      test_write_code_rejects_bad_regs;
+    Alcotest.test_case "hot path allocates nothing" `Quick test_hot_path_allocation ]

@@ -306,8 +306,7 @@ let differential_run mode =
   let buf = ref [] in
   proc.Proc.hooks.Proc.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
-        ignore cycles;
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         buf := (tid, from_addr, to_addr, kind) :: !buf);
   let version =
     match mode with

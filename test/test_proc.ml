@@ -146,7 +146,7 @@ let test_branch_hook_sees_taken_transfers () =
   in
   let kinds = ref [] in
   proc.Proc.hooks.on_taken_branch <-
-    Some (fun ~tid:_ ~from_addr:_ ~to_addr:_ ~kind ~cycles:_ -> kinds := kind :: !kinds);
+    Some (fun ~tid:_ ~from_addr:_ ~to_addr:_ ~kind -> kinds := kind :: !kinds);
   run_to_halt proc;
   Alcotest.(check bool) "call observed" true (List.mem Proc.DirectCall !kinds);
   Alcotest.(check bool) "return observed" true (List.mem Proc.Return !kinds)

@@ -81,11 +81,11 @@ let test_perf2bolt_against_ground_truth () =
   let perf_hook = proc.Ocolos_proc.Proc.hooks.on_taken_branch in
   proc.Ocolos_proc.Proc.hooks.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         (match Hashtbl.find_opt census (from_addr, to_addr) with
         | Some v -> Hashtbl.replace census (from_addr, to_addr) (v + 1)
         | None -> Hashtbl.add census (from_addr, to_addr) 1);
-        match perf_hook with Some f -> f ~tid ~from_addr ~to_addr ~kind ~cycles | None -> ());
+        match perf_hook with Some f -> f ~tid ~from_addr ~to_addr ~kind | None -> ());
   Ocolos_proc.Proc.run ~cycle_limit:200_000.0 proc;
   proc.Ocolos_proc.Proc.hooks.on_taken_branch <- perf_hook;
   let samples = Ocolos_profiler.Perf.stop session in

@@ -181,9 +181,8 @@ let record_call_trace (proc : Ocolos_proc.Proc.t) =
   let buf = ref [] in
   proc.Ocolos_proc.Proc.hooks.Ocolos_proc.Proc.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         ignore from_addr;
-        ignore cycles;
         match kind with
         | Ocolos_proc.Proc.DirectCall | Ocolos_proc.Proc.IndCall | Ocolos_proc.Proc.Return
           ->

@@ -257,8 +257,7 @@ let record_branches (proc : Proc.t) =
   let buf = ref [] in
   proc.Proc.hooks.Proc.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
-        ignore cycles;
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         buf := (tid, from_addr, to_addr, kind) :: !buf);
   buf
 

@@ -185,6 +185,53 @@ let test_fmt_int () =
   Alcotest.(check string) "small" "42" (Table.fmt_int 42);
   Alcotest.(check string) "million" "1,234,567" (Table.fmt_int 1234567)
 
+(* The splitmix64 stream is pinned: 8 [bits], then 8 [int _ 1000], then 8
+   [float] draws from one generator, recorded from the original boxed-[int64]
+   implementation. Every seeded simulation depends on this exact stream. *)
+let draws g =
+  let bits = List.init 8 (fun _ -> Rng.bits g) in
+  let ints = List.init 8 (fun _ -> Rng.int g 1000) in
+  let floats = List.init 8 (fun _ -> Rng.float g) in
+  (bits, ints, floats)
+
+let check_draws ctx g (bits, ints, floats) =
+  let b, i, f = draws g in
+  Alcotest.(check (list int)) (ctx ^ ": bits") bits b;
+  Alcotest.(check (list int)) (ctx ^ ": int") ints i;
+  Alcotest.(check (list (float 0.0))) (ctx ^ ": float") floats f
+
+let test_rng_stream_pinned () =
+  check_draws "create 1" (Rng.create 1)
+    ( [ 2612804094800205616; 3439311302766607129; 4477959822570722647; 2049245188455445058;
+        2048809309281742190; 3518229400716132512; 4046056672035966761; 2412221600017015133 ],
+      [ 130; 237; 184; 967; 696; 130; 954; 934 ],
+      [ 0x1.4a694d4d6ffa1p-1; 0x1.a175a1b4ae575p-1; 0x1.5d086f2c615f1p-1; 0x1.c4c6306ee7dedp-1;
+        0x1.0e2c46865e987p-4; 0x1.4d7973c5c2a45p-4; 0x1.fbc7f43b45524p-2; 0x1.f8410633ef307p-4 ]
+    );
+  check_draws "split child" (Rng.split (Rng.create 1))
+    ( [ 1697974441462356039; 4351421970967641211; 208711063701529438; 3585294967163882218;
+        1010490182052961684; 3571285832659384565; 2888144938624116674; 1138925969771747374 ],
+      [ 874; 520; 528; 214; 184; 381; 952; 776 ],
+      [ 0x1.f6f43ddab0d26p-1; 0x1.990ad13227d6bp-1; 0x1.ef913c21ebcc2p-2; 0x1.659b9433bfecp-4;
+        0x1.39db1038cdecbp-1; 0x1.4519631c9b699p-3; 0x1.67f1d4274c546p-1; 0x1.bdca3c20d3df9p-1 ]
+    );
+  (* A copy of a generator three draws in replays the parent's stream from
+     there, and drawing from the copy leaves the original untouched. *)
+  let orig = Rng.create 1 in
+  for _ = 1 to 3 do
+    ignore (Rng.bits orig)
+  done;
+  let copy = Rng.copy orig in
+  check_draws "copy" copy
+    ( [ 2049245188455445058; 2048809309281742190; 3518229400716132512; 4046056672035966761;
+        2412221600017015133; 1316676407973089130; 3661663045011659237; 1863776790465844184 ],
+      [ 967; 696; 130; 954; 934; 888; 60; 3 ],
+      [ 0x1.c4c6306ee7dedp-1; 0x1.0e2c46865e987p-4; 0x1.4d7973c5c2a45p-4; 0x1.fbc7f43b45524p-2;
+        0x1.f8410633ef307p-4; 0x1.25cc171746aaep-2; 0x1.88680fb82ef6ep-5; 0x1.07f2394f0c94ep-1 ]
+    );
+  Alcotest.(check int) "original unmoved by the copy's draws" 2049245188455445058
+    (Rng.bits orig)
+
 let suite =
   [ Alcotest.test_case "fault schedule validation" `Quick test_fault_schedule_validation;
     Alcotest.test_case "fault parse_arm" `Quick test_fault_parse_arm;
@@ -193,6 +240,7 @@ let suite =
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
     Alcotest.test_case "rng bool bias" `Quick test_rng_bool_bias;
     Alcotest.test_case "rng invalid bound" `Quick test_rng_invalid;
     Alcotest.test_case "weighted index" `Quick test_weighted_index;
