@@ -567,7 +567,7 @@ let osr_smoke_cmd =
       failed := true
     end;
     if extra > 0 then begin
-      Fmt.pr "FAIL: %d bytes of stub/copy residue survived convergence@." extra;
+      Fmt.pr "FAIL: %d bytes of OSR residue survived convergence@." extra;
       failed := true
     end;
     (match Ocolos_core.Ocolos.verify_no_dangling oc ~freed:[] with

@@ -12,13 +12,14 @@
    function, a per-function frame map (old PC -> new PC, see
    {!Ocolos_bolt.Frame_map}); the stop-the-world phase rewrites every live
    frame's return address, every saved callee entry and every paused
-   thread's PC directly into C_{i+1} through that map, builds a short
-   compensation stub when a PC lands mid-block between exact map points,
-   and falls back to a verbatim evacuation copy only when no map covers the
-   address at all. The old text — including C0's [bolt.org.text], even for
-   never-returning entry functions — is then unmapped immediately, so after
-   convergence exactly one code version is resident (plus transient stub /
-   copy residue that a reachability-proven GC reaps as frames drain). *)
+   thread's PC directly into C_{i+1} through that map, and builds a short
+   compensation stub when a PC lands mid-block between exact map points.
+   The old text — including C0's [bolt.org.text], even for never-returning
+   entry functions — is then unmapped immediately, range by range, so
+   after convergence exactly one code version is resident. Only a function
+   that something still reaches and no map covers keeps its old text
+   mapped where it is, as transient residue that a reachability-proven GC
+   reaps as frames drain. *)
 
 open Ocolos_isa
 open Ocolos_binary
@@ -51,7 +52,7 @@ type replacement_stats = {
   stack_live_funcs : int;
   frames_migrated : int; (* live frames / PCs rewritten into C_{i+1} *)
   osr_stubs : int; (* compensation stubs generated for mid-block PCs *)
-  copied_funcs : int; (* copy-fallback evacuations (no usable frame map) *)
+  copied_funcs : int; (* functions whose old text was kept in place (no usable frame map) *)
   funcs_optimized : int;
   code_bytes_injected : int;
   gc_bytes_freed : int;
@@ -374,7 +375,7 @@ let c0_text_resident_bytes t =
     !bytes
 
 (* On-demand residue GC between replacements (e.g. the daemon's idle tick):
-   as frames drain past their migrated program points, stubs and copies
+   as frames drain past their migrated program points, stubs and kept text
    become unreachable without another replacement to notice. Pauses the
    process around the reachability proof if it isn't already paused.
    Returns bytes freed. *)
@@ -401,9 +402,9 @@ let data_top_marker mem =
 (* Rebuild the live binary view: code is snapshotted from the process,
    each function's ranges are its resident version plus any residue it
    owns, entries come from [current_entry] (update it first), and the
-   extra sections/init keep the next BOLT round allocating above
-   everything mapped. *)
-let refresh_current t ~name_suffix ~extra_sections ~extra_init =
+   extra init keeps the next BOLT round's tables above every word mapped
+   ([run_bolt]'s hull already keeps its code above everything mapped). *)
+let refresh_current t ~name_suffix ~extra_init =
   t.cfgs <- None (* it decodes the view being replaced *);
   let mem = t.osr.proc.Proc.mem in
   let code = Hashtbl.copy mem.Addr_space.code in
@@ -450,7 +451,6 @@ let refresh_current t ~name_suffix ~extra_sections ~extra_init =
       (fun (s : Binary.section) ->
         if s.Binary.sec_name = ".text" then { s with Binary.sec_name = "bolt.org.text" } else s)
       t.original.Binary.sections
-    @ extra_sections
   in
   let entry =
     match Hashtbl.find_opt t.osr.entry_fid_any t.original.Binary.entry with
@@ -507,9 +507,9 @@ let replace_code t (result : Bolt.result) : replacement_stats =
                  s.Binary.fs_ranges));
       Trace.set_attr sp "instrs" (Trace.I (Array.length new_text.Binary.code_order)));
   let bytes_injected = Binary.text_bytes new_text in
-  (* Keep the mmap cursor above the injected section: stub/copy residue is
-     reserved from it, and BOLT's 1 MiB guard band keeps the next round's
-     emission above the residue in turn. *)
+  (* Keep the mmap cursor above the injected section: stubs are reserved
+     from it, and BOLT's 1 MiB guard band keeps the next round's emission
+     above them in turn. *)
   let new_end = Bolt.sections_end new_text in
   if mem.Addr_space.next_map_base < new_end then
     mem.Addr_space.next_map_base <- (new_end + 0xFFFF) land lnot 0xFFFF;
@@ -571,7 +571,7 @@ let replace_code t (result : Bolt.result) : replacement_stats =
         new_text.Binary.global_init;
       refresh_current t
         ~name_suffix:(Fmt.str ".v%d" t.version)
-        ~extra_sections:new_text.Binary.sections ~extra_init:new_text.Binary.global_init);
+        ~extra_init:new_text.Binary.global_init);
   (* 6. Stop-the-world cost, then resume. *)
   let sites = round.Osr.vtable_patched + round.Osr.sites_patched in
   let pause_seconds = Cost.pause_seconds t.config.cost ~sites ~bytes:bytes_injected in
@@ -587,7 +587,7 @@ let replace_code t (result : Bolt.result) : replacement_stats =
       ("version", Trace.I t.version);
       ("frames", Trace.I round.Osr.frames);
       ("stubs", Trace.I round.Osr.stubs);
-      ("copies", Trace.I round.Osr.copies);
+      ("copies", Trace.I round.Osr.kept);
       ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
   Proc.resume proc;
   { version = t.version;
@@ -596,7 +596,7 @@ let replace_code t (result : Bolt.result) : replacement_stats =
     stack_live_funcs = round.Osr.stack_live;
     frames_migrated = round.Osr.frames;
     osr_stubs = round.Osr.stubs;
-    copied_funcs = round.Osr.copies;
+    copied_funcs = round.Osr.kept;
     funcs_optimized = result.Bolt.funcs_reordered;
     code_bytes_injected = bytes_injected;
     gc_bytes_freed = gc_bytes;
@@ -625,14 +625,19 @@ let frozen_translate_fp t =
    reconstructed from the target as ground truth:
 
    - code the symbol index places at or above the original image's end
-     belongs to injected versions; a function's live entry is the lowest
-     such address it owns (emission lays the hot part first), falling back
-     to its C0 entry;
+     belongs to injected versions;
+   - a function's live entry is what the target names: its v-table
+     slots, direct calls and function-pointer creations in other
+     functions, and live frames' saved callee entries. Every round moves
+     all of these to the live version, while text kept in place by an
+     earlier round may lie below it, so only a function nothing names (a
+     thread root) falls back to the lowest injected address it owns
+     (emission lays the hot part first), and then to its C0 entry;
    - a function's resident set is its injected ranges plus whatever C0
-     ranges are still mapped. Stub/copy residue is indistinguishable from
-     live text here and is conservatively treated as resident; the next
-     replacement round dooms and re-migrates it through the copy fallback
-     (no frame map covers it) like any other old text;
+     ranges are still mapped. Residue is indistinguishable from live text
+     here and is conservatively treated as resident; the next replacement
+     round dooms it like any other old text, and keeps it in place while
+     something still reaches it (no frame map covers it);
    - every injected range start is registered in the function-pointer entry
      index — a superset of the true entry set, harmless because only
      entries are ever created as pointers;
@@ -661,6 +666,33 @@ let reattach ?(config = default_config) (proc : Proc.t) =
         | Some _ | None -> Hashtbl.replace entry fid r.Addr_space.sr_start);
         Hashtbl.replace t.osr.entry_fid_any r.Addr_space.sr_start fid)
       injected;
+    (* Names override the lowest address; later kinds override earlier
+       ones, so a frame pushed by a recursive call inside kept text never
+       outvotes a v-table slot or a caller. *)
+    let name addr =
+      match Addr_space.fid_of_addr mem addr with
+      | Some fid -> Hashtbl.replace entry fid addr
+      | None -> ()
+    in
+    Array.iter
+      (fun (thread : Thread.t) ->
+        if Thread.is_running thread then
+          List.iter
+            (fun (f : Thread.frame) -> name f.Thread.callee_entry)
+            (Thread.live_frames thread))
+      proc.Proc.threads;
+    Hashtbl.iter
+      (fun addr instr ->
+        match instr with
+        | Instr.Call target | Instr.FpCreate (_, target) ->
+          if Addr_space.fid_of_addr mem addr <> Addr_space.fid_of_addr mem target then
+            name target
+        | _ -> ())
+      mem.Addr_space.code;
+    Array.iter
+      (fun (vid, slot, _) ->
+        name (Addr_space.read_data mem (Addr_space.vtable_base mem vid + slot)))
+      t.osr.vtable_slots;
     Hashtbl.iter (fun fid e -> Hashtbl.replace t.current_entry fid e) entry;
     Hashtbl.iter
       (fun fid c0ranges ->
@@ -682,12 +714,9 @@ let reattach ?(config = default_config) (proc : Proc.t) =
     t.version <- 1;
     let lo = List.fold_left (fun acc r -> min acc r.Addr_space.sr_start) max_int injected in
     let hi = List.fold_left (fun acc r -> max acc r.Addr_space.sr_end) 0 injected in
-    (* A hull section over the recovered region and a marker at the highest
-       initialized data word keep the next BOLT round's code and table
-       allocations above everything present. *)
-    refresh_current t ~name_suffix:".recovered"
-      ~extra_sections:[ { Binary.sec_name = ".text"; sec_base = lo; sec_size = hi - lo } ]
-      ~extra_init:(data_top_marker mem);
+    (* A marker at the highest initialized data word keeps the next BOLT
+       round's tables above everything present. *)
+    refresh_current t ~name_suffix:".recovered" ~extra_init:(data_top_marker mem);
     Trace.set_attr sp "live_text" (Trace.S (Fmt.str "0x%x-0x%x" lo hi)));
   Trace.set_attr sp "version" (Trace.I t.version);
   Metrics.count "ocolos_reattach_total" 1;
@@ -803,10 +832,10 @@ type revert_stats = {
    [replace_code] with the roles swapped: the doomed text is every resident
    range absent from the snapshot, desired entries come from the snapshot,
    and — since no frame map exists from a newer version back into an older
-   one — every live frame in the doomed text migrates through the copy
-   fallback. The doomed text is then unmapped outright: registers holding
-   doomed values were migrated like any other pointer, so no landing-pad
-   trampolines are left behind.
+   one — a function with a live frame in the doomed text keeps that text
+   in place until the frame drains. The rest of the doomed text is
+   unmapped outright: registers holding doomed entries were migrated like
+   any other pointer, so no landing-pad trampolines are left behind.
 
    This is the fleet's emergency brake after a canary regression, so unlike
    [replace_code] it contains NO fault cuts: every faultable stage of a
@@ -832,8 +861,11 @@ let revert t (s : snapshot) : revert_stats =
     ~attrs:[ ("from_version", Trace.I from_version); ("to_version", Trace.I s.sn_version) ]
   @@ fun sp ->
   Proc.pause proc;
-  (* 1. Re-inject the snapshot's text that forward GC removed. *)
-  let reinjected = ref 0 in
+  (* 1. Re-inject the snapshot's text that forward GC removed or a forward
+     round kept. Kept text is the snapshot's own and live again, so it
+     leaves the residue (the reaper must never free it) and keeps its
+     symbol range. *)
+  let reinjected = ref 0 and residue_ranges = ref [] in
   Hashtbl.iter
     (fun fid sn_ranges ->
       let cur = Option.value ~default:[] (Hashtbl.find_opt osr.resident fid) in
@@ -849,11 +881,21 @@ let revert t (s : snapshot) : revert_stats =
                 addr := !addr + Instr.size instr
               | None -> incr addr
             done;
-            Addr_space.add_sym_ranges mem
-              [ { Addr_space.sr_start = rs; sr_end = re; sr_fid = fid } ]
+            if List.exists (fun (r : Osr.residue) -> List.mem (rs, re) r.rs_ranges) osr.residue
+            then residue_ranges := (rs, re) :: !residue_ranges
+            else
+              Addr_space.add_sym_ranges mem
+                [ { Addr_space.sr_start = rs; sr_end = re; sr_fid = fid } ]
           end)
         sn_ranges)
     s.sn_resident;
+  osr.residue <-
+    List.filter_map
+      (fun (r : Osr.residue) ->
+        match List.filter (fun rg -> not (List.mem rg !residue_ranges)) r.rs_ranges with
+        | [] -> None
+        | rs_ranges -> Some { r with rs_ranges })
+      osr.residue;
   (* 2. Migrate onto the snapshot's entries, with no frame maps and no
      fault cuts. *)
   let desired_entry fid =
@@ -879,8 +921,8 @@ let revert t (s : snapshot) : revert_stats =
     s.sn_word_values;
   (* Tags for words the snapshot considers live are dropped (the words ARE
      the restored version's live tables again); words initialized after
-     the snapshot — the undone versions' tables, now read only by this
-     round's copies — are inherited under this round. *)
+     the snapshot — the undone versions' tables, now read only by the text
+     this round kept — are inherited under this round. *)
   let inherited' =
     List.filter_map
       (fun (rnd, addrs) ->
@@ -913,16 +955,9 @@ let revert t (s : snapshot) : revert_stats =
           Hashtbl.replace osr.table_addrs a ())
         addrs)
     osr.inherited;
-  (* A placeholder section spanning the reverted region (and a data-top
-     marker) keeps the next BOLT round allocating above the copies made
-     here and above every table still read by residue. *)
-  let orig_end = Bolt.sections_end t.original in
-  refresh_current t ~name_suffix:".revert"
-    ~extra_sections:
-      [ { Binary.sec_name = ".text.reverted";
-          sec_base = orig_end;
-          sec_size = mem.Addr_space.next_map_base - orig_end } ]
-    ~extra_init:(data_top_marker mem);
+  (* A data-top marker keeps the next BOLT round's tables above every
+     table still read by residue. *)
+  refresh_current t ~name_suffix:".revert" ~extra_init:(data_top_marker mem);
   (* 6. Cost, metrics, resume. *)
   let sites = round.Osr.vtable_patched + round.Osr.sites_patched in
   let pause_seconds = Cost.pause_seconds t.config.cost ~sites ~bytes:!reinjected in
@@ -934,14 +969,14 @@ let revert t (s : snapshot) : revert_stats =
     [ ("round", Trace.I round.Osr.number);
       ("to_version", Trace.I s.sn_version);
       ("frames", Trace.I round.Osr.frames);
-      ("copies", Trace.I round.Osr.copies);
+      ("copies", Trace.I round.Osr.kept);
       ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
   Proc.resume proc;
   { rv_from_version = from_version;
     rv_to_version = s.sn_version;
     rv_vtable_entries_patched = round.Osr.vtable_patched;
     rv_call_sites_patched = round.Osr.sites_patched;
-    rv_copied_funcs = round.Osr.copies;
+    rv_copied_funcs = round.Osr.kept;
     rv_code_bytes_reinjected = !reinjected;
     rv_gc_bytes_freed = gc_bytes;
     rv_pause_seconds = pause_seconds }

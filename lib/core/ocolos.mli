@@ -10,14 +10,15 @@
     ({!Ocolos_bolt.Frame_map}) alongside each optimized function, and the
     stop-the-world phase rewrites every live frame's return address, saved
     callee entry and paused thread's PC directly into C_{i+1} through it —
-    via a generated compensation stub when a PC lands mid-block, or a
-    verbatim evacuation copy when no map covers the address — then unmaps
-    the retired text immediately. Nothing is pinned: [bolt.org.text]
+    via a generated compensation stub when a PC lands mid-block — then
+    unmaps the retired text immediately. No code is ever relocated: a
+    function that something still reaches and no map covers keeps its
+    retired text mapped where it is. Nothing is pinned: [bolt.org.text]
     retires as coverage grows (even for never-returning entry functions),
     and after convergence exactly one code version is resident; transient
-    stub/copy residue and the jump-table words it still reads are reaped by
-    a reachability-proven GC as frames drain, and the post-GC reachability
-    scan runs after every round that retires text. A commit and a
+    residue (stubs and kept text) and the jump-table words it still reads
+    are reaped by a reachability-proven GC as frames drain, and the post-GC
+    reachability scan runs after every round that retires text. A commit and a
     {!revert} run the same two {!Osr} steps — migrate, then retire — and
     differ only in the doomed text, the desired entries, the frame maps and
     the fault cut.
@@ -54,7 +55,8 @@ type replacement_stats = {
       (** live frames / PCs rewritten into the new version (OSR) *)
   osr_stubs : int;  (** compensation stubs generated for mid-block PCs *)
   copied_funcs : int;
-      (** copy-fallback evacuations — functions with no usable frame map *)
+      (** functions with no usable frame map whose retired text stayed
+          mapped in place (kept) *)
   funcs_optimized : int;
   code_bytes_injected : int;
   gc_bytes_freed : int;
@@ -70,11 +72,13 @@ val attach : ?config:config -> Ocolos_proc.Proc.t -> t
 
 (** Crash recovery: attach to a process whose previous OCOLOS daemon died,
     reconstructing the controller state from the target as ground truth —
-    injected code above the original image's end, live entries (lowest
-    injected address per function), each function's resident ranges
-    (injected plus surviving C0), and the function-pointer entry index.
-    Stub/copy residue is conservatively treated as resident text; the next
-    replacement round re-migrates it like any other old version. An aborted
+    injected code above the original image's end, live entries (what the
+    v-table slots, other functions' direct calls and function-pointer
+    creations and the live frames' saved callee entries name; the lowest
+    injected address only for a function nothing names), each function's
+    resident ranges (injected plus surviving C0), and the function-pointer
+    entry index. Residue is conservatively treated as resident text; the
+    next replacement round retires it like any other old version. An aborted
     transaction left no trace, so reattaching after a mid-transaction kill
     is identical to a plain {!attach}. *)
 val reattach : ?config:config -> Ocolos_proc.Proc.t -> t
@@ -150,11 +154,11 @@ val config : t -> config
     this on its process clones. *)
 val frozen_translate_fp : t -> int -> int
 
-(** Bytes of stub/copy residue currently mapped. *)
+(** Bytes of residue (stubs and kept text) currently mapped. *)
 val residue_bytes : t -> int
 
-(** Transient footprint beyond the single resident code version: stub/copy
-    residue plus inherited jump-table words (8 bytes each). Reaches 0 after
+(** Transient footprint beyond the single resident code version: residue
+    (stubs and kept text) plus inherited jump-table words (8 bytes each). Reaches 0 after
     convergence once every migrated frame has drained. *)
 val resident_extra_bytes : t -> int
 
@@ -162,7 +166,7 @@ val resident_extra_bytes : t -> int
     True OSR drives this to 0 once every function has been re-emitted. *)
 val c0_text_resident_bytes : t -> int
 
-(** On-demand GC of stub/copy residue between replacements (the daemon's
+(** On-demand GC of residue (stubs and kept text) between replacements (the daemon's
     idle tick): reaps residue no thread PC, frame or register can reach,
     and inherited jump-table words whose round has fully drained. Pauses
     the process around the reachability proof if needed. Returns bytes
@@ -214,7 +218,7 @@ type revert_stats = {
   rv_to_version : int;
   rv_vtable_entries_patched : int;
   rv_call_sites_patched : int;
-  rv_copied_funcs : int;
+  rv_copied_funcs : int;  (** functions whose reverted text was kept in place *)
   rv_code_bytes_reinjected : int;  (** the restored version's text *)
   rv_gc_bytes_freed : int;  (** the reverted version's text *)
   rv_pause_seconds : float;
@@ -222,15 +226,16 @@ type revert_stats = {
 
 (** Un-commit: a reverse replacement taking the process from the live
     version back to the (strictly older) version [snapshot] describes. It
-    re-injects the snapshot's text (its forward GC removed it), then runs
-    the same {!Osr.migrate} as {!replace_code} onto the snapshot's entries
-    with no frame maps (no map exists from a newer version back to an older
-    one, so live frames leave the newer text through the copy fallback),
-    restores patched data words, and runs the same {!Osr.retire}: the
-    reverted text is unmapped outright — no landing-pad trampolines are
-    left behind; register migration makes them unnecessary — the transient
-    copies are reaped by the same reachability proof, and the post-GC scan
-    runs. The snapshot's view is then installed as {!restore} would. The
+    re-injects the snapshot's text (its forward GC removed it, or a forward
+    round kept it in place — such text leaves the residue, since it is live
+    again), then runs the same {!Osr.migrate} as {!replace_code} onto the
+    snapshot's entries with no frame maps (no map exists from a newer
+    version back to an older one, so a function with a live frame in the
+    newer text keeps that text in place), restores patched data words, and
+    runs the same {!Osr.retire}: the rest of the reverted text is unmapped
+    outright — no landing-pad trampolines are left behind; register
+    migration makes them unnecessary — kept text is reaped by the same
+    reachability proof once its frames drain, and the post-GC scan runs. The snapshot's view is then installed as {!restore} would. The
     staged-rollback path of a fleet canary that regressed; deliberately
     contains {e no} fault cuts — the emergency brake must not itself be
     able to fail. Raises [Invalid_argument] if the snapshot is not older

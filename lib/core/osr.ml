@@ -1,15 +1,17 @@
 (* On-stack replacement: the code-version transition a commit and a revert
-   share — [migrate] moves every code pointer off the doomed text onto the
-   desired entries, [retire] unmaps the doomed text, reaps residue and
-   audits what is left (see osr.mli). *)
+   share — [migrate] moves every code pointer it can translate off the
+   doomed text onto the desired entries and keeps the text of the rest in
+   place, [retire] unmaps the doomed text it did not keep, reaps residue
+   and audits what is left (see osr.mli). *)
 
 open Ocolos_isa
 open Ocolos_proc
 open Ocolos_bolt
 module Trace = Ocolos_obs.Trace
 
-(* Transient code left behind by one OSR round: compensation stubs and
-   copy-fallback evacuations. Each is tagged with the round that created
+(* Transient code left behind by one OSR round: compensation stubs, and
+   doomed text kept in place because something the round could not
+   translate still reaches it. Each is tagged with the round that created
    it; the round's inherited jump-table words (below) drain with it. *)
 type residue = {
   rs_fid : int;
@@ -115,8 +117,9 @@ let inherited_mem t a = List.exists (fun (_, addrs) -> List.mem a addrs) t.inher
 
    One per round. [ox_doomed] is the text being retired this round; frames,
    PCs and scratch registers pointing into it are rewritten through the
-   frame maps, via compensation stubs, or — last resort — into verbatim
-   copies. [ox_cut] injects the round's fault points. *)
+   frame maps or via compensation stubs, or — when neither translates them
+   — their function's doomed text is kept in place. [ox_cut] injects the
+   round's fault points. *)
 type ctx = {
   ox_doomed : range_set;
   ox_fms : (int, Frame_map.t) Hashtbl.t;
@@ -124,10 +127,8 @@ type ctx = {
   ox_desired : int -> int; (* fid -> entry it should resolve to now *)
   ox_stubs : (int, int) Hashtbl.t; (* old pc -> stub entry *)
   mutable ox_residue : residue list;
-  ox_addr_map : (int, int) Hashtbl.t; (* old addr -> copy/stub addr *)
-  ox_copied : (int, unit) Hashtbl.t; (* fids already copy-evacuated *)
+  ox_kept : (int, (int * int) list) Hashtbl.t; (* fid -> its doomed ranges kept mapped *)
   mutable ox_stub_count : int;
-  mutable ox_copy_count : int;
   ox_round : int;
   ox_cut : string -> unit;
   mutable ox_gc_span : Trace.span option; (* [replace.gc], open from migrate to retire *)
@@ -145,10 +146,8 @@ let make_ctx t ~doomed ~fms ~desired ~round ~cut =
       ox_desired = desired;
       ox_stubs = Hashtbl.create 16;
       ox_residue = [];
-      ox_addr_map = Hashtbl.create 256;
-      ox_copied = Hashtbl.create 16;
+      ox_kept = Hashtbl.create 16;
       ox_stub_count = 0;
-      ox_copy_count = 0;
       ox_round = round;
       ox_cut = cut;
       ox_gc_span = None }
@@ -158,105 +157,56 @@ let make_ctx t ~doomed ~fms ~desired ~round ~cut =
     t.entry_fid_any;
   ctx
 
-(* Last-resort migration: evacuate the function's doomed ranges by verbatim
-   copy, rebasing intra-function targets and redirecting cross-function
-   entry references out of the doomed region. Idempotent per fid; the copy
-   is registered as round residue and its address map merged into the
-   context so subsequent resolutions land in it. *)
-let copy_fallback t ctx fid =
-  if not (Hashtbl.mem ctx.ox_copied fid) then begin
-    Hashtbl.replace ctx.ox_copied fid ();
+(* The rule for a doomed pointer no frame map or stub translates: keep the
+   function's doomed ranges mapped at their own addresses, as round
+   residue the reaper frees once nothing reaches them. Their only rewrite
+   is cross-function entry targets into other doomed text, which move to
+   the desired entries. Idempotent per fid. *)
+let keep t ctx fid =
+  let ranges =
+    List.filter
+      (fun (s, _) -> in_doomed ctx s)
+      (Option.value ~default:[] (Hashtbl.find_opt t.resident fid))
+  in
+  if ranges <> [] && not (Hashtbl.mem ctx.ox_kept fid) then begin
+    Hashtbl.replace ctx.ox_kept fid ranges;
     let mem = t.proc.Proc.mem in
-    let ranges =
-      List.filter
-        (fun (s, _) -> in_doomed ctx s)
-        (Option.value ~default:[] (Hashtbl.find_opt t.resident fid))
-    in
-    if ranges <> [] then begin
-      let total = List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 ranges in
-      let base = Addr_space.reserve_code mem (total + 16) in
-      let offsets =
-        let cursor = ref base in
-        List.map
-          (fun (s, e) ->
-            let o = (s, e, !cursor - s) in
-            cursor := !cursor + (e - s);
-            o)
-          ranges
-      in
-      let remap addr =
-        List.find_map
-          (fun (s, e, delta) -> if addr >= s && addr < e then Some (addr + delta) else None)
-          offsets
-      in
-      let new_ranges = List.map (fun (s, e, delta) -> (s + delta, e + delta)) offsets in
-      List.iter
-        (fun r ->
-          iter_code mem r (fun addr instr ->
-              let instr' =
-                match Instr.static_target instr with
-                | None -> instr
-                | Some target -> (
-                  match remap target with
-                  | Some d -> Instr.with_target instr d
-                  | None ->
-                    if in_doomed ctx target then
-                      (* Only entries are valid cross-function targets. *)
-                      match Hashtbl.find_opt ctx.ox_old_entry_fid target with
-                      | Some callee -> Instr.with_target instr (ctx.ox_desired callee)
-                      | None -> instr
-                    else instr)
-              in
-              let dst = match remap addr with Some d -> d | None -> assert false in
-              Addr_space.write_code mem dst instr';
-              Hashtbl.replace ctx.ox_addr_map addr dst))
-        ranges;
-      Addr_space.add_sym_ranges mem
-        (List.map (fun (s, e) -> { Addr_space.sr_start = s; sr_end = e; sr_fid = fid }) new_ranges);
-      ctx.ox_residue <-
-        { rs_fid = fid; rs_round = ctx.ox_round; rs_ranges = new_ranges }
-        :: ctx.ox_residue;
-      ctx.ox_copy_count <- ctx.ox_copy_count + 1
-    end
+    let own = range_set ranges in
+    List.iter
+      (fun r ->
+        iter_code mem r (fun addr instr ->
+            match Instr.static_target instr with
+            | Some tgt when in_doomed ctx tgt && not (in_ranges own tgt) -> (
+              match Hashtbl.find_opt ctx.ox_old_entry_fid tgt with
+              | Some callee ->
+                Addr_space.write_code mem addr (Instr.with_target instr (ctx.ox_desired callee))
+              | None -> ())
+            | Some _ | None -> ()))
+      ranges;
+    ctx.ox_residue <-
+      { rs_fid = fid; rs_round = ctx.ox_round; rs_ranges = ranges } :: ctx.ox_residue
   end
 
-(* Map a doomed code address without side effects: through the copy/stub
-   address map, the entry map, or a frame map's block map. *)
+(* Where a doomed value held by data or surviving code points now: an entry
+   to its desired entry (so a function kept for one thread's parked frames
+   never captures calls that belong to the live version), a block start
+   through its function's frame map, and anything else stays put, its
+   function kept. *)
 let map_doomed_value t ctx v =
-  if not (in_doomed ctx v) then None
-  else
-    (* Entry addresses resolve through the desired-entry map before the
-       copy/stub map: an evacuation copy made for one thread's parked
-       frames must not capture other references to the function — calls
-       from surviving code belong to the live version's entry, or copies
-       chain across rounds and never drain. *)
-    match Hashtbl.find_opt ctx.ox_old_entry_fid v with
-    | Some fid -> Some (ctx.ox_desired fid)
-    | None -> (
-      match Hashtbl.find_opt ctx.ox_addr_map v with
-      | Some d -> Some d
-      | None -> (
-        match Addr_space.fid_of_addr t.proc.Proc.mem v with
-        | None -> None
-        | Some fid -> (
-          match Hashtbl.find_opt ctx.ox_fms fid with
-          | Some fm -> Frame_map.block_new_start fm v
-          | None -> None)))
-
-(* Like {!map_doomed_value}, but evacuates the owning function when no map
-   covers the address (jump-table words and residue targets must never be
-   left pointing at text about to be unmapped). *)
-let map_or_copy t ctx v =
-  match map_doomed_value t ctx v with
-  | Some d -> Some d
-  | None ->
-    if in_doomed ctx v then (
-      match Addr_space.fid_of_addr t.proc.Proc.mem v with
-      | Some fid ->
-        copy_fallback t ctx fid;
-        Hashtbl.find_opt ctx.ox_addr_map v
-      | None -> None)
-    else None
+  match Hashtbl.find_opt ctx.ox_old_entry_fid v with
+  | Some fid -> ctx.ox_desired fid
+  | None -> (
+    match Addr_space.fid_of_addr t.proc.Proc.mem v with
+    | None -> v
+    | Some fid -> (
+      let mapped =
+        Option.bind (Hashtbl.find_opt ctx.ox_fms fid) (fun fm -> Frame_map.block_new_start fm v)
+      in
+      match mapped with
+      | Some d -> d
+      | None ->
+        keep t ctx fid;
+        v))
 
 exception Unstubbable
 
@@ -266,7 +216,7 @@ exception Unstubbable
    block in the new text. The tail of the old block re-establishes
    block-local state — that is the compensation — and the appended jump
    hands over at a block boundary, where the frame map is always exact.
-   Returns [None] (caller falls back to a copy) when the old bytes cannot
+   Returns [None] (the caller keeps the function) when the old bytes cannot
    be read, a target cannot be relocated, or the fallthrough block has no
    mapping. *)
 let build_stub t ctx (fm : Frame_map.t) (site : Frame_map.block_site) addr =
@@ -331,36 +281,33 @@ let build_stub t ctx (fm : Frame_map.t) (site : Frame_map.block_site) addr =
     with Unstubbable -> None)
 
 (* Migrate one code pointer held by a thread (PC, return address, saved
-   callee entry, scratch register): exact map hit rewrites in place,
-   mid-block goes through a compensation stub, anything unmapped lands in a
-   copy-fallback evacuation. *)
+   callee entry, scratch register): an entry goes to its desired entry, an
+   exact map hit is rewritten in place, a mid-block PC goes through a
+   compensation stub, and anything else stays put, its function kept. *)
 let resolve_pointer t ctx addr =
   if not (in_doomed ctx addr) then addr
   else begin
     ctx.ox_cut "osr_map";
-    match Hashtbl.find_opt ctx.ox_addr_map addr with
-    | Some d -> d
+    match Hashtbl.find_opt ctx.ox_old_entry_fid addr with
+    | Some fid -> ctx.ox_desired fid
     | None -> (
-      match Hashtbl.find_opt ctx.ox_old_entry_fid addr with
-      | Some fid -> ctx.ox_desired fid
-      | None -> (
-        let via_copy fid =
-          copy_fallback t ctx fid;
-          match Hashtbl.find_opt ctx.ox_addr_map addr with Some d -> d | None -> addr
-        in
-        match Addr_space.fid_of_addr t.proc.Proc.mem addr with
-        | None -> addr (* untracked; the post-GC verifier will catch it *)
-        | Some fid -> (
+      match Addr_space.fid_of_addr t.proc.Proc.mem addr with
+      | None -> addr (* untracked; the post-GC verifier will catch it *)
+      | Some fid -> (
+        let mapped =
           match Hashtbl.find_opt ctx.ox_fms fid with
-          | None -> via_copy fid
+          | None -> None
           | Some fm -> (
             match Frame_map.resolve fm addr with
-            | Frame_map.Exact n -> n
-            | Frame_map.Mid_block site -> (
-              match build_stub t ctx fm site addr with
-              | Some s -> s
-              | None -> via_copy fid)
-            | Frame_map.Unmapped -> via_copy fid))))
+            | Frame_map.Exact n -> Some n
+            | Frame_map.Mid_block site -> build_stub t ctx fm site addr
+            | Frame_map.Unmapped -> None)
+        in
+        match mapped with
+        | Some d -> d
+        | None ->
+          keep t ctx fid;
+          addr))
   end
 
 (* Register migration for one paused thread. Two rules:
@@ -458,9 +405,8 @@ let redirect_code_references t ctx =
     mem.Addr_space.code;
   List.iter
     (fun (addr, instr, tgt) ->
-      match map_or_copy t ctx tgt with
-      | Some d when d <> tgt -> Addr_space.write_code mem addr (Instr.with_target instr d)
-      | Some _ | None -> ())
+      let d = map_doomed_value t ctx tgt in
+      if d <> tgt then Addr_space.write_code mem addr (Instr.with_target instr d))
     !sites
 
 (* Scan every initialized data word for values inside the doomed region and
@@ -484,11 +430,11 @@ let patch_data_words t ctx =
     (fun (a, v) ->
       if Hashtbl.mem t.table_addrs a && (not (inherited_mem t a)) && not (List.mem a !inherited)
       then inherited := a :: !inherited;
-      match map_or_copy t ctx v with
-      | Some d when d <> v ->
+      let d = map_doomed_value t ctx v in
+      if d <> v then begin
         Addr_space.write_data mem a d;
         incr patched
-      | Some _ | None -> ())
+      end)
     words;
   (!patched, !inherited)
 
@@ -511,7 +457,7 @@ let unmap t ~each rs =
   Addr_space.remove_sym_ranges mem ~pred:(fun sr -> in_ranges set sr.Addr_space.sr_start);
   !bytes
 
-(* Reap residue (stubs and copies) that no thread can reach anymore —
+(* Reap residue (stubs and kept text) that no thread can reach anymore —
    reachability is PCs, return addresses, saved callee entries and register
    values of running threads (registers conservatively retain: a scratch
    register may legitimately hold a residue block address mid-dispatch).
@@ -526,10 +472,10 @@ let reap_residue t ~cut =
              if Thread.is_running th then Array.to_list th.Thread.regs else []))
   in
   let keep, reap = List.partition (fun r -> holds r live) t.residue in
-  (* Liveness is transitive: a parked copy may call into another copy (its
-     callee was itself evacuated in a later round), so residue referenced
-     by code that will stay mapped must stay too. Mutually-dead copies may
-     still die together — only references from surviving code promote. *)
+  (* Liveness is transitive: a stub may jump into text a later round kept,
+     so residue referenced by code that will stay mapped must stay too.
+     Mutually-dead residue may still die together — only references from
+     surviving code promote. *)
   let keep = ref keep and reap = ref reap in
   let continue_ = ref true in
   while !continue_ && !reap <> [] do
@@ -626,7 +572,7 @@ type round = {
   stack_live : int;
   frames : int;
   stubs : int;
-  copies : int;
+  kept : int;
   inherited_words : int list;
   ctx : ctx;
 }
@@ -709,7 +655,7 @@ let migrate t ~doomed ~desired ~fms ~cut =
     stack_live = Hashtbl.length live;
     frames;
     stubs = ctx.ox_stub_count;
-    copies = ctx.ox_copy_count;
+    kept = Hashtbl.length ctx.ox_kept;
     inherited_words;
     ctx }
 
@@ -718,22 +664,24 @@ let retire t round =
   else begin
     let ctx = round.ctx in
     let sp = ctx.ox_gc_span in
-    let bytes, reaped =
+    let freed, bytes =
       in_gc_span sp (fun () ->
           (* Unmap the retired text immediately — no trampolines, no pinned
-             C0. *)
-          let unmapped = unmap t ~each:(fun () -> ctx.ox_cut "gc_unmap") round.doomed in
+             C0 — except what the round kept, which is residue now. *)
+          let kept = range_set (Hashtbl.fold (fun _ rs acc -> rs @ acc) ctx.ox_kept []) in
+          let freed = List.filter (fun (s, _) -> not (in_ranges kept s)) round.doomed in
+          let unmapped = unmap t ~each:(fun () -> ctx.ox_cut "gc_unmap") freed in
           t.residue <- ctx.ox_residue @ t.residue;
           let reaped_bytes, reaped = reap_residue t ~cut:ctx.ox_cut in
           let bytes = unmapped + reaped_bytes in
           Trace.set_attr sp "frames_migrated" (Trace.I round.frames);
           Trace.set_attr sp "osr_stubs" (Trace.I round.stubs);
-          Trace.set_attr sp "copied_funcs" (Trace.I round.copies);
+          Trace.set_attr sp "copied_funcs" (Trace.I round.kept);
           Trace.set_attr sp "bytes_freed" (Trace.I bytes);
-          (bytes, reaped))
+          (freed @ reaped, bytes))
     in
     Trace.close_span sp;
     ctx.ox_cut "verify";
-    Trace.span "replace.verify" (fun _ -> verify_no_dangling t ~freed:(round.doomed @ reaped));
+    Trace.span "replace.verify" (fun _ -> verify_no_dangling t ~freed);
     bytes
   end

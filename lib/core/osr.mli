@@ -6,17 +6,25 @@
 
     + {!migrate} patches v-table slots and direct call sites, then moves
       every live frame, PC and scratch register off the doomed text
-      (through a frame map, a compensation stub, or a verbatim evacuation
-      copy), redirects surviving code and rewrites data words;
-    + {!retire} unmaps the doomed text, reaps stub/copy residue no thread
-      can reach and runs the post-GC reachability scan.
+      (through a frame map or a compensation stub), redirects surviving
+      code and rewrites data words;
+    + {!retire} unmaps the doomed text, reaps residue no thread can reach
+      and runs the post-GC reachability scan.
+
+    No path relocates code. When a frame, PC, register, data word or
+    residue reaches doomed text that neither a frame map nor a stub
+    translates, the owning function's doomed ranges are {e kept}: they stay
+    mapped at their own addresses as round residue, with only their
+    cross-function entry targets moved to the desired entries, and the
+    reaper frees them once nothing reaches them.
 
     The directions differ only in what they pass: the doomed ranges, the
-    desired-entry function, the frame maps ([[]] on revert, so every frame
-    goes through the copy fallback) and the fault cut (a no-op on revert). *)
+    desired-entry function, the frame maps ([[]] on revert, so a live frame
+    in the newer text keeps its function) and the fault cut (a no-op on
+    revert). *)
 
-(** Transient code one OSR round left behind — a compensation stub or a
-    copy-fallback evacuation — tagged with that round. *)
+(** Transient code one OSR round left behind — a compensation stub, or a
+    function's doomed text kept in place — tagged with that round. *)
 type residue = {
   rs_fid : int;
   rs_round : int;
@@ -47,8 +55,8 @@ type t = {
   mutable rounds : int;  (** monotone round counter, never rolled back *)
 }
 
-(** One round's migration context: doomed-range set, stub/copy address
-    map, fault cut and the open [replace.gc] span. *)
+(** One round's migration context: doomed-range set, stubs built, kept
+    functions, fault cut and the open [replace.gc] span. *)
 type ctx
 
 (** What {!migrate} did, and what {!retire} needs to finish the round. *)
@@ -60,7 +68,7 @@ type round = {
   stack_live : int;  (** stack-live functions when call sites were patched *)
   frames : int;  (** frames / PCs rewritten *)
   stubs : int;  (** compensation stubs built *)
-  copies : int;  (** copy-fallback evacuations *)
+  kept : int;  (** functions whose doomed text was kept in place *)
   inherited_words : int list;
       (** tracked jump-table words of the retiring text, not yet inherited,
           that the data scan found *)
@@ -85,10 +93,10 @@ val migrate :
   cut:(string -> unit) ->
   round
 
-(** Second step: unmap the round's doomed text, merge its residue, reap
-    unreachable residue and drained inherited words, close [replace.gc],
-    then run {!verify_no_dangling} over everything freed under a
-    [replace.verify] span. Calls the round's cut at [gc_unmap], [gc_reap]
+(** Second step: unmap the round's doomed text minus what it kept, merge
+    its residue, reap unreachable residue and drained inherited words,
+    close [replace.gc], then run {!verify_no_dangling} over everything
+    freed under a [replace.verify] span. Calls the round's cut at [gc_unmap], [gc_reap]
     and [verify]. Returns the bytes freed. A round with nothing doomed
     retires nothing and returns 0. *)
 val retire : t -> round -> int
@@ -110,7 +118,7 @@ val verify_no_dangling : t -> freed:(int * int) list -> unit
 (** Stack-live function set (by return addresses and PCs), as fids. *)
 val stack_live_fids : t -> (int, unit) Hashtbl.t
 
-(** Bytes of stub/copy residue currently mapped. *)
+(** Bytes of residue (stubs and kept text) currently mapped. *)
 val residue_bytes : t -> int
 
 (** Residue bytes plus 8 per inherited jump-table word. *)

@@ -94,7 +94,7 @@ let static_target = function
     None
 
 (* Rewrite the static code-address operand, used by the emitter's relocation
-   pass and by OCOLOS when rebasing stack-live function copies. *)
+   pass and by OCOLOS when it redirects code references during OSR. *)
 let with_target instr target =
   match instr with
   | Branch (c, r, _) -> Branch (c, r, target)

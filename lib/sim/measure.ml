@@ -74,7 +74,7 @@ type ocolos_run = {
   profile : Ocolos_profiler.Profile.t;
   rollbacks : int; (* replacement attempts rolled back by injected faults *)
   attempts : int; (* total replacement attempts (rollbacks + the commit) *)
-  resident_extra_bytes : int; (* stub/copy residue + inherited table words at commit *)
+  resident_extra_bytes : int; (* residue + inherited table words at commit *)
   breaker : Ocolos_core.Guard.breaker_state; (* supervision state after the run *)
   quarantined : int list; (* fids excluded from reordering by the guard *)
 }

@@ -60,7 +60,7 @@ type ocolos_run = {
   rollbacks : int;  (** replacement attempts rolled back by injected faults *)
   attempts : int;  (** total replacement attempts (rollbacks + the commit) *)
   resident_extra_bytes : int;
-      (** transient OSR overhead (stub/copy residue + inherited jump-table
+      (** transient OSR overhead (stubs, kept text and inherited jump-table
           words) mapped right after the commit — the drain-window peak the
           RSS model must include *)
   breaker : Ocolos_core.Guard.breaker_state;

@@ -26,9 +26,9 @@ let of_binary ?(nthreads = 4) (b : Ocolos_binary.Binary.t) ~input =
 
 (* OCOLOS's peak: the running process plus injected code, profile buffers
    (16 bytes per LBR record), BOLT's IR (~48 bytes per instruction), and the
-   transient OSR overhead [resident_extra] — compensation stubs, evacuation
-   copies and inherited jump-table words still mapped while migrated frames
-   drain. The old accounting missed that last term and undercounted the
+   transient OSR overhead [resident_extra] — compensation stubs, retired
+   text kept in place and inherited jump-table words still mapped while
+   migrated frames drain. The old accounting missed that last term and undercounted the
    Table I peak during the drain window. *)
 let ocolos ?(nthreads = 4) ?(resident_extra = 0) (b : Ocolos_binary.Binary.t) ~input
     ~(stats : Ocolos_core.Ocolos.replacement_stats) ~profile_records ~bolt_work_instrs =

@@ -12,7 +12,7 @@ val of_binary :
   ?nthreads:int -> Ocolos_binary.Binary.t -> input:Ocolos_workloads.Input.t -> int
 
 (** [resident_extra] is the transient OSR overhead still mapped at the
-    peak — stub/copy residue plus inherited jump-table words
+    peak — residue (stubs and kept text) plus inherited jump-table words
     ({!Ocolos_core.Ocolos.resident_extra_bytes}); it reaches 0 after
     convergence once migrated frames drain. *)
 val ocolos :

@@ -2,7 +2,9 @@
    function migrated out of its original text, the post-GC reachability
    scanner covering engine-held code pointers, revert leaving no
    ever-growing residue, revert to a version other than C0, revert taking
-   no fault cuts, and drain-window accounting converging to zero. *)
+   no fault cuts, drain-window accounting converging to zero, text kept in
+   place and re-injected by a revert, revert as a semantic no-op, and a
+   re-attached controller finding the live entries. *)
 
 open Ocolos_workloads
 module O = Ocolos_core.Ocolos
@@ -99,9 +101,9 @@ let test_attach_revert_cycles_leak_no_text () =
   let proc = Workload.launch w ~input:(Workload.find_input w "a") in
   let oc = O.attach proc in
   Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
-  (* A never-returning frame reverted out of optimized text parks in one
-     bounded evacuation copy; repeated optimize/revert cycles must reuse
-     that footprint, not grow it. *)
+  (* A never-returning frame reverted out of optimized text keeps that
+     text in place until it drains; repeated optimize/revert cycles must
+     reuse that footprint, not grow it. *)
   let high_water = ref 0 in
   for cycle = 1 to 3 do
     ignore (optimize_once ~profile_instrs:60_000 proc oc);
@@ -170,8 +172,8 @@ let test_revert_to_intermediate_version () =
     binary.Ocolos_binary.Binary.vtables;
   (* The offline call sites sit in C0 text, which C1 unmapped for every
      re-emitted owner; so check every direct call still mapped — the
-     offline sites that survive, C1's re-injected text and the revert's
-     copies alike. *)
+     offline sites that survive, C1's re-injected text and the C2 text the
+     revert kept alike. *)
   let calls = ref 0 in
   Hashtbl.iter
     (fun addr instr ->
@@ -213,6 +215,146 @@ let test_revert_takes_no_fault_cuts () =
   Alcotest.(check (list (pair string int))) "no injection point hit" before (hits ());
   O.verify_no_dangling oc ~freed:[]
 
+(* Retired text a forward round kept is the snapshot's own: reverting to
+   that snapshot re-injects it, and it must leave the residue, or the
+   transient accounting never drains and the reaper would one day unmap
+   live text. *)
+let test_revert_reinjects_kept_text () =
+  let w = Apps.tiny ~tx_limit:(Some 400) () in
+  let input = Workload.find_input w "a" in
+  let reference =
+    let proc = Workload.launch w ~input in
+    Proc.run ~cycle_limit:infinity ~max_instrs:100_000_000 proc;
+    Workload.checksums proc
+  in
+  let proc = Workload.launch w ~input in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  ignore (O.gc_residue oc);
+  Alcotest.(check int) "C1 round drained" 0 (O.resident_extra_bytes oc);
+  let c1 = O.snapshot oc in
+  (* C2 without frame maps: every stack-live C1 function keeps its text. *)
+  O.start_profiling oc;
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  let profile, _ = O.stop_profiling oc in
+  let result, _ = O.run_bolt oc profile in
+  let s2 = O.replace_code oc { result with Ocolos_bolt.Bolt.frame_maps = [] } in
+  Alcotest.(check bool) "C1 text kept" true (s2.O.copied_funcs > 0);
+  Alcotest.(check bool) "kept text is residue" true (O.resident_extra_bytes oc > 0);
+  ignore (O.revert oc c1);
+  Alcotest.(check int) "no residue after the revert" 0 (O.resident_extra_bytes oc);
+  O.verify_no_dangling oc ~freed:[];
+  Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
+  ignore (O.gc_residue oc);
+  Alcotest.(check int) "no residue after the drain" 0 (O.resident_extra_bytes oc);
+  O.verify_no_dangling oc ~freed:[];
+  Proc.run ~cycle_limit:infinity ~max_instrs:100_000_000 proc;
+  Alcotest.(check (list int)) "checksums of an uninterrupted run" reference
+    (Workload.checksums proc)
+
+(* Checksums, transactions and each thread's final state. *)
+let outcome proc =
+  ( Workload.checksums proc,
+    Proc.transactions proc,
+    Array.to_list (Array.map (fun th -> th.Ocolos_proc.Thread.state) proc.Proc.threads) )
+
+(* A commit followed by its revert is a semantic no-op: run to completion,
+   the process ends exactly as one that never committed, whether the
+   revert goes back to C0 or to an intermediate C1. *)
+let test_revert_differential () =
+  let w = Apps.tiny ~tx_limit:(Some 400) () in
+  let input = Workload.find_input w "a" in
+  let finish proc =
+    Proc.run ~cycle_limit:infinity ~max_instrs:100_000_000 proc;
+    outcome proc
+  in
+  let reference = finish (Workload.launch w ~input) in
+  let check name ~to_c1 =
+    let proc = Workload.launch w ~input in
+    let oc = O.attach proc in
+    Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+    ignore (optimize_once ~profile_instrs:60_000 proc oc);
+    let target = if to_c1 then O.snapshot oc else O.c0_snapshot oc in
+    if to_c1 then ignore (optimize_once ~profile_instrs:60_000 proc oc);
+    ignore (O.revert oc target);
+    Alcotest.(check int) (name ^ ": reverted") (O.snapshot_version target) (O.version oc);
+    let got = finish proc in
+    ignore (O.gc_residue oc);
+    O.verify_no_dangling oc ~freed:[];
+    Alcotest.(check bool) (name ^ ": ends as a run that never committed") true (got = reference)
+  in
+  check "to C0" ~to_c1:false;
+  check "to C1" ~to_c1:true
+
+(* fids the process names as entries: v-table slots, direct calls and
+   function-pointer creations in other functions, live frames' saved
+   callee entries. *)
+let named_fids (proc : Proc.t) =
+  let mem = proc.Proc.mem in
+  let fids = Hashtbl.create 64 in
+  let name addr =
+    Option.iter (fun fid -> Hashtbl.replace fids fid ()) (Addr_space.fid_of_addr mem addr)
+  in
+  Array.iter
+    (fun (vt : Ocolos_binary.Binary.vtable) ->
+      Array.iteri
+        (fun slot _ ->
+          let base = Addr_space.vtable_base mem vt.Ocolos_binary.Binary.vt_id in
+          name (Addr_space.read_data mem (base + slot)))
+        vt.Ocolos_binary.Binary.vt_entries)
+    proc.Proc.binary.Ocolos_binary.Binary.vtables;
+  Hashtbl.iter
+    (fun addr instr ->
+      match instr with
+      | Ocolos_isa.Instr.Call target | Ocolos_isa.Instr.FpCreate (_, target) ->
+        if Addr_space.fid_of_addr mem addr <> Addr_space.fid_of_addr mem target then name target
+      | _ -> ())
+    mem.Addr_space.code;
+  Array.iter
+    (fun (th : Ocolos_proc.Thread.t) ->
+      if Ocolos_proc.Thread.is_running th then
+        List.iter
+          (fun (f : Ocolos_proc.Thread.frame) -> name f.Ocolos_proc.Thread.callee_entry)
+          (Ocolos_proc.Thread.live_frames th))
+    proc.Proc.threads;
+  Hashtbl.fold (fun fid () acc -> fid :: acc) fids [] |> List.sort compare
+
+(* A controller re-attached after its predecessor died must find every
+   named function's live entry, also when text kept in place lies below
+   it (a commit without frame maps) or above it (a revert to C0). *)
+let check_reattach_entries name ~leave_residue =
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  leave_residue proc oc;
+  Alcotest.(check bool) (name ^ ": text kept") true (O.residue_bytes oc > 0);
+  let dead = live_entries oc in
+  let fresh = live_entries (O.reattach proc) in
+  let named = named_fids proc in
+  Alcotest.(check bool) (name ^ ": functions named") true (named <> []);
+  List.iter
+    (fun fid ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: fid %d entry" name fid)
+        (Hashtbl.find dead fid) (Hashtbl.find fresh fid))
+    named
+
+let test_reattach_after_mapless_commit () =
+  check_reattach_entries "commit without frame maps" ~leave_residue:(fun proc oc ->
+      O.start_profiling oc;
+      Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+      let profile, _ = O.stop_profiling oc in
+      let result, _ = O.run_bolt oc profile in
+      ignore (O.replace_code oc { result with Ocolos_bolt.Bolt.frame_maps = [] }))
+
+let test_reattach_after_revert_to_c0 () =
+  check_reattach_entries "revert to C0" ~leave_residue:(fun _ oc ->
+      ignore (O.revert oc (O.c0_snapshot oc)))
+
 let suite =
   [ Alcotest.test_case "never-returning entry replaced" `Slow
       test_never_returning_entry_replaced;
@@ -222,4 +364,9 @@ let suite =
       test_attach_revert_cycles_leak_no_text;
     Alcotest.test_case "revert to an intermediate version" `Quick
       test_revert_to_intermediate_version;
-    Alcotest.test_case "revert takes no fault cuts" `Quick test_revert_takes_no_fault_cuts ]
+    Alcotest.test_case "revert takes no fault cuts" `Quick test_revert_takes_no_fault_cuts;
+    Alcotest.test_case "revert re-injects kept text" `Quick test_revert_reinjects_kept_text;
+    Alcotest.test_case "revert differential" `Quick test_revert_differential;
+    Alcotest.test_case "reattach after a commit without frame maps" `Quick
+      test_reattach_after_mapless_commit;
+    Alcotest.test_case "reattach after a revert to C0" `Quick test_reattach_after_revert_to_c0 ]
