@@ -106,44 +106,38 @@ let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-(* Run [f] with an ambient trace, metrics registry, and event log installed
-   when the user asked for any (or [force]), then dump the requested
-   outputs. Emission uses only the simulated clock, so identical
-   invocations write byte-identical files. *)
-let with_obs ?(force = false) trace_path metrics_path events_path f =
-  if (not force) && trace_path = None && metrics_path = None && events_path = None then
-    f ()
-  else begin
-    let tr = Obs.Trace.create () in
-    let reg = Obs.Metrics.create () in
-    let ev = Obs.Events.create () in
-    Obs.Trace.install tr;
-    Obs.Metrics.install reg;
-    Obs.Events.install ev;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Trace.uninstall ();
-        Obs.Metrics.uninstall ();
-        Obs.Events.uninstall ())
-      f;
-    (match trace_path with
-    | Some p ->
-      Obs.Chrome.save p tr;
-      Fmt.pr "wrote trace-event JSON (%d spans, %d events) to %s@." (Obs.Trace.span_count tr)
-        (List.length (Obs.Trace.events tr))
-        p
-    | None -> ());
-    (match metrics_path with
-    | Some p ->
-      write_file p (Obs.Metrics.to_prometheus reg);
-      Fmt.pr "wrote metrics to %s@." p
-    | None -> ());
-    match events_path with
-    | Some p ->
-      Obs.Events.save p ev;
-      Fmt.pr "wrote %d events to %s@." (Obs.Events.count ev) p
-    | None -> ()
-  end
+(* Run [f tr ev] with a fresh trace [tr], metrics registry and event log
+   [ev] installed, then dump the requested outputs. Emission uses only the
+   simulated clock, so identical invocations write byte-identical files. *)
+let observed trace_path metrics_path events_path f =
+  let tr = Obs.Trace.create () in
+  let reg = Obs.Metrics.create () in
+  let ev = Obs.Events.create () in
+  Obs.Trace.with_installed tr (fun () ->
+      Obs.Metrics.with_installed reg (fun () ->
+          Obs.Events.with_installed ev (fun () -> f tr ev)));
+  (match trace_path with
+  | Some p ->
+    Obs.Chrome.save p tr;
+    Fmt.pr "wrote trace-event JSON (%d spans, %d events) to %s@." (Obs.Trace.span_count tr)
+      (List.length (Obs.Trace.events tr))
+      p
+  | None -> ());
+  (match metrics_path with
+  | Some p ->
+    write_file p (Obs.Metrics.to_prometheus reg);
+    Fmt.pr "wrote metrics to %s@." p
+  | None -> ());
+  match events_path with
+  | Some p ->
+    Obs.Events.save p ev;
+    Fmt.pr "wrote %d events to %s@." (Obs.Events.count ev) p
+  | None -> ()
+
+(* {!observed}, when the user asked for any output. *)
+let with_obs trace_path metrics_path events_path f =
+  if trace_path = None && metrics_path = None && events_path = None then f ()
+  else observed trace_path metrics_path events_path (fun _ _ -> f ())
 
 let list_cmd =
   let run () =
@@ -482,10 +476,8 @@ let chaos_cmd =
         (fun (seed, point) ->
           (* Deterministic: the re-run fails identically, now traced. *)
           let tr = Obs.Trace.create () in
-          Obs.Trace.install tr;
-          Fun.protect
-            ~finally:(fun () -> Obs.Trace.uninstall ())
-            (fun () -> ignore (Ocolos_sim.Chaos.scenario ~seed ~point ()));
+          Obs.Trace.with_installed tr (fun () ->
+              ignore (Ocolos_sim.Chaos.scenario ~seed ~point ()));
           let label =
             Ocolos_sim.Chaos.scenario_label
               { Ocolos_sim.Chaos.r_seed = seed;
@@ -697,10 +689,8 @@ let explain_cmd =
   let module LH = Obs.Layout_health in
   let run replicas canary inject seed ticks rate inputs fault_specs fault_seed trace
       metrics events =
-    with_obs ~force:true trace metrics events @@ fun () ->
+    observed trace metrics events @@ fun _ ev ->
     let lh = LH.create () in
-    LH.install lh;
-    Fun.protect ~finally:(fun () -> LH.uninstall ()) @@ fun () ->
     let config = fleet_config ~canary ~inject in
     let ocolos_config =
       { Ocolos_core.Ocolos.default_config with
@@ -711,7 +701,7 @@ let explain_cmd =
       (if inject then " — injecting an IPC regression at the canary verdict" else "");
     let report, fleet =
       Fleet_driver.run ~replicas ~seed ~ticks ~arrival_rate:rate ~inputs ~config
-        ~ocolos_config ()
+        ~ocolos_config ~health:lh ()
     in
     LH.export_metrics lh;
     Fmt.pr "%s@." (Fleet_driver.report_to_string report);
@@ -751,38 +741,35 @@ let explain_cmd =
                   fd.LH.fd_total)
             regs
         end);
-    (match Obs.Events.installed () with
-    | None -> ()
-    | Some ev ->
-      let evs = Obs.Events.events ev in
-      let fired =
-        List.filter
-          (fun (e : Obs.Events.event) ->
-            e.Obs.Events.e_type = "fault.fired" || e.Obs.Events.e_type = "fault.killed")
-          evs
-      in
-      if fired <> [] then begin
-        Fmt.pr "@.fault injections:@.";
-        List.iter
-          (fun (e : Obs.Events.event) ->
-            match List.assoc_opt "point" e.Obs.Events.e_fields with
-            | Some (Obs.Trace.S p) ->
-              Fmt.pr "  t=%dus %s at %s (fault domain: %s)@." e.Obs.Events.e_ts_us
-                e.Obs.Events.e_type p
-                (Ocolos_util.Fault.domain_of p)
-            | _ -> ())
-          fired
-      end;
-      match
-        List.rev
-          (List.filter
-             (fun (e : Obs.Events.event) ->
-               e.Obs.Events.e_type = "fleet.rolled_back"
-               || e.Obs.Events.e_type = "txn.rollback")
-             evs)
-      with
-      | last :: _ -> Fmt.pr "@.rollback event (JSONL):@.  %s@." (Obs.Events.event_to_string last)
-      | [] -> ())
+    let evs = Obs.Events.events ev in
+    let fired =
+      List.filter
+        (fun (e : Obs.Events.event) ->
+          e.Obs.Events.e_type = "fault.fired" || e.Obs.Events.e_type = "fault.killed")
+        evs
+    in
+    if fired <> [] then begin
+      Fmt.pr "@.fault injections:@.";
+      List.iter
+        (fun (e : Obs.Events.event) ->
+          match List.assoc_opt "point" e.Obs.Events.e_fields with
+          | Some (Obs.Trace.S p) ->
+            Fmt.pr "  t=%dus %s at %s (fault domain: %s)@." e.Obs.Events.e_ts_us
+              e.Obs.Events.e_type p
+              (Ocolos_util.Fault.domain_of p)
+          | _ -> ())
+        fired
+    end;
+    match
+      List.rev
+        (List.filter
+           (fun (e : Obs.Events.event) ->
+             e.Obs.Events.e_type = "fleet.rolled_back"
+             || e.Obs.Events.e_type = "txn.rollback")
+           evs)
+    with
+    | last :: _ -> Fmt.pr "@.rollback event (JSONL):@.  %s@." (Obs.Events.event_to_string last)
+    | [] -> ()
   in
   Cmd.v
     (Cmd.info "explain"
@@ -922,7 +909,7 @@ let topdown_cmd =
    did to the TopDown cycle breakdown and front-end miss rates. *)
 let stats_cmd =
   let run name input_name seconds trace metrics events =
-    with_obs ~force:true trace metrics events @@ fun () ->
+    observed trace metrics events @@ fun tr _ ->
     let w = load_workload name in
     let input = Workload.find_input w input_name in
     let profile_s = 2.0 in
@@ -982,12 +969,9 @@ let stats_cmd =
            frow "taken branches/Ki" Ocolos_uarch.Counters.taken_branches_pki ]);
     Fmt.pr "throughput: %.0f -> %.0f tps (%.2fx)@." orig.Measure.tps post.Measure.tps
       (post.Measure.tps /. orig.Measure.tps);
-    match Obs.Trace.installed () with
-    | Some tr ->
-      Fmt.pr "trace: %d spans, %d point events (use --trace FILE to export)@."
-        (Obs.Trace.span_count tr)
-        (List.length (Obs.Trace.events tr))
-    | None -> ()
+    Fmt.pr "trace: %d spans, %d point events (use --trace FILE to export)@."
+      (Obs.Trace.span_count tr)
+      (List.length (Obs.Trace.events tr))
   in
   Cmd.v
     (Cmd.info "stats"

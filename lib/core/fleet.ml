@@ -34,7 +34,6 @@ type config = {
   max_ipc_drop : float;
   max_p99_rise : float;
   canary_ipc_scale : float;
-  sample_keep_every : int option;
   latency_probe : (int -> float) option;
   daemon : Daemon.config;
 }
@@ -45,7 +44,6 @@ let default_config =
     max_ipc_drop = 0.10;
     max_p99_rise = 0.50;
     canary_ipc_scale = 1.0;
-    sample_keep_every = None;
     latency_probe = None;
     daemon = Daemon.default_config }
 
@@ -463,12 +461,7 @@ let retry t ~now_s ~attempt ~point ~stage ~replica ~rest ~result =
 (* Profiling window complete: stop every replica's session, aggregate the
    decimated streams, BOLT once, then start the canary stage. *)
 let finish_profiling t ~now_s =
-  let n = Array.length t.reps in
-  let keep_every =
-    match t.config.sample_keep_every with
-    | Some k -> max 1 k
-    | None -> n
-  in
+  let keep_every = Array.length t.reps in
   let kept =
     Array.map
       (fun r ->

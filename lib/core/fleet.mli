@@ -9,9 +9,10 @@
     campaign manages N replicas of the same binary through a single
     optimization cycle:
 
-    + {b profile} every replica, decimating each stream to a configurable
-      per-replica fraction (default 1/N) and aggregating the union through
-      one {!Ocolos_profiler.Perf2bolt.convert_sources} call — fleet-wide
+    + {b profile} every replica, decimating each of the N streams to every
+      N-th sample batch (fraction 1/N, phase = replica id) and aggregating
+      the union through one {!Ocolos_profiler.Perf2bolt.convert_sources}
+      call — fleet-wide
       coverage at a fraction of the per-replica sampling cost (the Fig. 6
       knee, spread across the fleet);
     + {b BOLT once} on the shared layout (all replicas committed identical
@@ -70,9 +71,6 @@ type config = {
       (** scale applied to measured canary IPC at the verdict; [< 1.0]
           injects a synthetic regression (CLI [--inject-regression] and the
           rollback tests) *)
-  sample_keep_every : int option;
-      (** per-replica profile decimation: keep every k-th sample batch;
-          [None] means k = number of replicas (fraction 1/N) *)
   latency_probe : (int -> float) option;
       (** current p99 (simulated seconds) per replica id, wired by the
           driver that owns the traffic model *)

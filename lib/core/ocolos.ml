@@ -75,6 +75,58 @@ type t = {
          [current] is rebuilt *)
 }
 
+(* ---- controller-state snapshots (for transactional replacement) ----
+
+   [replace_code] mutates, besides the address space and thread state, the
+   controller's own view of the live code version. A snapshot captures
+   exactly the fields [replace_code] touches — plus the values of every
+   tracked data word, which {!revert} needs because the forward data scan
+   rewrites stored function pointers and jump-table words in place — so
+   that {!Txn} can roll the controller back to C_i alongside the
+   address-space undo log, and {!revert} can rebuild C_i from scratch.
+   Hash tables are copied on both capture and restore, so one snapshot can
+   back any number of rollbacks. ([rounds] is deliberately not captured:
+   it is a monotone residue tag and must never move backwards.) *)
+
+type snapshot = {
+  sn_version : int;
+  sn_current : Binary.t;
+  sn_current_entry : (int, int) Hashtbl.t;
+  sn_resident : (int, (int * int) list) Hashtbl.t;
+  sn_residue : Osr.residue list;
+  sn_inherited : (int * int list) list;
+  sn_entry_fid_any : (int, int) Hashtbl.t;
+  sn_init_addrs : (int, unit) Hashtbl.t;
+  sn_table_addrs : (int, unit) Hashtbl.t;
+  sn_word_values : (int * int) list; (* tracked words' values at capture *)
+}
+
+(* C0's controller tables, built from the original image: [attach] starts
+   the controller on them, and [c0_snapshot] builds a fresh set to revert
+   to. Their initial sizes are the live tables' sizes, which set iteration
+   order and so the emitted artifacts. *)
+let c0_view original ~c0_entry ~c0_ranges =
+  let resident = Hashtbl.create 256 in
+  Hashtbl.iter (fun fid ranges -> Hashtbl.replace resident fid ranges) c0_ranges;
+  let entry_fid = Hashtbl.create 256 in
+  Hashtbl.iter (fun fid e -> Hashtbl.replace entry_fid e fid) c0_entry;
+  let init = Hashtbl.create 256 and tables = Hashtbl.create 64 in
+  List.iter
+    (fun (a, v) ->
+      Hashtbl.replace init a ();
+      if Hashtbl.mem original.Binary.code v then Hashtbl.replace tables a ())
+    original.Binary.global_init;
+  { sn_version = 0;
+    sn_current = original;
+    sn_current_entry = Hashtbl.copy c0_entry;
+    sn_resident = resident;
+    sn_residue = [];
+    sn_inherited = [];
+    sn_entry_fid_any = entry_fid;
+    sn_init_addrs = init;
+    sn_table_addrs = tables;
+    sn_word_values = original.Binary.global_init }
+
 (* ---- attach ---- *)
 
 (* Function-pointer resolution: an entry of any version ever live denotes
@@ -97,8 +149,8 @@ let attach ?(config = default_config) (proc : Proc.t) =
      its owning function and callee, to shorten the stop-the-world phase
      (Section IV). *)
   let index = Binary.build_addr_index original in
-  let entry_fid = Hashtbl.create 256 in
-  Hashtbl.iter (fun fid entry -> Hashtbl.replace entry_fid entry fid) c0_entry;
+  let c0 = c0_view original ~c0_entry ~c0_ranges in
+  let entry_fid = c0.sn_entry_fid_any in
   let offline_sites =
     Binary.direct_call_sites original
     |> List.filter_map (fun (site, target) ->
@@ -118,15 +170,6 @@ let attach ?(config = default_config) (proc : Proc.t) =
            |> List.concat)
     |> Array.of_list
   in
-  let current_entry = Hashtbl.copy c0_entry in
-  let resident = Hashtbl.create 256 in
-  Hashtbl.iter (fun fid ranges -> Hashtbl.replace resident fid ranges) c0_ranges;
-  let init_addrs = Hashtbl.create 256 and table_addrs = Hashtbl.create 64 in
-  List.iter
-    (fun (a, v) ->
-      Hashtbl.replace init_addrs a ();
-      if Hashtbl.mem original.Binary.code v then Hashtbl.replace table_addrs a ())
-    original.Binary.global_init;
   let t =
     { osr =
         { Osr.proc;
@@ -134,9 +177,9 @@ let attach ?(config = default_config) (proc : Proc.t) =
           offline_sites;
           patch_all_direct_calls = config.patch_all_direct_calls;
           entry_fid_any = entry_fid;
-          resident;
-          init_addrs;
-          table_addrs;
+          resident = c0.sn_resident;
+          init_addrs = c0.sn_init_addrs;
+          table_addrs = c0.sn_table_addrs;
           residue = [];
           inherited = [];
           rounds = 0 };
@@ -146,7 +189,7 @@ let attach ?(config = default_config) (proc : Proc.t) =
       c0_ranges;
       version = 0;
       current = original;
-      current_entry;
+      current_entry = c0.sn_current_entry;
       session = None;
       cfgs = None }
   in
@@ -722,32 +765,6 @@ let reattach ?(config = default_config) (proc : Proc.t) =
   Metrics.count "ocolos_reattach_total" 1;
   t
 
-(* ---- controller-state snapshots (for transactional replacement) ----
-
-   [replace_code] mutates, besides the address space and thread state, the
-   controller's own view of the live code version. A snapshot captures
-   exactly the fields [replace_code] touches — plus the values of every
-   tracked data word, which {!revert} needs because the forward data scan
-   rewrites stored function pointers and jump-table words in place — so
-   that {!Txn} can roll the controller back to C_i alongside the
-   address-space undo log, and {!revert} can rebuild C_i from scratch.
-   Hash tables are copied on both capture and restore, so one snapshot can
-   back any number of rollbacks. ([rounds] is deliberately not captured:
-   it is a monotone residue tag and must never move backwards.) *)
-
-type snapshot = {
-  sn_version : int;
-  sn_current : Binary.t;
-  sn_current_entry : (int, int) Hashtbl.t;
-  sn_resident : (int, (int * int) list) Hashtbl.t;
-  sn_residue : Osr.residue list;
-  sn_inherited : (int * int list) list;
-  sn_entry_fid_any : (int, int) Hashtbl.t;
-  sn_init_addrs : (int, unit) Hashtbl.t;
-  sn_table_addrs : (int, unit) Hashtbl.t;
-  sn_word_values : (int * int) list; (* tracked words' values at capture *)
-}
-
 let snapshot t =
   let osr = t.osr in
   { sn_version = t.version;
@@ -788,27 +805,7 @@ let restore t s =
    gone (fleet restart after a reattach): C0's bytes live in the original
    binary image, so reverting to it is always possible even though its
    text may long since have been unmapped. *)
-let c0_snapshot t =
-  let resident = Hashtbl.create 256 in
-  Hashtbl.iter (fun fid ranges -> Hashtbl.replace resident fid ranges) t.c0_ranges;
-  let entry_fid = Hashtbl.create 256 in
-  Hashtbl.iter (fun fid e -> Hashtbl.replace entry_fid e fid) t.c0_entry;
-  let init = Hashtbl.create 64 and tables = Hashtbl.create 64 in
-  List.iter
-    (fun (a, v) ->
-      Hashtbl.replace init a ();
-      if Hashtbl.mem t.original.Binary.code v then Hashtbl.replace tables a ())
-    t.original.Binary.global_init;
-  { sn_version = 0;
-    sn_current = t.original;
-    sn_current_entry = Hashtbl.copy t.c0_entry;
-    sn_resident = resident;
-    sn_residue = [];
-    sn_inherited = [];
-    sn_entry_fid_any = entry_fid;
-    sn_init_addrs = init;
-    sn_table_addrs = tables;
-    sn_word_values = t.original.Binary.global_init }
+let c0_snapshot t = c0_view t.original ~c0_entry:t.c0_entry ~c0_ranges:t.c0_ranges
 
 let snapshot_version s = s.sn_version
 

@@ -71,9 +71,11 @@ let save path t =
 (* Ambient event log. *)
 
 let current : t option ref = ref None
-let install t = current := Some t
-let uninstall () = current := None
-let installed () = !current
+
+let with_installed t f =
+  let prev = !current in
+  current := Some t;
+  Fun.protect ~finally:(fun () -> current := prev) f
 
 (* ---- the event catalog ---- *)
 

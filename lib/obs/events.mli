@@ -21,9 +21,9 @@
     {!Trace.in_replica} additionally carry a ["replica"] field, matching
     the replica's Perfetto process track.
 
-    Like the other sinks, a log can be {!install}ed as the ambient event
-    log, which {!emit} feeds; with nothing installed it cheaply does
-    nothing. Sequence numbers and the simulated clock are the only time
+    Like the other sinks, a log can be made the ambient event log for the
+    extent of a function with {!with_installed}; {!emit} feeds it, and
+    outside every such scope it cheaply does nothing. Sequence numbers and the simulated clock are the only time
     sources, so two identical seeded runs emit byte-identical JSONL. *)
 
 type event = {
@@ -57,9 +57,10 @@ val save : string -> t -> unit
 
 (** {2 Ambient event log} *)
 
-val install : t -> unit
-val uninstall : unit -> unit
-val installed : unit -> t option
+(** [with_installed t f] runs [f] with [t] as the ambient event log, then
+    restores the previous one (or none), on return and on exception
+    alike. Scopes nest. *)
+val with_installed : t -> (unit -> 'a) -> 'a
 
 (** {2 The event catalog} *)
 

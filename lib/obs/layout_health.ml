@@ -255,18 +255,3 @@ let delta_table t ~from_version ~to_version =
     Buffer.add_string b
       (Printf.sprintf "no data for C%d vs C%d\n" from_version to_version));
   Buffer.contents b
-
-(* ---- ambient accumulator ---- *)
-
-let current : t option ref = ref None
-let install t = current := Some t
-let uninstall () = current := None
-let installed () = !current
-
-let window ?replica ~version s =
-  match !current with None -> () | Some t -> record_window t ?replica ~version s
-
-let func_window ~version ~fid ~name fc =
-  match !current with
-  | None -> ()
-  | Some t -> record_func_window t ~version ~fid ~name fc

@@ -17,10 +17,10 @@
     version window, not of the function's own instructions — the shape of
     attribution a sampled LBR profile supports.
 
-    Like the other obs sinks, an accumulator can be {!install}ed as the
-    ambient one; {!window} / {!func_window} then feed it and no-op (without
-    allocating) when none is installed, so per-tick recording costs nothing
-    unless someone — e.g. the CLI [explain] subcommand — is watching. *)
+    Unlike the other obs sinks, an accumulator is never ambient: the one
+    producer ([Ocolos_sim.Fleet_driver.run ~health]) takes it as an
+    argument, so per-tick recording costs nothing unless a caller — the
+    CLI [explain] subcommand — passes one. *)
 
 (** Raw counts for one recording window, all from the same code version. *)
 type sample = {
@@ -114,15 +114,3 @@ val report : t -> string
 
 (** Signal-by-signal C_from vs C_to table with deltas. *)
 val delta_table : t -> from_version:int -> to_version:int -> string
-
-(** {2 Ambient accumulator} *)
-
-val install : t -> unit
-val uninstall : unit -> unit
-val installed : unit -> t option
-
-(** Ambient {!record_window}; no-op when nothing is installed. *)
-val window : ?replica:int -> version:int -> sample -> unit
-
-(** Ambient {!record_func_window}. *)
-val func_window : version:int -> fid:int -> name:string -> func_counts -> unit

@@ -175,9 +175,10 @@ let to_json r =
 
 let current : registry option ref = ref None
 
-let install r = current := Some r
-let uninstall () = current := None
-let installed () = !current
+let with_installed r f =
+  let prev = !current in
+  current := Some r;
+  Fun.protect ~finally:(fun () -> current := prev) f
 
 let count ?labels name n =
   match !current with Some r -> inc (counter r ?labels name) n | None -> ()

@@ -7,10 +7,11 @@
     lexicographic (name, labels) order, with all numbers rendered through
     {!Json.number}, so two identical runs dump byte-identical output.
 
-    Like {!Trace}, a registry can be {!install}ed as the ambient registry;
-    {!count}, {!record} and {!sample} then feed it (or cheaply do nothing
-    when none is installed), which is how pipeline code reports without
-    threading a handle. *)
+    Like {!Trace}, a registry can be made the ambient registry for the
+    extent of a function with {!with_installed}; {!count}, {!record} and
+    {!sample} then feed it (or cheaply do nothing outside every such
+    scope), which is how pipeline code reports without threading a
+    handle. *)
 
 type registry
 type counter
@@ -63,9 +64,10 @@ val to_json : registry -> Json.t
 
 (** {2 Ambient registry} *)
 
-val install : registry -> unit
-val uninstall : unit -> unit
-val installed : unit -> registry option
+(** [with_installed r f] runs [f] with [r] as the ambient registry, then
+    restores the previous one (or none), on return and on exception
+    alike. Scopes nest. *)
+val with_installed : registry -> (unit -> 'a) -> 'a
 
 (** Add to an ambient counter (created on first use). *)
 val count : ?labels:(string * string) list -> string -> int -> unit

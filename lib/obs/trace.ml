@@ -122,8 +122,11 @@ let open_spans t = t.stack
 
 let current : t option ref = ref None
 
-let install t = current := Some t
-let uninstall () = current := None
+let with_installed t f =
+  let prev = !current in
+  current := Some t;
+  Fun.protect ~finally:(fun () -> current := prev) f
+
 let installed () = !current
 
 let span ?attrs name f =

@@ -13,9 +13,10 @@
     exporter ({!Chrome}) relies on.
 
     Instrumented code does not thread a trace handle through every call:
-    one trace can be {!install}ed as the ambient current trace, and the
-    lower-case helpers ({!span}, {!open_span}, {!plot}, {!clock}) write to
-    it — or do nothing, cheaply, when no trace is installed. Pipeline code
+    {!with_installed} makes one trace the ambient current trace for the
+    extent of a function, and the lower-case helpers ({!span},
+    {!open_span}, {!plot}, {!clock}) write to it — or do nothing, cheaply,
+    outside every such scope. Pipeline code
     never writes an instant itself: {!Events.emit} writes it, together with
     the matching event and counters. *)
 
@@ -87,8 +88,13 @@ val open_spans : t -> span list
 
 (** {2 Ambient current trace} *)
 
-val install : t -> unit
-val uninstall : unit -> unit
+(** [with_installed t f] runs [f] with [t] as the ambient trace, then
+    restores the previous ambient trace (or none), on return and on
+    exception alike. Scopes nest. *)
+val with_installed : t -> (unit -> 'a) -> 'a
+
+(** The ambient trace, if a {!with_installed} scope is open; {!Events}
+    reads its clock and open spans. *)
 val installed : unit -> t option
 
 (** {!with_span} against the ambient trace; [f] receives [None] (and the

@@ -43,34 +43,22 @@ module Proc = Ocolos_proc.Proc
 module Workload = Ocolos_workloads.Workload
 module Apps = Ocolos_workloads.Apps
 
-type config = {
-  step_instrs : int; (* instructions the target advances between ticks *)
-  max_ticks : int; (* tick budget for the kill and convergence runs *)
-  trace_tx_limit : int; (* finite workload size for the trace runs *)
-  drain_instrs : int; (* instruction budget to run a trace run to halt *)
-  jump_tables : bool; (* keep jump tables so inject_data is reachable *)
-  engine : [ `Reference | `Blocks ]; (* target execution engine *)
-  daemon : Daemon.config;
-}
+let step_instrs = 12_000 (* instructions the target advances between ticks *)
+let max_ticks = 60 (* tick budget for the kill and convergence runs *)
+let trace_tx_limit = 1_500 (* finite workload size for the trace runs *)
+let drain_instrs = 50_000_000 (* instruction budget to run a trace run to halt *)
 
 (* [regression_tolerance < 0] turns the drift gate into "always re-optimize
    once the amortization interval passes": continuous rounds (C1 -> C2 ->
    ...) happen on the tiny workload without needing an input shift, which is
    what makes the osr_*/gc_*/verify points reachable here. *)
-let default_config =
-  { step_instrs = 12_000;
-    max_ticks = 60;
-    trace_tx_limit = 1_500;
-    drain_instrs = 50_000_000;
-    jump_tables = true;
-    engine = `Blocks;
-    daemon =
-      { Daemon.default_config with
-        Daemon.profile_s = 1.0;
-        warmup_s = 0.5;
-        min_interval_s = 2.0;
-        regression_tolerance = -0.5;
-        retry_backoff_s = 0.5 } }
+let daemon_config =
+  { Daemon.default_config with
+    Daemon.profile_s = 1.0;
+    warmup_s = 0.5;
+    min_interval_s = 2.0;
+    regression_tolerance = -0.5;
+    retry_backoff_s = 0.5 }
 
 type outcome =
   | Verified of {
@@ -129,15 +117,13 @@ let result_to_string r =
 
 (* ---- shared construction: every scenario drives a fleet ---- *)
 
-(* The tiny workload, optionally rebuilt with its jump tables kept (the
-   default lowers them away, which leaves BOLT's output with no table data
-   and makes the inject_data point unreachable). *)
-let tiny_workload cfg ~tx_limit =
+(* The tiny workload, rebuilt with its jump tables kept (the default lowers
+   them away, which leaves BOLT's output with no table data and makes the
+   inject_data point unreachable). *)
+let tiny_workload ~tx_limit =
   let base = Apps.tiny ~tx_limit () in
-  if not cfg.jump_tables then base
-  else
-    Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
-      ~nthreads:2 base.Workload.gen
+  Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
+    ~nthreads:2 base.Workload.gen
 
 (* Boundary-only frame maps: paused PCs then land mid-block, so OSR has to
    build compensation stubs — which is what makes the osr_stub point (and
@@ -151,34 +137,34 @@ let ocolos_config ~fault =
    verdict that always rolls back would never let continuous rounds
    (C1 -> C2 -> ...) or a kill mid-promotion happen. The permissive verify
    thresholds keep rollouts flowing, for one replica and for many. *)
-let fleet_config cfg =
+let fleet_config =
   { Fleet.default_config with
-    Fleet.daemon = cfg.daemon;
+    Fleet.daemon = daemon_config;
     max_ipc_drop = 1.0;
     max_p99_rise = infinity }
 
 (* One fault registry across the whole fleet: an Nth schedule counts hits
    fleet-wide, which is what lets a kill land between two replicas'
    commits. *)
-let make_fleet cfg ~fault procs =
-  Fleet.create ~config:(fleet_config cfg) ~ocolos_config:(ocolos_config ~fault) procs
+let make_fleet ~fault procs =
+  Fleet.create ~config:fleet_config ~ocolos_config:(ocolos_config ~fault) procs
 
 let version fleet = O.version (Fleet.ocolos fleet 0)
 
 (* Advance every replica one tick's worth of instructions; tick i is
    simulated second i+1. Instruction driving, never cycle driving — see the
    module comment. *)
-let make_step cfg procs i =
+let make_step ~engine procs i =
   Array.iter
-    (fun p -> Proc.run ~engine:cfg.engine ~cycle_limit:infinity ~max_instrs:cfg.step_instrs p)
+    (fun p -> Proc.run ~engine ~cycle_limit:infinity ~max_instrs:step_instrs p)
     procs;
   float_of_int (i + 1)
 
 (* Tick the fleet until [terminal] classifies an action, or the tick budget
    is spent. Returns the terminal and the number of steps executed. *)
-let drive cfg fleet ~step ~terminal =
+let drive fleet ~step ~terminal =
   let rec loop i =
-    if i >= cfg.max_ticks then (None, i)
+    if i >= max_ticks then (None, i)
     else
       match terminal (Fleet.tick fleet ~now_s:(step i)) with
       | Some x -> (Some x, i + 1)
@@ -189,39 +175,36 @@ let drive cfg fleet ~step ~terminal =
 (* [n] endless replicas on a heterogeneous input mix ("a" on even replicas,
    "b" on odd), so the aggregated profile is a genuine cross-replica
    union. *)
-let launch_replicas cfg ~seed n =
-  let w = tiny_workload cfg ~tx_limit:None in
+let launch_replicas ~seed n =
+  let w = tiny_workload ~tx_limit:None in
   Array.init n (fun i ->
       Workload.launch ~seed:(seed + i) w
         ~input:(Workload.find_input w (if i mod 2 = 0 then "a" else "b")))
 
 (* The single-process target of the trace and convergence runs: the tiny
    workload on input "a". *)
-let launch_one cfg ~tx_limit =
-  let w = tiny_workload cfg ~tx_limit in
+let launch_one ~tx_limit =
+  let w = tiny_workload ~tx_limit in
   Workload.launch w ~input:(Workload.find_input w "a")
 
 (* A trace-run process, finite, under a one-replica fleet: the recorder is
    installed before attach so every later hook (the profiler's) chains to
    it. *)
-let launch_traced cfg ~seed =
-  let proc = launch_one cfg ~tx_limit:(Some cfg.trace_tx_limit) in
+let launch_traced ~seed =
+  let proc = launch_one ~tx_limit:(Some trace_tx_limit) in
   let buf = ref [] in
   proc.Proc.hooks.Proc.on_taken_branch <-
     Some
       (fun ~tid ~from_addr ~to_addr ~kind ->
         buf := (tid, from_addr, to_addr, kind) :: !buf);
   let fault = F.create ~seed () in
-  (proc, make_fleet cfg ~fault [| proc |], fault, buf)
+  (proc, make_fleet ~fault [| proc |], fault, buf)
 
 (* An endless single-process target under a one-replica fleet. *)
-let launch_endless cfg ~seed =
-  let proc = launch_one cfg ~tx_limit:None in
+let launch_endless ~seed =
+  let proc = launch_one ~tx_limit:None in
   let fault = F.create ~seed () in
-  (proc, make_fleet cfg ~fault [| proc |], fault)
-
-let drain cfg proc =
-  Proc.run ~engine:cfg.engine ~cycle_limit:infinity ~max_instrs:cfg.drain_instrs proc
+  (proc, make_fleet ~fault [| proc |], fault)
 
 (* Everything the equality check compares: the full recorded branch trace
    plus the workload's own end-state summary. *)
@@ -233,8 +216,8 @@ type tail = {
   t_cache_ok : bool; (* decoded-block/trace caches validate after the drain *)
 }
 
-let finish cfg proc buf =
-  drain cfg proc;
+let finish ~engine proc buf =
+  Proc.run ~engine ~cycle_limit:infinity ~max_instrs:drain_instrs proc;
   { t_trace = List.rev !buf;
     t_checksums = Workload.checksums proc;
     t_transactions = Proc.transactions proc;
@@ -245,11 +228,10 @@ let finish cfg proc buf =
 
 (* Kill run: die at [point], then run the orphan to termination. Returns the
    death, the version that survived it, and the recorded tail. *)
-let kill_run cfg ~seed ~point =
-  let proc, fleet, fault, buf = launch_traced cfg ~seed in
+let kill_run ~engine ~seed ~point =
+  let proc, fleet, fault, buf = launch_traced ~seed in
   match
-    Supervisor.kill_at ~fault ~point fleet ~step:(make_step cfg [| proc |])
-      ~max_ticks:cfg.max_ticks
+    Supervisor.kill_at ~fault ~point fleet ~step:(make_step ~engine [| proc |]) ~max_ticks
   with
   | Supervisor.Survived -> None
   | Supervisor.Died death ->
@@ -258,7 +240,7 @@ let kill_run cfg ~seed ~point =
         ("hit", Ocolos_obs.Trace.I death.Supervisor.d_hit);
         ("tick", Ocolos_obs.Trace.I death.Supervisor.d_tick);
         ("survivor_version", Ocolos_obs.Trace.I (version fleet)) ];
-    Some (death, version fleet, finish cfg proc buf)
+    Some (death, version fleet, finish ~engine proc buf)
 
 (* Reference run: same seed, nothing armed. The scheduler hands out quantum
    turns from thread 0 at the start of every [Proc.run] call, so the merged
@@ -269,13 +251,13 @@ let kill_run cfg ~seed ~point =
    kill run's campaigns 1..v were fault-free, so they replay identically;
    its later profiling and rolled-back final transaction shift cycle time
    only). Then the controller is stopped cold and the target drains. *)
-let reference_run cfg ~seed ~version:v ~pre_steps =
-  let proc, fleet, _fault, buf = launch_traced cfg ~seed in
+let reference_run ~engine ~seed ~version:v ~pre_steps =
+  let proc, fleet, _fault, buf = launch_traced ~seed in
   for i = 0 to pre_steps - 1 do
-    let now_s = make_step cfg [| proc |] i in
+    let now_s = make_step ~engine [| proc |] i in
     if version fleet < v then ignore (Fleet.tick fleet ~now_s)
   done;
-  if version fleet <> v then None else Some (finish cfg proc buf)
+  if version fleet <> v then None else Some (finish ~engine proc buf)
 
 (* References are shared: one per (seed, survivor version, step schedule),
    not per point. *)
@@ -286,13 +268,13 @@ let new_cache () : ref_cache = Hashtbl.create 4
 (* Compare a run's tail against the cached reference: (trace equal,
    both drained, both code caches valid). A reference that could not reach
    the survivor version fails all three. *)
-let against_reference cfg cache ~seed ~version ~pre_steps tail =
+let against_reference ~engine cache ~seed ~version ~pre_steps tail =
   let key = (seed, version, pre_steps) in
   let reference =
     match Hashtbl.find_opt cache key with
     | Some r -> r
     | None ->
-      let r = reference_run cfg ~seed ~version ~pre_steps in
+      let r = reference_run ~engine ~seed ~version ~pre_steps in
       Hashtbl.add cache key r;
       r
   in
@@ -309,33 +291,33 @@ let against_reference cfg cache ~seed ~version ~pre_steps tail =
    live process ({!Ocolos.reattach} under the hood, the old controller's
    guard carried across like an on-disk sidecar), drive to a terminal
    outcome. *)
-let convergence_run cfg ~seed ~point =
-  let proc, fleet, fault = launch_endless cfg ~seed in
-  let step = make_step cfg [| proc |] in
-  match Supervisor.kill_at ~fault ~point fleet ~step ~max_ticks:cfg.max_ticks with
+let convergence_run ~engine ~seed ~point =
+  let proc, fleet, fault = launch_endless ~seed in
+  let step = make_step ~engine [| proc |] in
+  match Supervisor.kill_at ~fault ~point fleet ~step ~max_ticks with
   | Supervisor.Survived -> None
   | Supervisor.Died _ ->
     let fleet' =
-      Supervisor.restart ~config:(fleet_config cfg) ~ocolos_config:(ocolos_config ~fault)
+      Supervisor.restart ~config:fleet_config ~ocolos_config:(ocolos_config ~fault)
         ~guard:(Fleet.guard fleet) [| proc |]
     in
     Events.emit "chaos.daemon_restarted"
       [ ("point", Ocolos_obs.Trace.S point); ("seed", Ocolos_obs.Trace.I seed) ];
-    Some (Supervisor.run_to_convergence fleet' ~step ~max_ticks:cfg.max_ticks)
+    Some (Supervisor.run_to_convergence fleet' ~step ~max_ticks)
 
 (* ---- scenarios and sweeps ---- *)
 
-let scenario ?(config = default_config) ?cache ~seed ~point () =
+let scenario ?(engine = `Blocks) ?cache ~seed ~point () =
   let cache = match cache with Some c -> c | None -> new_cache () in
-  match kill_run config ~seed ~point with
+  match kill_run ~engine ~seed ~point with
   | None -> { r_seed = seed; r_point = point; r_outcome = Not_reached }
   | Some (death, survivor_version, killed_tail) ->
     let trace_equal, terminated, cache_ok =
-      against_reference config cache ~seed ~version:survivor_version
+      against_reference ~engine cache ~seed ~version:survivor_version
         ~pre_steps:(death.Supervisor.d_tick + 1) killed_tail
     in
     let convergence =
-      match convergence_run config ~seed ~point with
+      match convergence_run ~engine ~seed ~point with
       | Some c -> c
       | None -> Supervisor.Diverged (* died in the trace run but not here *)
     in
@@ -390,17 +372,17 @@ let fleet_result_to_string ~seed ~point = function
       (String.concat ";" (List.map string_of_int o.fo_final_versions))
       (if o.fo_final_converged then "(converged)" else "(STILL MIXED)")
 
-let fleet_scenario ?(config = default_config) ?(replicas = 4) ?schedule ~seed ~point () =
+let fleet_scenario ?(engine = `Blocks) ?(replicas = 4) ?schedule ~seed ~point () =
   let fault = F.create ~seed () in
-  let procs = launch_replicas config ~seed replicas in
-  let fleet = make_fleet config ~fault procs in
-  let step = make_step config procs in
-  match Supervisor.kill_at ~fault ~point ?schedule fleet ~step ~max_ticks:config.max_ticks with
+  let procs = launch_replicas ~seed replicas in
+  let fleet = make_fleet ~fault procs in
+  let step = make_step ~engine procs in
+  match Supervisor.kill_at ~fault ~point ?schedule fleet ~step ~max_ticks with
   | Supervisor.Survived -> Fleet_not_reached
   | Supervisor.Died death ->
     let mixed_at_death = Fleet.mixed fleet in
     let fleet' =
-      Supervisor.restart ~config:(fleet_config config) ~ocolos_config:(ocolos_config ~fault)
+      Supervisor.restart ~config:fleet_config ~ocolos_config:(ocolos_config ~fault)
         ~guard:(Fleet.guard fleet) procs
     in
     Events.emit "chaos.daemon_restarted"
@@ -408,7 +390,7 @@ let fleet_scenario ?(config = default_config) ?(replicas = 4) ?schedule ~seed ~p
         ("reverted",
          Ocolos_obs.Trace.S
            (String.concat ";" (List.map string_of_int (Fleet.reverted_on_reattach fleet')))) ];
-    let convergence = Supervisor.run_to_convergence fleet' ~step ~max_ticks:config.max_ticks in
+    let convergence = Supervisor.run_to_convergence fleet' ~step ~max_ticks in
     Fleet_verified
       { fo_death = death;
         fo_mixed_at_death = mixed_at_death;
@@ -440,17 +422,10 @@ let contains_sub s sub =
 
 (* Capture the structured event log emitted during [f] (the classification
    below reads bolt.miscompile.applied and validate.reject records from
-   it), restoring whatever ambient log the caller had installed. *)
+   it); the caller's ambient log comes back when [f] ends. *)
 let with_events f =
-  let prev = Events.installed () in
   let log = Events.create () in
-  Events.install log;
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with Some l -> Events.install l | None -> Events.uninstall ())
-    (fun () ->
-      let r = f () in
-      (r, log))
+  (Events.with_installed log f, log)
 
 let count_events log ty = List.length (List.filter (fun e -> e.Events.e_type = ty) (Events.events log))
 
@@ -485,8 +460,8 @@ let mc_terminal fault point = function
 
 (* Drive the corrupted campaign to its containment terminal with the event
    log captured. *)
-let mc_drive cfg fleet fault ~point ~step =
-  with_events (fun () -> drive cfg fleet ~step ~terminal:(mc_terminal fault point))
+let mc_drive fleet fault ~point ~step =
+  with_events (fun () -> drive fleet ~step ~terminal:(mc_terminal fault point))
 
 type mc_outcome =
   | Mc_contained of {
@@ -559,31 +534,29 @@ let mc_result_to_string r =
    next tier, the quarantine excludes the rejected functions, a tripped
    breaker may refuse outright) until it commits a valid replacement or
    cleanly gives up. *)
-let mc_convergence_run cfg ~seed ~point =
-  let proc, fleet, fault = launch_endless cfg ~seed in
+let mc_convergence_run ~engine ~seed ~point =
+  let proc, fleet, fault = launch_endless ~seed in
   F.arm fault point (F.Nth 1);
-  let step = make_step cfg [| proc |] in
-  match fst (mc_drive cfg fleet fault ~point ~step) with
+  let step = make_step ~engine [| proc |] in
+  match fst (mc_drive fleet fault ~point ~step) with
   | (None | Some (`Committed _)), _ -> None
   | Some (`Rejected _ | `Reverted _), ticks ->
     Some
-      (Supervisor.run_to_convergence fleet
-         ~step:(fun i -> step (ticks + i))
-         ~max_ticks:cfg.max_ticks)
+      (Supervisor.run_to_convergence fleet ~step:(fun i -> step (ticks + i)) ~max_ticks)
 
 (* Finite traced run under the armed corruption: drive to the containment
    terminal, then stop the controller cold and drain the target. *)
-let miscompile_scenario ?(config = default_config) ?cache ~seed ~point () =
+let miscompile_scenario ?(engine = `Blocks) ?cache ~seed ~point () =
   let cache = match cache with Some c -> c | None -> new_cache () in
-  let proc, fleet, fault, buf = launch_traced config ~seed in
+  let proc, fleet, fault, buf = launch_traced ~seed in
   F.arm fault point (F.Nth 1);
   let (terminal, pre_steps), log =
-    mc_drive config fleet fault ~point ~step:(make_step config [| proc |])
+    mc_drive fleet fault ~point ~step:(make_step ~engine [| proc |])
   in
   let guard = Fleet.guard fleet in
   let survivor_version = version fleet in
   let mutations = mc_mutations log point in
-  let tail = finish config proc buf in
+  let tail = finish ~engine proc buf in
   let outcome =
     match terminal with
     | None when F.fired fault point = 0 -> Mc_not_reached
@@ -592,10 +565,10 @@ let miscompile_scenario ?(config = default_config) ?cache ~seed ~point () =
     | Some (`Committed v) -> Mc_escaped { mc_version = v; mc_mutations = mutations }
     | Some ((`Rejected reason | `Reverted reason) as t) ->
       let trace_equal, terminated, cache_ok =
-        against_reference config cache ~seed ~version:survivor_version ~pre_steps tail
+        against_reference ~engine cache ~seed ~version:survivor_version ~pre_steps tail
       in
       let convergence =
-        match mc_convergence_run config ~seed ~point with
+        match mc_convergence_run ~engine ~seed ~point with
         | Some c -> c
         | None -> Supervisor.Diverged (* contained in the trace run but not here *)
       in
@@ -657,14 +630,13 @@ let mc_fleet_result_to_string ~seed ~point = function
       (String.concat ";" (List.map string_of_int o.mf_versions))
       (if o.mf_converged then "(converged)" else "(STILL MIXED)")
 
-let miscompile_fleet_scenario ?(config = default_config) ?(replicas = 4) ~seed ~point ()
-    =
+let miscompile_fleet_scenario ?(engine = `Blocks) ?(replicas = 4) ~seed ~point () =
   let fault = F.create ~seed () in
   F.arm fault point (F.Nth 1);
-  let procs = launch_replicas config ~seed replicas in
-  let fleet = make_fleet config ~fault procs in
-  let step = make_step config procs in
-  let (terminal, ticks), log = mc_drive config fleet fault ~point ~step in
+  let procs = launch_replicas ~seed replicas in
+  let fleet = make_fleet ~fault procs in
+  let step = make_step ~engine procs in
+  let (terminal, ticks), log = mc_drive fleet fault ~point ~step in
   let mutations = mc_mutations log point in
   match terminal with
   | None when F.fired fault point = 0 -> Mc_fleet_not_reached
@@ -674,9 +646,7 @@ let miscompile_fleet_scenario ?(config = default_config) ?(replicas = 4) ~seed ~
   | Some ((`Rejected reason | `Reverted reason) as t) ->
     let mixed_after = Fleet.mixed fleet in
     let convergence =
-      Supervisor.run_to_convergence fleet
-        ~step:(fun i -> step (ticks + i))
-        ~max_ticks:config.max_ticks
+      Supervisor.run_to_convergence fleet ~step:(fun i -> step (ticks + i)) ~max_ticks
     in
     Mc_fleet_contained
       { mf_tier = (match t with `Rejected _ -> `Validate | `Reverted _ -> `Shadow);
@@ -687,21 +657,19 @@ let miscompile_fleet_scenario ?(config = default_config) ?(replicas = 4) ~seed ~
         mf_convergence = convergence;
         mf_converged = Fleet.converged fleet }
 
-let miscompile_sweep ?(config = default_config) ?(seeds = [ 1; 2 ])
-    ?(points = miscompile_points) () =
+let miscompile_sweep ?engine ?(seeds = [ 1; 2 ]) ?(points = miscompile_points) () =
   List.concat_map
     (fun seed ->
       let cache = new_cache () in
-      List.map (fun point -> miscompile_scenario ~config ~cache ~seed ~point ()) points)
+      List.map (fun point -> miscompile_scenario ?engine ~cache ~seed ~point ()) points)
     seeds
 
 let default_points = O.fault_catalog
 let default_seeds = [ 1; 2 ]
 
-let sweep ?(config = default_config) ?(seeds = default_seeds) ?(points = default_points) ()
-    =
+let sweep ?engine ?(seeds = default_seeds) ?(points = default_points) () =
   List.concat_map
     (fun seed ->
       let cache = new_cache () in
-      List.map (fun point -> scenario ~config ~cache ~seed ~point ()) points)
+      List.map (fun point -> scenario ?engine ~cache ~seed ~point ()) points)
     seeds

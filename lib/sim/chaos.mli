@@ -14,26 +14,17 @@
     All target driving is by instruction budget (never cycle horizon), so
     profiling stalls shift cycle time without reordering the branch stream
     — that is what makes full-trace byte equality the right check rather
-    than an approximation. *)
+    than an approximation.
 
-type config = {
-  step_instrs : int;  (** instructions the target advances between ticks *)
-  max_ticks : int;  (** tick budget for the kill and convergence runs *)
-  trace_tx_limit : int;  (** finite workload size for the trace runs *)
-  drain_instrs : int;  (** instruction budget to run a trace run to halt *)
-  jump_tables : bool;  (** keep jump tables so [inject_data] is reachable *)
-  engine : [ `Reference | `Blocks ];
-      (** execution engine for all target driving (steps, drains, fleet
-          replicas); [`Reference] drives the targets with no decoded-block
-          cache, as the containment tests do *)
-  daemon : Ocolos_core.Daemon.config;
-}
-
-(** Tuned so continuous rounds (C1 → C2 → ...) occur on the tiny workload:
-    [regression_tolerance < 0] makes the drift gate fire every
-    amortization interval, which is how gc_*/thread_patch/verify points
-    become reachable without an input shift. *)
-val default_config : config
+    The harness settings are fixed: the tiny workload with its jump tables
+    kept (so [inject_data] is reachable), 12k-instruction ticks, a 60-tick
+    budget, and a daemon whose [regression_tolerance < 0] makes the drift
+    gate fire every amortization interval, which is how
+    gc_*/thread_patch/verify points become reachable without an input
+    shift. Only the execution engine varies: every scenario takes
+    [?engine] (default [`Blocks]) for all target driving (steps, drains,
+    fleet replicas); [`Reference] drives the targets with no decoded-block
+    cache, as the containment tests do. *)
 
 type outcome =
   | Verified of {
@@ -81,7 +72,7 @@ val new_cache : unit -> ref_cache
 (** One (seed, point) scenario: kill run, reference run, convergence run.
     [cache] shares reference runs across scenarios of the same seed. *)
 val scenario :
-  ?config:config -> ?cache:ref_cache -> seed:int -> point:string -> unit -> result
+  ?engine:[ `Reference | `Blocks ] -> ?cache:ref_cache -> seed:int -> point:string -> unit -> result
 
 (** The full catalog ({!Ocolos_core.Ocolos.fault_catalog}). *)
 val default_points : string list
@@ -91,7 +82,7 @@ val default_seeds : int list
 (** Run scenarios over [seeds] x [points]; reference runs are shared per
     seed. *)
 val sweep :
-  ?config:config -> ?seeds:int list -> ?points:string list -> unit -> result list
+  ?engine:[ `Reference | `Blocks ] -> ?seeds:int list -> ?points:string list -> unit -> result list
 
 (** {2 Fleet chaos}
 
@@ -123,7 +114,7 @@ val fleet_result_to_string : seed:int -> point:string -> fleet_result -> string
     odd), one shared fault registry, kill at [point] under [schedule]
     (default first hit). *)
 val fleet_scenario :
-  ?config:config ->
+  ?engine:[ `Reference | `Blocks ] ->
   ?replicas:int ->
   ?schedule:Ocolos_util.Fault.schedule ->
   seed:int ->
@@ -184,12 +175,12 @@ val mc_result_to_string : mc_result -> string
     ([cache] shares references with the kill scenarios), plus an endless
     run required to converge after containment. *)
 val miscompile_scenario :
-  ?config:config -> ?cache:ref_cache -> seed:int -> point:string -> unit -> mc_result
+  ?engine:[ `Reference | `Blocks ] -> ?cache:ref_cache -> seed:int -> point:string -> unit -> mc_result
 
 (** Scenarios over [seeds] x [points] (defaults: seeds 1–2, the whole
     [bolt.miscompile] catalog); references shared per seed. *)
 val miscompile_sweep :
-  ?config:config -> ?seeds:int list -> ?points:string list -> unit -> mc_result list
+  ?engine:[ `Reference | `Blocks ] -> ?seeds:int list -> ?points:string list -> unit -> mc_result list
 
 type mc_fleet_result =
   | Mc_fleet_contained of {
@@ -218,4 +209,4 @@ val mc_fleet_result_to_string : seed:int -> point:string -> mc_fleet_result -> s
     revert the staged replicas before promotion — either way no replica
     may keep the divergent version and the fleet must end homogeneous. *)
 val miscompile_fleet_scenario :
-  ?config:config -> ?replicas:int -> seed:int -> point:string -> unit -> mc_fleet_result
+  ?engine:[ `Reference | `Blocks ] -> ?replicas:int -> seed:int -> point:string -> unit -> mc_fleet_result

@@ -55,7 +55,7 @@ let report_to_string r =
   Buffer.contents b
 
 let run ?(replicas = 4) ?(seed = 1) ?(ticks = 30) ?(arrival_rate = 40.0)
-    ?(inputs = [ "a" ]) ?config ?ocolos_config ?workload () =
+    ?(inputs = [ "a" ]) ?config ?ocolos_config ?workload ?health () =
   if replicas < 1 then invalid_arg "Fleet_driver.run: replicas < 1";
   if inputs = [] then invalid_arg "Fleet_driver.run: empty input list";
   let w = match workload with Some w -> w | None -> Apps.tiny ~tx_limit:None () in
@@ -79,12 +79,11 @@ let run ?(replicas = 4) ?(seed = 1) ?(ticks = 30) ?(arrival_rate = 40.0)
   let fleet = Fleet.create ~config ?ocolos_config ?guard:None procs in
   let queue_peak = Array.make replicas 0 in
   let actions = ref [] in
-  (* Layout-health recording is armed only when an accumulator is ambient
-     (the CLI [explain] path): per-replica front-end attribution sessions
-     plus a counter snapshot per replica so each tick yields one
+  (* Layout-health recording is armed only when a caller passes an
+     accumulator (the CLI [explain] path): per-replica front-end attribution
+     sessions plus a counter snapshot per replica so each tick yields one
      per-version window. *)
-  let health = Layout_health.installed () <> None in
-  let attribs = if health then Some (Array.map Func_attrib.start procs) else None in
+  let attribs = Option.map (fun lh -> (lh, Array.map Func_attrib.start procs)) health in
   let prev_counters = Array.map Proc.total_counters procs in
   for i = 0 to ticks - 1 do
     let now_s = float_of_int (i + 1) in
@@ -106,13 +105,14 @@ let run ?(replicas = 4) ?(seed = 1) ?(ticks = 30) ?(arrival_rate = 40.0)
         Proc.run ~cycle_limit:(Clock.seconds_to_cycles now_s) proc;
         (match attribs with
         | None -> ()
-        | Some sessions ->
+        | Some (lh, sessions) ->
           let total = Proc.total_counters proc in
           let interval = Counters.diff total prev_counters.(id) in
           prev_counters.(id) <- total;
-          Layout_health.window ~replica:id ~version (Counters.to_health_sample interval);
+          Layout_health.record_window lh ~replica:id ~version
+            (Counters.to_health_sample interval);
           List.iter
-            (fun (fid, name, fc) -> Layout_health.func_window ~version ~fid ~name fc)
+            (fun (fid, name, fc) -> Layout_health.record_func_window lh ~version ~fid ~name fc)
             (Func_attrib.drain sessions.(id) binary));
         let completed = (Proc.total_counters proc).Counters.transactions in
         let ol = ols.(id) in
@@ -133,7 +133,7 @@ let run ?(replicas = 4) ?(seed = 1) ?(ticks = 30) ?(arrival_rate = 40.0)
   done;
   (match attribs with
   | None -> ()
-  | Some sessions -> Array.iter Func_attrib.stop sessions);
+  | Some (_, sessions) -> Array.iter Func_attrib.stop sessions);
   let versions = Fleet.versions fleet in
   let fd_replicas =
     Array.to_list

@@ -43,8 +43,11 @@ val report_to_string : report -> string
 (** Run a fleet campaign to [ticks] simulated seconds. [config]'s latency
     probe is replaced by the driver's own (it owns the traffic model);
     everything else in it is respected. Inputs are workload input names,
-    dealt round-robin across replicas. Returns the report and the fleet
-    (still attached to live replicas) for further inspection. *)
+    dealt round-robin across replicas. With [health], every tick also folds
+    one per-version window per replica, with its per-function front-end
+    attribution, into that accumulator; the run itself is unchanged.
+    Returns the report and the fleet (still attached to live replicas) for
+    further inspection. *)
 val run :
   ?replicas:int ->
   ?seed:int ->
@@ -54,5 +57,6 @@ val run :
   ?config:Ocolos_core.Fleet.config ->
   ?ocolos_config:Ocolos_core.Ocolos.config ->
   ?workload:Ocolos_workloads.Workload.t ->
+  ?health:Ocolos_obs.Layout_health.t ->
   unit ->
   report * Ocolos_core.Fleet.t

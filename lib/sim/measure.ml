@@ -28,10 +28,10 @@ let interval_sample ~seconds counters =
     topdown = Counters.topdown counters }
 
 (* Steady-state throughput of [binary] running [input]. *)
-let steady ?binary ?nthreads ?(seed = 1234) ?(warmup = default_warmup)
+let steady ?binary ?(seed = 1234) ?(warmup = default_warmup)
     ?(measure = default_measure) (w : Workload.t) ~input =
   Trace.span "measure.steady" ~attrs:[ ("workload", Trace.S w.Workload.name) ] @@ fun sp ->
-  let proc = Workload.launch ?binary ?nthreads ~seed w ~input in
+  let proc = Workload.launch ?binary ~seed w ~input in
   Proc.run ~cycle_limit:(Clock.seconds_to_cycles warmup) proc;
   Trace.clock warmup;
   let before = Proc.total_counters proc in
@@ -46,12 +46,12 @@ let steady ?binary ?nthreads ?(seed = 1234) ?(warmup = default_warmup)
 (* Collect an LBR profile of [binary] (default: original) running [input]
    for [seconds], after a short warmup. This is the offline-profiling path
    used by the BOLT / PGO comparators. *)
-let collect_profile ?binary ?nthreads ?(seed = 4321) ?(warmup = 0.3) ?(seconds = 2.0)
-    ?perf_cfg (w : Workload.t) ~input =
+let collect_profile ?binary ?(seed = 4321) ?(warmup = 0.3) ?(seconds = 2.0) (w : Workload.t)
+    ~input =
   let binary = match binary with Some b -> b | None -> w.Workload.binary in
-  let proc = Workload.launch ~binary ?nthreads ~seed w ~input in
+  let proc = Workload.launch ~binary ~seed w ~input in
   Proc.run ~cycle_limit:(Clock.seconds_to_cycles warmup) proc;
-  let session = Ocolos_profiler.Perf.start ?cfg:perf_cfg proc in
+  let session = Ocolos_profiler.Perf.start proc in
   Proc.run ~cycle_limit:(Clock.seconds_to_cycles (warmup +. seconds)) proc;
   let samples = Ocolos_profiler.Perf.stop session in
   Ocolos_profiler.Perf2bolt.convert ~binary samples
@@ -81,6 +81,8 @@ type ocolos_run = {
 
 exception Replacement_failed of string
 
+let max_attempts = 4
+
 (* A full online OCOLOS cycle on a freshly launched process: warm up,
    profile the running process for [profile_s], BOLT and validate in the
    background (charging contention stalls to the target), replace code
@@ -89,14 +91,13 @@ exception Replacement_failed of string
    target and is retried, up to [max_attempts] in total; a Tier-1
    rejection or a shadow divergence ends the run at once. Validation and
    the shadow replay are not charged: the paper's cost model has neither. *)
-let ocolos_steady ?config ?guard ?nthreads ?(seed = 1234) ?(warmup = default_warmup)
-    ?(profile_s = 2.0) ?(measure = default_measure) ?(max_attempts = 4) (w : Workload.t)
-    ~input =
+let ocolos_steady ?config ?guard ?(seed = 1234) ?(warmup = default_warmup) ?(profile_s = 2.0)
+    ?(measure = default_measure) (w : Workload.t) ~input =
   let guard = match guard with Some g -> g | None -> Ocolos_core.Guard.create () in
   Trace.span "ocolos.run"
     ~attrs:[ ("workload", Trace.S w.Workload.name); ("seed", Trace.I seed) ]
   @@ fun run_sp ->
-  let proc = Workload.launch ?nthreads ~seed w ~input in
+  let proc = Workload.launch ~seed w ~input in
   let oc = Ocolos_core.Ocolos.attach ?config proc in
   let cost =
     (match config with Some c -> c | None -> Ocolos_core.Ocolos.default_config).Ocolos_core.Ocolos.cost

@@ -15,7 +15,6 @@ val default_measure : float
     running [input]. *)
 val steady :
   ?binary:Ocolos_binary.Binary.t ->
-  ?nthreads:int ->
   ?seed:int ->
   ?warmup:float ->
   ?measure:float ->
@@ -27,11 +26,9 @@ val steady :
     [seconds]. *)
 val collect_profile :
   ?binary:Ocolos_binary.Binary.t ->
-  ?nthreads:int ->
   ?seed:int ->
   ?warmup:float ->
   ?seconds:float ->
-  ?perf_cfg:Ocolos_profiler.Perf.config ->
   Ocolos_workloads.Workload.t ->
   input:Ocolos_workloads.Input.t ->
   Ocolos_profiler.Profile.t
@@ -81,7 +78,7 @@ exception Replacement_failed of string
     It optimizes through {!Ocolos_core.Step}: the BOLT result must pass
     the Tier-1 validator, and each replacement attempt is a transaction
     gated by the Tier-2 shadow check. Rolled-back attempts charge their
-    aborted pause and are retried up to [max_attempts] times in total; a
+    aborted pause and are retried up to 4 attempts in total; a
     rejection, a divergence or a spent retry budget raises
     {!Replacement_failed}. Neither gate is charged to the simulated clock.
 
@@ -94,12 +91,10 @@ exception Replacement_failed of string
 val ocolos_steady :
   ?config:Ocolos_core.Ocolos.config ->
   ?guard:Ocolos_core.Guard.t ->
-  ?nthreads:int ->
   ?seed:int ->
   ?warmup:float ->
   ?profile_s:float ->
   ?measure:float ->
-  ?max_attempts:int ->
   Ocolos_workloads.Workload.t ->
   input:Ocolos_workloads.Input.t ->
   ocolos_run

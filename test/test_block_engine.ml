@@ -66,13 +66,8 @@ let random_workload seed =
 let scenario ~engine w =
   let tr = Trace.create () in
   let reg = Metrics.create () in
-  Trace.install tr;
-  Metrics.install reg;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.uninstall ();
-      Metrics.uninstall ())
-    (fun () ->
+  Trace.with_installed tr @@ fun () ->
+  Metrics.with_installed reg (fun () ->
       let input = List.hd w.Workload.inputs in
       let proc = Workload.launch w ~input in
       let fault = F.create ~seed:3 () in

@@ -34,15 +34,7 @@ let run_daemon fleet proc ~from ~seconds =
    its result, a counter reader and the logged events. *)
 let observed f =
   let reg = Metrics.create () and log = Events.create () in
-  Metrics.install reg;
-  Events.install log;
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        Metrics.uninstall ();
-        Events.uninstall ())
-      f
-  in
+  let r = Metrics.with_installed reg (fun () -> Events.with_installed log f) in
   (r, (fun name -> Metrics.counter_value (Metrics.counter reg name)), Events.events log)
 
 let test_daemon_optimizes_frontend_bound () =

@@ -1,8 +1,8 @@
 (* Fleet orchestration tests: canary promotion and rollback state machines,
    the per-replica retry before a staged rollback, mid-rollout daemon
    death + restart convergence, the 1-replica fleet-vs-direct-pipeline byte
-   differential, the open-loop traffic model, and the chaos scenario-label
-   regression. *)
+   differential, the open-loop traffic model, the fleet driver's
+   layout-health recording, and the chaos scenario-label regression. *)
 
 open Ocolos_workloads
 module Fleet = Ocolos_core.Fleet
@@ -129,8 +129,7 @@ let test_canary_rollback () =
    per-replica versions. *)
 let retry_run ~max_retries =
   let reg = Obs.Metrics.create () in
-  Obs.Metrics.install reg;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.uninstall ()) @@ fun () ->
+  Obs.Metrics.with_installed reg @@ fun () ->
   let procs = launch_procs () in
   let fault = Fault.create ~seed:5 () in
   Fault.arm fault "vtable_patch" (Fault.Nth 1);
@@ -299,8 +298,7 @@ let test_kill_before_canary_leaves_fleet_homogeneous () =
    sequence. *)
 let differential_run mode =
   let reg = Obs.Metrics.create () in
-  Obs.Metrics.install reg;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.uninstall ()) @@ fun () ->
+  Obs.Metrics.with_installed reg @@ fun () ->
   let w = Apps.tiny ~tx_limit:(Some 1500) () in
   let proc = Workload.launch ~seed:3 w ~input:(Workload.find_input w "a") in
   let buf = ref [] in
@@ -440,6 +438,37 @@ let test_openloop_pause_in_fleet_driver () =
        (fun r -> r.Ocolos_sim.Fleet_driver.fr_queue_peak > 0)
        report.Ocolos_sim.Fleet_driver.fd_replicas)
 
+(* Layout-health recording is an observer: with [~health] the driver folds
+   one window per replica per tick into the accumulator, and the run it
+   reports is the run it reports without. *)
+let test_fleet_driver_health () =
+  let replicas = 2 and ticks = 4 in
+  let run health =
+    fst (Ocolos_sim.Fleet_driver.run ~replicas ~ticks ~seed:2 ?health ())
+  in
+  let lh = Obs.Layout_health.create () in
+  let with_health = run (Some lh) in
+  let windows rates = List.fold_left (fun acc r -> acc + r.Obs.Layout_health.r_windows) 0 rates in
+  let versions = Obs.Layout_health.versions lh in
+  Alcotest.(check bool) "a committed version was recorded" true (List.length versions >= 2);
+  Alcotest.(check int) "one window per replica per tick" (replicas * ticks)
+    (windows (List.filter_map (Obs.Layout_health.rates lh) versions));
+  Alcotest.(check (list int)) "every replica recorded" (List.init replicas Fun.id)
+    (Obs.Layout_health.replicas lh);
+  List.iter
+    (fun replica ->
+      Alcotest.(check int) (Printf.sprintf "replica %d: one window per tick" replica) ticks
+        (windows
+           (List.filter_map
+              (fun version -> Obs.Layout_health.replica_rates lh ~replica ~version)
+              versions)))
+    (Obs.Layout_health.replicas lh);
+  Alcotest.(check bool) "per-function rows recorded" true
+    (Obs.Layout_health.func_rows lh ~version:0 <> []);
+  Alcotest.(check string) "same report as without ~health"
+    (Ocolos_sim.Fleet_driver.report_to_string (run None))
+    (Ocolos_sim.Fleet_driver.report_to_string with_health)
+
 (* ---- chaos scenario labels (regression) ---- *)
 
 let test_chaos_scenario_label_names_domain () =
@@ -476,5 +505,7 @@ let suite =
       test_openloop_pause_queue_hand_computed;
     Alcotest.test_case "fleet driver surfaces pauses as queues" `Slow
       test_openloop_pause_in_fleet_driver;
+    Alcotest.test_case "fleet driver records layout health per replica per tick" `Quick
+      test_fleet_driver_health;
     Alcotest.test_case "chaos scenario label names the fault domain" `Quick
       test_chaos_scenario_label_names_domain ]

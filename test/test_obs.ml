@@ -111,9 +111,6 @@ let test_clock_monotonic () =
   Alcotest.(check int) "advance is relative" 1_250_002 (Trace.now_us tr)
 
 let test_ambient_helpers_noop_when_uninstalled () =
-  Trace.uninstall ();
-  Metrics.uninstall ();
-  Events.uninstall ();
   let got = Trace.span "x" (fun sp -> sp) in
   Alcotest.(check bool) "span passes None" true (got = None);
   Events.emit "fault.fired" [ ("point", Trace.S "p"); ("hit", Trace.I 1) ];
@@ -122,8 +119,43 @@ let test_ambient_helpers_noop_when_uninstalled () =
   Metrics.count "c" 1;
   Metrics.record "g" 1.0;
   Metrics.sample ~buckets:[| 1.0 |] "h" 0.5;
-  Alcotest.(check bool) "nothing installed" true
-    (Trace.installed () = None && Metrics.installed () = None && Events.installed () = None)
+  Alcotest.(check bool) "nothing installed" true (Trace.installed () = None)
+
+(* Scopes nest, unwind on exception, and leave nothing behind: after each
+   inner scope the outer trace, registry and log are the ambient ones
+   again, and once the outer scope closes an emit reaches no sink. *)
+let test_scoped_sinks_nest_and_unwind () =
+  let emit () = Events.emit "fault.fired" [ ("point", Trace.S "p"); ("hit", Trace.I 1) ] in
+  let scope (tr, reg, ev) f =
+    Trace.with_installed tr @@ fun () ->
+    Metrics.with_installed reg @@ fun () -> Events.with_installed ev f
+  in
+  let sinks () = (Trace.create (), Metrics.create (), Events.create ()) in
+  let ((tr_out, _, _) as outer) = sinks () and inner = sinks () in
+  let is_outer () =
+    match Trace.installed () with Some tr -> tr == tr_out | None -> false
+  in
+  scope outer (fun () ->
+      scope inner emit;
+      Alcotest.(check bool) "outer trace back after the inner scope" true (is_outer ());
+      emit ();
+      (match scope inner (fun () -> emit (); failwith "boom") with
+      | () -> Alcotest.fail "the inner scope did not raise"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "outer trace back after a raise" true (is_outer ());
+      emit ());
+  Alcotest.(check bool) "nothing installed after the outer scope" true
+    (Trace.installed () = None);
+  emit ();
+  let check_sinks name n (tr, reg, ev) =
+    Alcotest.(check int) (name ^ " trace instants") n (List.length (Trace.events tr));
+    Alcotest.(check int) (name ^ " log records") n (Events.count ev);
+    Alcotest.(check int) (name ^ " counter") n
+      (Metrics.counter_value
+         (Metrics.counter reg ~labels:[ ("point", "p") ] "ocolos_fault_fired_total"))
+  in
+  check_sinks "inner" 2 inner;
+  check_sinks "outer" 2 outer
 
 (* ---- metrics registry ---- *)
 
@@ -250,13 +282,8 @@ let test_json_number_rendering () =
 let traced_ocolos_run () =
   let tr = Trace.create () in
   let reg = Metrics.create () in
-  Trace.install tr;
-  Metrics.install reg;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.uninstall ();
-      Metrics.uninstall ())
-    (fun () ->
+  Trace.with_installed tr @@ fun () ->
+  Metrics.with_installed reg (fun () ->
       let w = Apps.tiny ~tx_limit:None () in
       let input = Workload.find_input w "a" in
       let fault = Ocolos_util.Fault.create ~seed:5 () in
@@ -282,14 +309,9 @@ let test_end_to_end_deterministic () =
 let test_end_to_end_span_coverage () =
   let tr = Trace.create () in
   let reg = Metrics.create () in
-  Trace.install tr;
-  Metrics.install reg;
   let r =
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.uninstall ();
-        Metrics.uninstall ())
-      (fun () ->
+    Trace.with_installed tr @@ fun () ->
+    Metrics.with_installed reg (fun () ->
         let w = Apps.tiny ~tx_limit:None () in
         let input = Workload.find_input w "a" in
         let fault = Ocolos_util.Fault.create ~seed:5 () in
@@ -355,15 +377,9 @@ let evented_ocolos_run () =
   let tr = Trace.create () in
   let reg = Metrics.create () in
   let ev = Events.create () in
-  Trace.install tr;
-  Metrics.install reg;
-  Events.install ev;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.uninstall ();
-      Metrics.uninstall ();
-      Events.uninstall ())
-    (fun () ->
+  Trace.with_installed tr @@ fun () ->
+  Metrics.with_installed reg @@ fun () ->
+  Events.with_installed ev (fun () ->
       let w = Apps.tiny ~tx_limit:None () in
       let input = Workload.find_input w "a" in
       let fault = Ocolos_util.Fault.create ~seed:5 () in
@@ -427,10 +443,7 @@ let test_event_log_covers_pipeline_and_cross_links () =
 let test_event_jsonl_format () =
   let tr = Trace.create () in
   let ev = Events.create () in
-  Trace.install tr;
-  Fun.protect
-    ~finally:(fun () -> Trace.uninstall ())
-    (fun () ->
+  Trace.with_installed tr (fun () ->
       Events.record ev "first";
       Trace.with_span tr "outer" (fun _ ->
           Events.record ev "inner" ~fields:[ ("k", Trace.S "v"); ("n", Trace.I 3) ]));
@@ -453,15 +466,8 @@ let test_event_jsonl_format () =
 (* Run [f] with a fresh trace, event log and registry installed. *)
 let with_sinks f =
   let tr = Trace.create () and ev = Events.create () and reg = Metrics.create () in
-  Trace.install tr;
-  Events.install ev;
-  Metrics.install reg;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.uninstall ();
-      Events.uninstall ();
-      Metrics.uninstall ())
-    f;
+  Trace.with_installed tr (fun () ->
+      Events.with_installed ev (fun () -> Metrics.with_installed reg f));
   (tr, ev, reg)
 
 let test_emit () =
@@ -696,32 +702,19 @@ let test_layout_health_hand_computed () =
     { Layout_health.fc_l1i = 20; fc_itlb = 0; fc_btb = 0; fc_taken = 0 };
   Layout_health.record_func_window t ~version:1 ~fid:2 ~name:"g"
     { Layout_health.fc_l1i = 2; fc_itlb = 0; fc_btb = 0; fc_taken = 0 };
-  (match Layout_health.regressions t ~from_version:0 ~to_version:1 with
+  match Layout_health.regressions t ~from_version:0 ~to_version:1 with
   | fd_f :: fd_g :: _ ->
     Alcotest.(check string) "worst regression first" "f" fd_f.Layout_health.fd_name;
     (* f: 20/20k = 1.0/Ki at C0, 20/10k = 2.0/Ki at C1 -> +1.0 *)
     Alcotest.(check (float 1e-9)) "f delta" 1.0 fd_f.Layout_health.fd_l1i;
     (* g: 1.0/Ki -> 0.2/Ki -> -0.8 *)
     Alcotest.(check (float 1e-9)) "g delta" (-0.8) fd_g.Layout_health.fd_l1i
-  | _ -> Alcotest.fail "expected two function rows");
-  (* ambient helpers no-op when nothing installed *)
-  Layout_health.uninstall ();
-  Layout_health.window ~version:9
-    { Layout_health.s_instructions = 1;
-      s_cycles = 1.0;
-      s_l1i_misses = 0;
-      s_itlb_misses = 0;
-      s_btb_misses = 0;
-      s_taken_branches = 0 };
-  Alcotest.(check bool) "no ambient accumulator" true (Layout_health.installed () = None)
+  | _ -> Alcotest.fail "expected two function rows"
 
 let test_timeline_trace_integration () =
   let tr = Trace.create () in
-  Trace.install tr;
   let t =
-    Fun.protect
-      ~finally:(fun () -> Trace.uninstall ())
-      (fun () ->
+    Trace.with_installed tr (fun () ->
         let w = Apps.tiny ~tx_limit:None () in
         let input = Workload.find_input w "a" in
         Timeline.run ~warmup_s:2 ~profile_s:1 ~post_s:2 w ~input)
@@ -764,10 +757,7 @@ let test_timeline_trace_integration () =
    fleet's, which moves only when a retry actually runs. *)
 let run_daemon_with_fault schedule ~max_retries ~seconds =
   let reg = Metrics.create () in
-  Metrics.install reg;
-  Fun.protect
-    ~finally:(fun () -> Metrics.uninstall ())
-    (fun () ->
+  Metrics.with_installed reg (fun () ->
       let w = Apps.tiny ~tx_limit:None () in
       let input = Workload.find_input w "a" in
       let proc = Workload.launch w ~input in
@@ -836,6 +826,7 @@ let suite =
     Alcotest.test_case "clock is monotonic and ticks" `Quick test_clock_monotonic;
     Alcotest.test_case "ambient helpers no-op when uninstalled" `Quick
       test_ambient_helpers_noop_when_uninstalled;
+    Alcotest.test_case "scoped sinks nest and unwind" `Quick test_scoped_sinks_nest_and_unwind;
     Alcotest.test_case "histogram bucket boundaries" `Quick test_histogram_bucket_boundaries;
     Alcotest.test_case "metric identity and kinds" `Quick test_metric_identity_and_kinds;
     Alcotest.test_case "export ignores insertion order" `Quick

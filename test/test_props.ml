@@ -351,13 +351,8 @@ let prop_campaign_respects_retry_budget =
           retry_backoff_s = 0.25 }
       in
       let reg = Metrics.create () and log = Events.create () in
-      Metrics.install reg;
-      Events.install log;
-      Fun.protect
-        ~finally:(fun () ->
-          Metrics.uninstall ();
-          Events.uninstall ())
-      @@ fun () ->
+      Metrics.with_installed reg @@ fun () ->
+      Events.with_installed log @@ fun () ->
       let counter name = Metrics.counter_value (Metrics.counter reg name) in
       let fleet =
         Fleet.create

@@ -385,13 +385,12 @@ let test_miscompile_chaos_property () =
 (* The reference engine replays the same containment; deep mode widens to
    the full catalog, the default pins the representative of each tier. *)
 let test_miscompile_chaos_engines () =
-  let config = { Chaos.default_config with Chaos.engine = `Reference } in
   let points =
     if deep then Chaos.miscompile_points
     else [ "bolt.miscompile.branch_polarity"; "bolt.miscompile.jump_table" ]
   in
   List.iter
-    (fun point -> check_mc (Chaos.miscompile_scenario ~config ~seed:1 ~point ()))
+    (fun point -> check_mc (Chaos.miscompile_scenario ~engine:`Reference ~seed:1 ~point ()))
     points
 
 let test_miscompile_fleet () =
@@ -440,9 +439,8 @@ let test_measure_contains_miscompiles () =
           F.arm fault point (F.Nth 1);
           let guard = Guard.create () in
           let ev = Events.create () in
-          Events.install ev;
           let failure =
-            Fun.protect ~finally:Events.uninstall (fun () ->
+            Events.with_installed ev (fun () ->
                 match
                   Measure.ocolos_steady
                     ~config:{ O.default_config with O.fault = Some fault }
