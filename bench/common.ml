@@ -85,7 +85,7 @@ let all_apps () =
 (* ---- memo tables ---- *)
 
 let profiles : (string, Ocolos_profiler.Profile.t) Hashtbl.t = Hashtbl.create 32
-let bolts : (string, Ocolos_bolt.Bolt.result) Hashtbl.t = Hashtbl.create 32
+let bolts : (string, Ocolos_binary.Binary.t) Hashtbl.t = Hashtbl.create 32
 let pgos : (string, Ocolos_pgo.Pgo.result) Hashtbl.t = Hashtbl.create 32
 let samples : (string, Measure.sample) Hashtbl.t = Hashtbl.create 64
 let ocolos_runs : (string, Measure.ocolos_run) Hashtbl.t = Hashtbl.create 32
@@ -111,7 +111,8 @@ let avg_profile (w : Workload.t) =
       Ocolos_profiler.Profile.merge (List.map (fun i -> oracle_profile w i) w.Workload.inputs))
 
 let bolt_with (w : Workload.t) ~key profile =
-  memo bolts (w.Workload.name ^ "/" ^ key) (fun () -> Measure.bolt_binary w profile)
+  memo bolts (w.Workload.name ^ "/" ^ key) (fun () ->
+      Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary (Measure.bolt_binary w profile))
 
 let bolt_oracle w (input : Input.t) = bolt_with w ~key:input.Input.name (oracle_profile w input)
 let bolt_avg w = bolt_with w ~key:"ALL" (avg_profile w)
@@ -148,9 +149,9 @@ type comparison = {
 let compare_input (w : Workload.t) (input : Input.t) =
   let orig = steady_orig w input in
   let norm s = s.Measure.tps /. orig.Measure.tps in
-  let bolt = steady w ~binary:(bolt_oracle w input).Ocolos_bolt.Bolt.merged ~variant:"bolt" input in
+  let bolt = steady w ~binary:(bolt_oracle w input) ~variant:"bolt" input in
   let pgo = steady w ~binary:(pgo_oracle w input).Ocolos_pgo.Pgo.binary ~variant:"pgo" input in
-  let avg = steady w ~binary:(bolt_avg w).Ocolos_bolt.Bolt.merged ~variant:"boltavg" input in
+  let avg = steady w ~binary:(bolt_avg w) ~variant:"boltavg" input in
   let oco = ocolos w input in
   { c_app = w.Workload.name;
     c_input = input.Input.name;

@@ -59,8 +59,9 @@ let pass_ablation w input =
        (fun (name, config) ->
          Common.progress "ablation: %s" name;
          let r = Ocolos_bolt.Bolt.run ~config ~binary:w.Workload.binary ~profile () in
+         let bolted = Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary r in
          let s =
-           Measure.steady ~binary:r.Ocolos_bolt.Bolt.merged ~warmup:Common.warmup
+           Measure.steady ~binary:bolted ~warmup:Common.warmup
              ~measure:Common.measure_s w ~input
          in
          [| name;

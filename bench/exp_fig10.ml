@@ -53,7 +53,8 @@ let run () =
     let r = Ocolos_bolt.Bolt.run ~binary:w.Workload.binary ~profile:merged () in
     (* Held-out file: the same measurement file for every K, so the sweep
        reflects profile quality rather than per-file variance. *)
-    let opt_file_s = run_file w ~binary:r.Ocolos_bolt.Bolt.merged ~file:50 in
+    let bolted = Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary r in
+    let opt_file_s = run_file w ~binary:bolted ~file:50 in
     let bolt_seconds =
       Ocolos_core.Cost.perf2bolt_seconds cost
         ~records:merged.Ocolos_profiler.Profile.total_records

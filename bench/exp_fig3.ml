@@ -18,13 +18,13 @@ let run () =
   List.iter
     (fun (train : Input.t) ->
       Common.progress "fig3: training on %s" train.Input.name;
-      let bolted = (Common.bolt_oracle w train).Ocolos_bolt.Bolt.merged in
+      let bolted = Common.bolt_oracle w train in
       let s =
         Common.steady w ~binary:bolted ~variant:("fig3-" ^ train.Input.name) target
       in
       rows := (train.Input.name, s.Measure.tps) :: !rows)
     w.Workload.inputs;
-  let all = (Common.bolt_avg w).Ocolos_bolt.Bolt.merged in
+  let all = Common.bolt_avg w in
   let s_all = Common.steady w ~binary:all ~variant:"fig3-all" target in
   rows := ("all (merged)", s_all.Measure.tps) :: !rows;
   let oco = Common.ocolos w target in

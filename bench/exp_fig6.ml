@@ -24,7 +24,9 @@ let run () =
         let profile = Measure.collect_profile ~seconds:d w ~input in
         let bolted = Measure.bolt_binary w profile in
         let bolt_s =
-          Measure.steady ~binary:bolted.Ocolos_bolt.Bolt.merged ~warmup:Common.warmup
+          Measure.steady
+            ~binary:(Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary bolted)
+            ~warmup:Common.warmup
             ~measure:Common.measure_s w ~input
         in
         (* OCOLOS profiling the live process for d. *)

@@ -19,7 +19,7 @@ let run () =
         let oco = Common.ocolos w input in
         let bolt =
           Common.steady w
-            ~binary:(Common.bolt_oracle w input).Ocolos_bolt.Bolt.merged ~variant:"bolt" input
+            ~binary:(Common.bolt_oracle w input) ~variant:"bolt" input
         in
         let speedup = oco.Measure.post.Measure.tps /. orig.Measure.tps in
         (input.Input.name, speedup, orig.Measure.counters,

@@ -36,7 +36,7 @@ let run () =
     in
     let bolt_rss =
       Ocolos_sim.Rss.of_binary ~nthreads:w.Workload.nthreads
-        (Common.bolt_oracle w input).Ocolos_bolt.Bolt.merged ~input
+        (Common.bolt_oracle w input) ~input
     in
     let oco = Common.ocolos w input in
     let ocolos_rss =

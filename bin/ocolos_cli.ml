@@ -189,7 +189,8 @@ let bolt_cmd =
     let orig = Measure.steady ~measure:seconds w ~input in
     let profile = Measure.collect_profile w ~input in
     let r = Measure.bolt_binary w profile in
-    let opt = Measure.steady ~binary:r.Ocolos_bolt.Bolt.merged ~measure:seconds w ~input in
+    let bolted = Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary r in
+    let opt = Measure.steady ~binary:bolted ~measure:seconds w ~input in
     Fmt.pr "original: %.0f tps@." orig.Measure.tps;
     Fmt.pr "BOLTed:   %.0f tps (%.2fx), %d functions optimized, %d skipped@." opt.Measure.tps
       (opt.Measure.tps /. orig.Measure.tps)
@@ -802,10 +803,10 @@ let save_cmd =
     let input = Workload.find_input w input_name in
     let profile = Measure.collect_profile w ~input in
     let r = Measure.bolt_binary w profile in
-    Ocolos_binary.Serialize.save out r.Ocolos_bolt.Bolt.merged;
+    let bolted = Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary r in
+    Ocolos_binary.Serialize.save out bolted;
     Fmt.pr "wrote %s (%d functions optimized, entry 0x%x)@." out
-      r.Ocolos_bolt.Bolt.funcs_reordered
-      r.Ocolos_bolt.Bolt.merged.Ocolos_binary.Binary.entry
+      r.Ocolos_bolt.Bolt.funcs_reordered bolted.Ocolos_binary.Binary.entry
   in
   Cmd.v
     (Cmd.info "save" ~doc:"Profile, BOLT, and save the optimized image to a file")

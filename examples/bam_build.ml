@@ -42,7 +42,9 @@ let () =
   in
   let merged = Ocolos_profiler.Profile.merge profiles in
   let bolted = Ocolos_bolt.Bolt.run ~binary:w.Workload.binary ~profile:merged () in
-  let t_opt_base = compile_seconds w ~binary:bolted.Ocolos_bolt.Bolt.merged ~file:5 in
+  let t_opt_base =
+    compile_seconds w ~binary:(Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary bolted) ~file:5
+  in
   Fmt.pr "one compiler execution: %.2f s (BOLTed) — %.2fx@." t_opt_base
     (t_orig_base /. t_opt_base);
   let cost = Ocolos_core.Cost.default in

@@ -69,7 +69,7 @@ let () =
   let r_orig = report_misses w.Workload.binary in
   Fmt.pr "%a" (Ocolos_profiler.Perf_report.pp_top ~limit:6) (r_orig, w.Workload.binary);
   let profile = Measure.collect_profile w ~input in
-  let bolted = (Measure.bolt_binary w profile).Ocolos_bolt.Bolt.merged in
+  let bolted = Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary (Measure.bolt_binary w profile) in
   Fmt.pr "@.perf report — L1i misses under the BOLTED binary:@.";
   let r_opt = report_misses bolted in
   Fmt.pr "%a" (Ocolos_profiler.Perf_report.pp_top ~limit:6) (r_opt, bolted);

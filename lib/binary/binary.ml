@@ -9,6 +9,7 @@
    Section II-D of the paper. *)
 
 open Ocolos_isa
+module Itbl = Ocolos_util.Itbl
 
 type range = { r_start : int; r_size : int }
 
@@ -34,7 +35,7 @@ type vtable = {
 type t = {
   name : string;
   sections : section list;
-  code : (int, Instr.t) Hashtbl.t;
+  code : Instr.t Itbl.t;
   code_order : int array; (* instruction addresses, sorted *)
   symbols : func_sym array; (* indexed by fid *)
   vtables : vtable array; (* indexed by vid *)
@@ -42,16 +43,16 @@ type t = {
   globals_words : int;
   global_init : (int * int) list; (* absolute data address, value *)
   entry : int; (* code address of the program entry point *)
-  debug : (int, int * int) Hashtbl.t; (* addr -> (fid, bid); ground truth *)
+  debug : (int * int) Itbl.t; (* addr -> (fid, bid); ground truth *)
 }
 
-let find_instr b addr = Hashtbl.find_opt b.code addr
+let find_instr b addr = Itbl.find_opt b.code addr
 
 let instr_count b = Array.length b.code_order
 
 let text_bytes b =
   Array.fold_left
-    (fun acc addr -> acc + Instr.size (Hashtbl.find b.code addr))
+    (fun acc addr -> acc + Instr.size (Itbl.find b.code addr))
     0 b.code_order
 
 (* Map a code address to the function whose range contains it. *)
@@ -78,19 +79,23 @@ let build_addr_index b =
   Array.sort (fun (a, _, _) (b, _, _) -> compare a b) ranges;
   ranges
 
-let index_lookup (idx : addr_index) addr =
-  let lo = ref 0 and hi = ref (Array.length idx - 1) and found = ref None in
+(* Owning fid of [addr], or -1: the allocation-free form of
+   [index_lookup], for per-instruction callers. *)
+let index_fid (idx : addr_index) addr =
+  let lo = ref 0 and hi = ref (Array.length idx - 1) and found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let s, e, fid = idx.(mid) in
     if addr < s then hi := mid - 1
     else if addr >= e then lo := mid + 1
     else begin
-      found := Some fid;
+      found := fid;
       lo := !hi + 1
     end
   done;
   !found
+
+let index_lookup idx addr = match index_fid idx addr with -1 -> None | fid -> Some fid
 
 let find_symbol_by_name b name =
   let n = Array.length b.symbols in
@@ -108,7 +113,7 @@ let section_named b name = List.find_opt (fun s -> s.sec_name = name) b.sections
 let direct_call_sites b =
   Array.fold_left
     (fun acc addr ->
-      match Hashtbl.find b.code addr with
+      match Itbl.find b.code addr with
       | Instr.Call target -> (addr, target) :: acc
       | _ -> acc)
     [] b.code_order
@@ -122,7 +127,7 @@ let func_instrs b fid =
       let acc = ref [] in
       let addr = ref r.r_start in
       while !addr < r.r_start + r.r_size do
-        match Hashtbl.find_opt b.code !addr with
+        match Itbl.find_opt b.code !addr with
         | Some i ->
           acc := (!addr, i) :: !acc;
           addr := !addr + Instr.size i

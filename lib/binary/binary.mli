@@ -31,7 +31,7 @@ type vtable = {
 type t = {
   name : string;
   sections : section list;
-  code : (int, Ocolos_isa.Instr.t) Hashtbl.t;
+  code : Ocolos_isa.Instr.t Ocolos_util.Itbl.t;
   code_order : int array;  (** instruction addresses, sorted ascending *)
   symbols : func_sym array;  (** indexed by fid *)
   vtables : vtable array;  (** indexed by vid *)
@@ -39,7 +39,7 @@ type t = {
   globals_words : int;
   global_init : (int * int) list;  (** (absolute data address, value) *)
   entry : int;
-  debug : (int, int * int) Hashtbl.t;  (** addr -> (fid, bid) ground truth *)
+  debug : (int * int) Ocolos_util.Itbl.t;  (** addr -> (fid, bid) ground truth *)
 }
 
 val find_instr : t -> int -> Ocolos_isa.Instr.t option
@@ -54,6 +54,9 @@ type addr_index
 
 val build_addr_index : t -> addr_index
 val index_lookup : addr_index -> int -> int option
+
+(** [index_lookup] without the option: the owning fid, or [-1]. *)
+val index_fid : addr_index -> int -> int
 
 val find_symbol_by_name : t -> string -> func_sym option
 val section_named : t -> string -> section option

@@ -7,6 +7,7 @@
    jump tables into the global data region, and builds the symbol table. *)
 
 open Ocolos_isa
+module Itbl = Ocolos_util.Itbl
 
 let default_text_base = 0x10000
 let default_globals_base = 0x1000
@@ -37,9 +38,10 @@ let pre_size = function
   | JumpB _ -> Instr.size (Instr.Jump 0)
   | TableBase (d, s, _) -> Instr.size (Instr.Alui (Instr.Add, d, s, 0))
 
-(* Lower one block given the block laid immediately after it (if any). Also
-   returns jump-table allocations as (table index, target block ids). *)
-let lower_block ~fresh_table (blk : Ir.block) ~(next : int option) =
+(* Lower one block given the block laid immediately after it ([next], or -1
+   for none). Also returns jump-table allocations as (table index, target
+   block ids). *)
+let lower_block ~fresh_table (blk : Ir.block) ~next =
   let body =
     List.map
       (fun si ->
@@ -52,10 +54,10 @@ let lower_block ~fresh_table (blk : Ir.block) ~(next : int option) =
   in
   let term =
     match blk.Ir.term with
-    | Ir.Tjump t -> if next = Some t then [] else [ JumpB t ]
+    | Ir.Tjump t -> if next = t then [] else [ JumpB t ]
     | Ir.Tbranch (c, r, taken, fall) ->
-      if next = Some fall then [ BranchB (c, r, taken) ]
-      else if next = Some taken then [ BranchB (negate_cond c, r, fall) ]
+      if next = fall then [ BranchB (c, r, taken) ]
+      else if next = taken then [ BranchB (negate_cond c, r, fall) ]
       else [ BranchB (c, r, taken); JumpB fall ]
     | Ir.Tret -> [ Fixed Instr.Ret ]
     | Ir.Thalt -> [ Fixed Instr.Halt ]
@@ -69,8 +71,8 @@ let lower_block ~fresh_table (blk : Ir.block) ~(next : int option) =
 
 type emitted = {
   binary : Binary.t;
-  func_entry : (int, int) Hashtbl.t; (* fid -> entry address, emitted funcs *)
-  block_addr : (int * int, int) Hashtbl.t; (* (fid, bid) -> address *)
+  func_entry : int array; (* fid -> entry address; -1 if not emitted *)
+  block_addr : int array array; (* fid -> bid -> address; [||] if not emitted *)
 }
 
 let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
@@ -97,7 +99,13 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
         layout
   in
   (* Pass 1: lower blocks and assign addresses. *)
-  let block_addr : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
+  let nfuncs = Array.length program.Ir.funcs in
+  let block_addr = Array.make nfuncs [||] in
+  List.iter
+    (fun (fl : Layout.func_layout) ->
+      block_addr.(fl.fid) <- Array.make (Array.length program.Ir.funcs.(fl.fid).Ir.blocks) (-1))
+    layout;
+  let n_instrs = ref 0 in
   let placed : (int * int * int * pre_instr list) list ref = ref [] in
   (* (fid, kind start addr, size, instrs) per unit for symbol ranges *)
   let unit_ranges : (int * [ `Hot | `Cold ] * Binary.range) list ref = ref [] in
@@ -112,13 +120,14 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
       let bids_arr = Array.of_list bids in
       Array.iteri
         (fun i bid ->
-          let next = if i + 1 < Array.length bids_arr then Some bids_arr.(i + 1) else None in
+          let next = if i + 1 < Array.length bids_arr then bids_arr.(i + 1) else -1 in
           let blk = f.Ir.blocks.(bid) in
           let instrs = lower_block ~fresh_table blk ~next in
-          Hashtbl.replace block_addr (fid, bid) !cursor;
+          block_addr.(fid).(bid) <- !cursor;
           let start = !cursor in
           let size = List.fold_left (fun acc i -> acc + pre_size i) 0 instrs in
           cursor := !cursor + size;
+          n_instrs := !n_instrs + List.length instrs;
           placed := (fid, bid, start, instrs) :: !placed)
         bids_arr;
       unit_ranges :=
@@ -127,28 +136,30 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
     units;
   let text_end = !cursor in
   (* Function entries: address of the entry block for emitted functions. *)
-  let func_entry = Hashtbl.create 64 in
-  List.iter
-    (fun (fl : Layout.func_layout) ->
-      Hashtbl.replace func_entry fl.fid (Hashtbl.find block_addr (fl.fid, 0)))
-    layout;
+  let func_entry =
+    Array.map (fun addrs -> if Array.length addrs = 0 then -1 else addrs.(0)) block_addr
+  in
   let resolve_func fid =
-    match Hashtbl.find_opt func_entry fid with
-    | Some a -> a
-    | None -> (
+    match func_entry.(fid) with
+    | -1 -> (
       match extern_entry fid with
       | Some a -> a
       | None -> Fmt.failwith "Emit: no address for function %d" fid)
+    | a -> a
   in
   (* Globals region: program globals then jump tables. *)
   let table_data_base = globals_base + program.Ir.globals_words in
-  (* Pass 2: resolve operands and fill the code map. *)
-  let code = Hashtbl.create 4096 in
-  let debug = Hashtbl.create 4096 in
-  let addrs = ref [] in
+  (* Pass 2: resolve operands and fill the code map. Blocks are visited in
+     placement order, which is ascending address order, so [code_order]
+     fills sorted; the tables are sized for the known instruction count. *)
+  let code = Itbl.create !n_instrs in
+  let debug = Itbl.create !n_instrs in
+  let code_order = Array.make !n_instrs 0 in
+  let k = ref 0 in
   List.iter
     (fun (fid, bid, start, instrs) ->
       let addr = ref start in
+      let key = (fid, bid) in
       List.iter
         (fun pre ->
           let concrete =
@@ -156,26 +167,25 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
             | Fixed i -> i
             | CallF callee -> Instr.Call (resolve_func callee)
             | FpCreateF (r, callee) -> Instr.FpCreate (r, resolve_func callee)
-            | BranchB (c, r, bid') -> Instr.Branch (c, r, Hashtbl.find block_addr (fid, bid'))
-            | JumpB bid' -> Instr.Jump (Hashtbl.find block_addr (fid, bid'))
+            | BranchB (c, r, bid') -> Instr.Branch (c, r, block_addr.(fid).(bid'))
+            | JumpB bid' -> Instr.Jump block_addr.(fid).(bid')
             | TableBase (d, s, index) ->
               Instr.Alui (Instr.Add, d, s, table_data_base + index)
           in
-          Hashtbl.replace code !addr concrete;
-          Hashtbl.replace debug !addr (fid, bid);
-          addrs := !addr :: !addrs;
+          Itbl.replace code !addr concrete;
+          Itbl.replace debug !addr key;
+          code_order.(!k) <- !addr;
+          incr k;
           addr := !addr + Instr.size concrete)
         instrs)
-    !placed;
-  let code_order = Array.of_list !addrs in
-  Array.sort compare code_order;
+    (List.rev !placed);
   (* Jump-table initial data: absolute block addresses. *)
   let table_init =
     List.concat_map
       (fun (fid, index, targets) ->
         Array.to_list targets
         |> List.mapi (fun i bid ->
-               (table_data_base + index + i, Hashtbl.find block_addr (fid, bid))))
+               (table_data_base + index + i, block_addr.(fid).(bid))))
       !table_owners
   in
   let globals_words_total = program.Ir.globals_words + !n_table_words in
@@ -204,7 +214,7 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
         in
         { Binary.fs_fid = fl.fid;
           fs_name = program.Ir.funcs.(fl.fid).Ir.fname;
-          fs_entry = Hashtbl.find func_entry fl.fid;
+          fs_entry = func_entry.(fl.fid);
           fs_ranges = ranges_of `Hot @ ranges_of `Cold })
       layout
     |> List.sort (fun a b -> compare a.Binary.fs_fid b.Binary.fs_fid)
@@ -214,9 +224,9 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
     List.map (fun (off, v) -> (globals_base + off, v)) program.Ir.global_init @ table_init
   in
   let entry =
-    match Hashtbl.find_opt func_entry program.Ir.entry_fid with
-    | Some a -> a
-    | None -> ( match extern_entry program.Ir.entry_fid with Some a -> a | None -> 0)
+    match func_entry.(program.Ir.entry_fid) with
+    | -1 -> ( match extern_entry program.Ir.entry_fid with Some a -> a | None -> 0)
+    | a -> a
   in
   let binary =
     { Binary.name;

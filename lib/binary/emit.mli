@@ -14,8 +14,9 @@ val negate_cond : Ocolos_isa.Instr.cond -> Ocolos_isa.Instr.cond
 
 type emitted = {
   binary : Binary.t;
-  func_entry : (int, int) Hashtbl.t;  (** fid -> entry address (emitted fns) *)
-  block_addr : (int * int, int) Hashtbl.t;  (** (fid, bid) -> address *)
+  func_entry : int array;  (** fid -> entry address; [-1] if not emitted *)
+  block_addr : int array array;
+      (** fid -> bid -> address; [[||]] for a function not emitted *)
 }
 
 (** [emit ~name program layout] assembles [program] under [layout].

@@ -11,6 +11,10 @@
 open Ocolos_isa
 open Ocolos_binary
 open Ocolos_profiler
+module Itbl = Ocolos_util.Itbl
+
+(* [Emit]'s debug value for no block: no instruction carries it. *)
+let no_block = (-1, -1)
 
 type func_order = C3 | Pettis_hansen | Original_order
 
@@ -44,7 +48,6 @@ let default_config =
     lite = true }
 
 type result = {
-  merged : Binary.t; (* original + optimized sections: the BOLTed binary *)
   new_text : Binary.t; (* only the optimized section (what OCOLOS injects) *)
   translation : (int * int) list; (* old entry -> new entry, optimized funcs *)
   hot_fids : int list;
@@ -308,7 +311,7 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
   let translation =
     List.map
       (fun fid ->
-        (binary.Binary.symbols.(fid).Binary.fs_entry, Hashtbl.find emitted.Emit.func_entry fid))
+        (binary.Binary.symbols.(fid).Binary.fs_entry, emitted.Emit.func_entry.(fid)))
       hot_fids
   in
   (* Frame maps: per hot function, old-version PC -> new-version PC, built
@@ -320,15 +323,20 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
   let frame_maps =
     logged_pass "frame_map" @@ fun () ->
     Trace.span "bolt.frame_map" @@ fun sp ->
-    let per_bid : (int * int, (int * Instr.t) list) Hashtbl.t = Hashtbl.create 256 in
-    Array.iter
-      (fun addr ->
-        match Hashtbl.find_opt new_text.Binary.debug addr with
-        | Some key ->
-          let l = Option.value ~default:[] (Hashtbl.find_opt per_bid key) in
-          Hashtbl.replace per_bid key ((addr, Hashtbl.find new_text.Binary.code addr) :: l)
-        | None -> ())
-      new_text.Binary.code_order;
+    (* A block's new instructions are the run from its emitted start that
+       the emitter's debug map attributes to it: emission places each
+       block contiguously. *)
+    let new_instrs fid bid =
+      let start = emitted.Emit.block_addr.(fid).(bid) in
+      let rec run addr acc =
+        match Itbl.find_default new_text.Binary.debug addr ~default:no_block with
+        | f, b when f = fid && b = bid ->
+          let i = Itbl.find new_text.Binary.code addr in
+          run (addr + Instr.size i) ((addr, i) :: acc)
+        | _ -> Array.of_list (List.rev acc)
+      in
+      run start []
+    in
     let trackers =
       if config.exact_frame_maps then Frame_map.default_trackers
       else [ Frame_map.block_boundary_tracker ]
@@ -336,27 +344,19 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
     let maps =
       List.filter_map
         (fun (fid, rc) ->
-          match Hashtbl.find_opt emitted.Emit.func_entry fid with
-          | None -> None
-          | Some new_entry ->
+          match emitted.Emit.func_entry.(fid) with
+          | -1 -> None
+          | new_entry ->
             let blocks =
-              Array.of_list
-                (List.filter_map
-                   (fun bid ->
-                     match Hashtbl.find_opt emitted.Emit.block_addr (fid, bid) with
-                     | Some ns ->
-                       Some (bid, rc.Cfg.rc_block_addr.(bid), rc.Cfg.rc_block_end.(bid), ns)
-                     | None -> None)
-                   (List.init (Array.length rc.Cfg.rc_block_addr) (fun i -> i)))
+              Array.mapi
+                (fun bid ns -> (bid, rc.Cfg.rc_block_addr.(bid), rc.Cfg.rc_block_end.(bid), ns))
+                emitted.Emit.block_addr.(fid)
             in
             let fm =
               Frame_map.build ~trackers ~fid
                 ~old_entry:binary.Binary.symbols.(fid).Binary.fs_entry ~new_entry ~blocks
                 ~read_old:(fun a -> Binary.find_instr binary a)
-                ~new_instrs:(fun bid ->
-                  Array.of_list
-                    (List.rev (Option.value ~default:[] (Hashtbl.find_opt per_bid (fid, bid)))))
-                ()
+                ~new_instrs:(new_instrs fid) ()
             in
             Some (fid, fm))
         reconstructed
@@ -365,30 +365,67 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
       (Trace.I (List.fold_left (fun acc (_, fm) -> acc + Frame_map.exact_points fm) 0 maps));
     maps
   in
-  let translate = Hashtbl.create 64 in
-  List.iter (fun (o, n) -> Hashtbl.replace translate o n) translation;
-  let tr addr = match Hashtbl.find_opt translate addr with Some n -> n | None -> addr in
-  (* Merge into the BOLTed binary image. *)
-  let code = Hashtbl.copy binary.Binary.code in
-  Hashtbl.iter (fun a i -> Hashtbl.replace code a i) new_text.Binary.code;
-  let code_order =
-    let all = Array.append binary.Binary.code_order new_text.Binary.code_order in
-    Array.sort compare all;
-    all
+  let failed = List.sort compare !failed in
+  Trace.set_attr run_sp "funcs_reordered" (Trace.I (List.length hot_fids));
+  Trace.set_attr run_sp "work_instrs" (Trace.I !work_instrs);
+  Trace.set_attr run_sp "failed" (Trace.I (List.length failed));
+  Ocolos_obs.Metrics.count "ocolos_bolt_runs_total" 1;
+  Ocolos_obs.Metrics.count "ocolos_bolt_funcs_reordered_total" (List.length hot_fids);
+  Ocolos_obs.Metrics.count "ocolos_bolt_func_failures_total" (List.length failed);
+  { new_text;
+    translation;
+    hot_fids;
+    funcs_reordered = List.length hot_fids;
+    work_instrs = !work_instrs;
+    skipped = !skipped;
+    failed;
+    bolt_base;
+    frame_maps }
+
+(* Two ascending address arrays merged into one (an address in both
+   appears twice, as in their concatenation sorted). *)
+let merge_sorted a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to na + nb - 1 do
+    if !j >= nb || (!i < na && a.(!i) <= b.(!j)) then begin
+      out.(k) <- a.(!i);
+      incr i
+    end
+    else begin
+      out.(k) <- b.(!j);
+      incr j
+    end
+  done;
+  out
+
+(* The BOLTed binary image of a run: the input's code renamed
+   [bolt.org.text] plus the optimized [.text], with optimized functions'
+   symbols and v-table slots pointing at their new entries. The online
+   path never needs it — OCOLOS injects [new_text] alone — so [run] does
+   not build it; offline users (a BOLTed executable to measure or save)
+   call this. *)
+let merge ~(binary : Binary.t) (result : result) =
+  let new_text = result.new_text in
+  let translate = Itbl.create 64 in
+  List.iter (fun (o, n) -> Itbl.replace translate o n) result.translation;
+  let tr addr = Itbl.find_default translate addr ~default:addr in
+  let overlay tbl over =
+    let t = Itbl.create (Itbl.length tbl + Itbl.length over) in
+    Itbl.iter (Itbl.replace t) tbl;
+    Itbl.iter (Itbl.replace t) over;
+    t
   in
+  let new_sym = Itbl.create 64 in
+  Array.iter (fun s -> Itbl.replace new_sym s.Binary.fs_fid s) new_text.Binary.symbols;
+  let hot = Itbl.create 64 in
+  List.iter (fun fid -> Itbl.replace hot fid ()) result.hot_fids;
   let symbols =
     Array.map
       (fun s ->
-        if Hashtbl.mem rc_by_fid s.Binary.fs_fid then begin
-          let ns = new_text.Binary.symbols.(
-            (* new_text symbols are indexed densely by their position in its
-               own symbol array; find by fid *)
-            let rec find i =
-              if new_text.Binary.symbols.(i).Binary.fs_fid = s.Binary.fs_fid then i
-              else find (i + 1)
-            in
-            find 0)
-          in
+        if Itbl.mem hot s.Binary.fs_fid then begin
+          let ns = Itbl.find new_sym s.Binary.fs_fid in
           { s with Binary.fs_entry = ns.Binary.fs_entry;
             fs_ranges = ns.Binary.fs_ranges @ s.Binary.fs_ranges }
         end
@@ -407,35 +444,14 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
       (fun vt -> { vt with Binary.vt_entries = Array.map tr vt.Binary.vt_entries })
       binary.Binary.vtables
   in
-  let debug = Hashtbl.copy binary.Binary.debug in
-  Hashtbl.iter (fun a v -> Hashtbl.replace debug a v) new_text.Binary.debug;
-  let merged =
-    { Binary.name = binary.Binary.name ^ ".bolt";
-      sections;
-      code;
-      code_order;
-      symbols;
-      vtables;
-      globals_base = binary.Binary.globals_base;
-      globals_words = binary.Binary.globals_words;
-      global_init = binary.Binary.global_init @ new_text.Binary.global_init;
-      entry = tr binary.Binary.entry;
-      debug }
-  in
-  let failed = List.sort compare !failed in
-  Trace.set_attr run_sp "funcs_reordered" (Trace.I (List.length hot_fids));
-  Trace.set_attr run_sp "work_instrs" (Trace.I !work_instrs);
-  Trace.set_attr run_sp "failed" (Trace.I (List.length failed));
-  Ocolos_obs.Metrics.count "ocolos_bolt_runs_total" 1;
-  Ocolos_obs.Metrics.count "ocolos_bolt_funcs_reordered_total" (List.length hot_fids);
-  Ocolos_obs.Metrics.count "ocolos_bolt_func_failures_total" (List.length failed);
-  { merged;
-    new_text;
-    translation;
-    hot_fids;
-    funcs_reordered = List.length hot_fids;
-    work_instrs = !work_instrs;
-    skipped = !skipped;
-    failed;
-    bolt_base;
-    frame_maps }
+  { Binary.name = binary.Binary.name ^ ".bolt";
+    sections;
+    code = overlay binary.Binary.code new_text.Binary.code;
+    code_order = merge_sorted binary.Binary.code_order new_text.Binary.code_order;
+    symbols;
+    vtables;
+    globals_base = binary.Binary.globals_base;
+    globals_words = binary.Binary.globals_words;
+    global_init = binary.Binary.global_init @ new_text.Binary.global_init;
+    entry = tr binary.Binary.entry;
+    debug = overlay binary.Binary.debug new_text.Binary.debug }

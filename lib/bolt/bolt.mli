@@ -34,8 +34,6 @@ type config = {
 val default_config : config
 
 type result = {
-  merged : Ocolos_binary.Binary.t;
-      (** original + optimized sections: the BOLTed binary (offline use) *)
   new_text : Ocolos_binary.Binary.t;
       (** only the optimized section — what OCOLOS injects at run time *)
   translation : (int * int) list;
@@ -84,3 +82,10 @@ val run :
   profile:Ocolos_profiler.Profile.t ->
   unit ->
   result
+
+(** [merge ~binary result] is the BOLTed binary of a [run] over [binary]:
+    original + optimized sections, optimized functions' symbols and
+    v-table slots at their new entries (offline use: a BOLTed executable
+    to measure or save). [code_order] is merged from the two sorted
+    inputs. *)
+val merge : binary:Ocolos_binary.Binary.t -> result -> Ocolos_binary.Binary.t

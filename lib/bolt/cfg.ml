@@ -9,6 +9,7 @@
 
 open Ocolos_isa
 open Ocolos_binary
+module Itbl = Ocolos_util.Itbl
 
 type reconstructed = {
   rc_fid : int;
@@ -56,20 +57,22 @@ let read_jump_table ~read_data ~valid_target base =
 
 let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
     ~(read_data : int -> int option) ~(in_function : int -> bool) ~fid_of_entry ~fname =
-  let blocks : (int, mblock) Hashtbl.t = Hashtbl.create 32 in
-  let owner : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let blocks : mblock Itbl.t = Itbl.create 32 in
+  let owner : int Itbl.t = Itbl.create 64 in
   (* instr addr -> block start *)
   let runs = ref [] in
   (* one list per decode run: the addresses it decoded, descending *)
   let worklist = Queue.create () in
   let enqueue addr = Queue.add addr worklist in
-  let valid_target addr = in_function addr && read_code addr <> None in
+  let valid_target addr =
+    in_function addr && match read_code addr with Some _ -> true | None -> false
+  in
   (* Split the block owning [addr] so that [addr] becomes a leader. *)
   let split_at addr =
-    let bstart = Hashtbl.find owner addr in
+    let bstart = Itbl.find owner addr in
     if bstart = addr then ()
     else begin
-      let b = Hashtbl.find blocks bstart in
+      let b = Itbl.find blocks bstart in
       let instrs = List.rev b.instrs in
       let before, after = List.partition (fun (a, _) -> a < addr) instrs in
       (match after with
@@ -81,16 +84,16 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
       b.instrs <- List.rev before;
       b.term <- Mfall addr;
       b.ended <- addr;
-      Hashtbl.replace blocks addr nb;
-      List.iter (fun (a, _) -> Hashtbl.replace owner a addr) after
+      Itbl.replace blocks addr nb;
+      List.iter (fun (a, _) -> Itbl.replace owner a addr) after
     end
   in
   let decode_from leader =
-    if Hashtbl.mem blocks leader then ()
-    else if Hashtbl.mem owner leader then split_at leader
+    if Itbl.mem blocks leader then ()
+    else if Itbl.mem owner leader then split_at leader
     else begin
       let b = { start = leader; instrs = []; term = Mnone; ended = 0 } in
-      Hashtbl.replace blocks leader b;
+      Itbl.replace blocks leader b;
       let run = ref [] in
       let pc = ref leader in
       let continue = ref true in
@@ -103,20 +106,17 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
            loop runs once per instruction per campaign — in BOLT's
            front-end and again in the Tier-1 validator — so the probe
            count matters. *)
-        match if !pc = leader then None else Hashtbl.find_opt owner !pc with
-        | Some bstart ->
+        match if !pc = leader then -1 else Itbl.find_default owner !pc ~default:(-1) with
+        | bstart when bstart >= 0 ->
           if bstart <> !pc then split_at !pc;
           b.term <- Mfall !pc;
           b.ended <- !pc;
           continue := false
-        | None -> (
+        | _ -> (
           match read_code !pc with
           | None -> unsupported "decode fell off mapped code at 0x%x in %s" !pc fname
           | Some instr ->
-            (* [add], not [replace]: the loop only reaches fresh addresses
-               (the probe above stopped otherwise), and [split_at] uses
-               [replace] when it reassigns ownership. *)
-            Hashtbl.add owner !pc b.start;
+            Itbl.replace owner !pc b.start;
             run := !pc :: !run;
             b.instrs <- (!pc, instr) :: b.instrs;
             let next = !pc + Instr.size instr in
@@ -183,15 +183,15 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
   done;
   (* Stable block ids: entry first, then by ascending address. *)
   let starts =
-    Hashtbl.fold (fun s _ acc -> s :: acc) blocks []
+    Itbl.fold (fun s _ acc -> s :: acc) blocks []
     |> List.filter (fun s -> s <> entry)
     |> List.sort compare
   in
   let order = Array.of_list (entry :: starts) in
-  let bid_of = Hashtbl.create 32 in
-  Array.iteri (fun bid s -> Hashtbl.replace bid_of s bid) order;
+  let bid_of = Itbl.create (Array.length order) in
+  Array.iteri (fun bid s -> Itbl.replace bid_of s bid) order;
   let to_ir_block bid =
-    let mb = Hashtbl.find blocks order.(bid) in
+    let mb = Itbl.find blocks order.(bid) in
     let body =
       List.rev_map
         (fun (_, instr) ->
@@ -209,9 +209,9 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
         mb.instrs
     in
     let bid_at addr =
-      match Hashtbl.find_opt bid_of addr with
-      | Some b -> b
-      | None -> unsupported "no block at 0x%x in %s" addr fname
+      match Itbl.find_default bid_of addr ~default:(-1) with
+      | -1 -> unsupported "no block at 0x%x in %s" addr fname
+      | b -> b
     in
     let term =
       match mb.term with
@@ -226,8 +226,8 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
   in
   let nblocks = Array.length order in
   let ir_blocks = Array.init nblocks to_ir_block in
-  let block_end = Array.map (fun s -> (Hashtbl.find blocks s).ended) order in
-  let instr_count = Hashtbl.length owner in
+  let block_end = Array.map (fun s -> (Itbl.find blocks s).ended) order in
+  let instr_count = Itbl.length owner in
   (* A decode run covers one contiguous address range no other run
      touches, so ordering the runs orders every instruction: no sort of
      the addresses themselves. Runs are never empty. *)
@@ -255,18 +255,18 @@ let reconstruct ~fid ~entry ~(read_code : int -> Instr.t option)
    function lists. *)
 let reconstructor (binary : Binary.t) =
   let index = Binary.build_addr_index binary in
-  let data_init = Hashtbl.create 64 in
-  List.iter (fun (a, v) -> Hashtbl.replace data_init a v) binary.Binary.global_init;
-  let entry_of = Hashtbl.create 256 in
-  Array.iter (fun s -> Hashtbl.replace entry_of s.Binary.fs_entry s.Binary.fs_fid)
+  let data_init = Itbl.create 64 in
+  List.iter (fun (a, v) -> Itbl.replace data_init a v) binary.Binary.global_init;
+  let entry_of = Itbl.create 256 in
+  Array.iter (fun s -> Itbl.replace entry_of s.Binary.fs_entry s.Binary.fs_fid)
     binary.Binary.symbols;
   fun fid ->
     let sym = binary.Binary.symbols.(fid) in
     reconstruct ~fid ~entry:sym.Binary.fs_entry
       ~read_code:(fun addr -> Binary.find_instr binary addr)
-      ~read_data:(fun addr -> Hashtbl.find_opt data_init addr)
-      ~in_function:(fun addr -> Binary.index_lookup index addr = Some fid)
-      ~fid_of_entry:(fun addr -> Hashtbl.find_opt entry_of addr)
+      ~read_data:(fun addr -> Itbl.find_opt data_init addr)
+      ~in_function:(fun addr -> Binary.index_fid index addr = fid)
+      ~fid_of_entry:(fun addr -> Itbl.find_opt entry_of addr)
       ~fname:sym.Binary.fs_name
 
 (* [reconstructor] with a memo: each function is decoded at most once. The
@@ -308,7 +308,7 @@ let attach_profile rc ~branches ~ranges =
   let nblocks = Array.length rc.rc_block_addr in
   (* Sorted (start, end, bid) view for binary-search address resolution. *)
   let sorted = Array.init nblocks (fun bid -> (rc.rc_block_addr.(bid), rc.rc_block_end.(bid), bid)) in
-  Array.sort compare sorted;
+  Array.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) sorted;
   let block_of_addr addr =
     let lo = ref 0 and hi = ref (nblocks - 1) and found = ref None in
     while !lo <= !hi do

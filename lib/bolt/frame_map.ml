@@ -69,10 +69,10 @@ let block_boundary_tracker =
 (* Two instructions occupy the same program point if they are identical or
    differ only in a statically relocated target. *)
 let pairable o n =
-  o = n
+  Instr.equal o n
   ||
   match (Instr.static_target o, Instr.static_target n) with
-  | Some _, Some tn -> ( try Instr.with_target o tn = n with Invalid_argument _ -> false)
+  | Some _, Some tn -> Instr.equal (Instr.with_target o tn) n
   | _ -> false
 
 (* Instruction-granular positional pairing of one block's old and new code.
@@ -132,9 +132,9 @@ let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~rea
       blocks
   in
   Array.sort (fun a b -> compare a.bs_old_start b.bs_old_start) sites;
-  let block_new_tbl = Hashtbl.create (Array.length sites) in
-  Array.iter (fun s -> Hashtbl.replace block_new_tbl s.bs_old_start s.bs_new_start) sites;
-  let block_new addr = Hashtbl.find_opt block_new_tbl addr in
+  let block_new_tbl = Ocolos_util.Itbl.create (Array.length sites) in
+  Array.iter (fun s -> Ocolos_util.Itbl.replace block_new_tbl s.bs_old_start s.bs_new_start) sites;
+  let block_new addr = Ocolos_util.Itbl.find_opt block_new_tbl addr in
   (* Exact points are sorted by old PC here, at emission, so consumers
      binary-search and walk them in order. Each block's pairs are sorted
      on their own: sites are in old-address order and a tracker pairs only
@@ -209,26 +209,26 @@ let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~rea
 
 let block_new_start t addr =
   (* binary search by old start; hit only on exact block starts *)
-  let lo = ref 0 and hi = ref (Array.length t.fm_blocks - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
+  let lo = ref 0 and hi = ref (Array.length t.fm_blocks - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let s = t.fm_blocks.(mid) in
-    if s.bs_old_start = addr then found := Some s.bs_new_start
+    if s.bs_old_start = addr then found := mid
     else if s.bs_old_start < addr then lo := mid + 1
     else hi := mid - 1
   done;
-  !found
+  if !found < 0 then None else Some t.fm_blocks.(!found).bs_new_start
 
 let containing_block t addr =
-  let lo = ref 0 and hi = ref (Array.length t.fm_blocks - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
+  let lo = ref 0 and hi = ref (Array.length t.fm_blocks - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let s = t.fm_blocks.(mid) in
     if addr < s.bs_old_start then hi := mid - 1
     else if addr >= s.bs_old_end then lo := mid + 1
-    else found := Some s
+    else found := mid
   done;
-  !found
+  if !found < 0 then None else Some t.fm_blocks.(!found)
 
 (* Index of [addr] among the exact points' old PCs, or -1. *)
 let exact_index t addr =

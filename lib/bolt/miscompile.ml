@@ -17,7 +17,7 @@
      remains a valid block start of the owning function, so this passes
      Tier 1 by design and must be reverted by the shadow checker.
 
-   Mutations are pure (fresh hashtables / rebuilt lists; the input result
+   Mutations are pure (fresh tables / rebuilt lists; the input result
    is never modified) and deterministic: candidates are enumerated in
    address order and [salt] picks one. [apply] returns the mutation count —
    0 means the corruption found no applicable site (the chaos harness
@@ -25,6 +25,7 @@
 
 open Ocolos_isa
 open Ocolos_binary
+module Itbl = Ocolos_util.Itbl
 
 let points =
   [ "bolt.miscompile.branch_polarity";
@@ -39,7 +40,7 @@ let points =
    consistently. *)
 let with_code (result : Bolt.result) code =
   let code_order =
-    Array.of_list (List.filter (fun a -> Hashtbl.mem code a) (Array.to_list result.Bolt.new_text.Binary.code_order))
+    Array.of_list (List.filter (fun a -> Itbl.mem code a) (Array.to_list result.Bolt.new_text.Binary.code_order))
   in
   { result with Bolt.new_text = { result.Bolt.new_text with Binary.code; code_order } }
 
@@ -50,7 +51,7 @@ let branch_polarity ~salt (result : Bolt.result) =
   let candidates =
     Array.to_list nt.Binary.code_order
     |> List.filter_map (fun a ->
-           match Hashtbl.find_opt nt.Binary.code a with
+           match Itbl.find_opt nt.Binary.code a with
            | Some (Instr.Branch (c, r, t)) -> Some (a, c, r, t)
            | _ -> None)
   in
@@ -58,8 +59,8 @@ let branch_polarity ~salt (result : Bolt.result) =
   | [] -> (result, 0)
   | _ ->
     let a, c, r, t = List.nth candidates (pick salt (List.length candidates)) in
-    let code = Hashtbl.copy nt.Binary.code in
-    Hashtbl.replace code a (Instr.Branch (Emit.negate_cond c, r, t));
+    let code = Itbl.copy nt.Binary.code in
+    Itbl.replace code a (Instr.Branch (Emit.negate_cond c, r, t));
     (with_code result code, 1)
 
 let drop_block ~salt (result : Bolt.result) =
@@ -86,14 +87,14 @@ let drop_block ~salt (result : Bolt.result) =
   | [] -> (result, 0)
   | _ ->
     let start = List.nth candidates (pick salt (List.length candidates)) in
-    let code = Hashtbl.copy nt.Binary.code in
+    let code = Itbl.copy nt.Binary.code in
     let removed = ref 0 in
     let pc = ref start in
     let continue = ref true in
     while !continue do
-      match Hashtbl.find_opt code !pc with
+      match Itbl.find_opt code !pc with
       | Some i when !pc = start || not (Hashtbl.mem starts !pc) ->
-        Hashtbl.remove code !pc;
+        Itbl.remove code !pc;
         incr removed;
         pc := !pc + Instr.size i
       | _ -> continue := false
@@ -108,7 +109,7 @@ let stale_reloc ~salt (result : Bolt.result) =
   let candidates =
     Array.to_list nt.Binary.code_order
     |> List.filter_map (fun a ->
-           match Hashtbl.find_opt nt.Binary.code a with
+           match Itbl.find_opt nt.Binary.code a with
            | Some (Instr.Call t) when Hashtbl.mem back t && Hashtbl.find back t <> t ->
              Some (a, Instr.Call (Hashtbl.find back t))
            | Some (Instr.FpCreate (r, t)) when Hashtbl.mem back t && Hashtbl.find back t <> t ->
@@ -119,8 +120,8 @@ let stale_reloc ~salt (result : Bolt.result) =
   | [] -> (result, 0)
   | _ ->
     let a, stale = List.nth candidates (pick salt (List.length candidates)) in
-    let code = Hashtbl.copy nt.Binary.code in
-    Hashtbl.replace code a stale;
+    let code = Itbl.copy nt.Binary.code in
+    Itbl.replace code a stale;
     (with_code result code, 1)
 
 let frame_map ~salt (result : Bolt.result) =

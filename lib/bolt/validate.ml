@@ -35,6 +35,7 @@
 
 open Ocolos_isa
 open Ocolos_binary
+module Itbl = Ocolos_util.Itbl
 
 type rejection = { rj_fid : int; rj_check : string; rj_reason : string }
 
@@ -104,21 +105,21 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
         raise Stop)
       fmt
   in
-  let translated = Hashtbl.create 64 in
-  List.iter (fun (o, n) -> Hashtbl.replace translated o n) result.Bolt.translation;
-  let hot = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace hot f ()) result.Bolt.hot_fids;
+  let translated = Itbl.create 64 in
+  List.iter (fun (o, n) -> Itbl.replace translated o n) result.Bolt.translation;
+  let hot = Itbl.create 64 in
+  List.iter (fun f -> Itbl.replace hot f ()) result.Bolt.hot_fids;
   (* Where a call/fp-create of [callee] must point in the new text: its new
      entry when the callee was re-emitted this run, its externally resolved
      (current) entry otherwise. *)
   let expected_entry callee =
     if callee < 0 || callee >= Array.length binary.Binary.symbols then None
-    else if Hashtbl.mem hot callee then
-      Hashtbl.find_opt translated binary.Binary.symbols.(callee).Binary.fs_entry
+    else if Itbl.mem hot callee then
+      Itbl.find_opt translated binary.Binary.symbols.(callee).Binary.fs_entry
     else extern_entry callee
   in
-  let new_data = Hashtbl.create 64 in
-  List.iter (fun (a, v) -> Hashtbl.replace new_data a v) new_text.Binary.global_init;
+  let new_data = Itbl.create 64 in
+  List.iter (fun (a, v) -> Itbl.replace new_data a v) new_text.Binary.global_init;
   let read_new a = Binary.find_instr new_text a in
   (* Translation injectivity: two functions sharing a new entry is a broken
      global order. *)
@@ -158,14 +159,14 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
       if fm.Frame_map.fm_old_entry <> sym.Binary.fs_entry then
         reject fid "frame_map" "fm_old_entry 0x%x is not the function entry 0x%x"
           fm.Frame_map.fm_old_entry sym.Binary.fs_entry;
-      (match Hashtbl.find_opt translated sym.Binary.fs_entry with
+      (match Itbl.find_opt translated sym.Binary.fs_entry with
       | Some n when n = fm.Frame_map.fm_new_entry -> ()
       | Some n ->
         reject fid "func_reorder" "translation says new entry 0x%x, frame map says 0x%x" n
           fm.Frame_map.fm_new_entry
       | None -> reject fid "func_reorder" "optimized function has no translation entry");
       let site_of_bid = Array.make nblocks None in
-      let new_starts = Hashtbl.create nblocks in
+      let new_starts = Itbl.create nblocks in
       Array.iter
         (fun (bs : Frame_map.block_site) ->
           if bs.Frame_map.bs_bid < 0 || bs.Frame_map.bs_bid >= nblocks then
@@ -174,7 +175,7 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
           (* A block emitted empty (all-no-op body, elided fallthrough)
              shares its successor's new start, so sharing is legitimate;
              the per-block walk validates each site's content anyway. *)
-          Hashtbl.replace new_starts bs.Frame_map.bs_new_start bs.Frame_map.bs_bid)
+          Itbl.replace new_starts bs.Frame_map.bs_new_start bs.Frame_map.bs_bid)
         fm.Frame_map.fm_blocks;
       for bid = 0 to nblocks - 1 do
         match site_of_bid.(bid) with
@@ -219,11 +220,11 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
             match si with
             | Ir.Plain i when Peephole.is_noop_instr i -> (
               match read_new !pc with
-              | Some j when j = i -> advance j
+              | Some j when Instr.equal j i -> advance j
               | _ -> () (* peephole deleted it *))
             | Ir.Plain i ->
               let j = next "emit" in
-              if j = i then advance j
+              if Instr.equal j i then advance j
               else
                 stop fid "peephole" "body mismatch at 0x%x in block %d: expected %s, found %s"
                   !pc blk.Ir.bid (Instr.to_string i) (Instr.to_string j)
@@ -312,8 +313,8 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
                not correspondence: see the blind-spot note above. *)
             Array.iteri
               (fun i _ ->
-                match Hashtbl.find_opt new_data (base + i) with
-                | Some v when Hashtbl.mem new_starts v -> ()
+                match Itbl.find_opt new_data (base + i) with
+                | Some v when Itbl.mem new_starts v -> ()
                 | Some v ->
                   stop fid "emit"
                     "jump-table word %d at data 0x%x holds 0x%x, not a block start of fid %d" i
@@ -347,11 +348,12 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
         reject fid "frame_map" "exact map has %d old PCs but %d new PCs" (Array.length olds)
           (Array.length news);
       let stamp = !funcs in
-      (* [j] is [new_pc]'s index in [new_order], or -1. *)
+      (* The old PC that already claimed [new_pc], or -1; [j] is [new_pc]'s
+         index in [new_order], or -1. *)
       let seen j new_pc =
-        if j < 0 then Hashtbl.find_opt seen_off new_pc
-        else if seen_stamp.(j) = stamp then Some seen_old.(j)
-        else None
+        if j < 0 then Option.value ~default:(-1) (Hashtbl.find_opt seen_off new_pc)
+        else if seen_stamp.(j) = stamp then seen_old.(j)
+        else -1
       in
       let claim j new_pc old_pc =
         if j < 0 then Hashtbl.replace seen_off new_pc old_pc
@@ -366,7 +368,7 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
       let old_cursor = ref 0 and new_cursor = ref 0 in
       let old_boundary pc =
         index_near rc.Cfg.rc_instr_addrs old_cursor pc >= 0
-        || Hashtbl.mem binary.Binary.code pc
+        || Itbl.mem binary.Binary.code pc
       in
       let forwards pc =
         (* An old instruction with no new-text counterpart forwards its map
@@ -387,14 +389,15 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
            removed (and forward to where execution continues). *)
         let j = index_near new_order new_cursor new_pc in
         (match seen j new_pc with
-        | Some _ when forwards old_pc -> ()
-        | Some prev_old when forwards prev_old -> claim j new_pc old_pc
-        | Some _ ->
-          reject fid "frame_map" "exact map not injective: two old PCs land on new 0x%x" new_pc
-        | None -> claim j new_pc old_pc);
+        | -1 -> claim j new_pc old_pc
+        | _ when forwards old_pc -> ()
+        | prev_old when forwards prev_old -> claim j new_pc old_pc
+        | _ ->
+          reject fid "frame_map" "exact map not injective: two old PCs land on new 0x%x" new_pc);
         if not (old_boundary old_pc) then
           reject fid "frame_map" "exact point old 0x%x is not an instruction boundary" old_pc;
-        if not (Hashtbl.mem new_text.Binary.code new_pc) then
+        (* [new_order] is the new text's instruction addresses. *)
+        if j < 0 then
           reject fid "frame_map"
             "exact point 0x%x -> 0x%x lands off an instruction boundary in the new text" old_pc
             new_pc;

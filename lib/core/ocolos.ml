@@ -26,6 +26,7 @@ open Ocolos_binary
 open Ocolos_proc
 open Ocolos_profiler
 open Ocolos_bolt
+module Itbl = Ocolos_util.Itbl
 module Trace = Ocolos_obs.Trace
 module Metrics = Ocolos_obs.Metrics
 module Events = Ocolos_obs.Events
@@ -114,7 +115,7 @@ let c0_view original ~c0_entry ~c0_ranges =
   List.iter
     (fun (a, v) ->
       Hashtbl.replace init a ();
-      if Hashtbl.mem original.Binary.code v then Hashtbl.replace tables a ())
+      if Itbl.mem original.Binary.code v then Hashtbl.replace tables a ())
     original.Binary.global_init;
   { sn_version = 0;
     sn_current = original;
@@ -247,16 +248,14 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
   (* BOLT places the optimized text above the binary's sections, but the
      live process maps more than the binary describes (thread-local blocks,
      the heap, residue). A zero-size hull marker at the top of everything
-     mapped keeps the emission from landing on live data. *)
+     mapped keeps the emission from landing on live data. All code lies
+     below the mmap cursor — loading, injection, stubs and reverts write
+     below it, and a rollback restores both — so the cursor bounds the
+     code without a walk over it. *)
   let binary =
     let mem = t.osr.proc.Proc.mem in
-    let data_top =
-      Ocolos_util.Itbl.fold (fun a _ acc -> max a acc) mem.Addr_space.data (-1)
-    in
-    let code_top =
-      Hashtbl.fold (fun a i acc -> max acc (a + Instr.size i)) mem.Addr_space.code 0
-    in
-    let hull = max (max (data_top + 1) code_top) mem.Addr_space.next_map_base in
+    let data_top = Itbl.fold (fun a _ acc -> max a acc) mem.Addr_space.data (-1) in
+    let hull = max (data_top + 1) mem.Addr_space.next_map_base in
     if hull <= Bolt.sections_end t.current then t.current
     else
       { t.current with
@@ -438,7 +437,7 @@ let verify_no_dangling t ~freed = Osr.verify_no_dangling t.osr ~freed
 (* A marker at the highest initialized data word: as [extra_init] it keeps
    the next BOLT round's tables above every word mapped. *)
 let data_top_marker mem =
-  match Ocolos_util.Itbl.fold (fun a _ acc -> max a acc) mem.Addr_space.data (-1) with
+  match Itbl.fold (fun a _ acc -> max a acc) mem.Addr_space.data (-1) with
   | top when top < 0 -> []
   | top -> [ (top, Addr_space.read_data mem top) ]
 
@@ -450,18 +449,8 @@ let data_top_marker mem =
 let refresh_current t ~name_suffix ~extra_init =
   t.cfgs <- None (* it decodes the view being replaced *);
   let mem = t.osr.proc.Proc.mem in
-  let code = Hashtbl.copy mem.Addr_space.code in
-  let code_order =
-    let arr = Array.make (Hashtbl.length code) 0 in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun addr _ ->
-        arr.(!i) <- addr;
-        incr i)
-      code;
-    Array.sort compare arr;
-    arr
-  in
+  let code = Itbl.copy mem.Addr_space.code in
+  let code_order = Itbl.sorted_keys code in
   let residue_by_fid = Hashtbl.create 16 in
   List.iter
     (fun (r : Osr.residue) ->
@@ -531,7 +520,7 @@ let replace_code t (result : Bolt.result) : replacement_stats =
       Array.iter
         (fun addr ->
           cut t "inject_code";
-          Addr_space.write_code mem addr (Hashtbl.find new_text.Binary.code addr))
+          Addr_space.write_code mem addr (Itbl.find new_text.Binary.code addr))
         new_text.Binary.code_order;
       List.iter
         (fun (a, v) ->
@@ -610,7 +599,7 @@ let replace_code t (result : Bolt.result) : replacement_stats =
       List.iter
         (fun (a, v) ->
           Hashtbl.replace t.osr.init_addrs a ();
-          if Hashtbl.mem new_text.Binary.code v then Hashtbl.replace t.osr.table_addrs a ())
+          if Itbl.mem new_text.Binary.code v then Hashtbl.replace t.osr.table_addrs a ())
         new_text.Binary.global_init;
       refresh_current t
         ~name_suffix:(Fmt.str ".v%d" t.version)
@@ -724,14 +713,20 @@ let reattach ?(config = default_config) (proc : Proc.t) =
             (fun (f : Thread.frame) -> name f.Thread.callee_entry)
             (Thread.live_frames thread))
       proc.Proc.threads;
-    Hashtbl.iter
-      (fun addr instr ->
+    (* Cross-function references, named in address order. *)
+    Itbl.fold
+      (fun addr instr acc ->
         match instr with
-        | Instr.Call target | Instr.FpCreate (_, target) ->
-          if Addr_space.fid_of_addr mem addr <> Addr_space.fid_of_addr mem target then
-            name target
-        | _ -> ())
-      mem.Addr_space.code;
+        | Instr.Call target | Instr.FpCreate (_, target) -> (addr, target) :: acc
+        | _ -> acc)
+      mem.Addr_space.code []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (addr, target) ->
+           if
+             not
+               (Option.equal Int.equal (Addr_space.fid_of_addr mem addr)
+                  (Addr_space.fid_of_addr mem target))
+           then name target);
     Array.iter
       (fun (vid, slot, _) ->
         name (Addr_space.read_data mem (Addr_space.vtable_base mem vid + slot)))
@@ -751,7 +746,7 @@ let reattach ?(config = default_config) (proc : Proc.t) =
       t.c0_ranges;
     Hashtbl.reset t.osr.init_addrs;
     Hashtbl.reset t.osr.table_addrs;
-    Ocolos_util.Itbl.fold
+    Itbl.fold
       (fun a _ () -> Hashtbl.replace t.osr.init_addrs a ())
       mem.Addr_space.data ();
     t.version <- 1;
@@ -871,7 +866,7 @@ let revert t (s : snapshot) : revert_stats =
           if not (List.mem (rs, re) cur) then begin
             let addr = ref rs in
             while !addr < re do
-              match Hashtbl.find_opt s.sn_current.Binary.code !addr with
+              match Itbl.find_opt s.sn_current.Binary.code !addr with
               | Some instr ->
                 Addr_space.write_code mem !addr instr;
                 reinjected := !reinjected + Instr.size instr;
@@ -913,7 +908,7 @@ let revert t (s : snapshot) : revert_stats =
   let live_at_sn a = Hashtbl.mem s.sn_init_addrs a && not (Hashtbl.mem sn_inh_addrs a) in
   List.iter
     (fun (a, v) ->
-      if live_at_sn a || Ocolos_util.Itbl.find_opt mem.Addr_space.data a <> None then
+      if live_at_sn a || Itbl.mem mem.Addr_space.data a then
         Addr_space.write_data mem a v)
     s.sn_word_values;
   (* Tags for words the snapshot considers live are dropped (the words ARE

@@ -8,6 +8,7 @@ open Ocolos_isa
 open Ocolos_proc
 open Ocolos_bolt
 module Trace = Ocolos_obs.Trace
+module Itbl = Ocolos_util.Itbl
 
 (* Transient code left behind by one OSR round: compensation stubs, and
    doomed text kept in place because something the round could not
@@ -350,7 +351,7 @@ let migrate_registers t ctx (thread : Thread.t) =
       | Instr.VtLoad (d, _, _)
       | Instr.Rand (d, _) -> written.(d) <- true
       | _ -> ());
-      if Instr.is_control_flow instr || instr = Instr.Halt then stop := true
+      if Instr.is_control_flow instr then stop := true
       else pc := !pc + Instr.size instr
   done
 
@@ -392,22 +393,24 @@ let migrate_threads t ctx =
    region and redirect them. Covers prior rounds' residue (whose calls were
    resolved to the retiring version's entries when built), C0/any-version
    call sites the offline table missed, and FpCreate sites whose static
-   operand names a retiring entry. *)
+   operand names a retiring entry. Sites are redirected in address order:
+   one may [keep] its target's function, which appends residue. *)
 let redirect_code_references t ctx =
   let mem = t.proc.Proc.mem in
-  let sites = ref [] in
-  Hashtbl.iter
-    (fun addr instr ->
-      if not (in_doomed ctx addr) then
-        match Instr.static_target instr with
-        | Some tgt when in_doomed ctx tgt -> sites := (addr, instr, tgt) :: !sites
-        | Some _ | None -> ())
-    mem.Addr_space.code;
+  let sites =
+    Itbl.fold
+      (fun addr instr acc ->
+        let tgt = Instr.target instr in
+        if tgt >= 0 && in_doomed ctx tgt && not (in_doomed ctx addr) then
+          (addr, instr, tgt) :: acc
+        else acc)
+      mem.Addr_space.code []
+  in
   List.iter
     (fun (addr, instr, tgt) ->
       let d = map_doomed_value t ctx tgt in
       if d <> tgt then Addr_space.write_code mem addr (Instr.with_target instr d))
-    !sites
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) sites)
 
 (* Scan every initialized data word for values inside the doomed region and
    rewrite them: jump-table entries, and stored function-pointer values —
@@ -482,11 +485,11 @@ let reap_residue t ~cut =
     continue_ := false;
     let dying = range_set (List.concat_map (fun r -> r.rs_ranges) !reap) in
     let held =
-      Hashtbl.fold
+      Itbl.fold
         (fun addr instr acc ->
-          match Instr.static_target instr with
-          | Some tgt when in_ranges dying tgt && not (in_ranges dying addr) -> tgt :: acc
-          | Some _ | None -> acc)
+          let tgt = Instr.target instr in
+          if tgt >= 0 && in_ranges dying tgt && not (in_ranges dying addr) then tgt :: acc
+          else acc)
         mem.Addr_space.code []
     in
     let promoted, dead = List.partition (fun r -> holds r held) !reap in
@@ -555,12 +558,20 @@ let verify_no_dangling t ~freed =
   List.iter
     (fun (label, addr) -> check (fun () -> "engine " ^ label) addr)
     (Proc.engine_code_pointers t.proc);
-  Hashtbl.iter
-    (fun addr instr ->
-      match Instr.static_target instr with
-      | Some target -> check (fun () -> Fmt.str "instr at 0x%x" addr) target
-      | None -> ())
-    mem.Addr_space.code
+  (* The code sweep reports its lowest failing site, whatever the table's
+     slot order. *)
+  let dangles addr = suspect addr && not (Itbl.mem mem.Addr_space.code addr) in
+  let first =
+    Itbl.fold
+      (fun addr instr first ->
+        let target = Instr.target instr in
+        if target >= 0 && (first < 0 || addr < first) && dangles target then addr else first)
+      mem.Addr_space.code (-1)
+  in
+  if first >= 0 then
+    check
+      (fun () -> Fmt.str "instr at 0x%x" first)
+      (Instr.target (Itbl.find mem.Addr_space.code first))
 
 (* ---- the two shared steps ---- *)
 

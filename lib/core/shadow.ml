@@ -35,6 +35,7 @@ module Trace = Ocolos_obs.Trace
 module Metrics = Ocolos_obs.Metrics
 module Events = Ocolos_obs.Events
 module Frame_map = Ocolos_bolt.Frame_map
+module Itbl = Ocolos_util.Itbl
 
 type config = {
   window : int; (* instructions replayed per clone *)
@@ -51,9 +52,9 @@ type t = {
   cfg : config;
   ref_proc : Proc.t; (* pre-commit clone: C_i text and state *)
   new_proc : Proc.t; (* post-commit clone: C_{i+1} text, migrated threads *)
-  xlat : (int, int) Hashtbl.t; (* old addr -> new addr (entries, block starts, exact pcs) *)
-  ref_block : (int, int * int) Hashtbl.t; (* old block start -> (fid, bid) *)
-  new_block : (int, int * int) Hashtbl.t; (* new block start -> (fid, bid) *)
+  xlat : int Itbl.t; (* old addr -> new addr (entries, block starts, exact pcs) *)
+  ref_block : int Itbl.t; (* old block start -> bid *)
+  new_block : int Itbl.t; (* new block start -> bid *)
 }
 
 let prepare ?(config = default_config) oc =
@@ -64,20 +65,18 @@ let prepare ?(config = default_config) oc =
 let arm prepared oc (result : Ocolos_bolt.Bolt.result) =
   let np = Proc.clone (Ocolos.proc oc) in
   np.Proc.hooks.translate_fp <- Some (Ocolos.frozen_translate_fp oc);
-  let xlat = Hashtbl.create 256 in
+  let xlat = Itbl.create 256 in
+  List.iter (fun (o, n) -> Itbl.replace xlat o n) result.Ocolos_bolt.Bolt.translation;
+  let ref_block = Itbl.create 256 and new_block = Itbl.create 256 in
   List.iter
-    (fun (o, n) -> Hashtbl.replace xlat o n)
-    result.Ocolos_bolt.Bolt.translation;
-  let ref_block = Hashtbl.create 256 and new_block = Hashtbl.create 256 in
-  List.iter
-    (fun (fid, fm) ->
+    (fun (_, fm) ->
       Array.iter
         (fun (bs : Frame_map.block_site) ->
-          Hashtbl.replace ref_block bs.Frame_map.bs_old_start (fid, bs.Frame_map.bs_bid);
-          Hashtbl.replace new_block bs.Frame_map.bs_new_start (fid, bs.Frame_map.bs_bid);
-          Hashtbl.replace xlat bs.Frame_map.bs_old_start bs.Frame_map.bs_new_start)
+          Itbl.replace ref_block bs.Frame_map.bs_old_start bs.Frame_map.bs_bid;
+          Itbl.replace new_block bs.Frame_map.bs_new_start bs.Frame_map.bs_bid;
+          Itbl.replace xlat bs.Frame_map.bs_old_start bs.Frame_map.bs_new_start)
         fm.Frame_map.fm_blocks;
-      Frame_map.iter_exact (fun o n -> Hashtbl.replace xlat o n) fm)
+      Frame_map.iter_exact (fun o n -> Itbl.replace xlat o n) fm)
     result.Ocolos_bolt.Bolt.frame_maps;
   Events.emit "shadow.armed"
     [ ("window", Trace.I prepared.pre_cfg.window);
@@ -123,10 +122,7 @@ let replay cfg block_of (p : Proc.t) =
           in
           let bid =
             match kind with
-            | Proc.IndJump -> (
-              match Hashtbl.find_opt block_of to_addr with
-              | Some (_, b) -> b
-              | None -> -1)
+            | Proc.IndJump -> Itbl.find_default block_of to_addr ~default:(-1)
             | _ -> -1
           in
           evs.(tid) <- (tag, fid, bid) :: evs.(tid)
@@ -150,7 +146,7 @@ let rec first_mismatch i a b =
 (* A new-version value is equivalent to an old-version one when it is equal
    or is its image under the round's old->new address translation. *)
 let equivalent xlat v_ref v_new =
-  v_ref = v_new || Hashtbl.find_opt xlat v_ref = Some v_new
+  v_ref = v_new || (Itbl.mem xlat v_ref && Itbl.find xlat v_ref = v_new)
 
 let check t =
   Trace.span "shadow.check" @@ fun sp ->

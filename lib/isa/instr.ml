@@ -86,12 +86,16 @@ let is_call = function
   | Ret | FpCreate _ | VtLoad _ | Rand _ | TxMark | Halt ->
     false
 
-(* Static target of a direct control transfer or fp materialization. *)
-let static_target = function
-  | Branch (_, _, t) | Jump t | Call t | FpCreate (_, t) -> Some t
+(* Static target of a direct control transfer or fp materialization, or
+   -1 (code addresses are never negative): the allocation-free form, for
+   sweeps over a whole code map. *)
+let target = function
+  | Branch (_, _, t) | Jump t | Call t | FpCreate (_, t) -> t
   | Nop | Alu _ | Alui _ | Movi _ | Load _ | Store _ | JumpInd _ | CallInd _ | Ret
   | VtLoad _ | Rand _ | TxMark | Halt ->
-    None
+    -1
+
+let static_target i = match target i with -1 -> None | t -> Some t
 
 (* Rewrite the static code-address operand, used by the emitter's relocation
    pass and by OCOLOS when it redirects code references during OSR. *)
@@ -104,6 +108,29 @@ let with_target instr target =
   | Nop | Alu _ | Alui _ | Movi _ | Load _ | Store _ | JumpInd _ | CallInd _ | Ret
   | VtLoad _ | Rand _ | TxMark | Halt ->
     invalid_arg "Instr.with_target: instruction has no static target"
+
+(* Structural equality without the polymorphic [caml_equal]: the operator
+   and condition types are constant constructors, so their [=] is an
+   integer compare. *)
+let equal a b =
+  match (a, b) with
+  | Nop, Nop | Ret, Ret | TxMark, TxMark | Halt, Halt -> true
+  | Alu (o, d, x, y), Alu (o', d', x', y') ->
+    (o : alu_op) = o' && d = d' && x = x' && y = y'
+  | Alui (o, d, x, i), Alui (o', d', x', i') ->
+    (o : alu_op) = o' && d = d' && x = x' && i = i'
+  | Movi (d, i), Movi (d', i') | Rand (d, i), Rand (d', i') -> d = d' && i = i'
+  | Load (d, b, o), Load (d', b', o') | Store (d, b, o), Store (d', b', o')
+  | VtLoad (d, b, o), VtLoad (d', b', o') ->
+    d = d' && b = b' && o = o'
+  | Branch (c, r, t), Branch (c', r', t') -> (c : cond) = c' && r = r' && t = t'
+  | Jump t, Jump t' | Call t, Call t' -> t = t'
+  | JumpInd r, JumpInd r' | CallInd r, CallInd r' -> r = r'
+  | FpCreate (r, t), FpCreate (r', t') -> r = r' && t = t'
+  | ( ( Nop | Alu _ | Alui _ | Movi _ | Load _ | Store _ | Branch _ | Jump _ | JumpInd _
+      | Call _ | CallInd _ | Ret | FpCreate _ | VtLoad _ | Rand _ | TxMark | Halt ),
+      _ ) ->
+    false
 
 (* [@inline] on the two evaluators: both sit on the interpreter's
    per-instruction path and are small dispatch tables. *)

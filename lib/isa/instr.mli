@@ -57,9 +57,15 @@ val is_call : t -> bool
 (** Static code-address operand of direct transfers and [FpCreate]. *)
 val static_target : t -> int option
 
+(** [static_target] without the option: the operand, or [-1]. *)
+val target : t -> int
+
 (** Rewrite the static code-address operand. Raises [Invalid_argument] when
     the instruction has none. *)
 val with_target : t -> int -> t
+
+(** Structural equality, monomorphic (no polymorphic compare). *)
+val equal : t -> t -> bool
 
 val eval_cond : cond -> int -> bool
 val eval_alu : alu_op -> int -> int -> int

@@ -27,9 +27,11 @@ type journal = {
   j_next_map_base : int;
 }
 
+module Itbl = Ocolos_util.Itbl
+
 type t = {
-  code : (int, Instr.t) Hashtbl.t;
-  data : Ocolos_util.Itbl.t; (* word address -> value; absent = 0 *)
+  code : Instr.t Itbl.t;
+  data : int Itbl.t; (* word address -> value; absent = 0 *)
   vtable_addr : int array; (* vid -> base address in data memory *)
   mutable sym_index : sym_range array; (* sorted by sr_start *)
   mutable code_bytes : int; (* total bytes of mapped code *)
@@ -49,20 +51,20 @@ let add_code_watcher t f = t.code_watchers <- f :: t.code_watchers
 let notify_code_write t addr len =
   List.iter (fun f -> f addr len) t.code_watchers
 
-let read_data t addr = Ocolos_util.Itbl.find_default t.data addr ~default:0
+let read_data t addr = Itbl.find_default t.data addr ~default:0
 
 let write_data t addr v =
   (match t.journal with
   | None -> ()
   | Some j ->
-    j.entries <- J_data (addr, Ocolos_util.Itbl.find_opt t.data addr) :: j.entries;
+    j.entries <- J_data (addr, Itbl.find_opt t.data addr) :: j.entries;
     j.n_entries <- j.n_entries + 1);
-  Ocolos_util.Itbl.replace t.data addr v
+  Itbl.replace t.data addr v
 
 (* Journaled deletion of a data word (absent reads as 0). Used by OCOLOS to
    reap inherited jump-table words once the residue reading them drains. *)
 let remove_data t addr =
-  match Ocolos_util.Itbl.find_opt t.data addr with
+  match Itbl.find_opt t.data addr with
   | None -> ()
   | Some v ->
     (match t.journal with
@@ -70,15 +72,15 @@ let remove_data t addr =
     | Some j ->
       j.entries <- J_data (addr, Some v) :: j.entries;
       j.n_entries <- j.n_entries + 1);
-    Ocolos_util.Itbl.remove t.data addr
+    Itbl.remove t.data addr
 
-let read_code t addr = Hashtbl.find_opt t.code addr
+let read_code t addr = Itbl.find_opt t.code addr
 
 let journal_code t addr =
   match t.journal with
   | None -> ()
   | Some j ->
-    j.entries <- J_code (addr, Hashtbl.find_opt t.code addr) :: j.entries;
+    j.entries <- J_code (addr, Itbl.find_opt t.code addr) :: j.entries;
     j.n_entries <- j.n_entries + 1
 
 (* The byte span a mutation at [addr] dirties: the new encoding's bytes and
@@ -93,20 +95,20 @@ let write_code t addr instr =
   if not (Instr.valid_regs instr) then
     invalid_arg (Printf.sprintf "Addr_space.write_code: bad register operand at 0x%x" addr);
   journal_code t addr;
-  let old = Hashtbl.find_opt t.code addr in
+  let old = Itbl.find_opt t.code addr in
   (match old with
   | Some old -> t.code_bytes <- t.code_bytes - Instr.size old
   | None -> ());
-  Hashtbl.replace t.code addr instr;
+  Itbl.replace t.code addr instr;
   t.code_bytes <- t.code_bytes + Instr.size instr;
   notify_code_write t addr (write_span old (Some instr))
 
 let remove_code t addr =
-  match Hashtbl.find_opt t.code addr with
+  match Itbl.find_opt t.code addr with
   | Some old ->
     journal_code t addr;
     t.code_bytes <- t.code_bytes - Instr.size old;
-    Hashtbl.remove t.code addr;
+    Itbl.remove t.code addr;
     notify_code_write t addr (Instr.size old)
   | None -> ()
 
@@ -139,15 +141,15 @@ let rollback_journal t =
     List.iter
       (function
         | J_code (addr, Some i) ->
-          let cur = Hashtbl.find_opt t.code addr in
-          Hashtbl.replace t.code addr i;
+          let cur = Itbl.find_opt t.code addr in
+          Itbl.replace t.code addr i;
           notify_code_write t addr (write_span cur (Some i))
         | J_code (addr, None) ->
-          let cur = Hashtbl.find_opt t.code addr in
-          Hashtbl.remove t.code addr;
+          let cur = Itbl.find_opt t.code addr in
+          Itbl.remove t.code addr;
           notify_code_write t addr (write_span cur None)
-        | J_data (addr, Some v) -> Ocolos_util.Itbl.replace t.data addr v
-        | J_data (addr, None) -> Ocolos_util.Itbl.remove t.data addr)
+        | J_data (addr, Some v) -> Itbl.replace t.data addr v
+        | J_data (addr, None) -> Itbl.remove t.data addr)
       j.entries;
     t.sym_index <- j.j_sym_index;
     t.code_bytes <- j.j_code_bytes;
@@ -185,8 +187,8 @@ let fid_of_addr t addr =
    with the source. The copy starts with no open journal and no watchers —
    a clone is never mid-transaction and no execution engine observes it. *)
 let copy t =
-  { code = Hashtbl.copy t.code;
-    data = Ocolos_util.Itbl.copy t.data;
+  { code = Itbl.copy t.code;
+    data = Itbl.copy t.data;
     vtable_addr = Array.copy t.vtable_addr;
     sym_index = Array.copy t.sym_index;
     code_bytes = t.code_bytes;
@@ -198,8 +200,8 @@ let copy t =
    symbols. *)
 let load (binary : Binary.t) =
   let t =
-    { code = Hashtbl.create (Array.length binary.Binary.code_order * 2);
-      data = Ocolos_util.Itbl.create 4096;
+    { code = Itbl.create (Array.length binary.Binary.code_order);
+      data = Itbl.create 4096;
       vtable_addr = Array.map (fun vt -> vt.Binary.vt_addr) binary.Binary.vtables;
       sym_index = [||];
       code_bytes = 0;
@@ -208,7 +210,7 @@ let load (binary : Binary.t) =
       code_watchers = [] }
   in
   Array.iter
-    (fun addr -> write_code t addr (Hashtbl.find binary.Binary.code addr))
+    (fun addr -> write_code t addr (Itbl.find binary.Binary.code addr))
     binary.Binary.code_order;
   List.iter (fun (addr, v) -> write_data t addr v) binary.Binary.global_init;
   Array.iter
@@ -244,4 +246,4 @@ let reserve_code t bytes =
 
 let vtable_base t vid = t.vtable_addr.(vid)
 
-let code_instr_count t = Hashtbl.length t.code
+let code_instr_count t = Itbl.length t.code

@@ -144,20 +144,14 @@ type stats = {
 }
 
 (* Tables keyed by code address. [blocks] is read on every dispatch that
-   misses the per-thread memo — once per taken transfer — where the
-   polymorphic [Hashtbl] would pay a [caml_hash] and a generic [compare]
-   C call per lookup. *)
-module Addr_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (a : int) = a land max_int
-end)
+   misses the per-thread memo — once per taken transfer — so it is the
+   open-addressing int table: a probe is a few loads, no C call. *)
+module Itbl = Ocolos_util.Itbl
 
 type t = {
   mem : Addr_space.t;
-  blocks : Predecode.block Addr_tbl.t; (* entry address -> block *)
-  cover : int list Addr_tbl.t;
+  blocks : Predecode.block Itbl.t; (* entry address -> block *)
+  cover : int list Itbl.t;
       (* 64-byte code line -> entry addresses of the blocks whose bytes
          touch it: the candidate index behind precise invalidation. A
          block's entries are contiguous, so its bytes are exactly
@@ -185,22 +179,22 @@ let line_bits = 6
 (* Add or remove [b] in the cover list of every line its bytes touch. *)
 let register t (b : Predecode.block) =
   let start = b.Predecode.b_start in
-  Addr_tbl.replace t.blocks start b;
+  Itbl.replace t.blocks start b;
   for line = start lsr line_bits to (b.Predecode.b_end - 1) lsr line_bits do
-    let starts = match Addr_tbl.find_opt t.cover line with Some l -> l | None -> [] in
-    if not (List.mem start starts) then Addr_tbl.replace t.cover line (start :: starts)
+    let starts = match Itbl.find_opt t.cover line with Some l -> l | None -> [] in
+    if not (List.mem start starts) then Itbl.replace t.cover line (start :: starts)
   done
 
 let unregister t (b : Predecode.block) =
   let start = b.Predecode.b_start in
-  Addr_tbl.remove t.blocks start;
+  Itbl.remove t.blocks start;
   for line = start lsr line_bits to (b.Predecode.b_end - 1) lsr line_bits do
-    match Addr_tbl.find_opt t.cover line with
+    match Itbl.find_opt t.cover line with
     | None -> ()
     | Some starts -> (
       match List.filter (fun s -> s <> start) starts with
-      | [] -> Addr_tbl.remove t.cover line
-      | rest -> Addr_tbl.replace t.cover line rest)
+      | [] -> Itbl.remove t.cover line
+      | rest -> Itbl.replace t.cover line rest)
   done
 
 (* A code write dirtying bytes [start, start+len): drop every cached block
@@ -215,12 +209,12 @@ let invalidate t ~start ~len =
   let stop = start + len in
   if len > 0 then
     for line = start lsr line_bits to (stop - 1) lsr line_bits do
-      match Addr_tbl.find_opt t.cover line with
+      match Itbl.find_opt t.cover line with
       | None -> ()
       | Some starts ->
         List.iter
           (fun s ->
-            match Addr_tbl.find_opt t.blocks s with
+            match Itbl.find_opt t.blocks s with
             | Some b when b.Predecode.b_start < stop && start < b.Predecode.b_end ->
               t.invalidations <- t.invalidations + 1;
               unregister t b
@@ -232,8 +226,8 @@ let invalidate t ~start ~len =
 let create ~nthreads mem =
   let t =
     { mem;
-      blocks = Addr_tbl.create 1024;
-      cover = Addr_tbl.create 4096;
+      blocks = Itbl.create 1024;
+      cover = Itbl.create 4096;
       memo = Array.make (max 1 nthreads) no_block;
       memo_idx = Array.make (max 1 nthreads) 0;
       gen = 0;
@@ -261,12 +255,12 @@ let lookup t (thread : Thread.t) pc =
     m
   end
   else begin
-    (* [find] with its exception, not [find_opt]: a table hit, once per
-       taken transfer, allocates no [Some]. *)
+    (* [find_default], not [find_opt]: a table hit, once per taken
+       transfer, allocates no [Some]. *)
     let b =
-      match Addr_tbl.find t.blocks pc with
-      | b -> b
-      | exception Not_found -> (
+      match Itbl.find_default t.blocks pc ~default:no_block with
+      | b when b != no_block -> b
+      | _ -> (
         match Predecode.decode ~read:(fun a -> Addr_space.read_code t.mem a) pc with
         | Some b ->
           t.decodes <- t.decodes + 1;
@@ -340,14 +334,14 @@ let stats t =
   { decodes = t.decodes;
     dispatches = t.dispatches;
     invalidations = t.invalidations;
-    resident = Addr_tbl.length t.blocks }
+    resident = Itbl.length t.blocks }
 
 (* Every cached block must still match the code map. [Txn.replace_code]
    checks this after both commit and rollback: an incoherent entry here
    means the invalidation feed missed a write. *)
 let validate t =
   let read a = Addr_space.read_code t.mem a in
-  Addr_tbl.fold (fun _ b acc -> acc && Predecode.coherent ~read b) t.blocks true
+  Itbl.fold (fun _ b acc -> acc && Predecode.coherent ~read b) t.blocks true
 
 (* Every code address the engine holds a live reference to: cached block
    starts and each thread's in-flight resume point. OCOLOS's post-GC
@@ -355,7 +349,7 @@ let validate t =
    its bytes means the invalidation feed missed a write. *)
 let code_pointers t =
   let acc = ref [] in
-  Addr_tbl.iter (fun start _ -> acc := ("block", start) :: !acc) t.blocks;
+  Itbl.iter (fun start _ -> acc := ("block", start) :: !acc) t.blocks;
   Array.iteri
     (fun tid (m : Predecode.block) ->
       if m != no_block then begin

@@ -1,22 +1,28 @@
-(* Open-addressing hash table from int to int, tuned for the simulator's
-   data memory: [find] allocates nothing and hashes without leaving OCaml
-   (stdlib [Hashtbl] pays a C call to [caml_hash] per operation, which is
-   measurable at one probe per simulated load/store).
+(* Open-addressing hash table keyed by int, for the simulator's data
+   memory and code maps: [find_default] allocates nothing and hashes
+   without leaving OCaml (stdlib [Hashtbl] pays a C call to [caml_hash]
+   per operation, and a polymorphic compare per probe, which is
+   measurable at one probe per simulated load/store or per instruction of
+   a code image).
 
    Linear probing over a power-of-two table with Fibonacci hashing (the
    multiplicative constant spreads the strided address patterns the
    simulated thread-local regions produce — identity hashing would stack
    every thread's region on the same slots). Deletions leave tombstones;
-   the table regrows when live + tombstone slots pass 2/3 occupancy. *)
+   the table regrows when live + tombstone slots pass 2/3 occupancy.
 
-(* Keys are simulated addresses, never near [min_int]; the two sentinels
-   can therefore never collide with a real key. *)
+   The value array is created by the first binding, filled with that
+   value: an empty slot's value is never read, so no dummy value of the
+   element type is needed. *)
+
+(* Keys are simulated addresses, never near [min_int]: the two sentinels
+   are refused as keys and never found. *)
 let empty_key = min_int
 let tomb_key = min_int + 1
 
-type t = {
+type 'a t = {
   mutable keys : int array;
-  mutable vals : int array;
+  mutable vals : 'a array; (* [||] until the first binding *)
   mutable mask : int; (* capacity - 1; capacity is a power of two *)
   mutable live : int; (* live bindings *)
   mutable used : int; (* live + tombstones *)
@@ -29,11 +35,7 @@ let slot_of mask key = (key * fib) lsr 8 land mask
 let create capacity_hint =
   let rec cap c = if c >= capacity_hint * 2 then c else cap (c * 2) in
   let cap = cap 16 in
-  { keys = Array.make cap empty_key;
-    vals = Array.make cap 0;
-    mask = cap - 1;
-    live = 0;
-    used = 0 }
+  { keys = Array.make cap empty_key; vals = [||]; mask = cap - 1; live = 0; used = 0 }
 
 let length t = t.live
 
@@ -54,7 +56,10 @@ let rec probe_from keys mask key i =
   else if k = empty_key then -1
   else probe_from keys mask key ((i + 1) land mask)
 
-let probe t key = probe_from t.keys t.mask key (slot_of t.mask key)
+(* A sentinel is never bound, so probing one finds nothing (an arbitrary
+   int, such as a register value, is safe to look up). *)
+let probe t key =
+  if key <= tomb_key then -1 else probe_from t.keys t.mask key (slot_of t.mask key)
 
 (* Value bound to [key], or [default] when absent. Never allocates;
    inlined into the simulator's load path. *)
@@ -66,19 +71,24 @@ let find_opt t key =
   let i = probe t key in
   if i >= 0 then Some (Array.unsafe_get t.vals i) else None
 
+let find t key =
+  let i = probe t key in
+  if i >= 0 then Array.unsafe_get t.vals i else raise Not_found
+
 let mem t key = probe t key >= 0
 
 let rec grow t =
   let old_keys = t.keys and old_vals = t.vals in
   let cap = (t.mask + 1) * 2 in
   t.keys <- Array.make cap empty_key;
-  t.vals <- Array.make cap 0;
+  t.vals <- Array.make cap (Array.unsafe_get old_vals 0);
   t.mask <- cap - 1;
   t.live <- 0;
   t.used <- 0;
-  Array.iteri
-    (fun i k -> if k <> empty_key && k <> tomb_key then replace t k (Array.unsafe_get old_vals i))
-    old_keys
+  for i = 0 to Array.length old_keys - 1 do
+    let k = Array.unsafe_get old_keys i in
+    if k <> empty_key && k <> tomb_key then replace t k (Array.unsafe_get old_vals i)
+  done
 
 (* First pass: existing binding or first reusable tombstone [tomb]. *)
 and replace_from t keys mask key v i tomb =
@@ -96,7 +106,10 @@ and replace_from t keys mask key v i tomb =
     let tomb = if k = tomb_key && tomb < 0 then i else tomb in
     replace_from t keys mask key v ((i + 1) land mask) tomb
 
-and replace t key v = replace_from t t.keys t.mask key v (slot_of t.mask key) (-1)
+and replace t key v =
+  if key <= tomb_key then invalid_arg "Itbl.replace: reserved key";
+  if Array.length t.vals = 0 then t.vals <- Array.make (t.mask + 1) v;
+  replace_from t t.keys t.mask key v (slot_of t.mask key) (-1)
 
 let remove t key =
   let i = probe t key in
@@ -105,12 +118,65 @@ let remove t key =
     t.live <- t.live - 1
   end
 
+(* Slot order: deterministic for a given history of bindings, but not
+   sorted. Callers whose output depends on the order sort what they
+   collect. *)
 let iter f t =
-  Array.iteri
-    (fun i k -> if k <> empty_key && k <> tomb_key then f k (Array.unsafe_get t.vals i))
-    t.keys
+  let keys = t.keys and vals = t.vals in
+  for i = 0 to Array.length keys - 1 do
+    let k = Array.unsafe_get keys i in
+    if k <> empty_key && k <> tomb_key then f k (Array.unsafe_get vals i)
+  done
 
 let fold f t init =
   let acc = ref init in
   iter (fun k v -> acc := f k v !acc) t;
   !acc
+
+(* The live keys in ascending order: one sweep of the key array, then an
+   LSD radix sort on bytes of the key with its sign bit flipped (so the
+   unsigned byte order is the signed key order). Only the bytes in which
+   some two keys differ get a pass, so code addresses below 16 MiB take
+   at most three. No comparison sort, and no probe: the sweep reads the
+   slots in memory order. *)
+let sorted_keys t =
+  let n = t.live in
+  let src = ref (Array.make n 0) and dst = ref (Array.make n 0) in
+  let i = ref 0 in
+  Array.iter
+    (fun k ->
+      if k <> empty_key && k <> tomb_key then begin
+        Array.unsafe_set !src !i k;
+        incr i
+      end)
+    t.keys;
+  let differ =
+    if n = 0 then 0 else Array.fold_left (fun acc k -> acc lor (k lxor (!src).(0))) 0 !src
+  in
+  let count = Array.make 0x100 0 in
+  let shift = ref 0 in
+  while !shift < Sys.int_size do
+    let sh = !shift in
+    if (differ lsr sh) land 0xFF <> 0 then begin
+      let digit k = ((k lxor min_int) lsr sh) land 0xFF in
+      Array.fill count 0 0x100 0;
+      Array.iter (fun k -> let d = digit k in count.(d) <- count.(d) + 1) !src;
+      let pos = ref 0 in
+      for d = 0 to 0xFF do
+        let c = count.(d) in
+        count.(d) <- !pos;
+        pos := !pos + c
+      done;
+      Array.iter
+        (fun k ->
+          let d = digit k in
+          (!dst).(count.(d)) <- k;
+          count.(d) <- count.(d) + 1)
+        !src;
+      let s = !src in
+      src := !dst;
+      dst := s
+    end;
+    shift := sh + 8
+  done;
+  !src

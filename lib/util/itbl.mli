@@ -1,31 +1,43 @@
-(** Open-addressing int-to-int hash table for the simulator's data memory:
-    [find_default] allocates nothing and never leaves OCaml (stdlib
-    [Hashtbl] pays a [caml_hash] C call per operation). Linear probing,
-    Fibonacci hashing, tombstone deletion. Keys must stay away from
-    [min_int] (simulated addresses do). *)
+(** Open-addressing hash table keyed by int, for the simulator's data
+    memory and code maps: [find_default] allocates nothing and never leaves
+    OCaml (stdlib [Hashtbl] pays a [caml_hash] C call and a polymorphic
+    compare per operation). Linear probing, Fibonacci hashing, tombstone
+    deletion. [min_int] and [min_int + 1] are reserved: they are never
+    found, and binding one raises [Invalid_argument] (simulated addresses
+    stay away from them). *)
 
-type t
+type 'a t
 
 (** [create n] sizes the table for about [n] bindings. *)
-val create : int -> t
+val create : int -> 'a t
 
 (** Number of live bindings. *)
-val length : t -> int
+val length : 'a t -> int
 
 (** Independent copy: same bindings, shares no storage with the source. *)
-val copy : t -> t
+val copy : 'a t -> 'a t
 
 (** Value bound to [key], or [default] when absent; never allocates. *)
-val find_default : t -> int -> default:int -> int
+val find_default : 'a t -> int -> default:'a -> 'a
 
-val find_opt : t -> int -> int option
-val mem : t -> int -> bool
+(** Value bound to [key]; raises [Not_found] when absent. *)
+val find : 'a t -> int -> 'a
+
+val find_opt : 'a t -> int -> 'a option
+val mem : 'a t -> int -> bool
 
 (** Bind [key] (inserting or overwriting). *)
-val replace : t -> int -> int -> unit
+val replace : 'a t -> int -> 'a -> unit
 
 (** Remove [key]'s binding if present. *)
-val remove : t -> int -> unit
+val remove : 'a t -> int -> unit
 
-val iter : (int -> int -> unit) -> t -> unit
-val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Bindings in slot order: deterministic for a given history of
+    bindings, but not sorted by key. *)
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+
+val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+
+(** The live keys, ascending. A sweep of the table plus a radix sort: no
+    comparison sort and no probe. *)
+val sorted_keys : 'a t -> int array

@@ -172,6 +172,23 @@ let test_code_write_invalidates () =
       (s.Ocolos_proc.Block_engine.invalidations > 0));
   Alcotest.(check bool) "cache coherent after patch" true (Proc.validate_code_cache proc)
 
+(* Unmapping an instruction (what OSR's retire and the residue reaper do)
+   must drop the cached block holding it, as a write does: the coherence
+   check [Txn] runs after every commit and rollback reads every cached
+   block back against the code map. *)
+let test_code_removal_invalidates () =
+  let proc = launch_blocks counter_loop in
+  let entry = proc.Proc.threads.(0).Thread.pc in
+  Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:100 proc;
+  Alcotest.(check bool) "cache coherent before" true (Proc.validate_code_cache proc);
+  Addr_space.remove_code proc.Proc.mem entry;
+  (match Proc.code_cache_stats proc with
+  | None -> Alcotest.fail "no block cache"
+  | Some s ->
+    Alcotest.(check bool) "removal invalidated the cached block" true
+      (s.Ocolos_proc.Block_engine.invalidations > 0));
+  Alcotest.(check bool) "cache coherent after removal" true (Proc.validate_code_cache proc)
+
 let test_engines_interleave () =
   (* Switching engines mid-run stays coherent: same architectural state as
      either engine alone. *)
@@ -330,6 +347,8 @@ let suite =
     Alcotest.test_case "stats and validate" `Quick test_stats_and_validate;
     Alcotest.test_case "code write invalidates cached blocks" `Quick
       test_code_write_invalidates;
+    Alcotest.test_case "code removal invalidates cached blocks" `Quick
+      test_code_removal_invalidates;
     Alcotest.test_case "engines interleave coherently" `Quick test_engines_interleave;
     Alcotest.test_case "write spanning two blocks invalidates both" `Quick
       test_write_spanning_blocks_invalidates_both;

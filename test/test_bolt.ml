@@ -32,7 +32,7 @@ let test_reconstruction_matches_debug_info () =
             then incr covered
           done;
           Alcotest.(check int) (Printf.sprintf "addr 0x%x covered once" addr) 1 !covered;
-          match Hashtbl.find_opt b.Binary.debug addr with
+          match Ocolos_util.Itbl.find_opt b.Binary.debug addr with
           | Some (dfid, _) -> Alcotest.(check int) "debug fid" fid dfid
           | None -> Alcotest.fail "missing debug info")
         (Binary.func_instrs b fid))
@@ -360,7 +360,7 @@ let test_full_pipeline_invariants () =
   let samples = Ocolos_profiler.Perf.stop session in
   let profile = Ocolos_profiler.Perf2bolt.convert ~binary:b samples in
   let r = Ocolos_bolt.Bolt.run ~binary:b ~profile () in
-  let m = r.Ocolos_bolt.Bolt.merged in
+  let m = Ocolos_bolt.Bolt.merge ~binary:b r in
   (* Original code preserved at original addresses (design principle #1). *)
   Array.iter
     (fun addr ->
@@ -395,6 +395,69 @@ let test_full_pipeline_invariants () =
   Alcotest.(check bool) "hot funcs found" true (r.Ocolos_bolt.Bolt.funcs_reordered > 0);
   Alcotest.(check bool) "work accounted" true (r.Ocolos_bolt.Bolt.work_instrs > 0)
 
+(* [Bolt.merge] builds the BOLTed image [Bolt.run] used to build along
+   with every result: its code order is the ascending key set of its code
+   map, and every binding, symbol, section, v-table slot and the entry are
+   the input's overlaid by the optimized section's. *)
+let test_merge_builds_the_bolted_image () =
+  let w, b = tiny_binary () in
+  let input = Workload.find_input w "a" in
+  let proc = Workload.launch w ~binary:b ~input in
+  let session = Ocolos_profiler.Perf.start proc in
+  Ocolos_proc.Proc.run ~cycle_limit:200_000.0 proc;
+  let profile = Ocolos_profiler.Perf2bolt.convert ~binary:b (Ocolos_profiler.Perf.stop session) in
+  let r = Ocolos_bolt.Bolt.run ~binary:b ~profile () in
+  let nt = r.Ocolos_bolt.Bolt.new_text in
+  let m = Ocolos_bolt.Bolt.merge ~binary:b r in
+  let module Itbl = Ocolos_util.Itbl in
+  let order = m.Binary.code_order in
+  Array.iteri
+    (fun i a -> if i > 0 then Alcotest.(check bool) "strictly ascending" true (order.(i - 1) < a))
+    order;
+  let keys tbl = List.sort compare (Itbl.fold (fun a _ acc -> a :: acc) tbl []) in
+  Alcotest.(check (list int)) "code order = sorted keys" (keys m.Binary.code) (Array.to_list order);
+  Alcotest.(check int) "every instruction of both images"
+    (Array.length b.Binary.code_order + Array.length nt.Binary.code_order)
+    (Array.length order);
+  let overlay base over a =
+    match Itbl.find_opt over a with Some v -> Some v | None -> Itbl.find_opt base a
+  in
+  Array.iter
+    (fun a ->
+      Alcotest.(check bool) (Printf.sprintf "code at 0x%x" a) true
+        (Itbl.find_opt m.Binary.code a = overlay b.Binary.code nt.Binary.code a);
+      Alcotest.(check bool) (Printf.sprintf "debug at 0x%x" a) true
+        (Itbl.find_opt m.Binary.debug a = overlay b.Binary.debug nt.Binary.debug a))
+    order;
+  Alcotest.(check int) "debug size" (Itbl.length m.Binary.debug)
+    (Itbl.length b.Binary.debug + Itbl.length nt.Binary.debug);
+  Array.iter
+    (fun (s : Binary.func_sym) ->
+      let fid = s.Binary.fs_fid in
+      let got = m.Binary.symbols.(fid) in
+      if List.mem fid r.Ocolos_bolt.Bolt.hot_fids then begin
+        let ns =
+          List.find (fun (n : Binary.func_sym) -> n.Binary.fs_fid = fid)
+            (Array.to_list nt.Binary.symbols)
+        in
+        Alcotest.(check int) "hot entry" ns.Binary.fs_entry got.Binary.fs_entry;
+        Alcotest.(check bool) "hot ranges: new then old" true
+          (got.Binary.fs_ranges = ns.Binary.fs_ranges @ s.Binary.fs_ranges)
+      end
+      else Alcotest.(check bool) "cold symbol untouched" true (got = s))
+    b.Binary.symbols;
+  Alcotest.(check (list string)) "sections"
+    (List.map
+       (fun (s : Binary.section) ->
+         if s.Binary.sec_name = ".text" then "bolt.org.text" else s.Binary.sec_name)
+       b.Binary.sections
+    @ List.map (fun (s : Binary.section) -> s.Binary.sec_name) nt.Binary.sections)
+    (List.map (fun (s : Binary.section) -> s.Binary.sec_name) m.Binary.sections);
+  let tr a = Option.value ~default:a (List.assoc_opt a r.Ocolos_bolt.Bolt.translation) in
+  Alcotest.(check int) "entry translated" (tr b.Binary.entry) m.Binary.entry;
+  Alcotest.(check bool) "global init: input then new tables" true
+    (m.Binary.global_init = b.Binary.global_init @ nt.Binary.global_init)
+
 let test_bolt_handles_bolted_binary () =
   (* Our BOLT accepts BOLTed binaries (the LLVM-BOLT limitation the paper
      works around is absent): run the pipeline twice. *)
@@ -407,7 +470,7 @@ let test_bolt_handles_bolted_binary () =
     Ocolos_profiler.Perf2bolt.convert ~binary (Ocolos_profiler.Perf.stop session)
   in
   let r1 = Ocolos_bolt.Bolt.run ~binary:b ~profile:(run_profile b) () in
-  let b1 = r1.Ocolos_bolt.Bolt.merged in
+  let b1 = Ocolos_bolt.Bolt.merge ~binary:b r1 in
   let r2 = Ocolos_bolt.Bolt.run ~binary:b1 ~profile:(run_profile b1) () in
   Alcotest.(check bool) "second round optimizes" true (r2.Ocolos_bolt.Bolt.funcs_reordered > 0);
   Alcotest.(check bool) "second base higher" true
@@ -416,6 +479,7 @@ let test_bolt_handles_bolted_binary () =
 let suite =
   [ Alcotest.test_case "reconstruction matches debug info" `Quick
       test_reconstruction_matches_debug_info;
+    Alcotest.test_case "merge builds the BOLTed image" `Quick test_merge_builds_the_bolted_image;
     Alcotest.test_case "reconstruction refuses unknown indirect jump" `Quick
       test_reconstruction_refuses_unknown_indirect_jump;
     Alcotest.test_case "reconstruction refuses escaping branch" `Quick

@@ -43,17 +43,18 @@ let test_disasm_split_function_marked () =
       (Ocolos_profiler.Perf.stop session)
   in
   let r = Ocolos_bolt.Bolt.run ~binary:w.Workload.binary ~profile () in
+  let merged = Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary r in
   let split_fid =
     Array.find_opt
       (fun (s : Ocolos_binary.Binary.func_sym) ->
         List.length s.Ocolos_binary.Binary.fs_ranges >= 3)
-      r.Ocolos_bolt.Bolt.merged.Ocolos_binary.Binary.symbols
+      merged.Ocolos_binary.Binary.symbols
     (* merged symbols carry new hot+cold ranges plus the old C0 range *)
   in
   match split_fid with
   | Some s ->
     let out =
-      Ocolos_binary.Disasm.function_to_string r.Ocolos_bolt.Bolt.merged
+      Ocolos_binary.Disasm.function_to_string merged
         s.Ocolos_binary.Binary.fs_fid
     in
     Alcotest.(check bool) "split marker" true (contains out "split")

@@ -76,8 +76,8 @@ let test_serialize_roundtrip () =
   Alcotest.(check bool) "globals identical" true
     (b.Ocolos_binary.Binary.global_init = b'.Ocolos_binary.Binary.global_init);
   Alcotest.(check int) "debug size"
-    (Hashtbl.length b.Ocolos_binary.Binary.debug)
-    (Hashtbl.length b'.Ocolos_binary.Binary.debug)
+    (Ocolos_util.Itbl.length b.Ocolos_binary.Binary.debug)
+    (Ocolos_util.Itbl.length b'.Ocolos_binary.Binary.debug)
 
 (* A reloaded binary is behaviourally identical. *)
 let test_serialized_binary_runs () =
@@ -105,17 +105,18 @@ let test_save_load_file () =
       (Ocolos_profiler.Perf.stop session)
   in
   let r = Ocolos_bolt.Bolt.run ~binary:w.Workload.binary ~profile () in
+  let merged = Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary r in
   let path = Filename.temp_file "ocolos" ".oclb" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Ocolos_binary.Serialize.save path r.Ocolos_bolt.Bolt.merged;
+      Ocolos_binary.Serialize.save path merged;
       let b' = Ocolos_binary.Serialize.load path in
       Alcotest.(check int) "entry preserved"
-        r.Ocolos_bolt.Bolt.merged.Ocolos_binary.Binary.entry
+        merged.Ocolos_binary.Binary.entry
         b'.Ocolos_binary.Binary.entry;
       Alcotest.(check int) "sections preserved"
-        (List.length r.Ocolos_bolt.Bolt.merged.Ocolos_binary.Binary.sections)
+        (List.length merged.Ocolos_binary.Binary.sections)
         (List.length b'.Ocolos_binary.Binary.sections))
 
 let test_corrupt_image_rejected () =
@@ -159,6 +160,17 @@ let prop_codec_roundtrip =
       let decoded = List.map (fun _ -> Encode.decode r) instrs in
       decoded = instrs && Encode.at_end r)
 
+(* [Instr.equal], the monomorphic equality the BOLT passes compare with,
+   agrees with structural equality: on arbitrary pairs, and on an
+   instruction against its decoded (physically distinct) copy. *)
+let prop_instr_equal_is_structural =
+  QCheck.Test.make ~name:"Instr.equal is structural equality" ~count:500
+    (QCheck.pair instr_arbitrary instr_arbitrary) (fun (a, b) ->
+      let buf = Buffer.create 16 in
+      Encode.encode buf a;
+      let copy = Encode.decode (Encode.reader_of_bytes (Buffer.to_bytes buf)) in
+      Instr.equal a b = (a = b) && Instr.equal a copy && Instr.equal b b)
+
 let suite =
   [ Alcotest.test_case "roundtrip each opcode" `Quick test_encode_roundtrip_each;
     Alcotest.test_case "varint extremes" `Quick test_varint_extremes;
@@ -168,4 +180,5 @@ let suite =
     Alcotest.test_case "serialized binary runs" `Quick test_serialized_binary_runs;
     Alcotest.test_case "save/load file" `Quick test_save_load_file;
     Alcotest.test_case "corrupt image rejected" `Quick test_corrupt_image_rejected;
-    QCheck_alcotest.to_alcotest prop_codec_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+    QCheck_alcotest.to_alcotest prop_instr_equal_is_structural ]

@@ -30,7 +30,7 @@ let optimize_once ?(engine = `Blocks) ?(profile_instrs = 300_000) proc oc =
   (result, O.replace_code oc result)
 
 let mapped_code_bytes (proc : Proc.t) =
-  Hashtbl.fold
+  Ocolos_util.Itbl.fold
     (fun _ i acc -> acc + Ocolos_isa.Instr.size i)
     proc.Proc.mem.Addr_space.code 0
 
@@ -175,7 +175,7 @@ let test_revert_to_intermediate_version () =
      offline sites that survive, C1's re-injected text and the C2 text the
      revert kept alike. *)
   let calls = ref 0 in
-  Hashtbl.iter
+  Ocolos_util.Itbl.iter
     (fun addr instr ->
       match instr with
       | Ocolos_isa.Instr.Call target ->
@@ -305,7 +305,7 @@ let named_fids (proc : Proc.t) =
           name (Addr_space.read_data mem (base + slot)))
         vt.Ocolos_binary.Binary.vt_entries)
     proc.Proc.binary.Ocolos_binary.Binary.vtables;
-  Hashtbl.iter
+  Ocolos_util.Itbl.iter
     (fun addr instr ->
       match instr with
       | Ocolos_isa.Instr.Call target | Ocolos_isa.Instr.FpCreate (_, target) ->
@@ -355,6 +355,81 @@ let test_reattach_after_revert_to_c0 () =
   check_reattach_entries "revert to C0" ~leave_residue:(fun _ oc ->
       ignore (O.revert oc (O.c0_snapshot oc)))
 
+(* The scanner's code-map sweep: a static target into freed text held by
+   mapped code no other scan covers (here two planted calls in a fresh
+   mapping) is reported, and the report names the lowest such site
+   whatever the code table's slot order. *)
+let test_scanner_sweeps_the_code_map () =
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  let result, _ = optimize_once ~profile_instrs:60_000 proc oc in
+  O.verify_no_dangling oc ~freed:[];
+  let mem = proc.Proc.mem in
+  let freed =
+    List.find
+      (fun (old_entry, _) -> Addr_space.read_code mem old_entry = None)
+      result.Ocolos_bolt.Bolt.translation
+    |> fst
+  in
+  let base = Addr_space.reserve_code mem 16 in
+  Addr_space.write_code mem (base + 8) (Ocolos_isa.Instr.Call freed);
+  Addr_space.write_code mem base (Ocolos_isa.Instr.Call freed);
+  match O.verify_no_dangling oc ~freed:[] with
+  | () -> Alcotest.fail "scanner missed a call into freed text"
+  | exception O.Dangling_pointer msg ->
+    Alcotest.(check string) "lowest site reported"
+      (Printf.sprintf "instr at 0x%x references freed code at 0x%x" base freed)
+      msg
+
+(* Two invariants the controller relies on instead of walking the code
+   map: every mapped instruction ends at or below the mmap cursor (so
+   [run_bolt]'s hull needs no code walk), and the live view's code order
+   is the ascending key set of the process code map (so [refresh_current]
+   can merge it from sorted runs). Checked after a commit, a rolled-back
+   transaction, a revert and a reattach. *)
+let test_code_map_views_after_every_transition () =
+  let check name oc (proc : Proc.t) =
+    let mem = proc.Proc.mem in
+    let code_top =
+      Ocolos_util.Itbl.fold
+        (fun a i acc -> max acc (a + Ocolos_isa.Instr.size i))
+        mem.Addr_space.code 0
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: code top 0x%x <= mmap cursor 0x%x" name code_top
+         mem.Addr_space.next_map_base)
+      true
+      (code_top <= mem.Addr_space.next_map_base);
+    let keys tbl = List.sort compare (Ocolos_util.Itbl.fold (fun a _ acc -> a :: acc) tbl []) in
+    let view = O.current_binary oc in
+    let order = Array.to_list view.Ocolos_binary.Binary.code_order in
+    Alcotest.(check (list int)) (name ^ ": code order = process code map keys")
+      (keys mem.Addr_space.code) order;
+    Alcotest.(check (list int)) (name ^ ": code order = view code map keys")
+      (keys view.Ocolos_binary.Binary.code) order
+  in
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  let _, stats = optimize_once ~profile_instrs:60_000 proc oc in
+  Alcotest.(check int) "committed C1" 1 stats.O.version;
+  check "commit" oc proc;
+  O.start_profiling oc;
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  let profile, _ = O.stop_profiling oc in
+  let result, _ = O.run_bolt oc profile in
+  (match Ocolos_core.Txn.replace_code ~verify:(fun () -> Error "forced") oc result with
+  | Ocolos_core.Txn.Diverged _ -> ()
+  | _ -> Alcotest.fail "forced verdict did not roll back");
+  check "rollback" oc proc;
+  ignore (O.revert oc (O.c0_snapshot oc));
+  check "revert" oc proc;
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  check "reattach" (O.reattach proc) proc
+
 let suite =
   [ Alcotest.test_case "never-returning entry replaced" `Slow
       test_never_returning_entry_replaced;
@@ -369,4 +444,7 @@ let suite =
     Alcotest.test_case "revert differential" `Quick test_revert_differential;
     Alcotest.test_case "reattach after a commit without frame maps" `Quick
       test_reattach_after_mapless_commit;
-    Alcotest.test_case "reattach after a revert to C0" `Quick test_reattach_after_revert_to_c0 ]
+    Alcotest.test_case "reattach after a revert to C0" `Quick test_reattach_after_revert_to_c0;
+    Alcotest.test_case "scanner sweeps the code map" `Quick test_scanner_sweeps_the_code_map;
+    Alcotest.test_case "code map views after every transition" `Quick
+      test_code_map_views_after_every_transition ]

@@ -141,7 +141,7 @@ let prop_bolt_preserves_semantics =
           (Ocolos_profiler.Perf.stop session)
       in
       let r = Ocolos_bolt.Bolt.run ~binary:w.Workload.binary ~profile () in
-      run_to_completion ~binary:r.Ocolos_bolt.Bolt.merged w = reference)
+      run_to_completion ~binary:(Ocolos_bolt.Bolt.merge ~binary:w.Workload.binary r) w = reference)
 
 (* 4. OCOLOS replacement at an arbitrary execution point preserves
    semantics (including the stop point being mid-transaction, mid-call). *)

@@ -232,6 +232,106 @@ let test_rng_stream_pinned () =
   Alcotest.(check int) "original unmoved by the copy's draws" 2049245188455445058
     (Rng.bits orig)
 
+(* [Itbl] against a [Hashtbl] model: random binds, removes, lookups, full
+   scans (bindings and [sorted_keys]) and copies. Keys are drawn mostly
+   from a narrow range, so removed keys come back (tombstone reuse), and
+   sometimes from wide ones, negative keys included, so the table grows
+   past its initial 16 slots and the radix sort runs every digit. Values are boxed strings: a copy
+   that shared its value array with its source would see the source's
+   later rebinds. Every copy is checked against a frozen model copy at the
+   end, after the source and the copy were both written. *)
+type itbl_op =
+  | Bind of int * int
+  | Unbind of int
+  | Lookup of int
+  | Scan
+  | Copy
+  | Bind_copy of int * int
+
+let pp_itbl_op = function
+  | Bind (k, v) -> Printf.sprintf "bind %d %d" k v
+  | Unbind k -> Printf.sprintf "unbind %d" k
+  | Lookup k -> Printf.sprintf "lookup %d" k
+  | Scan -> "scan"
+  | Copy -> "copy"
+  | Bind_copy (k, v) -> Printf.sprintf "bind-copy %d %d" k v
+
+let itbl_ops =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [ (8, int_bound 24);
+        (2, int_bound 500);
+        (1, map (fun k -> k - (1 lsl 40)) (int_bound (1 lsl 41))) ]
+  in
+  let op =
+    frequency
+      [ (6, map2 (fun k v -> Bind (k, v)) key (int_bound 1000));
+        (3, map (fun k -> Unbind k) key);
+        (3, map (fun k -> Lookup k) key);
+        (1, return Scan);
+        (1, return Copy);
+        (2, map2 (fun k v -> Bind_copy (k, v)) key (int_bound 1000)) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_itbl_op ops))
+    (list_size (int_range 1 400) op)
+
+let prop_itbl_matches_model =
+  QCheck.Test.make ~name:"itbl matches a Hashtbl model" ~count:300 itbl_ops (fun ops ->
+      let module Itbl = Ocolos_util.Itbl in
+      let t = Itbl.create 1 and m = Hashtbl.create 16 in
+      let copies = ref [] in
+      let same t m =
+        Itbl.length t = Hashtbl.length m
+        && List.sort compare (Itbl.fold (fun k v acc -> (k, v) :: acc) t [])
+           = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+        && Array.to_list (Itbl.sorted_keys t)
+           = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) m [])
+      in
+      let ok = ref true in
+      List.iter
+        (function
+          | Bind (k, v) ->
+            Itbl.replace t k (string_of_int v);
+            Hashtbl.replace m k (string_of_int v)
+          | Unbind k ->
+            Itbl.remove t k;
+            Hashtbl.remove m k
+          | Lookup k ->
+            let want = Hashtbl.find_opt m k in
+            if
+              Itbl.find_opt t k <> want
+              || Itbl.mem t k <> (want <> None)
+              || Itbl.find_default t k ~default:"none" <> Option.value ~default:"none" want
+            then ok := false
+          | Scan -> if not (same t m) then ok := false
+          | Copy -> copies := (Itbl.copy t, Hashtbl.copy m) :: !copies
+          | Bind_copy (k, v) -> (
+            match !copies with
+            | (c, cm) :: _ ->
+              Itbl.replace c k (string_of_int v);
+              Hashtbl.replace cm k (string_of_int v)
+            | [] -> ()))
+        ops;
+      !ok && same t m && List.for_all (fun (c, cm) -> same c cm) !copies)
+
+(* The two sentinel keys are never found and cannot be bound, so looking
+   up an arbitrary int (a register value) is safe. *)
+let test_itbl_reserved_keys () =
+  let module Itbl = Ocolos_util.Itbl in
+  let t = Itbl.create 4 in
+  Alcotest.(check bool) "empty table: min_int absent" false (Itbl.mem t min_int);
+  Itbl.replace t 7 "seven";
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "reserved key absent" false (Itbl.mem t k);
+      Alcotest.(check (option string)) "reserved key finds nothing" None (Itbl.find_opt t k);
+      Alcotest.check_raises "reserved key refused" (Invalid_argument "Itbl.replace: reserved key")
+        (fun () -> Itbl.replace t k "x"))
+    [ min_int; min_int + 1 ];
+  Alcotest.(check (option string)) "real key intact" (Some "seven") (Itbl.find_opt t 7)
+
 let suite =
   [ Alcotest.test_case "fault schedule validation" `Quick test_fault_schedule_validation;
     Alcotest.test_case "fault parse_arm" `Quick test_fault_parse_arm;
@@ -250,4 +350,6 @@ let suite =
     Alcotest.test_case "linear regression" `Quick test_linear_regression;
     Alcotest.test_case "perceptron separable" `Quick test_perceptron_separable;
     Alcotest.test_case "table render" `Quick test_table_render;
-    Alcotest.test_case "fmt_int" `Quick test_fmt_int ]
+    Alcotest.test_case "fmt_int" `Quick test_fmt_int;
+    QCheck_alcotest.to_alcotest prop_itbl_matches_model;
+    Alcotest.test_case "itbl reserved keys" `Quick test_itbl_reserved_keys ]

@@ -121,7 +121,7 @@ let test_tier1_rejects_across_salts () =
   let sites =
     Array.to_list nt.Binary.code_order
     |> List.filter_map (fun a ->
-           match Hashtbl.find_opt nt.Binary.code a with
+           match Ocolos_util.Itbl.find_opt nt.Binary.code a with
            | Some (Instr.Branch _) -> Some a
            | _ -> None)
   in
