@@ -219,7 +219,7 @@ let block_new_start t addr =
   done;
   if !found < 0 then None else Some t.fm_blocks.(!found).bs_new_start
 
-let containing_block t addr =
+let containing_index t addr =
   let lo = ref 0 and hi = ref (Array.length t.fm_blocks - 1) and found = ref (-1) in
   while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
@@ -228,7 +228,10 @@ let containing_block t addr =
     else if addr >= s.bs_old_end then lo := mid + 1
     else found := mid
   done;
-  if !found < 0 then None else Some t.fm_blocks.(!found)
+  !found
+
+let containing_block t addr =
+  match containing_index t addr with -1 -> None | i -> Some t.fm_blocks.(i)
 
 (* Index of [addr] among the exact points' old PCs, or -1. *)
 let exact_index t addr =

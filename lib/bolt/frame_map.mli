@@ -85,6 +85,10 @@ val block_new_start : t -> int -> int option
 (** The block whose old range contains the address. *)
 val containing_block : t -> int -> block_site option
 
+(** Index in [fm_blocks] of the block whose old range contains the
+    address, or -1. *)
+val containing_index : t -> int -> int
+
 (** [iter_exact f t] calls [f old_pc new_pc] on every instruction-granular
     entry, in ascending old-PC order. *)
 val iter_exact : (int -> int -> unit) -> t -> unit

@@ -85,6 +85,25 @@ let index_near (a : int array) cursor x =
   if i >= 0 then cursor := i;
   i
 
+(* [Frame_map.containing_index] from a cursor: exact points arrive in
+   ascending old-PC order, so the containing block is nearly always the
+   cursor's or the next one; a hit moves the cursor. *)
+let inside (blocks : Frame_map.block_site array) i addr =
+  i < Array.length blocks
+  &&
+  let s = Array.unsafe_get blocks i in
+  s.Frame_map.bs_old_start <= addr && addr < s.Frame_map.bs_old_end
+
+let block_near (fm : Frame_map.t) cursor addr =
+  let blocks = fm.Frame_map.fm_blocks and c = !cursor in
+  let i =
+    if inside blocks c addr then c
+    else if inside blocks (c + 1) addr then c + 1
+    else Frame_map.containing_index fm addr
+  in
+  if i >= 0 then cursor := i;
+  i
+
 let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
   let extern_entry =
     match extern_entry with
@@ -123,24 +142,25 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
   let read_new a = Binary.find_instr new_text a in
   (* Translation injectivity: two functions sharing a new entry is a broken
      global order. *)
-  (let seen = Hashtbl.create 64 in
+  (let seen = Itbl.create 64 in
    List.iter
      (fun (o, n) ->
-       match Hashtbl.find_opt seen n with
+       match Itbl.find_opt seen n with
        | Some o' ->
          reject (-1) "func_reorder" "old entries 0x%x and 0x%x both translate to 0x%x" o' o n
-       | None -> Hashtbl.add seen n o)
+       | None -> Itbl.replace seen n o)
      result.Bolt.translation);
   (* Injectivity bookkeeping for the exact maps, shared by every function
      of the run: a new PC on an instruction of the new text is keyed by its
      index in [code_order] (found from a cursor — no hashing, no
-     per-function table), and [seen_stamp] marks which function last
-     claimed the slot.
-     New PCs off every instruction go to a fallback table. *)
+     per-function table), and [claimed] holds the run-wide number of the
+     exact point that last claimed the slot. Points are numbered in walk
+     order, so a claim by the current function is one numbered at or
+     above its first point, and names its old PC.
+     New PCs off every instruction go to a per-function fallback table. *)
   let new_order = new_text.Binary.code_order in
-  let seen_stamp = Array.make (Array.length new_order) (-1) in
-  let seen_old = Array.make (Array.length new_order) 0 in
-  let seen_off = Hashtbl.create 8 in
+  let claimed = Array.make (Array.length new_order) (-1) in
+  let points = ref 0 in
   let funcs = ref 0 in
   let blocks = ref 0 in
   let instrs = ref 0 in
@@ -347,25 +367,26 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
       if Array.length news <> Array.length olds then
         reject fid "frame_map" "exact map has %d old PCs but %d new PCs" (Array.length olds)
           (Array.length news);
-      let stamp = !funcs in
+      let npoints = min (Array.length olds) (Array.length news) in
+      let first = !points in
+      points := first + npoints;
+      let seen_off = Itbl.create 8 in
       (* The old PC that already claimed [new_pc], or -1; [j] is [new_pc]'s
          index in [new_order], or -1. *)
       let seen j new_pc =
-        if j < 0 then Option.value ~default:(-1) (Hashtbl.find_opt seen_off new_pc)
-        else if seen_stamp.(j) = stamp then seen_old.(j)
-        else -1
+        if j < 0 then Itbl.find_default seen_off new_pc ~default:(-1)
+        else
+          let c = claimed.(j) in
+          if c >= first then olds.(c - first) else -1
       in
-      let claim j new_pc old_pc =
-        if j < 0 then Hashtbl.replace seen_off new_pc old_pc
-        else begin
-          seen_stamp.(j) <- stamp;
-          seen_old.(j) <- old_pc
-        end
+      (* Claim [new_pc] for exact point [k]. *)
+      let claim j new_pc k =
+        if j < 0 then Itbl.replace_int seen_off new_pc olds.(k) else claimed.(j) <- first + k
       in
       (* Old instruction boundaries come from this function's own sorted
          decoding, not a probe of the whole binary's code table; the
          binary answers only for PCs outside the function. *)
-      let old_cursor = ref 0 and new_cursor = ref 0 in
+      let old_cursor = ref 0 and new_cursor = ref 0 and block_cursor = ref 0 in
       let old_boundary pc =
         index_near rc.Cfg.rc_instr_addrs old_cursor pc >= 0
         || Itbl.mem binary.Binary.code pc
@@ -379,8 +400,7 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
         | Some i -> Peephole.is_noop_instr i
         | None -> false
       in
-      Hashtbl.reset seen_off;
-      for k = 0 to min (Array.length olds) (Array.length news) - 1 do
+      for k = 0 to npoints - 1 do
         let old_pc = olds.(k) and new_pc = news.(k) in
         if k > 0 && olds.(k - 1) >= old_pc then
           reject fid "frame_map" "exact map not strictly ascending at old 0x%x" old_pc;
@@ -389,9 +409,9 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
            removed (and forward to where execution continues). *)
         let j = index_near new_order new_cursor new_pc in
         (match seen j new_pc with
-        | -1 -> claim j new_pc old_pc
+        | -1 -> claim j new_pc k
         | _ when forwards old_pc -> ()
-        | prev_old when forwards prev_old -> claim j new_pc old_pc
+        | prev_old when forwards prev_old -> claim j new_pc k
         | _ ->
           reject fid "frame_map" "exact map not injective: two old PCs land on new 0x%x" new_pc);
         if not (old_boundary old_pc) then
@@ -401,9 +421,10 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
           reject fid "frame_map"
             "exact point 0x%x -> 0x%x lands off an instruction boundary in the new text" old_pc
             new_pc;
-        match Frame_map.containing_block fm old_pc with
-        | None -> reject fid "frame_map" "exact point old 0x%x outside every mapped block" old_pc
-        | Some bs ->
+        match block_near fm block_cursor old_pc with
+        | -1 -> reject fid "frame_map" "exact point old 0x%x outside every mapped block" old_pc
+        | b ->
+          let bs = fm.Frame_map.fm_blocks.(b) in
           if new_pc < bs.Frame_map.bs_new_start then
             reject fid "frame_map" "exact point 0x%x -> 0x%x precedes its block's new start 0x%x"
               old_pc new_pc bs.Frame_map.bs_new_start

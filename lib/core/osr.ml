@@ -538,10 +538,11 @@ exception Dangling_pointer of string
 let verify_no_dangling t ~freed =
   let mem = t.proc.Proc.mem in
   let suspect = match freed with [] -> fun _ -> true | l -> in_ranges (range_set l) in
-  let check what addr =
-    if suspect addr && Addr_space.read_code mem addr = None then
-      raise (Dangling_pointer (Fmt.str "%s references freed code at 0x%x" (what ()) addr))
+  let dangling addr = suspect addr && not (Itbl.mem mem.Addr_space.code addr) in
+  let dangle what addr =
+    raise (Dangling_pointer (Fmt.str "%s references freed code at 0x%x" what addr))
   in
+  let check what addr = if dangling addr then dangle (what ()) addr in
   Array.iter
     (fun (vid, slot, _) ->
       check
@@ -560,18 +561,15 @@ let verify_no_dangling t ~freed =
     (Proc.engine_code_pointers t.proc);
   (* The code sweep reports its lowest failing site, whatever the table's
      slot order. *)
-  let dangles addr = suspect addr && not (Itbl.mem mem.Addr_space.code addr) in
   let first =
     Itbl.fold
       (fun addr instr first ->
         let target = Instr.target instr in
-        if target >= 0 && (first < 0 || addr < first) && dangles target then addr else first)
+        if target >= 0 && (first < 0 || addr < first) && dangling target then addr else first)
       mem.Addr_space.code (-1)
   in
   if first >= 0 then
-    check
-      (fun () -> Fmt.str "instr at 0x%x" first)
-      (Instr.target (Itbl.find mem.Addr_space.code first))
+    dangle (Fmt.str "instr at 0x%x" first) (Instr.target (Itbl.find mem.Addr_space.code first))
 
 (* ---- the two shared steps ---- *)
 

@@ -59,7 +59,7 @@ let write_data t addr v =
   | Some j ->
     j.entries <- J_data (addr, Itbl.find_opt t.data addr) :: j.entries;
     j.n_entries <- j.n_entries + 1);
-  Itbl.replace t.data addr v
+  Itbl.replace_int t.data addr v
 
 (* Journaled deletion of a data word (absent reads as 0). Used by OCOLOS to
    reap inherited jump-table words once the residue reading them drains. *)
@@ -148,7 +148,7 @@ let rollback_journal t =
           let cur = Itbl.find_opt t.code addr in
           Itbl.remove t.code addr;
           notify_code_write t addr (write_span cur None)
-        | J_data (addr, Some v) -> Itbl.replace t.data addr v
+        | J_data (addr, Some v) -> Itbl.replace_int t.data addr v
         | J_data (addr, None) -> Itbl.remove t.data addr)
       j.entries;
     t.sym_index <- j.j_sym_index;

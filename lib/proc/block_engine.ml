@@ -143,14 +143,29 @@ type stats = {
   resident : int;
 }
 
-(* Tables keyed by code address. [blocks] is read on every dispatch that
-   misses the per-thread memo — once per taken transfer — so it is the
-   open-addressing int table: a probe is a few loads, no C call. *)
+(* A cached block and its dispatch chain: the blocks that followed it
+   last time, one for leaving by its end ([fall]) and one for any other
+   exit ([other]). A chain is trusted only while [ch_epoch] equals the
+   engine's [epoch], which every unregistration bumps, so a chained block
+   is always a cached one; and only when its start is the pc being
+   dispatched, so a stale guess costs a table probe, never a wrong block.
+   On branchy code, where blocks are one or two instructions long, the
+   chain turns most dispatches into two loads and a compare. *)
+type entry = {
+  blk : Predecode.block;
+  mutable fall : entry;
+  mutable other : entry;
+  mutable ch_epoch : int;
+}
+
+(* Tables keyed by code address. [blocks] is read on every dispatch the
+   memo and the chains miss, so it is the open-addressing int table: a
+   probe is a few loads, no C call. *)
 module Itbl = Ocolos_util.Itbl
 
 type t = {
   mem : Addr_space.t;
-  blocks : Predecode.block Itbl.t; (* entry address -> block *)
+  blocks : entry Itbl.t; (* entry address -> block *)
   cover : int list Itbl.t;
       (* 64-byte code line -> entry addresses of the blocks whose bytes
          touch it: the candidate index behind precise invalidation. A
@@ -160,26 +175,32 @@ type t = {
          crosses a block boundary still reaches each overlapping block and
          no other. One slot per line rather than per byte keeps the index
          a few percent of a large kernel's cached blocks. *)
-  memo : Predecode.block array; (* per-tid in-flight block ([no_block] = none) ... *)
+  memo : entry array; (* per-tid in-flight block ([no_entry] = none) ... *)
   memo_idx : int array; (* ... and the entry index to resume at *)
   mutable gen : int; (* bumped on every code write; guards in-flight blocks *)
+  mutable epoch : int; (* bumped on every unregistration; guards chains *)
   mutable decodes : int;
   mutable dispatches : int;
   mutable invalidations : int;
 }
 
-(* Sentinel for "no in-flight block": empty entry array and an impossible
-   start address, so both memo checks in [lookup] fail without a branch on
-   an option (and without allocating a [Some] per dispatch). *)
-let no_block =
-  { Predecode.b_start = -1; b_end = -1; b_addrs = [||]; b_sizes = [||]; b_instrs = [||] }
+(* Sentinel for "no block": empty entry array and an impossible start
+   address, so the memo checks in [exec] and the chain check in [dispatch]
+   fail without a branch on an option (and without allocating a [Some]
+   per dispatch). *)
+let rec no_entry =
+  { blk = { Predecode.b_start = -1; b_end = -1; b_addrs = [||]; b_sizes = [||]; b_instrs = [||] };
+    fall = no_entry;
+    other = no_entry;
+    ch_epoch = -1 }
 
 let line_bits = 6
 
 (* Add or remove [b] in the cover list of every line its bytes touch. *)
-let register t (b : Predecode.block) =
+let register t (e : entry) =
+  let b = e.blk in
   let start = b.Predecode.b_start in
-  Itbl.replace t.blocks start b;
+  Itbl.replace t.blocks start e;
   for line = start lsr line_bits to (b.Predecode.b_end - 1) lsr line_bits do
     let starts = match Itbl.find_opt t.cover line with Some l -> l | None -> [] in
     if not (List.mem start starts) then Itbl.replace t.cover line (start :: starts)
@@ -188,6 +209,7 @@ let register t (b : Predecode.block) =
 let unregister t (b : Predecode.block) =
   let start = b.Predecode.b_start in
   Itbl.remove t.blocks start;
+  t.epoch <- t.epoch + 1;
   for line = start lsr line_bits to (b.Predecode.b_end - 1) lsr line_bits do
     match Itbl.find_opt t.cover line with
     | None -> ()
@@ -215,22 +237,23 @@ let invalidate t ~start ~len =
         List.iter
           (fun s ->
             match Itbl.find_opt t.blocks s with
-            | Some b when b.Predecode.b_start < stop && start < b.Predecode.b_end ->
+            | Some { blk = b; _ } when b.Predecode.b_start < stop && start < b.Predecode.b_end ->
               t.invalidations <- t.invalidations + 1;
               unregister t b
             | Some _ | None -> ())
           starts
     done;
-  Array.fill t.memo 0 (Array.length t.memo) no_block
+  Array.fill t.memo 0 (Array.length t.memo) no_entry
 
 let create ~nthreads mem =
   let t =
     { mem;
       blocks = Itbl.create 1024;
       cover = Itbl.create 4096;
-      memo = Array.make (max 1 nthreads) no_block;
+      memo = Array.make (max 1 nthreads) no_entry;
       memo_idx = Array.make (max 1 nthreads) 0;
       gen = 0;
+      epoch = 0;
       decodes = 0;
       dispatches = 0;
       invalidations = 0 }
@@ -238,97 +261,144 @@ let create ~nthreads mem =
   Addr_space.add_code_watcher mem (fun start len -> invalidate t ~start ~len);
   t
 
-(* Find the block to run at [pc], leaving the entry index to start from in
-   [memo_idx]. The memo holds the thread's in-flight block: resuming
-   mid-block (a quantum boundary landed inside it) or looping back to its
-   start skips the table; anything else goes through the table, decoding on
-   miss. Decoding at a mid-block address is merely a cache miss, not an
-   error — the decoded entries are correct for that pc. *)
-let lookup t (thread : Thread.t) pc =
-  let tid = thread.Thread.tid in
-  let m = Array.unsafe_get t.memo tid in
-  let k = Array.unsafe_get t.memo_idx tid in
-  if k < Array.length m.Predecode.b_addrs && Array.unsafe_get m.Predecode.b_addrs k = pc
-  then m
-  else if m.Predecode.b_start = pc then begin
-    Array.unsafe_set t.memo_idx tid 0;
-    m
-  end
+(* The block to run at [pc] after [m] (the block the thread last ran, or
+   [no_entry]): [m]'s chain when it guesses right, else the table, decoding
+   on miss; then [m] is chained to the answer. [no_entry] when [pc] holds
+   no instruction. *)
+let dispatch t (m : entry) pc =
+  let guess =
+    if m.ch_epoch <> t.epoch then no_entry
+    else if pc = m.blk.Predecode.b_end then m.fall
+    else m.other
+  in
+  if guess.blk.Predecode.b_start = pc then guess
   else begin
-    (* [find_default], not [find_opt]: a table hit, once per taken
-       transfer, allocates no [Some]. *)
-    let b =
-      match Itbl.find_default t.blocks pc ~default:no_block with
-      | b when b != no_block -> b
+    (* [find_default], not [find_opt]: a table hit allocates no [Some]. *)
+    let e =
+      match Itbl.find_default t.blocks pc ~default:no_entry with
+      | e when e != no_entry -> e
       | _ -> (
         match Predecode.decode ~read:(fun a -> Addr_space.read_code t.mem a) pc with
         | Some b ->
           t.decodes <- t.decodes + 1;
-          register t b;
-          b
-        | None -> fault_unmapped thread ~pc)
+          let e = { blk = b; fall = no_entry; other = no_entry; ch_epoch = -1 } in
+          register t e;
+          e
+        | None -> no_entry)
     in
-    t.memo.(tid) <- b;
-    Array.unsafe_set t.memo_idx tid 0;
-    b
+    if e != no_entry && m != no_entry then begin
+      if m.ch_epoch <> t.epoch then begin
+        m.fall <- no_entry;
+        m.other <- no_entry;
+        m.ch_epoch <- t.epoch
+      end;
+      if pc = m.blk.Predecode.b_end then m.fall <- e else m.other <- e
+    end;
+    e
   end
 
 (* Run [thread] for up to [max_steps] instructions or until it stops being
    runnable or reaches [cycle_limit]. Returns the number of instructions
    executed. An instruction executes here iff the reference inner loop
    (Proc.run) would execute it: the same three conditions are re-checked
-   before every single instruction, block boundaries notwithstanding. *)
+   before every single instruction, block boundaries notwithstanding.
+
+   The memo holds the thread's in-flight block between turns: resuming
+   mid-block (a quantum boundary landed inside it) or looping back to its
+   start skips [dispatch]. Within a turn the in-flight block and its
+   entry index live in locals, and the memo is written once, when the
+   turn ends or unwinds: a memo store is a [caml_modify], which darkens
+   the block it overwrites whenever the major GC is marking — too dear
+   once per dispatch. Decoding at a mid-block address is merely a cache
+   miss, not an error: the decoded entries are correct for that pc. *)
 let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
   let core = thread.Thread.core in
+  let tid = thread.Thread.tid in
   (* With an infinite horizon the cycle condition is vacuously true (cycle
      counts stay finite), so the per-instruction [Core.cycles] sum can be
      skipped without changing which instructions execute. *)
   let check_cycles = cycle_limit <> infinity in
   let n = ref 0 in
-  while
-    !n < max_steps
-    && Thread.is_running thread
-    && ((not check_cycles) || Ocolos_uarch.Core.cycles_below core cycle_limit)
-  do
-    let block = lookup t thread thread.Thread.pc in
-    t.dispatches <- t.dispatches + 1;
-    let gen0 = t.gen in
-    (* Hoisted so the loop body reads locals, not block fields, across the
-       [execute] calls. *)
-    let addrs = block.Predecode.b_addrs in
-    let sizes = block.Predecode.b_sizes in
-    let instrs = block.Predecode.b_instrs in
-    let len = Array.length instrs in
-    let k = ref (Array.unsafe_get t.memo_idx thread.Thread.tid) in
-    let live = ref true in
-    (* [n] and [k] advance in lockstep, so one bound covers both the block
-       end and the step budget. *)
-    let stop = if !n + (len - !k) < max_steps then !n + (len - !k) else max_steps in
-    (* By the decode invariant, only the last entry can be a control
-       transfer, so pc always equals the next entry's address inside the
-       loop; a mid-block code write bumps [gen] and forces re-dispatch. *)
+  let cur = ref (Array.unsafe_get t.memo tid) in
+  let k = ref (Array.unsafe_get t.memo_idx tid) in
+  (* The entry index and code generation the current block started at:
+     what the memo would read if the turn unwound here. *)
+  let k0 = ref !k and gen0 = ref t.gen in
+  match
     while
-      !live
-      && !n < stop
-      && t.gen = gen0
+      !n < max_steps
+      && Thread.is_running thread
       && ((not check_cycles) || Ocolos_uarch.Core.cycles_below core cycle_limit)
     do
-      let i = !k in
-      execute t.mem hooks thread ~pc:(Array.unsafe_get addrs i)
-        ~size:(Array.unsafe_get sizes i)
-        (Array.unsafe_get instrs i);
-      incr n;
-      incr k;
-      if not (Thread.is_running thread) then live := false
-    done;
-    (* Remember where this block was left so a quantum boundary resumes
-       instead of re-decoding. [lookup] already left the memo pointing at
-       this block, so only the index needs storing — and never after an
-       invalidation, which cleared the memo precisely because blocks like
-       this one may be stale. *)
-    if t.gen = gen0 then Array.unsafe_set t.memo_idx thread.Thread.tid !k
-  done;
-  !n
+      let pc = thread.Thread.pc in
+      let m = !cur in
+      let mb = m.blk in
+      k0 := !k;
+      if !k < Array.length mb.Predecode.b_addrs && Array.unsafe_get mb.Predecode.b_addrs !k = pc
+      then ()
+      else if mb.Predecode.b_start = pc then k := 0
+      else begin
+        let e = dispatch t m pc in
+        if e == no_entry then fault_unmapped thread ~pc;
+        cur := e;
+        k := 0
+      end;
+      k0 := !k;
+      gen0 := t.gen;
+      t.dispatches <- t.dispatches + 1;
+      (* Hoisted so the loop body reads locals, not block fields, across
+         the [execute] calls. *)
+      let block = (!cur).blk in
+      let addrs = block.Predecode.b_addrs in
+      let sizes = block.Predecode.b_sizes in
+      let instrs = block.Predecode.b_instrs in
+      let len = Array.length instrs in
+      let gen = !gen0 in
+      let live = ref true in
+      (* [n] and [k] advance in lockstep, so one bound covers both the
+         block end and the step budget. *)
+      let stop = if !n + (len - !k) < max_steps then !n + (len - !k) else max_steps in
+      (* By the decode invariant, only the last entry can be a control
+         transfer, so pc always equals the next entry's address inside the
+         loop; a mid-block code write bumps [gen] and forces re-dispatch. *)
+      while
+        !live
+        && !n < stop
+        && t.gen = gen
+        && ((not check_cycles) || Ocolos_uarch.Core.cycles_below core cycle_limit)
+      do
+        let i = !k in
+        execute t.mem hooks thread ~pc:(Array.unsafe_get addrs i)
+          ~size:(Array.unsafe_get sizes i)
+          (Array.unsafe_get instrs i);
+        incr n;
+        incr k;
+        if not (Thread.is_running thread) then live := false
+      done;
+      (* An invalidation cleared the memo precisely because blocks like
+         this one may be stale: forget it, so the next dispatch goes
+         through the table. *)
+      if t.gen <> gen then begin
+        cur := no_entry;
+        k := 0
+      end
+    done
+  with
+  | () ->
+    (* Where this block was left, so a quantum boundary resumes instead
+       of re-dispatching. *)
+    t.memo.(tid) <- !cur;
+    Array.unsafe_set t.memo_idx tid !k;
+    !n
+  | exception exn ->
+    (* Unwinding (a fault, or a hook's exception): the memo reads as if it
+       had been written at the last dispatch, unless an invalidation has
+       cleared it since. *)
+    if t.gen = !gen0 then begin
+      t.memo.(tid) <- !cur;
+      Array.unsafe_set t.memo_idx tid !k0
+    end;
+    raise exn
 
 let stats t =
   { decodes = t.decodes;
@@ -341,7 +411,7 @@ let stats t =
    means the invalidation feed missed a write. *)
 let validate t =
   let read a = Addr_space.read_code t.mem a in
-  Itbl.fold (fun _ b acc -> acc && Predecode.coherent ~read b) t.blocks true
+  Itbl.fold (fun _ e acc -> acc && Predecode.coherent ~read e.blk) t.blocks true
 
 (* Every code address the engine holds a live reference to: cached block
    starts and each thread's in-flight resume point. OCOLOS's post-GC
@@ -351,8 +421,9 @@ let code_pointers t =
   let acc = ref [] in
   Itbl.iter (fun start _ -> acc := ("block", start) :: !acc) t.blocks;
   Array.iteri
-    (fun tid (m : Predecode.block) ->
-      if m != no_block then begin
+    (fun tid (m : entry) ->
+      if m != no_entry then begin
+        let m = m.blk in
         acc := ("block_memo", m.Predecode.b_start) :: !acc;
         let k = Array.unsafe_get t.memo_idx tid in
         if k < Array.length m.Predecode.b_addrs then
@@ -365,5 +436,5 @@ let code_pointers t =
    resume memos describe where the threads *were*, so drop them. The block
    table itself stays — entries covering surviving code remain valid. *)
 let on_threads_migrated t =
-  Array.fill t.memo 0 (Array.length t.memo) no_block;
+  Array.fill t.memo 0 (Array.length t.memo) no_entry;
   Array.fill t.memo_idx 0 (Array.length t.memo_idx) 0

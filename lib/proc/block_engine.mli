@@ -1,7 +1,9 @@
 (** Decoded basic-block execution engine.
 
     Predecodes straight-line instruction runs into flat arrays
-    ({!Ocolos_isa.Predecode.block}) and executes a whole block per dispatch.
+    ({!Ocolos_isa.Predecode.block}) and executes a whole block per dispatch;
+    a dispatch follows the previous block's chain (the block that followed
+    it last time) before it probes the block table.
     The per-instruction semantics live in {!execute}, which the reference
     interpreter ({!Proc.step}) shares, so both engines produce bit-identical
     uarch counters, LBR samples and taken-branch traces.

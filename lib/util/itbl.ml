@@ -77,7 +77,34 @@ let find t key =
 
 let mem t key = probe t key >= 0
 
-let rec grow t =
+(* Slot of [key]'s binding, or where a new one goes: the first tombstone
+   on its probe path, else the empty slot that ends the path. *)
+let rec free_from keys mask key i tomb =
+  let k = Array.unsafe_get keys i in
+  if k = key then i
+  else if k = empty_key then if tomb >= 0 then tomb else i
+  else
+    let tomb = if k = tomb_key && tomb < 0 then i else tomb in
+    free_from keys mask key ((i + 1) land mask) tomb
+
+(* Bind [key] to a slot and return it, counting a new binding. The caller
+   stores the value, then calls [settle]: the value array is typed at the
+   caller, so an [int t] stores through an [int array]. *)
+let claim t key =
+  if key <= tomb_key then invalid_arg "Itbl.replace: reserved key";
+  let keys = t.keys in
+  let i = free_from keys t.mask key (slot_of t.mask key) (-1) in
+  let k = Array.unsafe_get keys i in
+  if k <> key then begin
+    Array.unsafe_set keys i key;
+    t.live <- t.live + 1;
+    if k = empty_key then t.used <- t.used + 1
+  end;
+  i
+
+(* Rebind in slot order into a table twice the size, which drops the
+   tombstones. *)
+let grow t =
   let old_keys = t.keys and old_vals = t.vals in
   let cap = (t.mask + 1) * 2 in
   t.keys <- Array.make cap empty_key;
@@ -87,29 +114,28 @@ let rec grow t =
   t.used <- 0;
   for i = 0 to Array.length old_keys - 1 do
     let k = Array.unsafe_get old_keys i in
-    if k <> empty_key && k <> tomb_key then replace t k (Array.unsafe_get old_vals i)
+    if k <> empty_key && k <> tomb_key then
+      Array.unsafe_set t.vals (claim t k) (Array.unsafe_get old_vals i)
   done
 
-(* First pass: existing binding or first reusable tombstone [tomb]. *)
-and replace_from t keys mask key v i tomb =
-  let k = Array.unsafe_get keys i in
-  if k = key then Array.unsafe_set t.vals i v
-  else if k = empty_key then begin
-    let target = if tomb >= 0 then tomb else i in
-    Array.unsafe_set keys target key;
-    Array.unsafe_set t.vals target v;
-    t.live <- t.live + 1;
-    if tomb < 0 then t.used <- t.used + 1;
-    if t.used * 3 > (mask + 1) * 2 then grow t
-  end
-  else
-    let tomb = if k = tomb_key && tomb < 0 then i else tomb in
-    replace_from t keys mask key v ((i + 1) land mask) tomb
+(* Regrow once live + tombstone slots pass 2/3 occupancy. *)
+let settle t = if t.used * 3 > (t.mask + 1) * 2 then grow t
 
-and replace t key v =
-  if key <= tomb_key then invalid_arg "Itbl.replace: reserved key";
+let replace t key v =
+  let i = claim t key in
   if Array.length t.vals = 0 then t.vals <- Array.make (t.mask + 1) v;
-  replace_from t t.keys t.mask key v (slot_of t.mask key) (-1)
+  Array.unsafe_set t.vals i v;
+  settle t
+
+(* [replace] on an [int t], specialized at the definition: the store goes
+   through an [int array], so it pays no write barrier ([caml_modify]) —
+   one per simulated store. A read needs no such twin: [find_default]'s
+   float-array tag check measured as noise next to the probe. *)
+let replace_int (t : int t) key (v : int) =
+  let i = claim t key in
+  if Array.length t.vals = 0 then t.vals <- Array.make (t.mask + 1) v;
+  Array.unsafe_set (t.vals : int array) i v;
+  settle t
 
 let remove t key =
   let i = probe t key in

@@ -29,6 +29,10 @@ val mem : 'a t -> int -> bool
 (** Bind [key] (inserting or overwriting). *)
 val replace : 'a t -> int -> 'a -> unit
 
+(** [replace] for int values, writing the value array as an [int array]:
+    no write barrier. The data memory's per-store path. *)
+val replace_int : int t -> int -> int -> unit
+
 (** Remove [key]'s binding if present. *)
 val remove : 'a t -> int -> unit
 

@@ -275,6 +275,37 @@ let test_resident_accounting_overlapping_blocks () =
   Alcotest.(check bool) "cache valid after double-cover kill" true
     (Proc.validate_code_cache proc)
 
+(* ---- dispatch chains ---- *)
+
+(* Two cached blocks chained to each other: A (an add, then a branch that
+   always falls into B) and B (a constant, then a jump back to A). After a
+   warm run each dispatch follows A's and B's chains instead of the table.
+   Patching B drops B alone; A stays cached with its chain still naming
+   the dropped entry, and the next pass must run the patched constant. *)
+let chained_pair =
+  [| { Ir.bid = 0;
+       body = [ Ir.Plain (Instr.Alui (Instr.Add, 2, 2, 1)) ];
+       term = Ir.Tbranch (Instr.Ne, 3, 2, 1) };
+     { Ir.bid = 1; body = [ Ir.Plain (Instr.Movi (1, 5)) ]; term = Ir.Tjump 0 };
+     { Ir.bid = 2; body = []; term = Ir.Thalt } |]
+
+let test_chained_block_invalidated () =
+  let proc = launch_blocks chained_pair in
+  let entry = proc.Proc.threads.(0).Thread.pc in
+  Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:100 proc;
+  let s0 = blocks_stats proc in
+  Alcotest.(check int) "A and B cached" 2 s0.Ocolos_proc.Block_engine.resident;
+  Alcotest.(check int) "decoded once each" 2 s0.Ocolos_proc.Block_engine.decodes;
+  Alcotest.(check int) "old constant live" 5 proc.Proc.threads.(0).Thread.regs.(1);
+  (* B starts right after A's add (4 bytes) and branch (4 bytes). *)
+  Addr_space.write_code proc.Proc.mem (entry + 8) (Instr.Movi (1, 7));
+  let s1 = blocks_stats proc in
+  Alcotest.(check int) "only B dropped" 1 s1.Ocolos_proc.Block_engine.invalidations;
+  Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:100 proc;
+  Alcotest.(check int) "patched constant observed" 7 proc.Proc.threads.(0).Thread.regs.(1);
+  Alcotest.(check int) "A and the new B cached" 2 (blocks_stats proc).Ocolos_proc.Block_engine.resident;
+  Alcotest.(check bool) "cache coherent after patch" true (Proc.validate_code_cache proc)
+
 (* ---- register-operand validation at the code-map boundary ---- *)
 
 let test_write_code_rejects_bad_regs () =
@@ -349,6 +380,7 @@ let suite =
       test_code_write_invalidates;
     Alcotest.test_case "code removal invalidates cached blocks" `Quick
       test_code_removal_invalidates;
+    Alcotest.test_case "chained block invalidated alone" `Quick test_chained_block_invalidated;
     Alcotest.test_case "engines interleave coherently" `Quick test_engines_interleave;
     Alcotest.test_case "write spanning two blocks invalidates both" `Quick
       test_write_spanning_blocks_invalidates_both;

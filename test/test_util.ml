@@ -316,6 +316,41 @@ let prop_itbl_matches_model =
         ops;
       !ok && same t m && List.for_all (fun (c, cm) -> same c cm) !copies)
 
+(* [replace_int] shares the table with the generic paths: the same op
+   sequences on an [int Itbl.t], each bind going through [replace_int] or
+   [replace] by the value's parity. *)
+let prop_itbl_int_matches_model =
+  QCheck.Test.make ~name:"itbl replace_int matches a Hashtbl model" ~count:300 itbl_ops (fun ops ->
+      let module Itbl = Ocolos_util.Itbl in
+      let t = Itbl.create 1 and m = Hashtbl.create 16 in
+      let copies = ref [] in
+      let bind t m k v =
+        if v land 1 = 0 then Itbl.replace_int t k v else Itbl.replace t k v;
+        Hashtbl.replace m k v
+      in
+      let same t m =
+        Itbl.length t = Hashtbl.length m
+        && List.sort compare (Itbl.fold (fun k v acc -> (k, v) :: acc) t [])
+           = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+      in
+      let ok = ref true in
+      List.iter
+        (function
+          | Bind (k, v) -> bind t m k v
+          | Unbind k ->
+            Itbl.remove t k;
+            Hashtbl.remove m k
+          | Lookup k ->
+            let want = Option.value ~default:(-1) (Hashtbl.find_opt m k) in
+            if Itbl.find_default t k ~default:(-1) <> want || Itbl.find_opt t k <> Hashtbl.find_opt m k
+            then ok := false
+          | Scan -> if not (same t m) then ok := false
+          | Copy -> copies := (Itbl.copy t, Hashtbl.copy m) :: !copies
+          | Bind_copy (k, v) -> (
+            match !copies with (c, cm) :: _ -> bind c cm k v | [] -> ()))
+        ops;
+      !ok && same t m && List.for_all (fun (c, cm) -> same c cm) !copies)
+
 (* The two sentinel keys are never found and cannot be bound, so looking
    up an arbitrary int (a register value) is safe. *)
 let test_itbl_reserved_keys () =
@@ -352,4 +387,5 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "fmt_int" `Quick test_fmt_int;
     QCheck_alcotest.to_alcotest prop_itbl_matches_model;
+    QCheck_alcotest.to_alcotest prop_itbl_int_matches_model;
     Alcotest.test_case "itbl reserved keys" `Quick test_itbl_reserved_keys ]

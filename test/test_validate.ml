@@ -244,6 +244,45 @@ let test_tier1_reports_pinned () =
            r.Validate.rp_rejections))
     pinned_reports
 
+(* Exact-map injectivity is bookkept per function: a new PC that an
+   earlier function's exact point claimed is not a claim of the current
+   function. Point one exact entry of a later function at an earlier
+   function's new PC below the later function's block: only the later
+   function is rejected, for mapping before its block. *)
+let test_exact_point_on_other_function () =
+  let _proc, oc, result = profile_and_bolt () in
+  let start_of (fm : Frame_map.t) =
+    match Frame_map.containing_block fm fm.Frame_map.fm_exact_old.(0) with
+    | Some bs -> bs.Frame_map.bs_new_start
+    | None -> Alcotest.fail "first exact point outside its blocks"
+  in
+  let rec pick = function
+    | [] -> None
+    | (_, (fma : Frame_map.t)) :: rest -> (
+      match
+        List.find_opt
+          (fun (_, (fmb : Frame_map.t)) -> fma.Frame_map.fm_exact_new.(0) < start_of fmb)
+          rest
+      with
+      | Some (fb, fmb) -> Some (fma.Frame_map.fm_exact_new.(0), fb, fmb)
+      | None -> pick rest)
+  in
+  match pick result.Bolt.frame_maps with
+  | None -> Alcotest.fail "no pair of frame maps in ascending new-text order"
+  | Some (target, fb, (fmb : Frame_map.t)) ->
+    let fm_exact_new = Array.copy fmb.Frame_map.fm_exact_new in
+    fm_exact_new.(0) <- target;
+    let frame_maps =
+      List.map
+        (fun (fid, fm) -> if fid = fb then (fid, { fmb with Frame_map.fm_exact_new }) else (fid, fm))
+        result.Bolt.frame_maps
+    in
+    let r = O.validate_result oc { result with Bolt.frame_maps } in
+    Alcotest.(check (list int)) "only the redirected function rejected" [ fb ]
+      (Validate.rejected_fids r);
+    Alcotest.(check (list string)) "one frame-map rejection" [ "frame_map" ]
+      (List.map (fun (rj : Validate.rejection) -> rj.Validate.rj_check) r.Validate.rp_rejections)
+
 (* BOLT and the validator share one CFG memo per campaign, so nothing
    downstream of reconstruction may mutate it: after BOLT (profile counts
    attached to its copies) and every miscompile mode, each memoized CFG
@@ -611,6 +650,8 @@ let suite =
     Alcotest.test_case "Tier 1 rejects across salts" `Quick test_tier1_rejects_across_salts;
     Alcotest.test_case "Tier 1 reports pinned across the catalog" `Quick
       test_tier1_reports_pinned;
+    Alcotest.test_case "exact point on another function's new PC" `Quick
+      test_exact_point_on_other_function;
     Alcotest.test_case "shared CFG memo untouched" `Quick test_shared_cfgs_untouched;
     Alcotest.test_case "shadow matches a valid commit" `Quick
       test_shadow_match_on_valid_commit;
