@@ -337,10 +337,6 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
       in
       run start []
     in
-    let trackers =
-      if config.exact_frame_maps then Frame_map.default_trackers
-      else [ Frame_map.block_boundary_tracker ]
-    in
     let maps =
       List.filter_map
         (fun (fid, rc) ->
@@ -353,7 +349,7 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
                 emitted.Emit.block_addr.(fid)
             in
             let fm =
-              Frame_map.build ~trackers ~fid
+              Frame_map.build ~exact:config.exact_frame_maps ~fid
                 ~old_entry:binary.Binary.symbols.(fid).Binary.fs_entry ~new_entry ~blocks
                 ~read_old:(fun a -> Binary.find_instr binary a)
                 ~new_instrs:(new_instrs fid) ()

@@ -5,20 +5,20 @@
    that OCOLOS can migrate live frames (return addresses, paused PCs) into
    C_{i+1} instead of keeping the old text alive until they drain.
 
-   The map is assembled from *trackers*, one per address-granularity, run
-   over every basic block of the function:
+   The map is assembled block by block, at one or two granularities:
 
-   - {!block_boundary_tracker} pairs each old block start with its new
-     start — always available, derived directly from the block-reorder
-     pass's address mapping.
-   - {!exact_instr_tracker} extends the map to instruction granularity by
-     positionally pairing the old and new instruction sequences of each
-     block. Peephole-removed no-ops are skipped on the old side (their
-     address maps to the next surviving instruction — exact, since a no-op
-     has no effect), and instructions that differ only in a statically
-     relocated target (calls, branches, jumps, fp materializations) still
-     pair. The walk stops at the first real divergence; addresses past it
-     stay block-granular and fall back to a compensation stub.
+   - [block_boundary] pairs each old block start with its new start —
+     always available, derived directly from the block-reorder pass's
+     address mapping.
+   - [exact_instr] (with [~exact:true]) extends the map to instruction
+     granularity by positionally pairing the old and new instruction
+     sequences of each block. Peephole-removed no-ops are skipped on the
+     old side (their address maps to the next surviving instruction —
+     exact, since a no-op has no effect), and instructions that differ
+     only in a statically relocated target (calls, branches, jumps, fp
+     materializations) still pair. The walk stops at the first real
+     divergence; addresses past it stay block-granular and fall back to a
+     compensation stub.
 
    A PC that resolves [Exact] can be rewritten in place. A PC inside a
    mapped block but between exact points resolves [Mid_block]: the caller
@@ -47,24 +47,11 @@ type t = {
 
 type resolution = Exact of int | Mid_block of block_site | Unmapped
 
-type tracker = {
-  tk_name : string;
-  tk_track :
-    old_instrs:(int * Instr.t) array ->
-    new_instrs:(int * Instr.t) array ->
-    old_end:int ->
-    block_new:(int -> int option) ->
-    (int * int) list;
-}
-
-(* Old block start -> new block start. The coarsest map; every other
-   tracker refines it. *)
-let block_boundary_tracker =
-  { tk_name = "block_boundary";
-    tk_track =
-      (fun ~old_instrs ~new_instrs ~old_end:_ ~block_new:_ ->
-        if Array.length old_instrs = 0 || Array.length new_instrs = 0 then []
-        else [ (fst old_instrs.(0), fst new_instrs.(0)) ]) }
+(* Old block start -> new block start. The coarsest map; [exact_instr]
+   refines it. *)
+let block_boundary ~old_instrs ~new_instrs =
+  if Array.length old_instrs = 0 || Array.length new_instrs = 0 then []
+  else [ (fst old_instrs.(0), fst new_instrs.(0)) ]
 
 (* Two instructions occupy the same program point if they are identical or
    differ only in a statically relocated target. *)
@@ -79,52 +66,41 @@ let pairable o n =
    Invariant: at each step the next new instruction is the continuation of
    the program point at the next old instruction, so pairing their
    addresses is an exact migration. *)
-let exact_instr_tracker =
-  { tk_name = "exact_instr";
-    tk_track =
-      (fun ~old_instrs ~new_instrs ~old_end ~block_new ->
-        let n_old = Array.length old_instrs and n_new = Array.length new_instrs in
-        let pairs = ref [] in
-        let stop = ref false in
-        let i = ref 0 and j = ref 0 in
-        while (not !stop) && !i < n_old do
-          let old_addr, old_i = old_instrs.(!i) in
-          if !j < n_new && pairable old_i (snd new_instrs.(!j)) then begin
-            pairs := (old_addr, fst new_instrs.(!j)) :: !pairs;
-            incr i;
-            incr j
-          end
-          else if Peephole.is_noop_instr old_i then begin
-            (* Removed by peephole: the program point survives as the next
-               emitted instruction (or the fallthrough block if the no-op
-               closed the block). *)
-            (match
-               if !j < n_new then Some (fst new_instrs.(!j)) else block_new old_end
-             with
-            | Some a -> pairs := (old_addr, a) :: !pairs
-            | None -> ());
-            incr i
-          end
-          else begin
-            (* A trailing unconditional jump whose emitted form was elided
-               (the reordered layout made its target the fallthrough): being
-               *at* the jump is the same program point as being at its
-               target. *)
-            (match old_i with
-            | Instr.Jump t -> (
-              match block_new t with
-              | Some a -> pairs := (old_addr, a) :: !pairs
-              | None -> ())
-            | _ -> ());
-            stop := true
-          end
-        done;
-        !pairs) }
+let exact_instr ~old_instrs ~new_instrs ~old_end ~block_new =
+  let n_old = Array.length old_instrs and n_new = Array.length new_instrs in
+  let pairs = ref [] in
+  let stop = ref false in
+  let i = ref 0 and j = ref 0 in
+  while (not !stop) && !i < n_old do
+    let old_addr, old_i = old_instrs.(!i) in
+    if !j < n_new && pairable old_i (snd new_instrs.(!j)) then begin
+      pairs := (old_addr, fst new_instrs.(!j)) :: !pairs;
+      incr i;
+      incr j
+    end
+    else if Peephole.is_noop_instr old_i then begin
+      (* Removed by peephole: the program point survives as the next
+         emitted instruction (or the fallthrough block if the no-op
+         closed the block). *)
+      (match if !j < n_new then Some (fst new_instrs.(!j)) else block_new old_end with
+      | Some a -> pairs := (old_addr, a) :: !pairs
+      | None -> ());
+      incr i
+    end
+    else begin
+      (* A trailing unconditional jump whose emitted form was elided (the
+         reordered layout made its target the fallthrough): being *at* the
+         jump is the same program point as being at its target. *)
+      (match old_i with
+      | Instr.Jump t -> (
+        match block_new t with Some a -> pairs := (old_addr, a) :: !pairs | None -> ())
+      | _ -> ());
+      stop := true
+    end
+  done;
+  !pairs
 
-let default_trackers = [ block_boundary_tracker; exact_instr_tracker ]
-
-let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~read_old
-    ~new_instrs () =
+let build ~exact ~fid ~old_entry ~new_entry ~blocks ~read_old ~new_instrs () =
   let sites =
     Array.map
       (fun (bid, old_start, old_end, new_start) ->
@@ -137,11 +113,11 @@ let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~rea
   let block_new addr = Ocolos_util.Itbl.find_opt block_new_tbl addr in
   (* Exact points are sorted by old PC here, at emission, so consumers
      binary-search and walk them in order. Each block's pairs are sorted
-     on their own: sites are in old-address order and a tracker pairs only
-     PCs of its own block, so the concatenation is sorted, and a stray
-     tracker's pairs fall back to one global sort. The sorts are stable:
-     among pairs for one old PC, the first tracker's from the first block
-     that maps it is kept. *)
+     on their own: sites are in old-address order and both granularities
+     pair only PCs of their own block, so the concatenation is sorted,
+     and overlapping blocks would fall back to one global sort. The sorts
+     are stable: among pairs for one old PC, the block boundary's from the
+     first block that maps it is kept. *)
   let by_old (a, _) (b, _) = Int.compare a b in
   let pairs =
     Array.concat
@@ -163,10 +139,11 @@ let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~rea
               let old_instrs = Array.of_list (List.rev !olds) in
               let news = new_instrs s.bs_bid in
               let found =
-                List.map
-                  (fun tk ->
-                    tk.tk_track ~old_instrs ~new_instrs:news ~old_end:s.bs_old_end ~block_new)
-                  trackers
+                block_boundary ~old_instrs ~new_instrs:news
+                ::
+                (if exact then
+                   [ exact_instr ~old_instrs ~new_instrs:news ~old_end:s.bs_old_end ~block_new ]
+                 else [])
               in
               let ps = Array.make (List.fold_left (fun n l -> n + List.length l) 0 found) (0, 0) in
               let k = ref 0 in

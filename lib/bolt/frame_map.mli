@@ -36,38 +36,18 @@ type t = {
       this as a fault. *)
 type resolution = Exact of int | Mid_block of block_site | Unmapped
 
-(** A pluggable per-pass address tracker: given one block's raw old
-    instruction sequence, its emitted new sequence, the block's old end
-    address and the old-start -> new-start block map, returns exact
-    (old pc, new pc) pairs. *)
-type tracker = {
-  tk_name : string;
-  tk_track :
-    old_instrs:(int * Ocolos_isa.Instr.t) array ->
-    new_instrs:(int * Ocolos_isa.Instr.t) array ->
-    old_end:int ->
-    block_new:(int -> int option) ->
-    (int * int) list;
-}
-
-(** Maps each old block start to its new start. *)
-val block_boundary_tracker : tracker
-
-(** Positional instruction pairing: identical instructions, instructions
-    differing only in a statically relocated target, and peephole-removed
-    no-ops (mapped to the next surviving instruction) all pair; the walk
-    stops at the first real divergence. *)
-val exact_instr_tracker : tracker
-
-(** [[block_boundary_tracker; exact_instr_tracker]] *)
-val default_trackers : tracker list
-
-(** [build ~fid ~old_entry ~new_entry ~blocks ~read_old ~new_instrs ()]
+(** [build ~exact ~fid ~old_entry ~new_entry ~blocks ~read_old ~new_instrs ()]
     assembles a map. [blocks] lists (bid, old start, old end, new start)
     per basic block; [read_old] reads the old code image; [new_instrs]
-    returns the emitted instructions of one bid in layout order. *)
+    returns the emitted instructions of one bid in layout order. Every
+    old block start maps to its new start. With [exact], the map also
+    pairs instructions positionally within each block: identical
+    instructions, instructions differing only in a statically relocated
+    target, and peephole-removed no-ops (mapped to the next surviving
+    instruction) all pair, and the walk stops at the first real
+    divergence. *)
 val build :
-  ?trackers:tracker list ->
+  exact:bool ->
   fid:int ->
   old_entry:int ->
   new_entry:int ->

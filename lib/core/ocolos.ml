@@ -60,102 +60,93 @@ type replacement_stats = {
   pause_seconds : float;
 }
 
+module Imap = Osr.Imap
+module Iset = Osr.Iset
+
 type t = {
-  osr : Osr.t; (* pointer tables, resident ranges and residue bookkeeping *)
+  osr : Osr.t; (* process tables, round counter and the live view *)
   original : Binary.t;
   config : config;
-  c0_entry : (int, int) Hashtbl.t;
-  c0_ranges : (int, (int * int) list) Hashtbl.t;
-  mutable version : int;
-  mutable current : Binary.t; (* live symbol/code view, for perf2bolt & BOLT *)
-  mutable current_entry : (int, int) Hashtbl.t; (* fid -> live entry *)
+  c0 : Osr.view; (* C0's view, built from the original image by [attach] *)
   mutable session : Perf.session option;
   mutable cfgs : (Binary.t * (int -> Ocolos_bolt.Cfg.reconstructed)) option;
-      (* the campaign's CFG memo over [current]: filled by [run_bolt],
-         reused then dropped by [validate_result], dropped too when
-         [current] is rebuilt *)
+      (* the campaign's CFG memo over the live view's binary: filled by
+         [run_bolt], reused then dropped by [validate_result], dropped too
+         when the view is rebuilt *)
 }
 
-(* ---- controller-state snapshots (for transactional replacement) ----
+let view t = t.osr.Osr.view
 
-   [replace_code] mutates, besides the address space and thread state, the
-   controller's own view of the live code version. A snapshot captures
-   exactly the fields [replace_code] touches — plus the values of every
-   tracked data word, which {!revert} needs because the forward data scan
-   rewrites stored function pointers and jump-table words in place — so
-   that {!Txn} can roll the controller back to C_i alongside the
-   address-space undo log, and {!revert} can rebuild C_i from scratch.
-   Hash tables are copied on both capture and restore, so one snapshot can
-   back any number of rollbacks. ([rounds] is deliberately not captured:
-   it is a monotone residue tag and must never move backwards.) *)
+(* ---- controller-state snapshots ----
 
+   [replace_code] assigns the controller a new view, and mutates the
+   address space and thread state. A snapshot is the view it saw plus the
+   values of every tracked data word, which {!revert} needs because the
+   forward data scan rewrites stored function pointers and jump-table
+   words in place. A view is never written, so one snapshot can back any
+   number of reverts. ([Osr.t.rounds] lives outside the view: it is a
+   monotone residue tag and must never move backwards.) *)
 type snapshot = {
-  sn_version : int;
-  sn_current : Binary.t;
-  sn_current_entry : (int, int) Hashtbl.t;
-  sn_resident : (int, (int * int) list) Hashtbl.t;
-  sn_residue : Osr.residue list;
-  sn_inherited : (int * int list) list;
-  sn_entry_fid_any : (int, int) Hashtbl.t;
-  sn_init_addrs : (int, unit) Hashtbl.t;
-  sn_table_addrs : (int, unit) Hashtbl.t;
-  sn_word_values : (int * int) list; (* tracked words' values at capture *)
+  view : Osr.view;
+  word_values : (int * int) list; (* (address, value) of every tracked word *)
 }
 
-(* C0's controller tables, built from the original image: [attach] starts
-   the controller on them, and [c0_snapshot] builds a fresh set to revert
-   to. Their initial sizes are the live tables' sizes, which set iteration
-   order and so the emitted artifacts. *)
-let c0_view original ~c0_entry ~c0_ranges =
-  let resident = Hashtbl.create 256 in
-  Hashtbl.iter (fun fid ranges -> Hashtbl.replace resident fid ranges) c0_ranges;
-  let entry_fid = Hashtbl.create 256 in
-  Hashtbl.iter (fun fid e -> Hashtbl.replace entry_fid e fid) c0_entry;
-  let init = Hashtbl.create 256 and tables = Hashtbl.create 64 in
-  List.iter
-    (fun (a, v) ->
-      Hashtbl.replace init a ();
-      if Itbl.mem original.Binary.code v then Hashtbl.replace tables a ())
-    original.Binary.global_init;
-  { sn_version = 0;
-    sn_current = original;
-    sn_current_entry = Hashtbl.copy c0_entry;
-    sn_resident = resident;
-    sn_residue = [];
-    sn_inherited = [];
-    sn_entry_fid_any = entry_fid;
-    sn_init_addrs = init;
-    sn_table_addrs = tables;
-    sn_word_values = original.Binary.global_init }
+let code_ranges (s : Binary.func_sym) =
+  List.map (fun r -> (r.Binary.r_start, r.Binary.r_start + r.Binary.r_size)) s.Binary.fs_ranges
+
+(* Add [words]' addresses to the tracked set and, when the word holds an
+   address of [code], to the table-word set. *)
+let track (init, tables) code words =
+  List.fold_left
+    (fun (init, tables) (a, v) ->
+      (Iset.add a init, if Itbl.mem code v then Iset.add a tables else tables))
+    (init, tables) words
+
+let word_set inherited =
+  List.fold_left
+    (fun set (_, addrs) -> List.fold_left (fun set a -> Iset.add a set) set addrs)
+    Iset.empty inherited
+
+(* C0's view, from the original image. *)
+let c0_view (original : Binary.t) =
+  let syms = original.Binary.symbols in
+  let init_addrs, table_addrs =
+    track (Iset.empty, Iset.empty) original.Binary.code original.Binary.global_init
+  in
+  { Osr.version = 0;
+    current = original;
+    resident = Array.map code_ranges syms;
+    entry_fid =
+      Array.fold_left
+        (fun m (s : Binary.func_sym) -> Imap.add s.Binary.fs_entry s.Binary.fs_fid m)
+        Imap.empty syms;
+    init_addrs;
+    table_addrs;
+    residue = [];
+    inherited = [] }
 
 (* ---- attach ---- *)
 
 (* Function-pointer resolution: an entry of any version ever live denotes
-   its function's entry in [current]. *)
-let resolve_fp entry_fid current addr =
-  match Hashtbl.find_opt entry_fid addr with
-  | Some fid -> ( match Hashtbl.find_opt current fid with Some e -> e | None -> addr)
-  | None -> addr
+   its function's entry in the view. It runs on every [FpCreate], so it
+   allocates nothing. *)
+let resolve_fp (v : Osr.view) addr =
+  match Imap.find addr v.Osr.entry_fid with
+  | fid -> Osr.entry v fid
+  | exception Not_found -> addr
 
 let attach ?(config = default_config) (proc : Proc.t) =
   let original = proc.Proc.binary in
-  let c0_entry = Hashtbl.create 256 and c0_ranges = Hashtbl.create 256 in
-  Array.iter
-    (fun (s : Binary.func_sym) ->
-      Hashtbl.replace c0_entry s.Binary.fs_fid s.Binary.fs_entry;
-      Hashtbl.replace c0_ranges s.Binary.fs_fid
-        (List.map (fun r -> (r.Binary.r_start, r.Binary.r_start + r.Binary.r_size)) s.Binary.fs_ranges))
-    original.Binary.symbols;
+  let c0 = c0_view original in
   (* Offline analysis: parse every direct call site from the binary, with
      its owning function and callee, to shorten the stop-the-world phase
      (Section IV). *)
   let index = Binary.build_addr_index original in
-  let c0 = c0_view original ~c0_entry ~c0_ranges in
-  let entry_fid = c0.sn_entry_fid_any in
+  let callee_of addr = Imap.find_opt addr c0.Osr.entry_fid in
   let offline_sites =
     Binary.direct_call_sites original
     |> List.filter_map (fun (site, target) ->
-           match (Binary.index_lookup index site, Hashtbl.find_opt entry_fid target) with
+           match (Binary.index_lookup index site, callee_of target) with
            | Some owner, Some callee -> Some (site, owner, callee)
            | _, _ -> None)
     |> Array.of_list
@@ -165,7 +156,7 @@ let attach ?(config = default_config) (proc : Proc.t) =
     |> List.concat_map (fun vt ->
            Array.to_list vt.Binary.vt_entries
            |> List.mapi (fun slot entry ->
-                  match Hashtbl.find_opt entry_fid entry with
+                  match callee_of entry with
                   | Some fid -> [ (vt.Binary.vt_id, slot, fid) ]
                   | None -> [])
            |> List.concat)
@@ -177,20 +168,11 @@ let attach ?(config = default_config) (proc : Proc.t) =
           vtable_slots;
           offline_sites;
           patch_all_direct_calls = config.patch_all_direct_calls;
-          entry_fid_any = entry_fid;
-          resident = c0.sn_resident;
-          init_addrs = c0.sn_init_addrs;
-          table_addrs = c0.sn_table_addrs;
-          residue = [];
-          inherited = [];
-          rounds = 0 };
+          rounds = 0;
+          view = c0 };
       original;
       config;
-      c0_entry;
-      c0_ranges;
-      version = 0;
-      current = original;
-      current_entry = c0.sn_current_entry;
+      c0;
       session = None;
       cfgs = None }
   in
@@ -198,8 +180,7 @@ let attach ?(config = default_config) (proc : Proc.t) =
      denotes the current version of its function, so no pointer is ever
      pinned to a retired version's text. Stored pointer values created
      before a replacement are migrated by the replacement's data scan. *)
-  proc.Proc.hooks.translate_fp <-
-    Some (fun addr -> resolve_fp t.osr.entry_fid_any t.current_entry addr);
+  proc.Proc.hooks.translate_fp <- Some (fun addr -> resolve_fp t.osr.Osr.view addr);
   t
 
 (* ---- profiling ---- *)
@@ -215,7 +196,9 @@ let stop_profiling t =
   | Some session ->
     t.session <- None;
     let samples = Perf.stop session in
-    let profile = Perf2bolt.convert ~binary:t.current ?fault:t.config.fault samples in
+    let profile =
+      Perf2bolt.convert ~binary:(view t).Osr.current ?fault:t.config.fault samples
+    in
     let seconds =
       Cost.perf2bolt_seconds t.config.cost ~records:(Perf.record_count samples)
     in
@@ -242,9 +225,10 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
     | `Func_reorder_only ->
       { base with Bolt.reorder_blocks = false; split_functions = false; peephole = false }
   in
-  (* Calls to non-optimized functions resolve to their current entries:
-     with true OSR there is no pinned C0 to fall back to. *)
-  let extern_entry fid = Hashtbl.find_opt t.current_entry fid in
+  (* Calls to non-optimized functions resolve to their entries in the live
+     view, BOLT's default: with true OSR there is no pinned C0 to fall back
+     to. *)
+  let current = (view t).Osr.current in
   (* BOLT places the optimized text above the binary's sections, but the
      live process maps more than the binary describes (thread-local blocks,
      the heap, residue). A zero-size hull marker at the top of everything
@@ -253,24 +237,22 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
      below it, and a rollback restores both — so the cursor bounds the
      code without a walk over it. *)
   let binary =
-    let mem = t.osr.proc.Proc.mem in
+    let mem = t.osr.Osr.proc.Proc.mem in
     let data_top = Itbl.fold (fun a _ acc -> max a acc) mem.Addr_space.data (-1) in
     let hull = max (data_top + 1) mem.Addr_space.next_map_base in
-    if hull <= Bolt.sections_end t.current then t.current
+    if hull <= Bolt.sections_end current then current
     else
-      { t.current with
+      { current with
         Binary.sections =
-          t.current.Binary.sections
+          current.Binary.sections
           @ [ { Binary.sec_name = "mem.hull"; sec_base = hull; sec_size = 0 } ] }
   in
   (* [binary] differs from [current] only in its sections, which CFG
      reconstruction never reads: the memo over [current] serves both BOLT
      and the validator. *)
-  let cfg_of = Ocolos_bolt.Cfg.memoize t.current in
-  t.cfgs <- Some (t.current, cfg_of);
-  let result =
-    Bolt.run ~config ~binary ~extern_entry ?fault:t.config.fault ~cfg_of ~profile ()
-  in
+  let cfg_of = Ocolos_bolt.Cfg.memoize current in
+  t.cfgs <- Some (current, cfg_of);
+  let result = Bolt.run ~config ~binary ?fault:t.config.fault ~cfg_of ~profile () in
   (* The bolt.miscompile domain fires *after* every pass has finished: the
      result is silently corrupted in place of crashing, so nothing but the
      Tier-1 validator (and, for its deliberate jump-table blind spot, the
@@ -303,15 +285,12 @@ let run_bolt ?(tier : tier = `Full) ?(exclude = []) t profile =
    [validate.reject] event per rejection) and [ocolos_validate_*] metrics. *)
 let validate_result t (result : Bolt.result) =
   Ocolos_obs.Trace.span "ocolos.validate" @@ fun sp ->
+  let current = (view t).Osr.current in
   let cfg_of =
-    match t.cfgs with Some (b, cfg_of) when b == t.current -> Some cfg_of | _ -> None
+    match t.cfgs with Some (b, cfg_of) when b == current -> Some cfg_of | _ -> None
   in
   t.cfgs <- None;
-  let report =
-    Validate.run ~binary:t.current
-      ~extern_entry:(fun fid -> Hashtbl.find_opt t.current_entry fid)
-      ?cfg_of result
-  in
+  let report = Validate.run ~binary:current ?cfg_of result in
   Ocolos_obs.Trace.set_attr sp "funcs" (Ocolos_obs.Trace.I report.Validate.rp_funcs);
   Ocolos_obs.Trace.set_attr sp "rejections"
     (Ocolos_obs.Trace.I (List.length report.Validate.rp_rejections));
@@ -441,41 +420,29 @@ let data_top_marker mem =
   | top when top < 0 -> []
   | top -> [ (top, Addr_space.read_data mem top) ]
 
-(* Rebuild the live binary view: code is snapshotted from the process,
-   each function's ranges are its resident version plus any residue it
-   owns, entries come from [current_entry] (update it first), and the
-   extra init keeps the next BOLT round's tables above every word mapped
-   ([run_bolt]'s hull already keeps its code above everything mapped). *)
-let refresh_current t ~name_suffix ~extra_init =
-  t.cfgs <- None (* it decodes the view being replaced *);
-  let mem = t.osr.proc.Proc.mem in
+(* The live binary view for [entry] and [resident] (arrays by fid) plus
+   [residue]: code is snapshotted from the process, each function's ranges
+   are its resident version plus any residue it owns, and the extra init
+   keeps the next BOLT round's tables above every word mapped ([run_bolt]'s
+   hull already keeps its code above everything mapped). Drops the CFG
+   memo, which decodes the view being replaced. *)
+let current_of t ~entry ~resident ~residue ~name_suffix ~extra_init =
+  t.cfgs <- None;
+  let mem = t.osr.Osr.proc.Proc.mem in
   let code = Itbl.copy mem.Addr_space.code in
   let code_order = Itbl.sorted_keys code in
-  let residue_by_fid = Hashtbl.create 16 in
+  let to_ranges = List.map (fun (s, e) -> { Binary.r_start = s; r_size = e - s }) in
+  let extra = Array.make (Array.length resident) [] in
   List.iter
-    (fun (r : Osr.residue) ->
-      let ranges =
-        List.map (fun (s, e) -> { Binary.r_start = s; r_size = e - s }) r.rs_ranges
-      in
-      Hashtbl.replace residue_by_fid r.rs_fid
-        (ranges @ Option.value ~default:[] (Hashtbl.find_opt residue_by_fid r.rs_fid)))
-    t.osr.residue;
+    (fun (r : Osr.residue) -> extra.(r.rs_fid) <- to_ranges r.rs_ranges @ extra.(r.rs_fid))
+    residue;
   let symbols =
     Array.map
       (fun (s : Binary.func_sym) ->
         let fid = s.Binary.fs_fid in
-        let res =
-          List.map
-            (fun (rs, re) -> { Binary.r_start = rs; r_size = re - rs })
-            (Option.value ~default:[] (Hashtbl.find_opt t.osr.resident fid))
-        in
-        let extra = Option.value ~default:[] (Hashtbl.find_opt residue_by_fid fid) in
         { s with
-          Binary.fs_entry =
-            (match Hashtbl.find_opt t.current_entry fid with
-            | Some e -> e
-            | None -> s.Binary.fs_entry);
-          fs_ranges = res @ extra })
+          Binary.fs_entry = entry.(fid);
+          fs_ranges = to_ranges resident.(fid) @ extra.(fid) })
       t.original.Binary.symbols
   in
   let sections =
@@ -484,31 +451,23 @@ let refresh_current t ~name_suffix ~extra_init =
         if s.Binary.sec_name = ".text" then { s with Binary.sec_name = "bolt.org.text" } else s)
       t.original.Binary.sections
   in
-  let entry =
-    match Hashtbl.find_opt t.osr.entry_fid_any t.original.Binary.entry with
-    | Some fid -> (
-      match Hashtbl.find_opt t.current_entry fid with
-      | Some e -> e
-      | None -> t.original.Binary.entry)
-    | None -> t.original.Binary.entry
-  in
-  t.current <-
-    { t.original with
-      Binary.name = t.original.Binary.name ^ name_suffix;
-      sections;
-      code;
-      code_order;
-      symbols;
-      global_init = t.original.Binary.global_init @ extra_init;
-      entry }
+  { t.original with
+    Binary.name = t.original.Binary.name ^ name_suffix;
+    sections;
+    code;
+    code_order;
+    symbols;
+    global_init = t.original.Binary.global_init @ extra_init;
+    entry = entry.(Imap.find t.original.Binary.entry t.c0.Osr.entry_fid) }
 
 (* The stop-the-world phase. Pauses the target, injects C_{i+1}, runs the
    shared OSR transition ({!Osr.migrate} then {!Osr.retire}) onto the new
    entries with BOLT's frame maps, commits the new view, resumes. *)
 let replace_code t (result : Bolt.result) : replacement_stats =
-  Trace.span "replace.stw" ~attrs:[ ("incoming_version", Trace.I (t.version + 1)) ]
+  let live = t.osr.Osr.view in
+  Trace.span "replace.stw" ~attrs:[ ("incoming_version", Trace.I (live.Osr.version + 1)) ]
   @@ fun stw_sp ->
-  let proc = t.osr.proc in
+  let proc = t.osr.Osr.proc in
   let mem = proc.Proc.mem in
   Proc.pause proc;
   cut t "proc.pause_timeout";
@@ -546,68 +505,66 @@ let replace_code t (result : Bolt.result) : replacement_stats =
   if mem.Addr_space.next_map_base < new_end then
     mem.Addr_space.next_map_base <- (new_end + 0xFFFF) land lnot 0xFFFF;
   (* 2. Entry maps. *)
-  let new_entries = Hashtbl.create 64 in
+  let entry = Array.init (Array.length live.Osr.resident) (Osr.entry live) in
   Array.iter
-    (fun (s : Binary.func_sym) -> Hashtbl.replace new_entries s.Binary.fs_fid s.Binary.fs_entry)
+    (fun (s : Binary.func_sym) -> entry.(s.Binary.fs_fid) <- s.Binary.fs_entry)
     new_text.Binary.symbols;
-  let desired_entry fid =
-    match Hashtbl.find_opt new_entries fid with
-    | Some e -> e
-    | None -> (
-      match Hashtbl.find_opt t.current_entry fid with
-      | Some e -> e
-      | None -> Hashtbl.find t.c0_entry fid)
-  in
   (* Register the new entries with the wrapFuncPtrCreation hook's entry
-     index: pointers created from now on resolve to the live version. *)
-  Trace.span "replace.fp_pin" (fun _ ->
-      Hashtbl.iter
-        (fun fid entry ->
-          cut t "fp_pin";
-          Hashtbl.replace t.osr.entry_fid_any entry fid)
-        new_entries);
+     index: pointers created once the new view is live resolve to it. *)
+  let entry_fid =
+    Trace.span "replace.fp_pin" (fun _ ->
+        Array.fold_left
+          (fun m (s : Binary.func_sym) ->
+            cut t "fp_pin";
+            Imap.add s.Binary.fs_entry s.Binary.fs_fid m)
+          live.Osr.entry_fid new_text.Binary.symbols)
+  in
   (* 3. Migrate onto the new entries. The doomed text is every resident
      range of every re-emitted function — in each function's first
      optimization round that is its C0 range, so [bolt.org.text] retires
      piecewise as coverage grows. *)
   let doomed =
-    Hashtbl.fold
-      (fun fid _ acc ->
-        match Hashtbl.find_opt t.osr.resident fid with Some ranges -> ranges @ acc | None -> acc)
-      new_entries []
+    Array.fold_right
+      (fun (s : Binary.func_sym) acc -> live.Osr.resident.(s.Binary.fs_fid) @ acc)
+      new_text.Binary.symbols []
   in
   let round =
-    Osr.migrate t.osr ~doomed ~desired:desired_entry ~fms:result.Bolt.frame_maps ~cut:(cut t)
+    Osr.migrate t.osr ~doomed ~desired:(Array.get entry) ~fms:result.Bolt.frame_maps ~cut:(cut t)
   in
   (* 4. The retiring version's jump-table words this round's residue still
      reads drain with it; then unmap, reap and audit. *)
-  if round.Osr.inherited_words <> [] then
-    t.osr.inherited <- (round.Osr.number, round.Osr.inherited_words) :: t.osr.inherited;
+  (if round.Osr.inherited_words <> [] then
+     let v = t.osr.Osr.view in
+     t.osr.Osr.view <-
+       { v with Osr.inherited = (round.Osr.number, round.Osr.inherited_words) :: v.Osr.inherited });
   let gc_bytes = Osr.retire t.osr round in
-  (* 5. Update version state and the live binary view. *)
+  (* 5. Commit the next view. *)
   cut t "commit";
+  let version = live.Osr.version + 1 in
   Trace.span "replace.commit" (fun _ ->
-      t.version <- t.version + 1;
+      let v = t.osr.Osr.view in
+      let resident = Array.copy v.Osr.resident in
       Array.iter
-        (fun (s : Binary.func_sym) ->
-          Hashtbl.replace t.osr.resident s.Binary.fs_fid
-            (List.map
-               (fun (r : Binary.range) -> (r.Binary.r_start, r.Binary.r_start + r.Binary.r_size))
-               s.Binary.fs_ranges))
+        (fun (s : Binary.func_sym) -> resident.(s.Binary.fs_fid) <- code_ranges s)
         new_text.Binary.symbols;
-      Hashtbl.iter (fun fid e -> Hashtbl.replace t.current_entry fid e) new_entries;
-      List.iter
-        (fun (a, v) ->
-          Hashtbl.replace t.osr.init_addrs a ();
-          if Itbl.mem new_text.Binary.code v then Hashtbl.replace t.osr.table_addrs a ())
-        new_text.Binary.global_init;
-      refresh_current t
-        ~name_suffix:(Fmt.str ".v%d" t.version)
-        ~extra_init:new_text.Binary.global_init);
+      let init_addrs, table_addrs =
+        track (v.Osr.init_addrs, v.Osr.table_addrs) new_text.Binary.code
+          new_text.Binary.global_init
+      in
+      t.osr.Osr.view <-
+        { v with
+          Osr.version;
+          current =
+            current_of t ~entry ~resident ~residue:v.Osr.residue
+              ~name_suffix:(Fmt.str ".v%d" version) ~extra_init:new_text.Binary.global_init;
+          resident;
+          entry_fid;
+          init_addrs;
+          table_addrs });
   (* 6. Stop-the-world cost, then resume. *)
   let sites = round.Osr.vtable_patched + round.Osr.sites_patched in
   let pause_seconds = Cost.pause_seconds t.config.cost ~sites ~bytes:bytes_injected in
-  Trace.set_attr stw_sp "version" (Trace.I t.version);
+  Trace.set_attr stw_sp "version" (Trace.I version);
   Trace.set_attr stw_sp "pause_seconds" (Trace.F pause_seconds);
   Metrics.count "ocolos_vtable_entries_patched_total" round.Osr.vtable_patched;
   Metrics.count "ocolos_call_sites_patched_total" round.Osr.sites_patched;
@@ -616,13 +573,13 @@ let replace_code t (result : Bolt.result) : replacement_stats =
   Metrics.sample ~buckets:Metrics.pause_buckets "ocolos_replace_pause_seconds" pause_seconds;
   Events.emit "osr.migrate"
     [ ("round", Trace.I round.Osr.number);
-      ("version", Trace.I t.version);
+      ("version", Trace.I version);
       ("frames", Trace.I round.Osr.frames);
       ("stubs", Trace.I round.Osr.stubs);
       ("copies", Trace.I round.Osr.kept);
       ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
   Proc.resume proc;
-  { version = t.version;
+  { version;
     vtable_entries_patched = round.Osr.vtable_patched;
     call_sites_patched = round.Osr.sites_patched;
     stack_live_funcs = round.Osr.stack_live;
@@ -634,18 +591,17 @@ let replace_code t (result : Bolt.result) : replacement_stats =
     gc_bytes_freed = gc_bytes;
     pause_seconds }
 
-let version t = t.version
-let current_binary t = t.current
-let proc t = t.osr.proc
+let version t = (view t).Osr.version
+let current_binary t = (view t).Osr.current
+let proc t = t.osr.Osr.proc
 let config t = t.config
 
-(* The function-pointer resolver frozen at call time: independent copies of
-   the entry tables, so a shadow clone keeps resolving [FpCreate] against
-   the version mix that was live when the clone was taken, immune to later
-   replacements or reverts on the real controller (whose own hook reads the
-   mutable tables). *)
-let frozen_translate_fp t =
-  resolve_fp (Hashtbl.copy t.osr.entry_fid_any) (Hashtbl.copy t.current_entry)
+(* The function-pointer resolver frozen at call time: it closes over the
+   view live now, so a shadow clone keeps resolving [FpCreate] against the
+   version mix that was live when the clone was taken, whatever later
+   replacements or reverts assign on the real controller (whose own hook
+   reads the live view). *)
+let frozen_translate_fp t = resolve_fp (view t)
 
 (* ---- crash recovery ---- *)
 
@@ -689,21 +645,28 @@ let reattach ?(config = default_config) (proc : Proc.t) =
   (match injected with
   | [] -> ()
   | _ :: _ ->
-    let entry = Hashtbl.create 64 in
-    List.iter
-      (fun (r : Addr_space.sym_range) ->
-        let fid = r.Addr_space.sr_fid in
-        (match Hashtbl.find_opt entry fid with
-        | Some e when e <= r.Addr_space.sr_start -> ()
-        | Some _ | None -> Hashtbl.replace entry fid r.Addr_space.sr_start);
-        Hashtbl.replace t.osr.entry_fid_any r.Addr_space.sr_start fid)
-      injected;
+    let c0 = t.c0 in
+    let nfids = Array.length c0.Osr.resident in
+    let lowest = Array.make nfids max_int and inj = Array.make nfids [] in
+    let entry_fid =
+      List.fold_right
+        (fun (r : Addr_space.sym_range) m ->
+          let fid = r.Addr_space.sr_fid in
+          lowest.(fid) <- min lowest.(fid) r.Addr_space.sr_start;
+          inj.(fid) <- (r.Addr_space.sr_start, r.Addr_space.sr_end) :: inj.(fid);
+          Imap.add r.Addr_space.sr_start fid m)
+        injected c0.Osr.entry_fid
+    in
+    let entry =
+      Array.init nfids (fun fid ->
+          if lowest.(fid) < max_int then lowest.(fid) else Osr.entry c0 fid)
+    in
     (* Names override the lowest address; later kinds override earlier
        ones, so a frame pushed by a recursive call inside kept text never
        outvotes a v-table slot or a caller. *)
     let name addr =
       match Addr_space.fid_of_addr mem addr with
-      | Some fid -> Hashtbl.replace entry fid addr
+      | Some fid -> entry.(fid) <- addr
       | None -> ()
     in
     Array.iter
@@ -730,79 +693,47 @@ let reattach ?(config = default_config) (proc : Proc.t) =
     Array.iter
       (fun (vid, slot, _) ->
         name (Addr_space.read_data mem (Addr_space.vtable_base mem vid + slot)))
-      t.osr.vtable_slots;
-    Hashtbl.iter (fun fid e -> Hashtbl.replace t.current_entry fid e) entry;
-    Hashtbl.iter
-      (fun fid c0ranges ->
-        let inj =
-          List.filter_map
-            (fun (r : Addr_space.sym_range) ->
-              if r.Addr_space.sr_fid = fid then Some (r.Addr_space.sr_start, r.Addr_space.sr_end)
-              else None)
-            injected
-        in
-        let c0 = List.filter (fun (s, _) -> Addr_space.read_code mem s <> None) c0ranges in
-        Hashtbl.replace t.osr.resident fid (inj @ c0))
-      t.c0_ranges;
-    Hashtbl.reset t.osr.init_addrs;
-    Hashtbl.reset t.osr.table_addrs;
-    Itbl.fold
-      (fun a _ () -> Hashtbl.replace t.osr.init_addrs a ())
-      mem.Addr_space.data ();
-    t.version <- 1;
+      t.osr.Osr.vtable_slots;
+    let resident =
+      Array.mapi
+        (fun fid c0ranges ->
+          inj.(fid) @ List.filter (fun (s, _) -> Addr_space.read_code mem s <> None) c0ranges)
+        c0.Osr.resident
+    in
     let lo = List.fold_left (fun acc r -> min acc r.Addr_space.sr_start) max_int injected in
     let hi = List.fold_left (fun acc r -> max acc r.Addr_space.sr_end) 0 injected in
-    (* A marker at the highest initialized data word keeps the next BOLT
-       round's tables above everything present. *)
-    refresh_current t ~name_suffix:".recovered" ~extra_init:(data_top_marker mem);
+    t.osr.Osr.view <-
+      { c0 with
+        Osr.version = 1;
+        (* A marker at the highest initialized data word keeps the next
+           BOLT round's tables above everything present. *)
+        current =
+          current_of t ~entry ~resident ~residue:[] ~name_suffix:".recovered"
+            ~extra_init:(data_top_marker mem);
+        resident;
+        entry_fid;
+        init_addrs = Itbl.fold (fun a _ set -> Iset.add a set) mem.Addr_space.data Iset.empty;
+        table_addrs = Iset.empty };
     Trace.set_attr sp "live_text" (Trace.S (Fmt.str "0x%x-0x%x" lo hi)));
-  Trace.set_attr sp "version" (Trace.I t.version);
+  Trace.set_attr sp "version" (Trace.I (version t));
   Metrics.count "ocolos_reattach_total" 1;
   t
 
 let snapshot t =
-  let osr = t.osr in
-  { sn_version = t.version;
-    sn_current = t.current;
-    sn_current_entry = Hashtbl.copy t.current_entry;
-    sn_resident = Hashtbl.copy osr.resident;
-    sn_residue = osr.residue;
-    sn_inherited = osr.inherited;
-    sn_entry_fid_any = Hashtbl.copy osr.entry_fid_any;
-    sn_init_addrs = Hashtbl.copy osr.init_addrs;
-    sn_table_addrs = Hashtbl.copy osr.table_addrs;
-    sn_word_values =
-      Hashtbl.fold
-        (fun a () acc -> (a, Addr_space.read_data osr.proc.Proc.mem a) :: acc)
-        osr.init_addrs [] }
+  let v = view t and mem = t.osr.Osr.proc.Proc.mem in
+  { view = v;
+    word_values =
+      List.map (fun a -> (a, Addr_space.read_data mem a)) (Iset.elements v.Osr.init_addrs) }
 
-let copy_into dst src =
-  Hashtbl.reset dst;
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
-
-(* The version, entry, resident-range and tracked-word tables a snapshot
-   pins: what both [restore] and [revert] put back. *)
-let install_tables t s =
-  t.version <- s.sn_version;
-  t.current_entry <- Hashtbl.copy s.sn_current_entry;
-  copy_into t.osr.resident s.sn_resident;
-  copy_into t.osr.init_addrs s.sn_init_addrs;
-  copy_into t.osr.table_addrs s.sn_table_addrs
-
-let restore t s =
-  install_tables t s;
-  t.current <- s.sn_current;
-  t.osr.residue <- s.sn_residue;
-  t.osr.inherited <- s.sn_inherited;
-  copy_into t.osr.entry_fid_any s.sn_entry_fid_any
+let restore t v = t.osr.Osr.view <- v
 
 (* A snapshot describing C0 for a controller whose in-memory history is
    gone (fleet restart after a reattach): C0's bytes live in the original
    binary image, so reverting to it is always possible even though its
    text may long since have been unmapped. *)
-let c0_snapshot t = c0_view t.original ~c0_entry:t.c0_entry ~c0_ranges:t.c0_ranges
+let c0_snapshot t = { view = t.c0; word_values = t.original.Binary.global_init }
 
-let snapshot_version s = s.sn_version
+let snapshot_version s = s.view.Osr.version
 
 (* ---- staged rollback of a committed version ---- *)
 
@@ -834,122 +765,126 @@ type revert_stats = {
    rollout fails safe *before* any replica diverges, and the revert that
    undoes a partial rollout must not itself be able to fail. *)
 let revert t (s : snapshot) : revert_stats =
-  if s.sn_version >= t.version then
+  let live = view t and sv = s.view in
+  let from_version = live.Osr.version and to_version = sv.Osr.version in
+  if to_version >= from_version then
     invalid_arg
-      (Fmt.str "Ocolos.revert: snapshot C%d is not older than live C%d" s.sn_version t.version);
-  let from_version = t.version in
+      (Fmt.str "Ocolos.revert: snapshot C%d is not older than live C%d" to_version from_version);
   let osr = t.osr in
-  let proc = osr.proc in
+  let proc = osr.Osr.proc in
   let mem = proc.Proc.mem in
   (* The doomed text: resident ranges the snapshot does not have. *)
   let doomed =
-    Hashtbl.fold
-      (fun fid ranges acc ->
-        let sn = Option.value ~default:[] (Hashtbl.find_opt s.sn_resident fid) in
-        List.filter (fun rg -> not (List.mem rg sn)) ranges @ acc)
-      osr.resident []
+    Array.to_list live.Osr.resident
+    |> List.mapi (fun fid ranges ->
+           List.filter (fun rg -> not (List.mem rg sv.Osr.resident.(fid))) ranges)
+    |> List.concat
   in
   Trace.span "replace.revert"
-    ~attrs:[ ("from_version", Trace.I from_version); ("to_version", Trace.I s.sn_version) ]
+    ~attrs:[ ("from_version", Trace.I from_version); ("to_version", Trace.I to_version) ]
   @@ fun sp ->
   Proc.pause proc;
   (* 1. Re-inject the snapshot's text that forward GC removed or a forward
-     round kept. Kept text is the snapshot's own and live again, so it
-     leaves the residue (the reaper must never free it) and keeps its
-     symbol range. *)
+     round kept, in ascending fid order. Kept text is the snapshot's own
+     and live again, so it leaves the residue (the reaper must never free
+     it) and keeps its symbol range. *)
   let reinjected = ref 0 and residue_ranges = ref [] in
-  Hashtbl.iter
+  Array.iteri
     (fun fid sn_ranges ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt osr.resident fid) in
       List.iter
         (fun (rs, re) ->
-          if not (List.mem (rs, re) cur) then begin
+          if not (List.mem (rs, re) live.Osr.resident.(fid)) then begin
             let addr = ref rs in
             while !addr < re do
-              match Itbl.find_opt s.sn_current.Binary.code !addr with
+              match Itbl.find_opt sv.Osr.current.Binary.code !addr with
               | Some instr ->
                 Addr_space.write_code mem !addr instr;
                 reinjected := !reinjected + Instr.size instr;
                 addr := !addr + Instr.size instr
               | None -> incr addr
             done;
-            if List.exists (fun (r : Osr.residue) -> List.mem (rs, re) r.rs_ranges) osr.residue
+            if
+              List.exists
+                (fun (r : Osr.residue) -> List.mem (rs, re) r.rs_ranges)
+                live.Osr.residue
             then residue_ranges := (rs, re) :: !residue_ranges
             else
               Addr_space.add_sym_ranges mem
                 [ { Addr_space.sr_start = rs; sr_end = re; sr_fid = fid } ]
           end)
         sn_ranges)
-    s.sn_resident;
-  osr.residue <-
+    sv.Osr.resident;
+  let residue =
     List.filter_map
       (fun (r : Osr.residue) ->
         match List.filter (fun rg -> not (List.mem rg !residue_ranges)) r.rs_ranges with
         | [] -> None
         | rs_ranges -> Some { r with rs_ranges })
-      osr.residue;
+      live.Osr.residue
+  in
+  osr.Osr.view <- { live with Osr.residue };
   (* 2. Migrate onto the snapshot's entries, with no frame maps and no
      fault cuts. *)
-  let desired_entry fid =
-    match Hashtbl.find_opt s.sn_current_entry fid with
-    | Some e -> e
-    | None -> Hashtbl.find t.c0_entry fid
-  in
-  let round = Osr.migrate osr ~doomed ~desired:desired_entry ~fms:[] ~cut:ignore in
+  let round = Osr.migrate osr ~doomed ~desired:(Osr.entry sv) ~fms:[] ~cut:ignore in
   (* 3. Words live at snapshot time get their captured values back
      (captured after that round's own patches, so surviving residue keeps
      reading correct values); words the snapshot already carried as
      inherited are restored only if still present — resurrecting a drained
      round's words would leak them. *)
-  let sn_inh_addrs = Hashtbl.create 64 in
-  List.iter
-    (fun (_, addrs) -> List.iter (fun a -> Hashtbl.replace sn_inh_addrs a ()) addrs)
-    s.sn_inherited;
-  let live_at_sn a = Hashtbl.mem s.sn_init_addrs a && not (Hashtbl.mem sn_inh_addrs a) in
+  let sn_inh = word_set sv.Osr.inherited in
+  let live_at_sn a = Iset.mem a sv.Osr.init_addrs && not (Iset.mem a sn_inh) in
   List.iter
     (fun (a, v) ->
-      if live_at_sn a || Itbl.mem mem.Addr_space.data a then
-        Addr_space.write_data mem a v)
-    s.sn_word_values;
+      if live_at_sn a || Itbl.mem mem.Addr_space.data a then Addr_space.write_data mem a v)
+    s.word_values;
   (* Tags for words the snapshot considers live are dropped (the words ARE
      the restored version's live tables again); words initialized after
      the snapshot — the undone versions' tables, now read only by the text
      this round kept — are inherited under this round. *)
+  let v = osr.Osr.view in
   let inherited' =
     List.filter_map
       (fun (rnd, addrs) ->
         match List.filter (fun a -> not (live_at_sn a)) addrs with
         | [] -> None
         | addrs -> Some (rnd, addrs))
-      osr.inherited
+      v.Osr.inherited
   in
   let newer =
-    Hashtbl.fold
-      (fun a () acc ->
+    Iset.fold
+      (fun a acc ->
         if
-          Hashtbl.mem s.sn_init_addrs a
+          Iset.mem a sv.Osr.init_addrs
           || List.exists (fun (_, addrs) -> List.mem a addrs) inherited'
         then acc
         else a :: acc)
-      osr.init_addrs []
+      v.Osr.init_addrs []
   in
-  osr.inherited <- (if newer = [] then inherited' else (round.Osr.number, newer) :: inherited');
+  osr.Osr.view <-
+    { v with
+      Osr.inherited = (if newer = [] then inherited' else (round.Osr.number, newer) :: inherited')
+    };
   (* 4. Unmap the reverted text, reap, audit. *)
   let gc_bytes = Osr.retire osr round in
-  (* 5. Restore the controller view. [entry_fid_any] is left as a superset
-     (it is monotone across versions and only ever consulted by entry). *)
-  install_tables t s;
-  List.iter
-    (fun (_, addrs) ->
-      List.iter
-        (fun a ->
-          Hashtbl.replace osr.init_addrs a ();
-          Hashtbl.replace osr.table_addrs a ())
-        addrs)
-    osr.inherited;
-  (* A data-top marker keeps the next BOLT round's tables above every
-     table still read by residue. *)
-  refresh_current t ~name_suffix:".revert" ~extra_init:(data_top_marker mem);
+  (* 5. The snapshot's view is live again, with the residue and inherited
+     words that survived the reap, whose words stay tracked, and the live
+     [entry_fid] (a superset: it is monotone across versions and only ever
+     consulted by entry). A data-top marker keeps the next BOLT round's
+     tables above every table still read by residue. *)
+  let v = osr.Osr.view in
+  let inh = word_set v.Osr.inherited in
+  osr.Osr.view <-
+    { sv with
+      Osr.current =
+        current_of t
+          ~entry:(Array.init (Array.length sv.Osr.resident) (Osr.entry sv))
+          ~resident:sv.Osr.resident ~residue:v.Osr.residue ~name_suffix:".revert"
+          ~extra_init:(data_top_marker mem);
+      entry_fid = v.Osr.entry_fid;
+      init_addrs = Iset.union sv.Osr.init_addrs inh;
+      table_addrs = Iset.union sv.Osr.table_addrs inh;
+      residue = v.Osr.residue;
+      inherited = v.Osr.inherited };
   (* 6. Cost, metrics, resume. *)
   let sites = round.Osr.vtable_patched + round.Osr.sites_patched in
   let pause_seconds = Cost.pause_seconds t.config.cost ~sites ~bytes:!reinjected in
@@ -959,13 +894,13 @@ let revert t (s : snapshot) : revert_stats =
   Metrics.sample ~buckets:Metrics.pause_buckets "ocolos_replace_pause_seconds" pause_seconds;
   Events.emit "osr.revert"
     [ ("round", Trace.I round.Osr.number);
-      ("to_version", Trace.I s.sn_version);
+      ("to_version", Trace.I to_version);
       ("frames", Trace.I round.Osr.frames);
       ("copies", Trace.I round.Osr.kept);
       ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
   Proc.resume proc;
   { rv_from_version = from_version;
-    rv_to_version = s.sn_version;
+    rv_to_version = to_version;
     rv_vtable_entries_patched = round.Osr.vtable_patched;
     rv_call_sites_patched = round.Osr.sites_patched;
     rv_copied_funcs = round.Osr.kept;

@@ -149,9 +149,9 @@ val proc : t -> Ocolos_proc.Proc.t
 val config : t -> config
 
 (** The wrapFuncPtrCreation resolver frozen at call time: resolves entries
-    against independent copies of the controller's entry tables, immune to
-    later replacements or reverts. The shadow checker ({!Shadow}) installs
-    this on its process clones. *)
+    against the view live now, whatever later replacements or reverts
+    assign. The shadow checker ({!Shadow}) installs this on its process
+    clones. *)
 val frozen_translate_fp : t -> int -> int
 
 (** Bytes of residue (stubs and kept text) currently mapped. *)
@@ -193,22 +193,32 @@ val injection_points : string list
     [--fault] specs against this list and the chaos harness sweeps it. *)
 val fault_catalog : string list
 
-(** Controller-state snapshot: exactly the fields [replace_code] mutates,
-    plus the values of every tracked data word (the forward data scan
+(** The controller's live view: the code version, its binary view,
+    resident ranges, entry index and tracked words, as one immutable
+    {!Osr.view}. {!replace_code}, {!revert}, {!gc_residue} and
+    {!reattach} each assign a new one and never write an old one. *)
+val view : t -> Osr.view
+
+(** Make [view] the live view again. {!Txn} saves the view before a
+    replacement and restores it on rollback, alongside the address-space
+    journal that puts data and code back. *)
+val restore : t -> Osr.view -> unit
+
+(** A snapshot for {!revert}: the live {!view} plus the values of every
+    tracked data word (the forward data scan
     rewrites stored function pointers and jump-table words in place, and
-    {!revert} must put them back). Used by {!Txn} to roll the controller
-    back to C_i together with the address-space undo journal. One snapshot
-    can back multiple restores. *)
+    {!revert} must put them back). Views are never written, so one
+    snapshot can back any number of reverts. *)
 type snapshot
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
 
 (** The version a snapshot was taken at. *)
 val snapshot_version : snapshot -> int
 
-(** A synthetic snapshot describing C0. C0's bytes live in the original
-    binary image, so a controller with no in-memory history (e.g. freshly
+(** The snapshot describing C0: the C0 view {!attach} built and the
+    original image's data words. C0's bytes live in the original binary
+    image, so a controller with no in-memory history (e.g. freshly
     {!reattach}ed after a daemon death) can always {!revert} to it — even
     though its text may long since have been unmapped. *)
 val c0_snapshot : t -> snapshot
@@ -235,7 +245,9 @@ type revert_stats = {
     runs the same {!Osr.retire}: the rest of the reverted text is unmapped
     outright — no landing-pad trampolines are left behind; register
     migration makes them unnecessary — kept text is reaped by the same
-    reachability proof once its frames drain, and the post-GC scan runs. The snapshot's view is then installed as {!restore} would. The
+    reachability proof once its frames drain, and the post-GC scan runs.
+    The snapshot's view then becomes live again, with the surviving
+    residue, its inherited words and the live entry index. The
     staged-rollback path of a fleet canary that regressed; deliberately
     contains {e no} fault cuts — the emergency brake must not itself be
     able to fail. Raises [Invalid_argument] if the snapshot is not older

@@ -7,6 +7,7 @@
 open Ocolos_isa
 open Ocolos_proc
 open Ocolos_bolt
+module Binary = Ocolos_binary.Binary
 module Trace = Ocolos_obs.Trace
 module Itbl = Ocolos_util.Itbl
 
@@ -20,18 +21,33 @@ type residue = {
   rs_ranges : (int * int) list; (* [start, end) *)
 }
 
+module Imap = Map.Make (Int)
+module Iset = Set.Make (Int)
+
+(* One code version's controller state, as a value: a commit, a reap, a
+   reattach and a revert each build the next view and assign it, so a
+   snapshot is just the view it saw. The arrays are indexed by fid, like
+   [Binary.symbols], and never written once the view is built. *)
+type view = {
+  version : int;
+  current : Binary.t; (* live symbol/code view; its entries are the live ones *)
+  resident : (int * int) list array; (* fid -> resident ranges [start, end) *)
+  entry_fid : int Imap.t; (* entry of any version ever live -> fid *)
+  init_addrs : Iset.t; (* every tracked data word *)
+  table_addrs : Iset.t; (* tracked words whose registered value was a code address *)
+  residue : residue list;
+  inherited : (int * int list) list; (* (round, word addrs) draining with its residue *)
+}
+
+let entry v fid = v.current.Binary.symbols.(fid).Binary.fs_entry
+
 type t = {
   proc : Proc.t;
   vtable_slots : (int * int * int) array; (* (vid, slot, fid) *)
   offline_sites : (int * int * int) array; (* (site addr, owner fid, callee fid) *)
   patch_all_direct_calls : bool;
-  entry_fid_any : (int, int) Hashtbl.t;
-  resident : (int, (int * int) list) Hashtbl.t;
-  init_addrs : (int, unit) Hashtbl.t;
-  table_addrs : (int, unit) Hashtbl.t;
-  mutable residue : residue list;
-  mutable inherited : (int * int list) list;
   mutable rounds : int;
+  mutable view : view;
 }
 
 (* ---- sorted range sets ---- *)
@@ -42,12 +58,12 @@ type range_set = (int * int) array
 
 let range_set l : range_set =
   let a = Array.of_list l in
-  Array.sort compare a;
+  Array.sort (fun (s, e) (s', e') -> if s <> s' then Int.compare s s' else Int.compare e e') a;
   let rev =
     Array.fold_left
       (fun acc (s, e) ->
         match acc with
-        | (s0, e0) :: tl when s <= e0 -> (s0, max e0 e) :: tl
+        | (s0, e0) :: tl when s <= e0 -> (s0, Int.max e0 e) :: tl
         | _ -> (s, e) :: acc)
       [] a
   in
@@ -106,13 +122,14 @@ let stack_live_fids t =
 let residue_bytes t =
   List.fold_left
     (fun acc r -> acc + List.fold_left (fun a (s, e) -> a + (e - s)) 0 r.rs_ranges)
-    0 t.residue
+    0 t.view.residue
 
 let resident_extra_bytes t =
   residue_bytes t
-  + (8 * List.fold_left (fun acc (_, addrs) -> acc + List.length addrs) 0 t.inherited)
+  + (8 * List.fold_left (fun acc (_, addrs) -> acc + List.length addrs) 0 t.view.inherited)
 
-let inherited_mem t a = List.exists (fun (_, addrs) -> List.mem a addrs) t.inherited
+let int_mem a l = List.exists (Int.equal a) l
+let inherited_mem t a = List.exists (fun (_, addrs) -> int_mem a addrs) t.view.inherited
 
 (* ---- the migration context ----
 
@@ -153,9 +170,9 @@ let make_ctx t ~doomed ~fms ~desired ~round ~cut =
       ox_cut = cut;
       ox_gc_span = None }
   in
-  Hashtbl.iter
+  Imap.iter
     (fun entry fid -> if in_doomed ctx entry then Hashtbl.replace ctx.ox_old_entry_fid entry fid)
-    t.entry_fid_any;
+    t.view.entry_fid;
   ctx
 
 (* The rule for a doomed pointer no frame map or stub translates: keep the
@@ -164,11 +181,7 @@ let make_ctx t ~doomed ~fms ~desired ~round ~cut =
    is cross-function entry targets into other doomed text, which move to
    the desired entries. Idempotent per fid. *)
 let keep t ctx fid =
-  let ranges =
-    List.filter
-      (fun (s, _) -> in_doomed ctx s)
-      (Option.value ~default:[] (Hashtbl.find_opt t.resident fid))
-  in
+  let ranges = List.filter (fun (s, _) -> in_doomed ctx s) t.view.resident.(fid) in
   if ranges <> [] && not (Hashtbl.mem ctx.ox_kept fid) then begin
     Hashtbl.replace ctx.ox_kept fid ranges;
     let mem = t.proc.Proc.mem in
@@ -431,7 +444,7 @@ let patch_data_words t ctx =
   let patched = ref 0 and inherited = ref [] in
   List.iter
     (fun (a, v) ->
-      if Hashtbl.mem t.table_addrs a && (not (inherited_mem t a)) && not (List.mem a !inherited)
+      if Iset.mem a t.view.table_addrs && (not (inherited_mem t a)) && not (int_mem a !inherited)
       then inherited := a :: !inherited;
       let d = map_doomed_value t ctx v in
       if d <> v then begin
@@ -474,7 +487,8 @@ let reap_residue t ~cut =
       |> List.concat_map (fun (th : Thread.t) ->
              if Thread.is_running th then Array.to_list th.Thread.regs else []))
   in
-  let keep, reap = List.partition (fun r -> holds r live) t.residue in
+  let v = t.view in
+  let keep, reap = List.partition (fun r -> holds r live) v.residue in
   (* Liveness is transitive: a stub may jump into text a later round kept,
      so residue referenced by code that will stay mapped must stay too.
      Mutually-dead residue may still die together — only references from
@@ -506,22 +520,27 @@ let reap_residue t ~cut =
       cut "gc_reap";
       bytes := !bytes + unmap t ~each:ignore r.rs_ranges)
     reap;
-  t.residue <- keep;
   let rounds_alive = List.map (fun r -> r.rs_round) keep in
   let keep_inh, reap_inh =
-    List.partition (fun (rnd, _) -> List.mem rnd rounds_alive) t.inherited
+    List.partition (fun (rnd, _) -> int_mem rnd rounds_alive) v.inherited
   in
+  let init_addrs = ref v.init_addrs and table_addrs = ref v.table_addrs in
   List.iter
     (fun (_, addrs) ->
       List.iter
         (fun a ->
           Addr_space.remove_data mem a;
-          Hashtbl.remove t.init_addrs a;
-          Hashtbl.remove t.table_addrs a;
+          init_addrs := Iset.remove a !init_addrs;
+          table_addrs := Iset.remove a !table_addrs;
           bytes := !bytes + 8)
         addrs)
     reap_inh;
-  t.inherited <- keep_inh;
+  t.view <-
+    { v with
+      residue = keep;
+      inherited = keep_inh;
+      init_addrs = !init_addrs;
+      table_addrs = !table_addrs };
   (!bytes, List.concat_map (fun r -> r.rs_ranges) reap)
 
 let reap t = fst (reap_residue t ~cut:ignore)
@@ -680,7 +699,7 @@ let retire t round =
           let kept = range_set (Hashtbl.fold (fun _ rs acc -> rs @ acc) ctx.ox_kept []) in
           let freed = List.filter (fun (s, _) -> not (in_ranges kept s)) round.doomed in
           let unmapped = unmap t ~each:(fun () -> ctx.ox_cut "gc_unmap") freed in
-          t.residue <- ctx.ox_residue @ t.residue;
+          t.view <- { t.view with residue = ctx.ox_residue @ t.view.residue };
           let reaped_bytes, reaped = reap_residue t ~cut:ctx.ox_cut in
           let bytes = unmapped + reaped_bytes in
           Trace.set_attr sp "frames_migrated" (Trace.I round.frames);

@@ -31,8 +31,41 @@ type residue = {
   rs_ranges : (int * int) list;  (** [\[start, end)] *)
 }
 
-(** The process tables OSR reads and the bookkeeping it owns. The tables
-    are shared with {!Ocolos}, which keeps them current across commits. *)
+(** Address-keyed maps and sets, for the view's entry index and tracked
+    words. *)
+module Imap : Map.S with type key = int
+
+module Iset : Set.S with type elt = int
+
+(** One code version's controller state, as an immutable value. The
+    controller holds the live view in the [view] field of {!t}; a commit,
+    a reap, a reattach and a revert each build the next view and assign
+    it, a transaction rollback assigns back the view it saved, and a
+    snapshot for {!Ocolos.revert} is a view plus the tracked words'
+    values. The per-fid arrays are indexed like [Binary.symbols] and
+    never written after the view is built. *)
+type view = {
+  version : int;  (** the code version number: C[version] *)
+  current : Ocolos_binary.Binary.t;
+      (** the live binary view: code, ranges (resident plus residue) and
+          live entries of every function *)
+  resident : (int * int) list array;
+      (** fid -> code ranges of its current resident version *)
+  entry_fid : int Imap.t;  (** entry address of any version ever live -> fid *)
+  init_addrs : Iset.t;  (** every tracked data word *)
+  table_addrs : Iset.t;  (** tracked words whose registered value was a code address *)
+  residue : residue list;
+  inherited : (int * int list) list;
+      (** (round, word addrs): jump-table words of a retired version that
+          the round's residue still dispatches through; reaped when the
+          round's residue drains *)
+}
+
+(** [entry view fid]: the function's live entry in [view]. *)
+val entry : view -> int -> int
+
+(** The process-constant tables OSR reads, the round counter and the live
+    view. *)
 type t = {
   proc : Ocolos_proc.Proc.t;
   vtable_slots : (int * int * int) array;  (** (vid, slot, fid) *)
@@ -40,19 +73,8 @@ type t = {
       (** (call-site address, owner fid, callee fid), from offline analysis *)
   patch_all_direct_calls : bool;
       (** ablation: patch every offline call site, not only stack-live ones *)
-  entry_fid_any : (int, int) Hashtbl.t;
-      (** entry address of any version ever live -> fid *)
-  resident : (int, (int * int) list) Hashtbl.t;
-      (** fid -> code ranges of its current resident version *)
-  init_addrs : (int, unit) Hashtbl.t;  (** every tracked data word *)
-  table_addrs : (int, unit) Hashtbl.t;
-      (** tracked words whose registered value was a code address *)
-  mutable residue : residue list;
-  mutable inherited : (int * int list) list;
-      (** (round, word addrs): jump-table words of a retired version that
-          the round's residue still dispatches through; reaped when the
-          round's residue drains *)
   mutable rounds : int;  (** monotone round counter, never rolled back *)
+  mutable view : view;
 }
 
 (** One round's migration context: doomed-range set, stubs built, kept
@@ -94,7 +116,8 @@ val migrate :
   round
 
 (** Second step: unmap the round's doomed text minus what it kept, merge
-    its residue, reap unreachable residue and drained inherited words,
+    its residue into the view, reap unreachable residue and drained
+    inherited words (a new view without them is assigned),
     close [replace.gc], then run {!verify_no_dangling} over everything
     freed under a [replace.verify] span. Calls the round's cut at [gc_unmap], [gc_reap]
     and [verify]. Returns the bytes freed. A round with nothing doomed
@@ -102,8 +125,9 @@ val migrate :
 val retire : t -> round -> int
 
 (** Residue GC outside a transition: reap residue no thread PC, frame or
-    register can reach, and inherited words whose round has drained.
-    The process must be paused. Returns bytes freed. *)
+    register can reach, and inherited words whose round has drained, and
+    assign the view without them. The process must be paused. Returns
+    bytes freed. *)
 val reap : t -> int
 
 (** Raised by {!verify_no_dangling}. *)

@@ -11,11 +11,11 @@
 
    Mechanics: the address space records an undo log (Addr_space journal),
    thread PCs and frames are snapshotted up front (replace_code never
-   pushes or pops frames, only rewrites them in place), and the controller
-   state is captured via Ocolos.snapshot. On any exception the three are
-   restored in reverse dependency order and the process is resumed; an
-   injected fault becomes a [Rolled_back] outcome, anything else is
-   re-raised after the rollback. *)
+   pushes or pops frames, only rewrites them in place), and the
+   controller's live view, an immutable value, is kept to assign back. On
+   any exception the three are restored in reverse dependency order and
+   the process is resumed; an injected fault becomes a [Rolled_back]
+   outcome, anything else is re-raised after the rollback. *)
 
 open Ocolos_proc
 
@@ -94,7 +94,7 @@ let replace_code ?verify (oc : Ocolos.t) (result : Ocolos_bolt.Bolt.result) =
   let proc = Ocolos.proc oc in
   let mem = proc.Proc.mem in
   let was_paused = proc.Proc.paused in
-  let oc_snap = Ocolos.snapshot oc in
+  let oc_view = Ocolos.view oc in
   let th_snap = snapshot_threads proc in
   Addr_space.begin_journal mem;
   Events.emit "txn.begin" [ ("incumbent", Trace.I (Ocolos.version oc)) ];
@@ -104,7 +104,7 @@ let replace_code ?verify (oc : Ocolos.t) (result : Ocolos_bolt.Bolt.result) =
     (* Thread state moved twice (migrated forward, then restored): any
        engine memo keyed to where a thread stood is stale either way. *)
     Proc.notify_threads_migrated proc;
-    Ocolos.restore oc oc_snap;
+    Ocolos.restore oc oc_view;
     if not was_paused then Proc.resume proc;
     check_block_cache proc ~after:"rollback";
     undone

@@ -3,13 +3,15 @@
    scanner covering engine-held code pointers, revert leaving no
    ever-growing residue, revert to a version other than C0, revert taking
    no fault cuts, drain-window accounting converging to zero, text kept in
-   place and re-injected by a revert, revert as a semantic no-op, and a
-   re-attached controller finding the live entries. *)
+   place and re-injected by a revert, revert as a semantic no-op, one
+   snapshot backing two reverts, a frozen fp resolver outliving later
+   transitions, and a re-attached controller finding the live entries. *)
 
 open Ocolos_workloads
 module O = Ocolos_core.Ocolos
 module Proc = Ocolos_proc.Proc
 module Addr_space = Ocolos_proc.Addr_space
+module Osr = Ocolos_core.Osr
 
 (* Complete emission: hot_threshold 1 optimizes anything that moved, and
    lite=false re-emits even never-executed functions, so a campaign can
@@ -254,6 +256,86 @@ let test_revert_reinjects_kept_text () =
   Alcotest.(check (list int)) "checksums of an uninterrupted run" reference
     (Workload.checksums proc)
 
+(* What a revert to a snapshot must restore, once drained of residue:
+   version, live entries, resident ranges and tracked words. The entry
+   index is left out (it only grows), and so are the binary view's ranges,
+   which list the residue the revert left until the next commit. *)
+let view_fields (v : Osr.view) =
+  ( v.Osr.version,
+    Array.map (fun (s : Ocolos_binary.Binary.func_sym) -> s.Ocolos_binary.Binary.fs_entry)
+      v.Osr.current.Ocolos_binary.Binary.symbols,
+    Array.to_list v.Osr.resident,
+    (Osr.Iset.elements v.Osr.init_addrs, Osr.Iset.elements v.Osr.table_addrs) )
+
+(* One C1 snapshot backs two reverts, C2 -> C1 -> C2' -> C1: the first
+   revert must not disturb the snapshot, and both leave C1's view. *)
+let test_one_snapshot_two_reverts () =
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
+  ignore (O.gc_residue oc);
+  Alcotest.(check int) "C1 drained" 0 (O.resident_extra_bytes oc);
+  let c1 = O.snapshot oc in
+  let c1_view = view_fields (O.view oc) in
+  let forward_then_back name =
+    let _, stats = optimize_once ~profile_instrs:60_000 proc oc in
+    Alcotest.(check int) (name ^ ": at C2") 2 stats.O.version;
+    Alcotest.(check bool) (name ^ ": C2 moved the view") true (view_fields (O.view oc) <> c1_view);
+    let rv = O.revert oc c1 in
+    Alcotest.(check int) (name ^ ": reverted to C1") 1 rv.O.rv_to_version;
+    O.verify_no_dangling oc ~freed:[];
+    Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
+    ignore (O.gc_residue oc);
+    Alcotest.(check int) (name ^ ": drained") 0 (O.resident_extra_bytes oc);
+    Alcotest.(check bool) (name ^ ": C1's view") true (view_fields (O.view oc) = c1_view)
+  in
+  forward_then_back "first";
+  forward_then_back "second";
+  let tx = Proc.transactions proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
+
+(* The shadow checker's resolver is frozen when taken: at C1 it resolves
+   every function's entries to C1's, and keeps doing so after a commit to
+   C2 and a revert to C0 move the live resolver elsewhere. *)
+let test_frozen_translate_fp_outlives_transitions () =
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let oc = O.attach proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  let frozen = O.frozen_translate_fp oc in
+  let c1_entry = live_entries oc in
+  let c0_entries =
+    Array.to_list proc.Proc.binary.Ocolos_binary.Binary.symbols
+    |> List.map (fun (s : Ocolos_binary.Binary.func_sym) ->
+           (s.Ocolos_binary.Binary.fs_fid, s.Ocolos_binary.Binary.fs_entry))
+  in
+  let live = Option.get proc.Proc.hooks.Proc.translate_fp in
+  let check name =
+    List.iter
+      (fun (fid, e) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: fid %d's C0 entry resolves to C1" name fid)
+          (Hashtbl.find c1_entry fid) (frozen e);
+        Alcotest.(check int)
+          (Printf.sprintf "%s: fid %d's C1 entry resolves to itself" name fid)
+          (Hashtbl.find c1_entry fid)
+          (frozen (Hashtbl.find c1_entry fid)))
+      c0_entries;
+    Alcotest.(check bool) (name ^ ": the live resolver moved") true
+      (List.exists (fun (_, e) -> live e <> frozen e) c0_entries)
+  in
+  ignore (optimize_once ~profile_instrs:60_000 proc oc);
+  Alcotest.(check int) "at C2" 2 (O.version oc);
+  check "after a commit to C2";
+  ignore (O.revert oc (O.c0_snapshot oc));
+  Alcotest.(check int) "at C0" 0 (O.version oc);
+  check "after a revert to C0"
+
 (* Checksums, transactions and each thread's final state. *)
 let outcome proc =
   ( Workload.checksums proc,
@@ -386,7 +468,7 @@ let test_scanner_sweeps_the_code_map () =
 (* Two invariants the controller relies on instead of walking the code
    map: every mapped instruction ends at or below the mmap cursor (so
    [run_bolt]'s hull needs no code walk), and the live view's code order
-   is the ascending key set of the process code map (so [refresh_current]
+   is the ascending key set of the process code map (so [current_of]
    can merge it from sorted runs). Checked after a commit, a rolled-back
    transaction, a revert and a reattach. *)
 let test_code_map_views_after_every_transition () =
@@ -442,6 +524,9 @@ let suite =
     Alcotest.test_case "revert takes no fault cuts" `Quick test_revert_takes_no_fault_cuts;
     Alcotest.test_case "revert re-injects kept text" `Quick test_revert_reinjects_kept_text;
     Alcotest.test_case "revert differential" `Quick test_revert_differential;
+    Alcotest.test_case "one snapshot backs two reverts" `Quick test_one_snapshot_two_reverts;
+    Alcotest.test_case "frozen fp resolver outlives transitions" `Quick
+      test_frozen_translate_fp_outlives_transitions;
     Alcotest.test_case "reattach after a commit without frame maps" `Quick
       test_reattach_after_mapless_commit;
     Alcotest.test_case "reattach after a revert to C0" `Quick test_reattach_after_revert_to_c0;

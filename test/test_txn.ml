@@ -24,6 +24,8 @@ module Rng = Ocolos_util.Rng
 module Proc = Ocolos_proc.Proc
 module Addr_space = Ocolos_proc.Addr_space
 module Thread = Ocolos_proc.Thread
+module Osr = Ocolos_core.Osr
+module Binary = Ocolos_binary.Binary
 
 let deep = Sys.getenv_opt "OCOLOS_DEEP_TESTS" <> None
 let seeds_per_point = if deep then 24 else 8
@@ -94,11 +96,18 @@ type state = {
   st_map_base : int;
   st_threads : (int * (int * int) list * int list) list; (* pc, frames, regs *)
   st_version : int;
+  st_symbols : (int * int * (int * int) list) list; (* live view: fid, entry, ranges *)
+  st_fp : (int * int) list; (* C0 entry -> what the live fp hook resolves it to *)
+  st_resident : (int * int) list list;
+  st_entry_fid : (int * int) list;
+  st_words : int list * int list; (* tracked, table *)
+  st_residue : (int * int * (int * int) list) list;
+  st_inherited : (int * int list) list;
   st_paused : bool;
 }
 
 let capture (proc : Proc.t) oc =
-  let mem = proc.Proc.mem in
+  let mem = proc.Proc.mem and view = O.view oc in
   let sorted_bindings tbl =
     Ocolos_util.Itbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
   in
@@ -116,6 +125,24 @@ let capture (proc : Proc.t) oc =
                    (f.Thread.ret_addr, f.Thread.callee_entry)),
                Array.to_list th.Thread.regs ));
     st_version = O.version oc;
+    st_symbols =
+      Array.to_list (O.current_binary oc).Binary.symbols
+      |> List.map (fun (s : Binary.func_sym) ->
+             ( s.Binary.fs_fid,
+               s.Binary.fs_entry,
+               List.map (fun r -> (r.Binary.r_start, r.Binary.r_size)) s.Binary.fs_ranges ));
+    st_fp =
+      (let fp = Option.get proc.Proc.hooks.Proc.translate_fp in
+       Array.to_list proc.Proc.binary.Binary.symbols
+       |> List.map (fun (s : Binary.func_sym) -> (s.Binary.fs_entry, fp s.Binary.fs_entry)));
+    st_resident = Array.to_list view.Osr.resident;
+    st_entry_fid = Osr.Imap.bindings view.Osr.entry_fid;
+    st_words = (Osr.Iset.elements view.Osr.init_addrs, Osr.Iset.elements view.Osr.table_addrs);
+    st_residue =
+      List.map
+        (fun (r : Osr.residue) -> (r.Osr.rs_fid, r.Osr.rs_round, r.Osr.rs_ranges))
+        view.Osr.residue;
+    st_inherited = view.Osr.inherited;
     st_paused = proc.Proc.paused }
 
 let check_restored ctx before after =
@@ -127,6 +154,13 @@ let check_restored ctx before after =
   part "mmap cursor" before.st_map_base after.st_map_base;
   part "thread pcs/stacks/regs" before.st_threads after.st_threads;
   part "controller version" before.st_version after.st_version;
+  part "live symbol entries and ranges" before.st_symbols after.st_symbols;
+  part "fp resolution of C0 entries" before.st_fp after.st_fp;
+  part "resident ranges" before.st_resident after.st_resident;
+  part "entry index" before.st_entry_fid after.st_entry_fid;
+  part "tracked words" before.st_words after.st_words;
+  part "residue" before.st_residue after.st_residue;
+  part "inherited words" before.st_inherited after.st_inherited;
   part "paused flag" before.st_paused after.st_paused
 
 (* ---- the seeded sweep over every injection point ---- *)
@@ -183,7 +217,9 @@ let aborted_region (result : Ocolos_bolt.Bolt.result) =
       Ocolos_bolt.Bolt.sections_end result.Ocolos_bolt.Bolt.new_text ) ]
 
 (* For every reachable point and [seeds_per_point] seeds each, fault at a
-   seed-chosen hit and require an exact rollback. Returns the number of
+   seed-chosen hit and require an exact rollback; then unwind the fully
+   applied replacement once through a rejecting [verify] gate, after the
+   new view was assigned, and require the same. Returns the number of
    attempts made. *)
 let sweep_round ~tag proc oc fault result =
   let counts = probe_hit_counts fault oc result in
@@ -212,6 +248,12 @@ let sweep_round ~tag proc oc fault result =
             (Addr_space.journaling proc.Proc.mem)
         done)
     counts;
+  disarm_all fault;
+  let before = capture proc oc in
+  (match Txn.replace_code ~verify:(fun () -> Error "forced") oc result with
+  | Txn.Diverged _ -> ()
+  | Txn.Committed _ | Txn.Rolled_back _ -> Alcotest.fail (tag ^ ": forced verdict did not diverge"));
+  check_restored (tag ^ " diverged") before (capture proc oc);
   (counts, !attempts)
 
 let test_rollback_every_point_every_seed () =
