@@ -9,7 +9,7 @@
    Section II-D of the paper. *)
 
 open Ocolos_isa
-module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 
 type range = { r_start : int; r_size : int }
 
@@ -35,7 +35,7 @@ type vtable = {
 type t = {
   name : string;
   sections : section list;
-  code : Instr.t Itbl.t;
+  code : Instr.t Codemap.t;
   code_order : int array; (* instruction addresses, sorted *)
   symbols : func_sym array; (* indexed by fid *)
   vtables : vtable array; (* indexed by vid *)
@@ -43,16 +43,16 @@ type t = {
   globals_words : int;
   global_init : (int * int) list; (* absolute data address, value *)
   entry : int; (* code address of the program entry point *)
-  debug : (int * int) Itbl.t; (* addr -> (fid, bid); ground truth *)
+  debug : (int * int) Codemap.t; (* addr -> (fid, bid); ground truth *)
 }
 
-let find_instr b addr = Itbl.find_opt b.code addr
+let find_instr b addr = Codemap.find_opt b.code addr
 
 let instr_count b = Array.length b.code_order
 
 let text_bytes b =
   Array.fold_left
-    (fun acc addr -> acc + Instr.size (Itbl.find b.code addr))
+    (fun acc addr -> acc + Instr.size (Codemap.find b.code addr))
     0 b.code_order
 
 (* Map a code address to the function whose range contains it. *)
@@ -113,7 +113,7 @@ let section_named b name = List.find_opt (fun s -> s.sec_name = name) b.sections
 let direct_call_sites b =
   Array.fold_left
     (fun acc addr ->
-      match Itbl.find b.code addr with
+      match Codemap.find b.code addr with
       | Instr.Call target -> (addr, target) :: acc
       | _ -> acc)
     [] b.code_order
@@ -127,7 +127,7 @@ let func_instrs b fid =
       let acc = ref [] in
       let addr = ref r.r_start in
       while !addr < r.r_start + r.r_size do
-        match Itbl.find_opt b.code !addr with
+        match Codemap.find_opt b.code !addr with
         | Some i ->
           acc := (!addr, i) :: !acc;
           addr := !addr + Instr.size i

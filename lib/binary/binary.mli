@@ -31,7 +31,7 @@ type vtable = {
 type t = {
   name : string;
   sections : section list;
-  code : Ocolos_isa.Instr.t Ocolos_util.Itbl.t;
+  code : Ocolos_isa.Instr.t Ocolos_util.Codemap.t;
   code_order : int array;  (** instruction addresses, sorted ascending *)
   symbols : func_sym array;  (** indexed by fid *)
   vtables : vtable array;  (** indexed by vid *)
@@ -39,7 +39,7 @@ type t = {
   globals_words : int;
   global_init : (int * int) list;  (** (absolute data address, value) *)
   entry : int;
-  debug : (int * int) Ocolos_util.Itbl.t;  (** addr -> (fid, bid) ground truth *)
+  debug : (int * int) Ocolos_util.Codemap.t;  (** addr -> (fid, bid) ground truth *)
 }
 
 val find_instr : t -> int -> Ocolos_isa.Instr.t option

@@ -31,7 +31,7 @@ let pp_function fmt (b : Binary.t) fid =
   let last_bid = ref (-1) in
   List.iter
     (fun (addr, instr) ->
-      (match Ocolos_util.Itbl.find_opt b.Binary.debug addr with
+      (match Ocolos_util.Codemap.find_opt b.Binary.debug addr with
       | Some (_, bid) when bid <> !last_bid ->
         last_bid := bid;
         Fmt.pf fmt "  .bb%d:@." bid

@@ -7,7 +7,7 @@
    jump tables into the global data region, and builds the symbol table. *)
 
 open Ocolos_isa
-module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 
 let default_text_base = 0x10000
 let default_globals_base = 0x1000
@@ -151,9 +151,9 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
   let table_data_base = globals_base + program.Ir.globals_words in
   (* Pass 2: resolve operands and fill the code map. Blocks are visited in
      placement order, which is ascending address order, so [code_order]
-     fills sorted; the tables are sized for the known instruction count. *)
-  let code = Itbl.create !n_instrs in
-  let debug = Itbl.create !n_instrs in
+     fills sorted; it is sized for the known instruction count. *)
+  let code = Codemap.create () in
+  let debug = Codemap.create () in
   let code_order = Array.make !n_instrs 0 in
   let k = ref 0 in
   List.iter
@@ -172,8 +172,8 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
             | TableBase (d, s, index) ->
               Instr.Alui (Instr.Add, d, s, table_data_base + index)
           in
-          Itbl.replace code !addr concrete;
-          Itbl.replace debug !addr key;
+          Codemap.replace code !addr concrete;
+          Codemap.replace debug !addr key;
           code_order.(!k) <- !addr;
           incr k;
           addr := !addr + Instr.size concrete)

@@ -60,7 +60,7 @@ let to_bytes (b : Binary.t) =
     (fun addr ->
       put_int buf (addr - !prev);
       prev := addr;
-      Encode.encode buf (Ocolos_util.Itbl.find b.Binary.code addr))
+      Encode.encode buf (Ocolos_util.Codemap.find b.Binary.code addr))
     b.Binary.code_order;
   put_array buf put_symbol b.Binary.symbols;
   put_array buf put_vtable b.Binary.vtables;
@@ -73,10 +73,10 @@ let to_bytes (b : Binary.t) =
     b.Binary.global_init;
   put_int buf b.Binary.entry;
   (* Debug info, in code order. *)
-  put_int buf (Ocolos_util.Itbl.length b.Binary.debug);
+  put_int buf (Ocolos_util.Codemap.length b.Binary.debug);
   Array.iter
     (fun addr ->
-      match Ocolos_util.Itbl.find_opt b.Binary.debug addr with
+      match Ocolos_util.Codemap.find_opt b.Binary.debug addr with
       | Some (fid, bid) ->
         put_int buf addr;
         put_int buf fid;
@@ -137,15 +137,16 @@ let of_bytes bytes =
   let name = get_string r in
   let sections = get_list r get_section in
   let ncode = get_int r in
-  let code = Ocolos_util.Itbl.create ncode in
+  let code = Ocolos_util.Codemap.create () in
   let code_order = Array.make ncode 0 in
   let prev = ref 0 in
   for i = 0 to ncode - 1 do
     let addr = !prev + get_int r in
     if addr < 0 then corrupt "negative code address";
+    if addr > Ocolos_util.Codemap.max_key then corrupt "code address out of range";
     prev := addr;
     code_order.(i) <- addr;
-    Ocolos_util.Itbl.replace code addr (Encode.decode r)
+    Ocolos_util.Codemap.replace code addr (Encode.decode r)
   done;
   let symbols = get_array r get_symbol in
   let vtables = get_array r get_vtable in
@@ -159,13 +160,14 @@ let of_bytes bytes =
   in
   let entry = get_int r in
   let ndebug = get_int r in
-  let debug = Ocolos_util.Itbl.create ndebug in
+  let debug = Ocolos_util.Codemap.create () in
   for _ = 1 to ndebug do
     let addr = get_int r in
     if addr < 0 then corrupt "negative debug address";
+    if addr > Ocolos_util.Codemap.max_key then corrupt "debug address out of range";
     let fid = get_int r in
     let bid = get_int r in
-    Ocolos_util.Itbl.replace debug addr (fid, bid)
+    Ocolos_util.Codemap.replace debug addr (fid, bid)
   done;
   { Binary.name;
     sections;

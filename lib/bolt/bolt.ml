@@ -12,6 +12,7 @@ open Ocolos_isa
 open Ocolos_binary
 open Ocolos_profiler
 module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 
 (* [Emit]'s debug value for no block: no instruction carries it. *)
 let no_block = (-1, -1)
@@ -329,9 +330,9 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
     let new_instrs fid bid =
       let start = emitted.Emit.block_addr.(fid).(bid) in
       let rec run addr acc =
-        match Itbl.find_default new_text.Binary.debug addr ~default:no_block with
+        match Codemap.find_default new_text.Binary.debug addr ~default:no_block with
         | f, b when f = fid && b = bid ->
-          let i = Itbl.find new_text.Binary.code addr in
+          let i = Codemap.find new_text.Binary.code addr in
           run (addr + Instr.size i) ((addr, i) :: acc)
         | _ -> Array.of_list (List.rev acc)
       in
@@ -408,9 +409,8 @@ let merge ~(binary : Binary.t) (result : result) =
   List.iter (fun (o, n) -> Itbl.replace translate o n) result.translation;
   let tr addr = Itbl.find_default translate addr ~default:addr in
   let overlay tbl over =
-    let t = Itbl.create (Itbl.length tbl + Itbl.length over) in
-    Itbl.iter (Itbl.replace t) tbl;
-    Itbl.iter (Itbl.replace t) over;
+    let t = Codemap.copy tbl in
+    Codemap.iter (Codemap.replace t) over;
     t
   in
   let new_sym = Itbl.create 64 in

@@ -25,7 +25,7 @@
 
 open Ocolos_isa
 open Ocolos_binary
-module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 
 let points =
   [ "bolt.miscompile.branch_polarity";
@@ -40,7 +40,7 @@ let points =
    consistently. *)
 let with_code (result : Bolt.result) code =
   let code_order =
-    Array.of_list (List.filter (fun a -> Itbl.mem code a) (Array.to_list result.Bolt.new_text.Binary.code_order))
+    Array.of_list (List.filter (fun a -> Codemap.mem code a) (Array.to_list result.Bolt.new_text.Binary.code_order))
   in
   { result with Bolt.new_text = { result.Bolt.new_text with Binary.code; code_order } }
 
@@ -51,7 +51,7 @@ let branch_polarity ~salt (result : Bolt.result) =
   let candidates =
     Array.to_list nt.Binary.code_order
     |> List.filter_map (fun a ->
-           match Itbl.find_opt nt.Binary.code a with
+           match Codemap.find_opt nt.Binary.code a with
            | Some (Instr.Branch (c, r, t)) -> Some (a, c, r, t)
            | _ -> None)
   in
@@ -59,8 +59,8 @@ let branch_polarity ~salt (result : Bolt.result) =
   | [] -> (result, 0)
   | _ ->
     let a, c, r, t = List.nth candidates (pick salt (List.length candidates)) in
-    let code = Itbl.copy nt.Binary.code in
-    Itbl.replace code a (Instr.Branch (Emit.negate_cond c, r, t));
+    let code = Codemap.copy nt.Binary.code in
+    Codemap.replace code a (Instr.Branch (Emit.negate_cond c, r, t));
     (with_code result code, 1)
 
 let drop_block ~salt (result : Bolt.result) =
@@ -87,14 +87,14 @@ let drop_block ~salt (result : Bolt.result) =
   | [] -> (result, 0)
   | _ ->
     let start = List.nth candidates (pick salt (List.length candidates)) in
-    let code = Itbl.copy nt.Binary.code in
+    let code = Codemap.copy nt.Binary.code in
     let removed = ref 0 in
     let pc = ref start in
     let continue = ref true in
     while !continue do
-      match Itbl.find_opt code !pc with
+      match Codemap.find_opt code !pc with
       | Some i when !pc = start || not (Hashtbl.mem starts !pc) ->
-        Itbl.remove code !pc;
+        Codemap.remove code !pc;
         incr removed;
         pc := !pc + Instr.size i
       | _ -> continue := false
@@ -109,7 +109,7 @@ let stale_reloc ~salt (result : Bolt.result) =
   let candidates =
     Array.to_list nt.Binary.code_order
     |> List.filter_map (fun a ->
-           match Itbl.find_opt nt.Binary.code a with
+           match Codemap.find_opt nt.Binary.code a with
            | Some (Instr.Call t) when Hashtbl.mem back t && Hashtbl.find back t <> t ->
              Some (a, Instr.Call (Hashtbl.find back t))
            | Some (Instr.FpCreate (r, t)) when Hashtbl.mem back t && Hashtbl.find back t <> t ->
@@ -120,8 +120,8 @@ let stale_reloc ~salt (result : Bolt.result) =
   | [] -> (result, 0)
   | _ ->
     let a, stale = List.nth candidates (pick salt (List.length candidates)) in
-    let code = Itbl.copy nt.Binary.code in
-    Itbl.replace code a stale;
+    let code = Codemap.copy nt.Binary.code in
+    Codemap.replace code a stale;
     (with_code result code, 1)
 
 let frame_map ~salt (result : Bolt.result) =

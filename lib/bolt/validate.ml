@@ -389,7 +389,7 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
       let old_cursor = ref 0 and new_cursor = ref 0 and block_cursor = ref 0 in
       let old_boundary pc =
         index_near rc.Cfg.rc_instr_addrs old_cursor pc >= 0
-        || Itbl.mem binary.Binary.code pc
+        || Ocolos_util.Codemap.mem binary.Binary.code pc
       in
       let forwards pc =
         (* An old instruction with no new-text counterpart forwards its map

@@ -27,6 +27,7 @@ open Ocolos_proc
 open Ocolos_profiler
 open Ocolos_bolt
 module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 module Trace = Ocolos_obs.Trace
 module Metrics = Ocolos_obs.Metrics
 module Events = Ocolos_obs.Events
@@ -99,7 +100,7 @@ let code_ranges (s : Binary.func_sym) =
 let track (init, tables) code words =
   List.fold_left
     (fun (init, tables) (a, v) ->
-      (Iset.add a init, if Itbl.mem code v then Iset.add a tables else tables))
+      (Iset.add a init, if Codemap.mem code v then Iset.add a tables else tables))
     (init, tables) words
 
 let word_set inherited =
@@ -429,8 +430,8 @@ let data_top_marker mem =
 let current_of t ~entry ~resident ~residue ~name_suffix ~extra_init =
   t.cfgs <- None;
   let mem = t.osr.Osr.proc.Proc.mem in
-  let code = Itbl.copy mem.Addr_space.code in
-  let code_order = Itbl.sorted_keys code in
+  let code = Codemap.copy mem.Addr_space.code in
+  let code_order = Codemap.keys code in
   let to_ranges = List.map (fun (s, e) -> { Binary.r_start = s; r_size = e - s }) in
   let extra = Array.make (Array.length resident) [] in
   List.iter
@@ -479,7 +480,7 @@ let replace_code t (result : Bolt.result) : replacement_stats =
       Array.iter
         (fun addr ->
           cut t "inject_code";
-          Addr_space.write_code mem addr (Itbl.find new_text.Binary.code addr))
+          Addr_space.write_code mem addr (Codemap.find new_text.Binary.code addr))
         new_text.Binary.code_order;
       List.iter
         (fun (a, v) ->
@@ -676,20 +677,19 @@ let reattach ?(config = default_config) (proc : Proc.t) =
             (fun (f : Thread.frame) -> name f.Thread.callee_entry)
             (Thread.live_frames thread))
       proc.Proc.threads;
-    (* Cross-function references, named in address order. *)
-    Itbl.fold
-      (fun addr instr acc ->
+    (* Cross-function references, named in address order (the code map's
+       own order). *)
+    Codemap.iter
+      (fun addr instr ->
         match instr with
-        | Instr.Call target | Instr.FpCreate (_, target) -> (addr, target) :: acc
-        | _ -> acc)
-      mem.Addr_space.code []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.iter (fun (addr, target) ->
-           if
-             not
-               (Option.equal Int.equal (Addr_space.fid_of_addr mem addr)
-                  (Addr_space.fid_of_addr mem target))
-           then name target);
+        | Instr.Call target | Instr.FpCreate (_, target) ->
+          if
+            not
+              (Option.equal Int.equal (Addr_space.fid_of_addr mem addr)
+                 (Addr_space.fid_of_addr mem target))
+          then name target
+        | _ -> ())
+      mem.Addr_space.code;
     Array.iter
       (fun (vid, slot, _) ->
         name (Addr_space.read_data mem (Addr_space.vtable_base mem vid + slot)))
@@ -796,7 +796,7 @@ let revert t (s : snapshot) : revert_stats =
           if not (List.mem (rs, re) live.Osr.resident.(fid)) then begin
             let addr = ref rs in
             while !addr < re do
-              match Itbl.find_opt sv.Osr.current.Binary.code !addr with
+              match Codemap.find_opt sv.Osr.current.Binary.code !addr with
               | Some instr ->
                 Addr_space.write_code mem !addr instr;
                 reinjected := !reinjected + Instr.size instr;

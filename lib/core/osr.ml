@@ -9,7 +9,7 @@ open Ocolos_proc
 open Ocolos_bolt
 module Binary = Ocolos_binary.Binary
 module Trace = Ocolos_obs.Trace
-module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 
 (* Transient code left behind by one OSR round: compensation stubs, and
    doomed text kept in place because something the round could not
@@ -406,24 +406,22 @@ let migrate_threads t ctx =
    region and redirect them. Covers prior rounds' residue (whose calls were
    resolved to the retiring version's entries when built), C0/any-version
    call sites the offline table missed, and FpCreate sites whose static
-   operand names a retiring entry. Sites are redirected in address order:
-   one may [keep] its target's function, which appends residue. *)
+   operand names a retiring entry. Sites are redirected in address order
+   (the code map's own order): one may [keep] its target's function, which
+   appends residue. *)
 let redirect_code_references t ctx =
   let mem = t.proc.Proc.mem in
-  let sites =
-    Itbl.fold
-      (fun addr instr acc ->
-        let tgt = Instr.target instr in
-        if tgt >= 0 && in_doomed ctx tgt && not (in_doomed ctx addr) then
-          (addr, instr, tgt) :: acc
-        else acc)
-      mem.Addr_space.code []
-  in
-  List.iter
-    (fun (addr, instr, tgt) ->
-      let d = map_doomed_value t ctx tgt in
-      if d <> tgt then Addr_space.write_code mem addr (Instr.with_target instr d))
-    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) sites)
+  Codemap.fold
+    (fun addr instr acc ->
+      let tgt = Instr.target instr in
+      if tgt >= 0 && in_doomed ctx tgt && not (in_doomed ctx addr) then
+        (addr, instr, tgt) :: acc
+      else acc)
+    mem.Addr_space.code []
+  |> List.rev
+  |> List.iter (fun (addr, instr, tgt) ->
+         let d = map_doomed_value t ctx tgt in
+         if d <> tgt then Addr_space.write_code mem addr (Instr.with_target instr d))
 
 (* Scan every initialized data word for values inside the doomed region and
    rewrite them: jump-table entries, and stored function-pointer values —
@@ -477,8 +475,9 @@ let unmap t ~each rs =
    reachability is PCs, return addresses, saved callee entries and register
    values of running threads (registers conservatively retain: a scratch
    register may legitimately hold a residue block address mid-dispatch).
-   Inherited jump-table words whose round has fully drained go with it.
-   Returns (bytes freed, reaped code ranges). *)
+   Inherited jump-table words whose round has fully drained go with it,
+   and the reaped ranges leave the view's symbols, so the live binary
+   names only mapped text. Returns (bytes freed, reaped code ranges). *)
 let reap_residue t ~cut =
   let mem = t.proc.Proc.mem in
   let live =
@@ -499,7 +498,7 @@ let reap_residue t ~cut =
     continue_ := false;
     let dying = range_set (List.concat_map (fun r -> r.rs_ranges) !reap) in
     let held =
-      Itbl.fold
+      Codemap.fold
         (fun addr instr acc ->
           let tgt = Instr.target instr in
           if tgt >= 0 && in_ranges dying tgt && not (in_ranges dying addr) then tgt :: acc
@@ -535,8 +534,29 @@ let reap_residue t ~cut =
           bytes := !bytes + 8)
         addrs)
     reap_inh;
+  let reaped fid (r : Binary.range) =
+    List.exists
+      (fun rs ->
+        rs.rs_fid = fid
+        && List.exists (fun (s, e) -> s = r.Binary.r_start && e = s + r.Binary.r_size) rs.rs_ranges)
+      reap
+  in
+  let current =
+    match reap with
+    | [] -> v.current
+    | _ :: _ ->
+      { v.current with
+        Binary.symbols =
+          Array.map
+            (fun (s : Binary.func_sym) ->
+              let fid = s.Binary.fs_fid in
+              { s with
+                Binary.fs_ranges = List.filter (fun r -> not (reaped fid r)) s.Binary.fs_ranges })
+            v.current.Binary.symbols }
+  in
   t.view <-
     { v with
+      current;
       residue = keep;
       inherited = keep_inh;
       init_addrs = !init_addrs;
@@ -557,7 +577,7 @@ exception Dangling_pointer of string
 let verify_no_dangling t ~freed =
   let mem = t.proc.Proc.mem in
   let suspect = match freed with [] -> fun _ -> true | l -> in_ranges (range_set l) in
-  let dangling addr = suspect addr && not (Itbl.mem mem.Addr_space.code addr) in
+  let dangling addr = suspect addr && not (Codemap.mem mem.Addr_space.code addr) in
   let dangle what addr =
     raise (Dangling_pointer (Fmt.str "%s references freed code at 0x%x" what addr))
   in
@@ -578,17 +598,13 @@ let verify_no_dangling t ~freed =
   List.iter
     (fun (label, addr) -> check (fun () -> "engine " ^ label) addr)
     (Proc.engine_code_pointers t.proc);
-  (* The code sweep reports its lowest failing site, whatever the table's
-     slot order. *)
-  let first =
-    Itbl.fold
-      (fun addr instr first ->
-        let target = Instr.target instr in
-        if target >= 0 && (first < 0 || addr < first) && dangling target then addr else first)
-      mem.Addr_space.code (-1)
-  in
-  if first >= 0 then
-    dangle (Fmt.str "instr at 0x%x" first) (Instr.target (Itbl.find mem.Addr_space.code first))
+  (* The code sweep runs in address order, so it reports the lowest
+     failing site. *)
+  Codemap.iter
+    (fun addr instr ->
+      let target = Instr.target instr in
+      if target >= 0 && dangling target then dangle (Fmt.str "instr at 0x%x" addr) target)
+    mem.Addr_space.code
 
 (* ---- the two shared steps ---- *)
 

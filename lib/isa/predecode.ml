@@ -10,7 +10,8 @@
 
    Decoding is pure with respect to the machine: it only reads the code map
    (via the [read] callback), so predecoding ahead of execution has no
-   microarchitectural side effects. *)
+   microarchitectural side effects. [read] returns [unmapped] for an
+   address that holds no instruction, so a read allocates no option. *)
 
 type block = {
   b_start : int;  (* address of the first instruction *)
@@ -21,6 +22,10 @@ type block = {
 }
 
 let length b = Array.length b.b_instrs
+
+(* A boxed constructor, compared physically: no instruction in a code map
+   is this block, whatever its fields. *)
+let unmapped = Instr.Jump (-1)
 
 (* Default cap on block length. Bounds both decode look-ahead and the staleness
    window between the per-instruction limit checks of the executor. *)
@@ -33,18 +38,18 @@ let default_max_len = 64
    is NOT a control transfer, so a block body always falls through
    internally and only its final instruction may redirect the PC. *)
 let decode ~read ?(max_len = default_max_len) start =
-  match read start with
-  | None -> None
-  | Some first ->
+  let first = read start in
+  if first == unmapped then None
+  else begin
     let max_len = max 1 max_len in
     let addrs = Array.make max_len 0 in
     let sizes = Array.make max_len 0 in
     let instrs = Array.make max_len first in
     let n = ref 0 in
     let addr = ref start in
-    let continue = ref (Some first) in
-    while !continue <> None && !n < max_len do
-      let instr = match !continue with Some i -> i | None -> assert false in
+    let next = ref first in
+    while !next != unmapped && !n < max_len do
+      let instr = !next in
       let size = Instr.size instr in
       addrs.(!n) <- !addr;
       sizes.(!n) <- size;
@@ -53,7 +58,7 @@ let decode ~read ?(max_len = default_max_len) start =
       addr := !addr + size;
       (* A control transfer ends the block; so does running off mapped code
          (the next dispatch will fault or decode a fresh block there). *)
-      continue := (if Instr.is_control_flow instr then None else read !addr)
+      next := if Instr.is_control_flow instr then unmapped else read !addr
     done;
     Some
       { b_start = start;
@@ -61,15 +66,22 @@ let decode ~read ?(max_len = default_max_len) start =
         b_addrs = Array.sub addrs 0 !n;
         b_sizes = Array.sub sizes 0 !n;
         b_instrs = Array.sub instrs 0 !n }
+  end
 
 (* True when the block's decoded entries still match [read]'s view of the
-   code map — the coherence predicate the invalidation discipline maintains. *)
-let coherent ~read b =
-  let ok = ref true in
-  Array.iteri
-    (fun i addr -> if read addr <> Some b.b_instrs.(i) then ok := false)
-    b.b_addrs;
-  !ok
+   code map — the coherence predicate the invalidation discipline
+   maintains: every entry's address is mapped, to an instruction
+   structurally equal to the decoded one. A top-level loop over explicit
+   arguments, so a check allocates nothing. *)
+let rec coherent_from read addrs instrs i =
+  i >= Array.length addrs
+  ||
+  let instr = read (Array.unsafe_get addrs i) in
+  instr != unmapped
+  && Instr.equal instr (Array.unsafe_get instrs i)
+  && coherent_from read addrs instrs (i + 1)
+
+let coherent ~read b = coherent_from read b.b_addrs b.b_instrs 0
 
 let pp fmt b =
   Fmt.pf fmt "@[<v>block 0x%x..0x%x (%d instrs)@,%a@]" b.b_start b.b_end (length b)

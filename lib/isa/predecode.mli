@@ -15,15 +15,23 @@ type block = {
 
 val length : block -> int
 
+(** What a [read] returns for an address that holds no instruction. It is
+    compared physically ([==]), so no instruction a code map holds is
+    mistaken for it; a reader returns it from an allocation-free lookup
+    such as [Codemap.find_default ~default:unmapped]. *)
+val unmapped : Instr.t
+
 (** Default cap on entries per block. *)
 val default_max_len : int
 
 (** [decode ~read start] decodes the block at [start], stopping after a
     control transfer, before an unmapped address, or at [max_len] entries.
     [None] when [start] itself holds no instruction. *)
-val decode : read:(int -> Instr.t option) -> ?max_len:int -> int -> block option
+val decode : read:(int -> Instr.t) -> ?max_len:int -> int -> block option
 
-(** Do the decoded entries still match the code map? *)
-val coherent : read:(int -> Instr.t option) -> block -> bool
+(** Do the decoded entries still match the code map: is every entry's
+    address mapped, to an instruction {!Instr.equal} to the decoded one?
+    Allocates nothing. *)
+val coherent : read:(int -> Instr.t) -> block -> bool
 
 val pp : Format.formatter -> block -> unit

@@ -54,7 +54,7 @@ let map_profile cfg (program : Ir.program) (binary : Binary.t)
           mf_records = 0 })
       program.Ir.funcs
   in
-  let debug addr = Ocolos_util.Itbl.find_opt binary.Binary.debug addr in
+  let debug addr = Ocolos_util.Codemap.find_opt binary.Binary.debug addr in
   Hashtbl.iter
     (fun (from_addr, to_addr) count ->
       if unit_hash from_addr >= cfg.edge_drop_prob then

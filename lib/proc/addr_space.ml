@@ -28,9 +28,10 @@ type journal = {
 }
 
 module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 
 type t = {
-  code : Instr.t Itbl.t;
+  code : Instr.t Codemap.t;
   data : int Itbl.t; (* word address -> value; absent = 0 *)
   vtable_addr : int array; (* vid -> base address in data memory *)
   mutable sym_index : sym_range array; (* sorted by sr_start *)
@@ -74,13 +75,14 @@ let remove_data t addr =
       j.n_entries <- j.n_entries + 1);
     Itbl.remove t.data addr
 
-let read_code t addr = Itbl.find_opt t.code addr
+let read_code t addr = Codemap.find_opt t.code addr
 
-let journal_code t addr =
+(* Journal [addr]'s previous contents [old], as the caller read them. *)
+let journal_code t addr old =
   match t.journal with
   | None -> ()
   | Some j ->
-    j.entries <- J_code (addr, Itbl.find_opt t.code addr) :: j.entries;
+    j.entries <- J_code (addr, old) :: j.entries;
     j.n_entries <- j.n_entries + 1
 
 (* The byte span a mutation at [addr] dirties: the new encoding's bytes and
@@ -94,21 +96,21 @@ let write_span old_instr new_instr =
 let write_code t addr instr =
   if not (Instr.valid_regs instr) then
     invalid_arg (Printf.sprintf "Addr_space.write_code: bad register operand at 0x%x" addr);
-  journal_code t addr;
-  let old = Itbl.find_opt t.code addr in
+  let old = Codemap.find_opt t.code addr in
+  journal_code t addr old;
   (match old with
   | Some old -> t.code_bytes <- t.code_bytes - Instr.size old
   | None -> ());
-  Itbl.replace t.code addr instr;
+  Codemap.replace t.code addr instr;
   t.code_bytes <- t.code_bytes + Instr.size instr;
   notify_code_write t addr (write_span old (Some instr))
 
 let remove_code t addr =
-  match Itbl.find_opt t.code addr with
-  | Some old ->
-    journal_code t addr;
+  match Codemap.find_opt t.code addr with
+  | Some old as prev ->
+    journal_code t addr prev;
     t.code_bytes <- t.code_bytes - Instr.size old;
-    Itbl.remove t.code addr;
+    Codemap.remove t.code addr;
     notify_code_write t addr (Instr.size old)
   | None -> ()
 
@@ -141,12 +143,12 @@ let rollback_journal t =
     List.iter
       (function
         | J_code (addr, Some i) ->
-          let cur = Itbl.find_opt t.code addr in
-          Itbl.replace t.code addr i;
+          let cur = Codemap.find_opt t.code addr in
+          Codemap.replace t.code addr i;
           notify_code_write t addr (write_span cur (Some i))
         | J_code (addr, None) ->
-          let cur = Itbl.find_opt t.code addr in
-          Itbl.remove t.code addr;
+          let cur = Codemap.find_opt t.code addr in
+          Codemap.remove t.code addr;
           notify_code_write t addr (write_span cur None)
         | J_data (addr, Some v) -> Itbl.replace_int t.data addr v
         | J_data (addr, None) -> Itbl.remove t.data addr)
@@ -187,7 +189,7 @@ let fid_of_addr t addr =
    with the source. The copy starts with no open journal and no watchers —
    a clone is never mid-transaction and no execution engine observes it. *)
 let copy t =
-  { code = Itbl.copy t.code;
+  { code = Codemap.copy t.code;
     data = Itbl.copy t.data;
     vtable_addr = Array.copy t.vtable_addr;
     sym_index = Array.copy t.sym_index;
@@ -200,7 +202,7 @@ let copy t =
    symbols. *)
 let load (binary : Binary.t) =
   let t =
-    { code = Itbl.create (Array.length binary.Binary.code_order);
+    { code = Codemap.create ();
       data = Itbl.create 4096;
       vtable_addr = Array.map (fun vt -> vt.Binary.vt_addr) binary.Binary.vtables;
       sym_index = [||];
@@ -210,7 +212,7 @@ let load (binary : Binary.t) =
       code_watchers = [] }
   in
   Array.iter
-    (fun addr -> write_code t addr (Itbl.find binary.Binary.code addr))
+    (fun addr -> write_code t addr (Codemap.find binary.Binary.code addr))
     binary.Binary.code_order;
   List.iter (fun (addr, v) -> write_data t addr v) binary.Binary.global_init;
   Array.iter
@@ -246,4 +248,4 @@ let reserve_code t bytes =
 
 let vtable_base t vid = t.vtable_addr.(vid)
 
-let code_instr_count t = Itbl.length t.code
+let code_instr_count t = Codemap.length t.code

@@ -12,7 +12,7 @@ type sym_range = { sr_start : int; sr_end : int; sr_fid : int }
 type journal
 
 type t = {
-  code : Ocolos_isa.Instr.t Ocolos_util.Itbl.t;  (** byte address -> instruction *)
+  code : Ocolos_isa.Instr.t Ocolos_util.Codemap.t;  (** byte address -> instruction *)
   data : int Ocolos_util.Itbl.t;  (** word address -> value; absent reads as 0 *)
   vtable_addr : int array;  (** vid -> base address in data memory *)
   mutable sym_index : sym_range array;

@@ -165,6 +165,10 @@ module Itbl = Ocolos_util.Itbl
 
 type t = {
   mem : Addr_space.t;
+  read : int -> Instr.t;
+      (* the code map as the decoder and the coherence check read it:
+         [Predecode.unmapped] where nothing is mapped, so a read allocates
+         no [Some] *)
   blocks : entry Itbl.t; (* entry address -> block *)
   cover : int list Itbl.t;
       (* 64-byte code line -> entry addresses of the blocks whose bytes
@@ -248,6 +252,8 @@ let invalidate t ~start ~len =
 let create ~nthreads mem =
   let t =
     { mem;
+      read =
+        (fun a -> Ocolos_util.Codemap.find_default mem.Addr_space.code a ~default:Predecode.unmapped);
       blocks = Itbl.create 1024;
       cover = Itbl.create 4096;
       memo = Array.make (max 1 nthreads) no_entry;
@@ -278,7 +284,7 @@ let dispatch t (m : entry) pc =
       match Itbl.find_default t.blocks pc ~default:no_entry with
       | e when e != no_entry -> e
       | _ -> (
-        match Predecode.decode ~read:(fun a -> Addr_space.read_code t.mem a) pc with
+        match Predecode.decode ~read:t.read pc with
         | Some b ->
           t.decodes <- t.decodes + 1;
           let e = { blk = b; fall = no_entry; other = no_entry; ch_epoch = -1 } in
@@ -409,9 +415,7 @@ let stats t =
 (* Every cached block must still match the code map. [Txn.replace_code]
    checks this after both commit and rollback: an incoherent entry here
    means the invalidation feed missed a write. *)
-let validate t =
-  let read a = Addr_space.read_code t.mem a in
-  Itbl.fold (fun _ e acc -> acc && Predecode.coherent ~read e.blk) t.blocks true
+let validate t = Itbl.fold (fun _ e acc -> acc && Predecode.coherent ~read:t.read e.blk) t.blocks true
 
 (* Every code address the engine holds a live reference to: cached block
    starts and each thread's in-flight resume point. OCOLOS's post-GC

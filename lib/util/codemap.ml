@@ -1,0 +1,160 @@
+(* Page-indexed map keyed by code address, for the simulator's code
+   images: a directory indexed by [addr lsr 12] holds 4096-slot pages.
+   A code image is dense and sequential — instructions a few bytes apart,
+   in runs of thousands — so a lookup, a write or a removal is a
+   directory load, a presence-bit test and a value load, with no hash,
+   and a sweep of the image touches memory in address order.
+
+   A page's value array is created by its first binding, filled with that
+   value, and a presence bitmap says which slots are bound: an unbound
+   slot's value is never read, so no dummy value of the element type is
+   needed. A page whose last binding goes is dropped from the directory,
+   so a retired code version's pages go away with it. Absent pages are
+   one shared page with no bit set, so a lookup tests the bit without
+   asking whether the page exists. *)
+
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let slot_mask = page_size - 1
+
+(* Keys are simulated code addresses. The bound keeps the directory (one
+   word per 4 KiB page) at most 8 MiB whatever key a caller binds. *)
+let max_key = (1 lsl 32) - 1
+
+type 'a page = {
+  vals : 'a array; (* [||] in the shared absent page *)
+  bits : Bytes.t; (* presence, one bit per slot *)
+  mutable count : int; (* bound slots *)
+}
+
+type 'a t = {
+  mutable dir : 'a page array; (* page number -> page, or [absent] *)
+  absent : 'a page; (* shared by every empty directory entry; never written *)
+  mutable live : int;
+}
+
+let new_bits () = Bytes.make (page_size / 8) '\000'
+
+let create () = { dir = [||]; absent = { vals = [||]; bits = new_bits (); count = 0 }; live = 0 }
+
+let length t = t.live
+
+let pages t = Array.fold_left (fun n pg -> if pg != t.absent then n + 1 else n) 0 t.dir
+
+(* Independent copy: page by page, sharing only the absent page, which
+   neither map ever writes. *)
+let copy t =
+  let absent = t.absent in
+  { dir =
+      Array.map
+        (fun pg ->
+          if pg == absent then absent
+          else { vals = Array.copy pg.vals; bits = Bytes.copy pg.bits; count = pg.count })
+        t.dir;
+    absent;
+    live = t.live }
+
+(* The page holding [key]. A negative key's logical shift is past every
+   directory, so it reads as absent like any other unbound key. *)
+let[@inline] page t key =
+  let p = key lsr page_bits in
+  if p < Array.length t.dir then Array.unsafe_get t.dir p else t.absent
+
+let[@inline] bound pg i =
+  Char.code (Bytes.unsafe_get pg.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+(* Value bound to [key], or [default] when absent. Never allocates. *)
+let[@inline] find_default t key ~default =
+  let pg = page t key in
+  let i = key land slot_mask in
+  if bound pg i then Array.unsafe_get pg.vals i else default
+
+let find_opt t key =
+  let pg = page t key in
+  let i = key land slot_mask in
+  if bound pg i then Some (Array.unsafe_get pg.vals i) else None
+
+let find t key =
+  let pg = page t key in
+  let i = key land slot_mask in
+  if bound pg i then Array.unsafe_get pg.vals i else raise Not_found
+
+let mem t key = bound (page t key) (key land slot_mask)
+
+let grow t p =
+  let len = Array.length t.dir in
+  let dir = Array.make (max (p + 1) (2 * len)) t.absent in
+  Array.blit t.dir 0 dir 0 len;
+  t.dir <- dir
+
+let replace t key v =
+  if key < 0 || key > max_key then invalid_arg "Codemap.replace: key out of range";
+  let p = key lsr page_bits in
+  if p >= Array.length t.dir then grow t p;
+  let pg =
+    let pg = Array.unsafe_get t.dir p in
+    if pg != t.absent then pg
+    else begin
+      let pg = { vals = Array.make page_size v; bits = new_bits (); count = 0 } in
+      Array.unsafe_set t.dir p pg;
+      pg
+    end
+  in
+  let i = key land slot_mask in
+  if not (bound pg i) then begin
+    let b = i lsr 3 in
+    Bytes.unsafe_set pg.bits b
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get pg.bits b) lor (1 lsl (i land 7))));
+    pg.count <- pg.count + 1;
+    t.live <- t.live + 1
+  end;
+  Array.unsafe_set pg.vals i v
+
+let remove t key =
+  let pg = page t key in
+  let i = key land slot_mask in
+  if bound pg i then begin
+    let b = i lsr 3 in
+    Bytes.unsafe_set pg.bits b
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get pg.bits b) land lnot (1 lsl (i land 7))));
+    pg.count <- pg.count - 1;
+    t.live <- t.live - 1;
+    if pg.count = 0 then Array.unsafe_set t.dir (key lsr page_bits) t.absent
+  end
+
+(* Ascending key order: pages in directory order, slots in page order.
+   [f] may rebind keys already bound; a key it binds or removes ahead of
+   the sweep may or may not be visited. *)
+let iter f t =
+  let dir = t.dir in
+  for p = 0 to Array.length dir - 1 do
+    let pg = Array.unsafe_get dir p in
+    if pg.count > 0 then begin
+      let base = p lsl page_bits in
+      for b = 0 to (page_size / 8) - 1 do
+        let byte = Char.code (Bytes.unsafe_get pg.bits b) in
+        if byte <> 0 then
+          for j = 0 to 7 do
+            if byte land (1 lsl j) <> 0 then begin
+              let i = (b lsl 3) lor j in
+              f (base lor i) (Array.unsafe_get pg.vals i)
+            end
+          done
+      done
+    end
+  done
+
+let fold f t init =
+  let acc = ref init in
+  iter (fun k v -> acc := f k v !acc) t;
+  !acc
+
+let keys t =
+  let out = Array.make t.live 0 in
+  let n = ref 0 in
+  iter
+    (fun k _ ->
+      Array.unsafe_set out !n k;
+      incr n)
+    t;
+  out

@@ -1,0 +1,52 @@
+(** Page-indexed map keyed by code address, for the code images
+    ([Binary.code], [Binary.debug], [Addr_space.code]): a directory indexed
+    by [addr lsr 12] holds 4096-slot pages with a presence bitmap. A
+    lookup, write or removal hashes nothing; iteration runs in ascending
+    key order; a page is freed when its last binding is removed.
+
+    Keys bound must lie in [0, 2^32); any int may be looked up (one
+    outside that range is never found). *)
+
+type 'a t
+
+(** The largest key {!replace} binds. *)
+val max_key : int
+
+val create : unit -> 'a t
+
+(** Number of live bindings. *)
+val length : 'a t -> int
+
+(** Number of pages held: those with at least one binding. *)
+val pages : 'a t -> int
+
+(** Independent copy: same bindings, shares no mutable storage with the
+    source. *)
+val copy : 'a t -> 'a t
+
+(** Value bound to [key], or [default] when absent; never allocates. *)
+val find_default : 'a t -> int -> default:'a -> 'a
+
+(** Value bound to [key]; raises [Not_found] when absent. *)
+val find : 'a t -> int -> 'a
+
+val find_opt : 'a t -> int -> 'a option
+val mem : 'a t -> int -> bool
+
+(** Bind [key] (inserting or overwriting). Raises [Invalid_argument] for a
+    key outside [0, 2^32). *)
+val replace : 'a t -> int -> 'a -> unit
+
+(** Remove [key]'s binding if present. *)
+val remove : 'a t -> int -> unit
+
+(** Bindings in ascending key order. [f] may rebind a key already bound;
+    a key it binds or removes ahead of the sweep may or may not be
+    visited. *)
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+
+(** [iter]'s order. *)
+val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+
+(** The live keys, ascending. *)
+val keys : 'a t -> int array

@@ -1,9 +1,9 @@
 (* Open-addressing hash table keyed by int, for the simulator's data
-   memory and code maps: [find_default] allocates nothing and hashes
-   without leaving OCaml (stdlib [Hashtbl] pays a C call to [caml_hash]
-   per operation, and a polymorphic compare per probe, which is
-   measurable at one probe per simulated load/store or per instruction of
-   a code image).
+   memory and per-address scratch tables: [find_default] allocates nothing
+   and hashes without leaving OCaml (stdlib [Hashtbl] pays a C call to
+   [caml_hash] per operation, and a polymorphic compare per probe, which
+   is measurable at one probe per simulated load/store or per instruction
+   of a function).
 
    Linear probing over a power-of-two table with Fibonacci hashing (the
    multiplicative constant spreads the strided address patterns the
@@ -158,51 +158,3 @@ let fold f t init =
   let acc = ref init in
   iter (fun k v -> acc := f k v !acc) t;
   !acc
-
-(* The live keys in ascending order: one sweep of the key array, then an
-   LSD radix sort on bytes of the key with its sign bit flipped (so the
-   unsigned byte order is the signed key order). Only the bytes in which
-   some two keys differ get a pass, so code addresses below 16 MiB take
-   at most three. No comparison sort, and no probe: the sweep reads the
-   slots in memory order. *)
-let sorted_keys t =
-  let n = t.live in
-  let src = ref (Array.make n 0) and dst = ref (Array.make n 0) in
-  let i = ref 0 in
-  Array.iter
-    (fun k ->
-      if k <> empty_key && k <> tomb_key then begin
-        Array.unsafe_set !src !i k;
-        incr i
-      end)
-    t.keys;
-  let differ =
-    if n = 0 then 0 else Array.fold_left (fun acc k -> acc lor (k lxor (!src).(0))) 0 !src
-  in
-  let count = Array.make 0x100 0 in
-  let shift = ref 0 in
-  while !shift < Sys.int_size do
-    let sh = !shift in
-    if (differ lsr sh) land 0xFF <> 0 then begin
-      let digit k = ((k lxor min_int) lsr sh) land 0xFF in
-      Array.fill count 0 0x100 0;
-      Array.iter (fun k -> let d = digit k in count.(d) <- count.(d) + 1) !src;
-      let pos = ref 0 in
-      for d = 0 to 0xFF do
-        let c = count.(d) in
-        count.(d) <- !pos;
-        pos := !pos + c
-      done;
-      Array.iter
-        (fun k ->
-          let d = digit k in
-          (!dst).(count.(d)) <- k;
-          count.(d) <- count.(d) + 1)
-        !src;
-      let s = !src in
-      src := !dst;
-      dst := s
-    end;
-    shift := sh + 8
-  done;
-  !src

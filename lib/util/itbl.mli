@@ -1,5 +1,5 @@
 (** Open-addressing hash table keyed by int, for the simulator's data
-    memory and code maps: [find_default] allocates nothing and never leaves
+    memory and per-address scratch tables (code maps are {!Codemap}s): [find_default] allocates nothing and never leaves
     OCaml (stdlib [Hashtbl] pays a [caml_hash] C call and a polymorphic
     compare per operation). Linear probing, Fibonacci hashing, tombstone
     deletion. [min_int] and [min_int + 1] are reserved: they are never
@@ -41,7 +41,3 @@ val remove : 'a t -> int -> unit
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-
-(** The live keys, ascending. A sweep of the table plus a radix sort: no
-    comparison sort and no probe. *)
-val sorted_keys : 'a t -> int array

@@ -189,6 +189,29 @@ let test_code_removal_invalidates () =
       (s.Ocolos_proc.Block_engine.invalidations > 0));
   Alcotest.(check bool) "cache coherent after removal" true (Proc.validate_code_cache proc)
 
+(* The coherence check itself must bite: a write that reaches the code map
+   behind the watcher's back (so no block is invalidated) leaves a stale
+   cached block, and [validate] must report it, for a changed instruction
+   and for an unmapped one. A rewrite with an equal but freshly built
+   instruction stays coherent: the check compares structurally. *)
+let test_validate_sees_stale_blocks () =
+  let module Codemap = Ocolos_util.Codemap in
+  let proc = launch_blocks counter_loop in
+  let entry = proc.Proc.threads.(0).Thread.pc in
+  Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:100 proc;
+  let code = proc.Proc.mem.Addr_space.code in
+  let original = Codemap.find code entry in
+  Alcotest.(check bool) "coherent before" true (Proc.validate_code_cache proc);
+  Codemap.replace code entry (Instr.Movi (1, 7));
+  Alcotest.(check bool) "changed instruction seen" false (Proc.validate_code_cache proc);
+  Codemap.replace code entry (Instr.Movi (1, Sys.opaque_identity 5));
+  Alcotest.(check bool) "equal instruction coherent" true
+    (original != Codemap.find code entry && Proc.validate_code_cache proc);
+  Codemap.remove code entry;
+  Alcotest.(check bool) "unmapped instruction seen" false (Proc.validate_code_cache proc);
+  Codemap.replace code entry original;
+  Alcotest.(check bool) "coherent once restored" true (Proc.validate_code_cache proc)
+
 let test_engines_interleave () =
   (* Switching engines mid-run stays coherent: same architectural state as
      either engine alone. *)
@@ -380,6 +403,7 @@ let suite =
       test_code_write_invalidates;
     Alcotest.test_case "code removal invalidates cached blocks" `Quick
       test_code_removal_invalidates;
+    Alcotest.test_case "validate sees stale blocks" `Quick test_validate_sees_stale_blocks;
     Alcotest.test_case "chained block invalidated alone" `Quick test_chained_block_invalidated;
     Alcotest.test_case "engines interleave coherently" `Quick test_engines_interleave;
     Alcotest.test_case "write spanning two blocks invalidates both" `Quick

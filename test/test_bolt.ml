@@ -32,7 +32,7 @@ let test_reconstruction_matches_debug_info () =
             then incr covered
           done;
           Alcotest.(check int) (Printf.sprintf "addr 0x%x covered once" addr) 1 !covered;
-          match Ocolos_util.Itbl.find_opt b.Binary.debug addr with
+          match Ocolos_util.Codemap.find_opt b.Binary.debug addr with
           | Some (dfid, _) -> Alcotest.(check int) "debug fid" fid dfid
           | None -> Alcotest.fail "missing debug info")
         (Binary.func_instrs b fid))
@@ -409,28 +409,28 @@ let test_merge_builds_the_bolted_image () =
   let r = Ocolos_bolt.Bolt.run ~binary:b ~profile () in
   let nt = r.Ocolos_bolt.Bolt.new_text in
   let m = Ocolos_bolt.Bolt.merge ~binary:b r in
-  let module Itbl = Ocolos_util.Itbl in
+  let module Codemap = Ocolos_util.Codemap in
   let order = m.Binary.code_order in
   Array.iteri
     (fun i a -> if i > 0 then Alcotest.(check bool) "strictly ascending" true (order.(i - 1) < a))
     order;
-  let keys tbl = List.sort compare (Itbl.fold (fun a _ acc -> a :: acc) tbl []) in
+  let keys tbl = List.sort compare (Codemap.fold (fun a _ acc -> a :: acc) tbl []) in
   Alcotest.(check (list int)) "code order = sorted keys" (keys m.Binary.code) (Array.to_list order);
   Alcotest.(check int) "every instruction of both images"
     (Array.length b.Binary.code_order + Array.length nt.Binary.code_order)
     (Array.length order);
   let overlay base over a =
-    match Itbl.find_opt over a with Some v -> Some v | None -> Itbl.find_opt base a
+    match Codemap.find_opt over a with Some v -> Some v | None -> Codemap.find_opt base a
   in
   Array.iter
     (fun a ->
       Alcotest.(check bool) (Printf.sprintf "code at 0x%x" a) true
-        (Itbl.find_opt m.Binary.code a = overlay b.Binary.code nt.Binary.code a);
+        (Codemap.find_opt m.Binary.code a = overlay b.Binary.code nt.Binary.code a);
       Alcotest.(check bool) (Printf.sprintf "debug at 0x%x" a) true
-        (Itbl.find_opt m.Binary.debug a = overlay b.Binary.debug nt.Binary.debug a))
+        (Codemap.find_opt m.Binary.debug a = overlay b.Binary.debug nt.Binary.debug a))
     order;
-  Alcotest.(check int) "debug size" (Itbl.length m.Binary.debug)
-    (Itbl.length b.Binary.debug + Itbl.length nt.Binary.debug);
+  Alcotest.(check int) "debug size" (Codemap.length m.Binary.debug)
+    (Codemap.length b.Binary.debug + Codemap.length nt.Binary.debug);
   Array.iter
     (fun (s : Binary.func_sym) ->
       let fid = s.Binary.fs_fid in

@@ -76,8 +76,8 @@ let test_serialize_roundtrip () =
   Alcotest.(check bool) "globals identical" true
     (b.Ocolos_binary.Binary.global_init = b'.Ocolos_binary.Binary.global_init);
   Alcotest.(check int) "debug size"
-    (Ocolos_util.Itbl.length b.Ocolos_binary.Binary.debug)
-    (Ocolos_util.Itbl.length b'.Ocolos_binary.Binary.debug)
+    (Ocolos_util.Codemap.length b.Ocolos_binary.Binary.debug)
+    (Ocolos_util.Codemap.length b'.Ocolos_binary.Binary.debug)
 
 (* A reloaded binary is behaviourally identical. *)
 let test_serialized_binary_runs () =

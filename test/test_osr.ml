@@ -32,7 +32,7 @@ let optimize_once ?(engine = `Blocks) ?(profile_instrs = 300_000) proc oc =
   (result, O.replace_code oc result)
 
 let mapped_code_bytes (proc : Proc.t) =
-  Ocolos_util.Itbl.fold
+  Ocolos_util.Codemap.fold
     (fun _ i acc -> acc + Ocolos_isa.Instr.size i)
     proc.Proc.mem.Addr_space.code 0
 
@@ -177,7 +177,7 @@ let test_revert_to_intermediate_version () =
      offline sites that survive, C1's re-injected text and the C2 text the
      revert kept alike. *)
   let calls = ref 0 in
-  Ocolos_util.Itbl.iter
+  Ocolos_util.Codemap.iter
     (fun addr instr ->
       match instr with
       | Ocolos_isa.Instr.Call target ->
@@ -267,6 +267,30 @@ let view_fields (v : Osr.view) =
     Array.to_list v.Osr.resident,
     (Osr.Iset.elements v.Osr.init_addrs, Osr.Iset.elements v.Osr.table_addrs) )
 
+(* Each function's ranges in the live binary are its resident ranges plus
+   its residue's: a reap drops what it unmapped from the view's symbols. *)
+let check_ranges_are_resident_plus_residue name oc =
+  let v = O.view oc in
+  let pairs (s : Ocolos_binary.Binary.func_sym) =
+    List.map
+      (fun (r : Ocolos_binary.Binary.range) ->
+        (r.Ocolos_binary.Binary.r_start, r.Ocolos_binary.Binary.r_start + r.Ocolos_binary.Binary.r_size))
+      s.Ocolos_binary.Binary.fs_ranges
+  in
+  Array.iter
+    (fun (s : Ocolos_binary.Binary.func_sym) ->
+      let fid = s.Ocolos_binary.Binary.fs_fid in
+      let residue =
+        List.concat_map
+          (fun (r : Osr.residue) -> if r.Osr.rs_fid = fid then r.Osr.rs_ranges else [])
+          v.Osr.residue
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%s: fid %d's ranges = resident + residue" name fid)
+        (List.sort compare (v.Osr.resident.(fid) @ residue))
+        (List.sort compare (pairs s)))
+    (O.current_binary oc).Ocolos_binary.Binary.symbols
+
 (* One C1 snapshot backs two reverts, C2 -> C1 -> C2' -> C1: the first
    revert must not disturb the snapshot, and both leave C1's view. *)
 let test_one_snapshot_two_reverts () =
@@ -290,6 +314,7 @@ let test_one_snapshot_two_reverts () =
     Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
     ignore (O.gc_residue oc);
     Alcotest.(check int) (name ^ ": drained") 0 (O.resident_extra_bytes oc);
+    check_ranges_are_resident_plus_residue name oc;
     Alcotest.(check bool) (name ^ ": C1's view") true (view_fields (O.view oc) = c1_view)
   in
   forward_then_back "first";
@@ -387,7 +412,7 @@ let named_fids (proc : Proc.t) =
           name (Addr_space.read_data mem (base + slot)))
         vt.Ocolos_binary.Binary.vt_entries)
     proc.Proc.binary.Ocolos_binary.Binary.vtables;
-  Ocolos_util.Itbl.iter
+  Ocolos_util.Codemap.iter
     (fun addr instr ->
       match instr with
       | Ocolos_isa.Instr.Call target | Ocolos_isa.Instr.FpCreate (_, target) ->
@@ -439,8 +464,7 @@ let test_reattach_after_revert_to_c0 () =
 
 (* The scanner's code-map sweep: a static target into freed text held by
    mapped code no other scan covers (here two planted calls in a fresh
-   mapping) is reported, and the report names the lowest such site
-   whatever the code table's slot order. *)
+   mapping) is reported, and the report names the lowest such site. *)
 let test_scanner_sweeps_the_code_map () =
   let w = Apps.tiny ~tx_limit:None () in
   let proc = Workload.launch w ~input:(Workload.find_input w "a") in
@@ -475,7 +499,7 @@ let test_code_map_views_after_every_transition () =
   let check name oc (proc : Proc.t) =
     let mem = proc.Proc.mem in
     let code_top =
-      Ocolos_util.Itbl.fold
+      Ocolos_util.Codemap.fold
         (fun a i acc -> max acc (a + Ocolos_isa.Instr.size i))
         mem.Addr_space.code 0
     in
@@ -484,7 +508,7 @@ let test_code_map_views_after_every_transition () =
          mem.Addr_space.next_map_base)
       true
       (code_top <= mem.Addr_space.next_map_base);
-    let keys tbl = List.sort compare (Ocolos_util.Itbl.fold (fun a _ acc -> a :: acc) tbl []) in
+    let keys tbl = List.sort compare (Ocolos_util.Codemap.fold (fun a _ acc -> a :: acc) tbl []) in
     let view = O.current_binary oc in
     let order = Array.to_list view.Ocolos_binary.Binary.code_order in
     Alcotest.(check (list int)) (name ^ ": code order = process code map keys")

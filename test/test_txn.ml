@@ -108,11 +108,9 @@ type state = {
 
 let capture (proc : Proc.t) oc =
   let mem = proc.Proc.mem and view = O.view oc in
-  let sorted_bindings tbl =
-    Ocolos_util.Itbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-  in
-  { st_code = sorted_bindings mem.Addr_space.code;
-    st_data = sorted_bindings mem.Addr_space.data;
+  let sorted_bindings fold tbl = fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
+  { st_code = sorted_bindings Ocolos_util.Codemap.fold mem.Addr_space.code;
+    st_data = sorted_bindings Ocolos_util.Itbl.fold mem.Addr_space.data;
     st_sym = List.sort compare (Array.to_list mem.Addr_space.sym_index);
     st_code_bytes = mem.Addr_space.code_bytes;
     st_map_base = mem.Addr_space.next_map_base;

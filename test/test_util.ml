@@ -233,13 +233,13 @@ let test_rng_stream_pinned () =
     (Rng.bits orig)
 
 (* [Itbl] against a [Hashtbl] model: random binds, removes, lookups, full
-   scans (bindings and [sorted_keys]) and copies. Keys are drawn mostly
-   from a narrow range, so removed keys come back (tombstone reuse), and
-   sometimes from wide ones, negative keys included, so the table grows
-   past its initial 16 slots and the radix sort runs every digit. Values are boxed strings: a copy
-   that shared its value array with its source would see the source's
-   later rebinds. Every copy is checked against a frozen model copy at the
-   end, after the source and the copy were both written. *)
+   scans and copies. Keys are drawn mostly from a narrow range, so removed
+   keys come back (tombstone reuse), and sometimes from wide ones,
+   negative keys included, so the table grows past its initial 16 slots.
+   Values are boxed strings: a copy that shared its value array with its
+   source would see the source's later rebinds. Every copy is checked
+   against a frozen model copy at the end, after the source and the copy
+   were both written. *)
 type itbl_op =
   | Bind of int * int
   | Unbind of int
@@ -286,8 +286,6 @@ let prop_itbl_matches_model =
         Itbl.length t = Hashtbl.length m
         && List.sort compare (Itbl.fold (fun k v acc -> (k, v) :: acc) t [])
            = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
-        && Array.to_list (Itbl.sorted_keys t)
-           = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) m [])
       in
       let ok = ref true in
       List.iter
@@ -367,6 +365,135 @@ let test_itbl_reserved_keys () =
     [ min_int; min_int + 1 ];
   Alcotest.(check (option string)) "real key intact" (Some "seven") (Itbl.find_opt t 7)
 
+(* [Codemap] against a [Map.Make (Int)] model: random binds, removes,
+   lookups, full scans and copies. Bound keys sit mostly within a few
+   slots of a page boundary (4096), so neighbouring keys land on two
+   pages, sometimes in a narrow range near 0, so removals empty a page and
+   later binds refill it, and sometimes on far-apart pages (up to 16 MiB),
+   so the directory grows. Lookups also try negative keys and keys past
+   [max_key]. A scan checks the bindings in the map's own fold and iter
+   order, unsorted, against the model's ascending bindings. Values are
+   boxed strings. Each copy gets its own model; the source and the copy
+   are both written and unbound after the copy, and every copy is checked
+   at the end, so a page shared or freed across the two shows. *)
+type cmap_op =
+  | C_bind of int * int
+  | C_unbind of int
+  | C_lookup of int
+  | C_scan
+  | C_copy
+  | C_bind_copy of int * int
+  | C_unbind_copy of int
+
+let pp_cmap_op = function
+  | C_bind (k, v) -> Printf.sprintf "bind %d %d" k v
+  | C_unbind k -> Printf.sprintf "unbind %d" k
+  | C_lookup k -> Printf.sprintf "lookup %d" k
+  | C_scan -> "scan"
+  | C_copy -> "copy"
+  | C_bind_copy (k, v) -> Printf.sprintf "bind-copy %d %d" k v
+  | C_unbind_copy k -> Printf.sprintf "unbind-copy %d" k
+
+let cmap_ops =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [ (6, map2 (fun p o -> max 0 ((p * 4096) + o)) (int_range 1 3) (int_range (-6) 5));
+        (3, int_bound 24);
+        (1, map (fun p -> p * 4096) (int_bound 4096));
+        (1, int_bound (1 lsl 24)) ]
+  in
+  let probe =
+    frequency
+      [ (8, key);
+        (1, map (fun k -> -1 - k) (int_bound 10_000));
+        (1, map (fun k -> Ocolos_util.Codemap.max_key + 1 + k) (int_bound 10_000)) ]
+  in
+  let op =
+    frequency
+      [ (6, map2 (fun k v -> C_bind (k, v)) key (int_bound 1000));
+        (3, map (fun k -> C_unbind k) key);
+        (3, map (fun k -> C_lookup k) probe);
+        (1, return C_scan);
+        (1, return C_copy);
+        (2, map2 (fun k v -> C_bind_copy (k, v)) key (int_bound 1000));
+        (1, map (fun k -> C_unbind_copy k) key) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_cmap_op ops))
+    (list_size (int_range 1 400) op)
+
+module Int_map = Map.Make (Int)
+
+let prop_codemap_matches_model =
+  QCheck.Test.make ~name:"codemap matches a Map model" ~count:300 cmap_ops (fun ops ->
+      let module Codemap = Ocolos_util.Codemap in
+      let t = Codemap.create () and m = ref Int_map.empty in
+      let copies = ref [] in
+      let same t m =
+        let want = Int_map.bindings m in
+        let iterated = ref [] in
+        Codemap.iter (fun k v -> iterated := (k, v) :: !iterated) t;
+        Codemap.length t = Int_map.cardinal m
+        && List.rev (Codemap.fold (fun k v acc -> (k, v) :: acc) t []) = want
+        && List.rev !iterated = want
+        && Array.to_list (Codemap.keys t) = List.map fst want
+      in
+      let bind t m k v =
+        Codemap.replace t k (string_of_int v);
+        m := Int_map.add k (string_of_int v) !m
+      in
+      let unbind t m k =
+        Codemap.remove t k;
+        m := Int_map.remove k !m
+      in
+      let ok = ref true in
+      List.iter
+        (function
+          | C_bind (k, v) -> bind t m k v
+          | C_unbind k -> unbind t m k
+          | C_lookup k ->
+            let want = Int_map.find_opt k !m in
+            if
+              Codemap.find_opt t k <> want
+              || Codemap.mem t k <> (want <> None)
+              || Codemap.find_default t k ~default:"none" <> Option.value ~default:"none" want
+              || (match Codemap.find t k with v -> Some v | exception Not_found -> None) <> want
+            then ok := false
+          | C_scan -> if not (same t !m) then ok := false
+          | C_copy -> copies := (Codemap.copy t, ref !m) :: !copies
+          | C_bind_copy (k, v) -> (
+            match !copies with (c, cm) :: _ -> bind c cm k v | [] -> ())
+          | C_unbind_copy k -> (
+            match !copies with (c, cm) :: _ -> unbind c cm k | [] -> ()))
+        ops;
+      !ok && same t !m && List.for_all (fun (c, cm) -> same c !cm) !copies)
+
+(* Keys bound must lie in [0, max_key]; any int may be looked up. A page
+   goes when its last binding does. *)
+let test_codemap_key_range () =
+  let module Codemap = Ocolos_util.Codemap in
+  let t = Codemap.create () in
+  Codemap.replace t Codemap.max_key "top";
+  Codemap.replace t 0 "zero";
+  Codemap.replace t 4095 "last slot of page 0";
+  Alcotest.(check int) "two pages" 2 (Codemap.pages t);
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string)) "out-of-range key finds nothing" None (Codemap.find_opt t k);
+      Alcotest.check_raises "out-of-range key refused"
+        (Invalid_argument "Codemap.replace: key out of range") (fun () -> Codemap.replace t k "x"))
+    [ -1; min_int; Codemap.max_key + 1; max_int ];
+  Alcotest.(check (list int)) "keys ascending" [ 0; 4095; Codemap.max_key ]
+    (Array.to_list (Codemap.keys t));
+  Codemap.remove t Codemap.max_key;
+  Alcotest.(check int) "emptied page freed" 1 (Codemap.pages t);
+  Codemap.remove t 0;
+  Alcotest.(check int) "page kept while bound" 1 (Codemap.pages t);
+  Alcotest.(check int) "one binding left" 1 (Codemap.length t);
+  Alcotest.(check (option string)) "freed page reads absent" None
+    (Codemap.find_opt t Codemap.max_key)
+
 let suite =
   [ Alcotest.test_case "fault schedule validation" `Quick test_fault_schedule_validation;
     Alcotest.test_case "fault parse_arm" `Quick test_fault_parse_arm;
@@ -388,4 +515,6 @@ let suite =
     Alcotest.test_case "fmt_int" `Quick test_fmt_int;
     QCheck_alcotest.to_alcotest prop_itbl_matches_model;
     QCheck_alcotest.to_alcotest prop_itbl_int_matches_model;
-    Alcotest.test_case "itbl reserved keys" `Quick test_itbl_reserved_keys ]
+    Alcotest.test_case "itbl reserved keys" `Quick test_itbl_reserved_keys;
+    QCheck_alcotest.to_alcotest prop_codemap_matches_model;
+    Alcotest.test_case "codemap key range" `Quick test_codemap_key_range ]
