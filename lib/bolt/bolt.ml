@@ -362,7 +362,12 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
       (Trace.I (List.fold_left (fun acc (_, fm) -> acc + Frame_map.exact_points fm) 0 maps));
     maps
   in
-  let failed = List.sort compare !failed in
+  let failed =
+    List.sort
+      (fun (f1, p1) (f2, p2) ->
+        match Int.compare f1 f2 with 0 -> String.compare p1 p2 | c -> c)
+      !failed
+  in
   Trace.set_attr run_sp "funcs_reordered" (Trace.I (List.length hot_fids));
   Trace.set_attr run_sp "work_instrs" (Trace.I !work_instrs);
   Trace.set_attr run_sp "failed" (Trace.I (List.length failed));

@@ -787,8 +787,9 @@ let revert t (s : snapshot) : revert_stats =
   (* 1. Re-inject the snapshot's text that forward GC removed or a forward
      round kept, in ascending fid order. Kept text is the snapshot's own
      and live again, so it leaves the residue (the reaper must never free
-     it) and keeps its symbol range. *)
-  let reinjected = ref 0 and residue_ranges = ref [] in
+     it) and keeps its symbol range; the other ranges enter the symbol
+     index in one rebuild after the loop. *)
+  let reinjected = ref 0 and residue_ranges = ref [] and sym_ranges = ref [] in
   Array.iteri
     (fun fid sn_ranges ->
       List.iter
@@ -809,11 +810,11 @@ let revert t (s : snapshot) : revert_stats =
                 live.Osr.residue
             then residue_ranges := (rs, re) :: !residue_ranges
             else
-              Addr_space.add_sym_ranges mem
-                [ { Addr_space.sr_start = rs; sr_end = re; sr_fid = fid } ]
+              sym_ranges := { Addr_space.sr_start = rs; sr_end = re; sr_fid = fid } :: !sym_ranges
           end)
         sn_ranges)
     sv.Osr.resident;
+  Addr_space.add_sym_ranges mem !sym_ranges;
   let residue =
     List.filter_map
       (fun (r : Osr.residue) ->
@@ -850,14 +851,10 @@ let revert t (s : snapshot) : revert_stats =
         | addrs -> Some (rnd, addrs))
       v.Osr.inherited
   in
+  let inh' = word_set inherited' in
   let newer =
     Iset.fold
-      (fun a acc ->
-        if
-          Iset.mem a sv.Osr.init_addrs
-          || List.exists (fun (_, addrs) -> List.mem a addrs) inherited'
-        then acc
-        else a :: acc)
+      (fun a acc -> if Iset.mem a sv.Osr.init_addrs || Iset.mem a inh' then acc else a :: acc)
       v.Osr.init_addrs []
   in
   osr.Osr.view <-

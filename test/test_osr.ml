@@ -4,8 +4,10 @@
    ever-growing residue, revert to a version other than C0, revert taking
    no fault cuts, drain-window accounting converging to zero, text kept in
    place and re-injected by a revert, revert as a semantic no-op, one
-   snapshot backing two reverts, a frozen fp resolver outliving later
-   transitions, and a re-attached controller finding the live entries. *)
+   snapshot backing two reverts, a revert to C0 on the mysql analog, a
+   sorted symbol index resolving every live range after each revert and
+   drain, a frozen fp resolver outliving later transitions, and a
+   re-attached controller finding the live entries. *)
 
 open Ocolos_workloads
 module O = Ocolos_core.Ocolos
@@ -136,6 +138,33 @@ let live_entries oc =
     (O.current_binary oc).Ocolos_binary.Binary.symbols;
   tbl
 
+(* The address space's symbol index after a transition: sorted by start,
+   and the first and last byte of every range the live binary names
+   resolve to that range's function. *)
+let check_sym_index name oc =
+  let mem = (O.proc oc).Proc.mem in
+  let starts = Array.map (fun r -> r.Addr_space.sr_start) mem.Addr_space.sym_index in
+  let sorted = Array.copy starts in
+  Array.sort Int.compare sorted;
+  Alcotest.(check (array int)) (name ^ ": sym_index sorted by start") sorted starts;
+  let misresolved =
+    Array.to_list (O.current_binary oc).Ocolos_binary.Binary.symbols
+    |> List.concat_map (fun (s : Ocolos_binary.Binary.func_sym) ->
+           let fid = s.Ocolos_binary.Binary.fs_fid in
+           List.concat_map
+             (fun (r : Ocolos_binary.Binary.range) ->
+               let first = r.Ocolos_binary.Binary.r_start in
+               [ first; first + r.Ocolos_binary.Binary.r_size - 1 ])
+             s.Ocolos_binary.Binary.fs_ranges
+           |> List.filter_map (fun a ->
+                  match Addr_space.fid_of_addr mem a with
+                  | Some f when f = fid -> None
+                  | got -> Some (a, fid, got)))
+  in
+  Alcotest.(check (list (triple int int (option int))))
+    (name ^ ": range ends resolve to their fid (addr, fid, resolved)")
+    [] misresolved
+
 (* C2 -> C1: the snapshot's text is re-injected and every code pointer the
    forward rounds patched points back at C1's entries, not C0's. *)
 let test_revert_to_intermediate_version () =
@@ -191,9 +220,11 @@ let test_revert_to_intermediate_version () =
     mem.Addr_space.code;
   Alcotest.(check bool) "direct calls checked" true (!calls > 0);
   O.verify_no_dangling oc ~freed:[];
+  check_sym_index "after the revert" oc;
   Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
   ignore (O.gc_residue oc);
   Alcotest.(check int) "no residue after the drain" 0 (O.resident_extra_bytes oc);
+  check_sym_index "after the drain" oc;
   let tx = Proc.transactions proc in
   Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
   Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
@@ -248,10 +279,12 @@ let test_revert_reinjects_kept_text () =
   ignore (O.revert oc c1);
   Alcotest.(check int) "no residue after the revert" 0 (O.resident_extra_bytes oc);
   O.verify_no_dangling oc ~freed:[];
+  check_sym_index "after the revert" oc;
   Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
   ignore (O.gc_residue oc);
   Alcotest.(check int) "no residue after the drain" 0 (O.resident_extra_bytes oc);
   O.verify_no_dangling oc ~freed:[];
+  check_sym_index "after the drain" oc;
   Proc.run ~cycle_limit:infinity ~max_instrs:100_000_000 proc;
   Alcotest.(check (list int)) "checksums of an uninterrupted run" reference
     (Workload.checksums proc)
@@ -311,16 +344,45 @@ let test_one_snapshot_two_reverts () =
     let rv = O.revert oc c1 in
     Alcotest.(check int) (name ^ ": reverted to C1") 1 rv.O.rv_to_version;
     O.verify_no_dangling oc ~freed:[];
+    check_sym_index (name ^ ": after the revert") oc;
     Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
     ignore (O.gc_residue oc);
     Alcotest.(check int) (name ^ ": drained") 0 (O.resident_extra_bytes oc);
     check_ranges_are_resident_plus_residue name oc;
+    check_sym_index (name ^ ": after the drain") oc;
     Alcotest.(check bool) (name ^ ": C1's view") true (view_fields (O.view oc) = c1_view)
   in
   forward_then_back "first";
   forward_then_back "second";
   let tx = Proc.transactions proc in
   Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+  Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
+
+(* The fleet's rollback at scale: on the mysql analog a commit re-emits
+   enough functions that the revert to C0 re-injects a range for each of
+   them. C0's resident ranges are back, mapped and indexed. *)
+let test_revert_to_c0_on_mysql () =
+  let w = Apps.mysql_like () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "read_only") in
+  let mem = proc.Proc.mem in
+  let oc = O.attach proc in
+  let c0_resident = (O.view oc).Osr.resident in
+  Proc.run ~cycle_limit:infinity ~max_instrs:100_000 proc;
+  let _, stats = optimize_once ~profile_instrs:300_000 proc oc in
+  Alcotest.(check int) "at C1" 1 stats.O.version;
+  let rv = O.revert oc (O.c0_snapshot oc) in
+  Alcotest.(check int) "reverted to C0" 0 rv.O.rv_to_version;
+  Alcotest.(check bool) "text re-injected" true (rv.O.rv_code_bytes_reinjected > 0);
+  check_sym_index "after the revert" oc;
+  O.verify_no_dangling oc ~freed:[];
+  Alcotest.(check (array (list (pair int int))))
+    "C0's resident ranges" c0_resident (O.view oc).Osr.resident;
+  Alcotest.(check (list int)) "C0's ranges mapped (unmapped starts)" []
+    (Array.to_list c0_resident |> List.concat
+    |> List.filter_map (fun (rs, _) ->
+           if Addr_space.read_code mem rs = None then Some rs else None));
+  let tx = Proc.transactions proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:100_000 proc;
   Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
 
 (* The shadow checker's resolver is frozen when taken: at C1 it resolves
@@ -549,6 +611,7 @@ let suite =
     Alcotest.test_case "revert re-injects kept text" `Quick test_revert_reinjects_kept_text;
     Alcotest.test_case "revert differential" `Quick test_revert_differential;
     Alcotest.test_case "one snapshot backs two reverts" `Quick test_one_snapshot_two_reverts;
+    Alcotest.test_case "revert to C0 on mysql" `Quick test_revert_to_c0_on_mysql;
     Alcotest.test_case "frozen fp resolver outlives transitions" `Quick
       test_frozen_translate_fp_outlives_transitions;
     Alcotest.test_case "reattach after a commit without frame maps" `Quick
