@@ -203,19 +203,22 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
     end
   in
   (* Symbol table: hot range first, then the cold range if the function was
-     split. *)
+     split. The units are bucketed by fid in one pass, each bucket keeping
+     [unit_ranges]' order. *)
+  let hot_ranges = Array.make nfuncs [] and cold_ranges = Array.make nfuncs [] in
+  List.iter
+    (fun (fid, kind, r) ->
+      match kind with
+      | `Hot -> hot_ranges.(fid) <- r :: hot_ranges.(fid)
+      | `Cold -> cold_ranges.(fid) <- r :: cold_ranges.(fid))
+    (List.rev !unit_ranges);
   let symbols =
     List.map
       (fun (fl : Layout.func_layout) ->
-        let ranges_of kind =
-          List.filter_map
-            (fun (fid, k, r) -> if fid = fl.fid && k = kind then Some r else None)
-            !unit_ranges
-        in
         { Binary.fs_fid = fl.fid;
           fs_name = program.Ir.funcs.(fl.fid).Ir.fname;
           fs_entry = func_entry.(fl.fid);
-          fs_ranges = ranges_of `Hot @ ranges_of `Cold })
+          fs_ranges = hot_ranges.(fl.fid) @ cold_ranges.(fl.fid) })
       layout
     |> List.sort (fun a b -> compare a.Binary.fs_fid b.Binary.fs_fid)
     |> Array.of_list

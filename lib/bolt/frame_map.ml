@@ -226,5 +226,4 @@ let resolve t addr =
   | i when i >= 0 -> Exact t.fm_exact_new.(i)
   | _ -> ( match containing_block t addr with Some s -> Mid_block s | None -> Unmapped)
 
-let iter_exact f t = Array.iteri (fun i o -> f o t.fm_exact_new.(i)) t.fm_exact_old
 let exact_points t = Array.length t.fm_exact_old

@@ -69,9 +69,5 @@ val containing_block : t -> int -> block_site option
     address, or -1. *)
 val containing_index : t -> int -> int
 
-(** [iter_exact f t] calls [f old_pc new_pc] on every instruction-granular
-    entry, in ascending old-PC order. *)
-val iter_exact : (int -> int -> unit) -> t -> unit
-
 (** Number of instruction-granular map entries (telemetry). *)
 val exact_points : t -> int

@@ -144,6 +144,9 @@ type ctx = {
   ox_old_entry_fid : (int, int) Hashtbl.t; (* doomed entry -> fid *)
   ox_desired : int -> int; (* fid -> entry it should resolve to now *)
   ox_stubs : (int, int) Hashtbl.t; (* old pc -> stub entry *)
+  mutable ox_stub_ranges : Addr_space.sym_range list;
+      (* stubs built this round, indexed in one batch once the threads are
+         migrated: no lookup before then lands in fresh stub text *)
   mutable ox_residue : residue list;
   ox_kept : (int, (int * int) list) Hashtbl.t; (* fid -> its doomed ranges kept mapped *)
   mutable ox_stub_count : int;
@@ -163,6 +166,7 @@ let make_ctx t ~doomed ~fms ~desired ~round ~cut =
       ox_old_entry_fid = Hashtbl.create 64;
       ox_desired = desired;
       ox_stubs = Hashtbl.create 16;
+      ox_stub_ranges = [];
       ox_residue = [];
       ox_kept = Hashtbl.create 16;
       ox_stub_count = 0;
@@ -282,8 +286,9 @@ let build_stub t ctx (fm : Frame_map.t) (site : Frame_map.block_site) addr =
           Addr_space.write_code mem !cursor i;
           cursor := !cursor + Instr.size i)
         closed;
-      Addr_space.add_sym_ranges mem
-        [ { Addr_space.sr_start = base; sr_end = base + bytes; sr_fid = fm.Frame_map.fm_fid } ];
+      ctx.ox_stub_ranges <-
+        { Addr_space.sr_start = base; sr_end = base + bytes; sr_fid = fm.Frame_map.fm_fid }
+        :: ctx.ox_stub_ranges;
       ctx.ox_residue <-
         { rs_fid = fm.Frame_map.fm_fid;
           rs_round = ctx.ox_round;
@@ -369,8 +374,8 @@ let migrate_registers t ctx (thread : Thread.t) =
   done
 
 (* On-stack replacement proper: rewrite every running thread's PC, frame
-   return addresses and saved callee entries into the surviving text.
-   Returns the number of frames/PCs rewritten. *)
+   return addresses and saved callee entries into the surviving text, then
+   index the round's stubs. Returns the number of frames/PCs rewritten. *)
 let migrate_threads t ctx =
   let migrated = ref 0 in
   Array.iter
@@ -400,6 +405,9 @@ let migrate_threads t ctx =
           (Thread.live_frames thread)
       end)
     t.proc.Proc.threads;
+  (match ctx.ox_stub_ranges with
+  | [] -> ()
+  | ranges -> Addr_space.add_sym_ranges t.proc.Proc.mem ranges);
   !migrated
 
 (* Sweep the whole surviving code map for static targets into the doomed

@@ -24,11 +24,14 @@
      halted): transaction counts, final registers, stacks and data memory,
      modulo the round's old->new address translation.
 
-   The clones share no mutable state with the live process — arming the
-   shadow never perturbs the target's execution or its determinism — and
-   each clone carries a translate_fp resolver frozen from the controller
-   tables as of its capture instant, so later replacements or reverts on
-   the live controller cannot skew the replay. *)
+   Nothing a clone writes is seen by the live process — arming the shadow
+   never perturbs the target's execution or its determinism. A clone costs
+   a page directory, not the image: its code pages are shared
+   copy-on-write, and its threads replay on replay-only cores, since the
+   replay runs without a cycle limit and reads only the transaction count
+   from them. Each clone carries a translate_fp resolver frozen from the
+   controller tables as of its capture instant, so later replacements or
+   reverts on the live controller cannot skew the replay. *)
 
 open Ocolos_proc
 module Trace = Ocolos_obs.Trace
@@ -52,7 +55,8 @@ type t = {
   cfg : config;
   ref_proc : Proc.t; (* pre-commit clone: C_i text and state *)
   new_proc : Proc.t; (* post-commit clone: C_{i+1} text, migrated threads *)
-  xlat : int Itbl.t; (* old addr -> new addr (entries, block starts, exact pcs) *)
+  xlat : int Itbl.t; (* old addr -> new addr (function entries, block starts) *)
+  fms : Frame_map.t Itbl.t; (* fid -> its frame map, for exact points *)
   ref_block : int Itbl.t; (* old block start -> bid *)
   new_block : int Itbl.t; (* new block start -> bid *)
 }
@@ -62,21 +66,25 @@ let prepare ?(config = default_config) oc =
   p.Proc.hooks.translate_fp <- Some (Ocolos.frozen_translate_fp oc);
   { pre_cfg = config; pre_proc = p }
 
+(* The round's translation is indexed by block: function entries and block
+   starts go into [xlat]; the instruction-granular exact points stay in the
+   frame maps, which [translate] consults on demand. Only the completion
+   comparisons read a translation, and only for values that differ. *)
 let arm prepared oc (result : Ocolos_bolt.Bolt.result) =
   let np = Proc.clone (Ocolos.proc oc) in
   np.Proc.hooks.translate_fp <- Some (Ocolos.frozen_translate_fp oc);
-  let xlat = Itbl.create 256 in
+  let xlat = Itbl.create 256 and fms = Itbl.create 64 in
   List.iter (fun (o, n) -> Itbl.replace xlat o n) result.Ocolos_bolt.Bolt.translation;
   let ref_block = Itbl.create 256 and new_block = Itbl.create 256 in
   List.iter
-    (fun (_, fm) ->
+    (fun (fid, fm) ->
+      Itbl.replace fms fid fm;
       Array.iter
         (fun (bs : Frame_map.block_site) ->
           Itbl.replace ref_block bs.Frame_map.bs_old_start bs.Frame_map.bs_bid;
           Itbl.replace new_block bs.Frame_map.bs_new_start bs.Frame_map.bs_bid;
           Itbl.replace xlat bs.Frame_map.bs_old_start bs.Frame_map.bs_new_start)
-        fm.Frame_map.fm_blocks;
-      Frame_map.iter_exact (fun o n -> Itbl.replace xlat o n) fm)
+        fm.Frame_map.fm_blocks)
     result.Ocolos_bolt.Bolt.frame_maps;
   Events.emit "shadow.armed"
     [ ("window", Trace.I prepared.pre_cfg.window);
@@ -85,6 +93,7 @@ let arm prepared oc (result : Ocolos_bolt.Bolt.result) =
     ref_proc = prepared.pre_proc;
     new_proc = np;
     xlat;
+    fms;
     ref_block;
     new_block }
 
@@ -136,24 +145,44 @@ let replay cfg block_of (p : Proc.t) =
     | exception Proc.Fault msg -> Some msg
   in
   p.Proc.hooks.on_taken_branch <- None;
-  (Array.map List.rev evs, (not (Proc.runnable p)) && fault = None, fault)
+  (Array.map List.rev evs, (not (Proc.runnable p)) && Option.is_none fault, fault)
+
+let same_event (k, f, b) (k', f', b') = Int.equal k k' && Int.equal f f' && Int.equal b b'
 
 let rec first_mismatch i a b =
   match (a, b) with
   | [], _ | _, [] -> None
-  | x :: a', y :: b' -> if x = y then first_mismatch (i + 1) a' b' else Some (i, x, y)
+  | x :: a', y :: b' -> if same_event x y then first_mismatch (i + 1) a' b' else Some (i, x, y)
+
+(* [v]'s image under the round's old->new translation, or [v] itself when it
+   has none. An exact point of the function owning [v] in the old text (its
+   frame map's instruction-granular entry) takes precedence over a block
+   start, which takes precedence over a function entry. *)
+let translate t v =
+  let exact =
+    match Addr_space.fid_of_addr t.ref_proc.Proc.mem v with
+    | None -> None
+    | Some fid -> (
+      match Itbl.find_opt t.fms fid with
+      | None -> None
+      | Some fm -> (
+        match Frame_map.resolve fm v with
+        | Frame_map.Exact n -> Some n
+        | Frame_map.Mid_block _ | Frame_map.Unmapped -> None))
+  in
+  match exact with Some n -> n | None -> Itbl.find_default t.xlat v ~default:v
 
 (* A new-version value is equivalent to an old-version one when it is equal
    or is its image under the round's old->new address translation. *)
-let equivalent xlat v_ref v_new =
-  v_ref = v_new || (Itbl.mem xlat v_ref && Itbl.find xlat v_ref = v_new)
+let equivalent t v_ref v_new = Int.equal v_ref v_new || Int.equal (translate t v_ref) v_new
 
 let check t =
   Trace.span "shadow.check" @@ fun sp ->
   let ref_evs, ref_done, ref_fault = replay t.cfg t.ref_block t.ref_proc in
   let new_evs, new_done, new_fault = replay t.cfg t.new_block t.new_proc in
   let divergence = ref None in
-  let fail msg = if !divergence = None then divergence := Some msg in
+  let diverged () = Option.is_some !divergence in
+  let fail msg = if not (diverged ()) then divergence := Some msg in
   Array.iteri
     (fun tid evs_r ->
       match first_mismatch 0 evs_r new_evs.(tid) with
@@ -182,7 +211,7 @@ let check t =
      budget-limited replay stops the two clones at different architectural
      points (the new layout retires fewer instructions per unit of work),
      so registers and memory are only comparable when both ran dry. *)
-  if !divergence = None && ref_done && new_done then begin
+  if (not (diverged ())) && ref_done && new_done then begin
     if Proc.transactions t.ref_proc <> Proc.transactions t.new_proc then
       fail
         (Fmt.str "transactions diverged: %d (old) vs %d (new)"
@@ -191,10 +220,10 @@ let check t =
     Array.iteri
       (fun tid (rt : Thread.t) ->
         let nt = t.new_proc.Proc.threads.(tid) in
-        if !divergence = None then begin
+        if not (diverged ()) then begin
           Array.iteri
             (fun r v ->
-              if not (equivalent t.xlat v nt.Thread.regs.(r)) then
+              if not (equivalent t v nt.Thread.regs.(r)) then
                 fail
                   (Fmt.str "tid %d: r%d diverged: %d (old) vs %d (new)" tid r v
                      nt.Thread.regs.(r)))
@@ -208,8 +237,8 @@ let check t =
               let fr = rt.Thread.frames.(i) and fn = nt.Thread.frames.(i) in
               if
                 not
-                  (equivalent t.xlat fr.Thread.ret_addr fn.Thread.ret_addr
-                  && equivalent t.xlat fr.Thread.callee_entry fn.Thread.callee_entry)
+                  (equivalent t fr.Thread.ret_addr fn.Thread.ret_addr
+                  && equivalent t fr.Thread.callee_entry fn.Thread.callee_entry)
               then fail (Fmt.str "tid %d: frame %d diverged" tid i)
             done
         end)
@@ -219,17 +248,17 @@ let check t =
        one-sided addresses are expected). *)
     Ocolos_util.Itbl.iter
       (fun addr v_ref ->
-        if !divergence = None then
+        if not (diverged ()) then
           match Ocolos_util.Itbl.find_opt t.new_proc.Proc.mem.Addr_space.data addr with
           | None -> ()
           | Some v_new ->
-            if not (equivalent t.xlat v_ref v_new) then
+            if not (equivalent t v_ref v_new) then
               fail
                 (Fmt.str "data[0x%x] diverged: %d (old) vs %d (new)" addr v_ref v_new))
       t.ref_proc.Proc.mem.Addr_space.data
   end;
   let verdict = match !divergence with None -> Match | Some r -> Divergence r in
-  Trace.set_attr sp "ok" (Trace.B (verdict = Match));
+  Trace.set_attr sp "ok" (Trace.B (Option.is_none !divergence));
   (match verdict with
   | Match -> Events.emit "shadow.verdict" [ ("ok", Trace.B true); ("window", Trace.I t.cfg.window) ]
   | Divergence reason ->

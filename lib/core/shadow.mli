@@ -20,8 +20,10 @@
     jumps, so their taken-event streams legitimately differ between
     equivalent layouts.
 
-    Clones share no mutable state with the live process: arming and
-    checking the shadow never perturbs the target's execution. *)
+    Nothing a clone writes is seen by the live process (its code pages are
+    shared copy-on-write, and each clone thread replays on a replay-only
+    core): arming and checking the shadow never perturbs the target's
+    execution. *)
 
 type config = {
   window : int;  (** instructions replayed per clone *)
@@ -43,8 +45,9 @@ type t
 val prepare : ?config:config -> Ocolos.t -> prepared
 
 (** Clone the target {e immediately after} a committed replacement and
-    index the round's translation (function entries, block starts, exact
-    OSR points) from the BOLT result. *)
+    index the round's translation by block (function entries and block
+    starts) from the BOLT result; exact OSR points are resolved on demand
+    through the owning function's frame map. *)
 val arm : prepared -> Ocolos.t -> Ocolos_bolt.Bolt.result -> t
 
 (** Replay both clones and compare. Logs a ["shadow.verdict"] event and

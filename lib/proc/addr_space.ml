@@ -185,9 +185,11 @@ let fid_of_addr t addr =
   done;
   !found
 
-(* Independent deep copy, for shadow execution: shares no mutable storage
-   with the source. The copy starts with no open journal and no watchers —
-   a clone is never mid-transaction and no execution engine observes it. *)
+(* Independent copy, for shadow execution: no write to either space is
+   seen by the other. The code map's pages are shared copy-on-write, so
+   the copy costs a page directory, not the image. The copy starts with no
+   open journal and no watchers — a clone is never mid-transaction and no
+   execution engine observes it. *)
 let copy t =
   { code = Codemap.copy t.code;
     data = Itbl.copy t.data;

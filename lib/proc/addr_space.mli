@@ -67,8 +67,9 @@ val remove_sym_ranges : t -> pred:(sym_range -> bool) -> unit
 (** Function owning a code address, via the symbol index. *)
 val fid_of_addr : t -> int -> int option
 
-(** Independent deep copy, for shadow execution: shares no mutable storage
-    with the source. The copy has no open journal and no watchers. *)
+(** Independent copy, for shadow execution: no write to either space is
+    seen by the other; the code map's pages are shared copy-on-write. The
+    copy has no open journal and no watchers. *)
 val copy : t -> t
 
 (** Map a binary image: copy code, initialize globals and v-tables, index

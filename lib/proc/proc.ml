@@ -52,12 +52,14 @@ let load ?(nthreads = 1) ?(cfg = Ocolos_uarch.Config.broadwell) ?(seed = 42) bin
     paused = false;
     block_engine = None }
 
-(* Independent deep copy of the whole process — the shadow checker's
-   substrate. The clone shares no mutable state with the source: address
-   space, threads (registers, stacks, PRNGs) are duplicated; hooks start
-   empty (the caller installs its own observers); the block cache starts
-   cold (a clone replays on whatever engine its caller picks, typically
-   [`Reference]); and a paused source yields a runnable clone. *)
+(* Independent copy of the whole process — the shadow checker's
+   substrate. Nothing either side writes is seen by the other: data
+   memory and threads (registers, stacks, PRNGs) are duplicated and the
+   code map's pages are shared copy-on-write; each thread gets a
+   replay-only core ([Thread.copy]); hooks start empty (the caller
+   installs its own observers); the block cache starts cold (a clone
+   replays on whatever engine its caller picks, typically [`Reference]);
+   and a paused source yields a runnable clone. *)
 let clone t =
   { mem = Addr_space.copy t.mem;
     threads = Array.map Thread.copy t.threads;

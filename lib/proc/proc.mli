@@ -39,10 +39,13 @@ type t = {
 val load :
   ?nthreads:int -> ?cfg:Ocolos_uarch.Config.t -> ?seed:int -> Ocolos_binary.Binary.t -> t
 
-(** Independent deep copy of the whole process (address space, threads,
-    register/stack/PRNG state) — the shadow checker's substrate. The clone
-    shares no mutable state with the source; its hooks start empty, its
-    block cache cold, and it is runnable even if the source is paused. *)
+(** Independent copy of the whole process (address space, threads,
+    register/stack/PRNG state) — the shadow checker's substrate. Nothing
+    either side writes is seen by the other (code pages are shared
+    copy-on-write). Each thread gets a replay-only core ({!Thread.copy}),
+    so the clone's cycle and cache counters are not the source's; its
+    hooks start empty, its block cache cold, and it is runnable even if
+    the source is paused. *)
 val clone : t -> t
 
 exception Fault of string

@@ -35,8 +35,11 @@ let create ~tid ~entry ~seed ~cfg =
 
 (* Independent deep copy: registers, call stack and PRNG are duplicated so
    the copy replays the same future execution without touching the source.
-   The core model is fresh — a copy exists to replay architectural
-   semantics (the shadow checker), and cycle state never affects them. *)
+   The core is a fresh replay-only one: a copy exists to replay
+   architectural semantics (the shadow checker, with no cycle limit), and
+   cycle state never affects them, so it gets the smallest valid geometry
+   rather than a full-size cache hierarchy to allocate and throw away. Its
+   counters still count; only the transaction count is ever read. *)
 let copy t =
   { tid = t.tid;
     regs = Array.copy t.regs;
@@ -47,7 +50,7 @@ let copy t =
         t.frames;
     depth = t.depth;
     rng = Ocolos_util.Rng.copy t.rng;
-    core = Ocolos_uarch.Core.create ();
+    core = Ocolos_uarch.Core.create ~cfg:Ocolos_uarch.Config.tiny ();
     state = t.state;
     instret = t.instret }
 

@@ -22,8 +22,10 @@ type t = {
 val create : tid:int -> entry:int -> seed:int -> cfg:Ocolos_uarch.Config.t -> t
 
 (** Independent deep copy: registers, call stack and PRNG are duplicated
-    (the copy replays the same future execution); the core timing model is
-    fresh, since cycle state never affects architectural semantics. *)
+    (the copy replays the same future execution). The core timing model is
+    a fresh replay-only one of {!Ocolos_uarch.Config.tiny} geometry: cycle
+    state never affects architectural semantics, and a copy's cycle and
+    cache counters are not comparable with its source's. *)
 val copy : t -> t
 
 val push_frame : t -> ret_addr:int -> callee_entry:int -> unit

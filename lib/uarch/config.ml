@@ -69,7 +69,8 @@ let broadwell =
     dram_burst_interval = 310;
     dram_burst_window = 120 }
 
-(* A tiny configuration for unit tests: easy to reason about capacities. *)
+(* A tiny configuration for unit tests: easy to reason about capacities.
+   Also the geometry of a thread copy's replay-only core ([Thread.copy]). *)
 let tiny =
   { broadwell with
     l1i_bytes = 512;

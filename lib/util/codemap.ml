@@ -11,7 +11,15 @@
    needed. A page whose last binding goes is dropped from the directory,
    so a retired code version's pages go away with it. Absent pages are
    one shared page with no bit set, so a lookup tests the bit without
-   asking whether the page exists. *)
+   asking whether the page exists.
+
+   Pages are shared copy-on-write. Each map holds an owner token, and a
+   page carries the token of the map that may write it in place. [copy]
+   copies only the directory and hands both maps fresh tokens, so every
+   page is then foreign to both; the first write or removal on either side
+   copies just that page and stamps it with the writer's token. The tokens
+   are fresh blocks compared physically: no global counter, nothing to
+   leak. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -21,38 +29,51 @@ let slot_mask = page_size - 1
    word per 4 KiB page) at most 8 MiB whatever key a caller binds. *)
 let max_key = (1 lsl 32) - 1
 
+(* A fresh token per map and per [copy]: only its physical identity is
+   ever read. *)
+type owner = unit ref
+
 type 'a page = {
   vals : 'a array; (* [||] in the shared absent page *)
   bits : Bytes.t; (* presence, one bit per slot *)
   mutable count : int; (* bound slots *)
+  owner : owner; (* the one map that may write this page in place *)
 }
 
 type 'a t = {
   mutable dir : 'a page array; (* page number -> page, or [absent] *)
   absent : 'a page; (* shared by every empty directory entry; never written *)
   mutable live : int;
+  mutable owner : owner; (* stamps the pages this map may write in place *)
 }
 
 let new_bits () = Bytes.make (page_size / 8) '\000'
 
-let create () = { dir = [||]; absent = { vals = [||]; bits = new_bits (); count = 0 }; live = 0 }
+let create () =
+  let owner = ref () in
+  { dir = [||]; absent = { vals = [||]; bits = new_bits (); count = 0; owner }; live = 0; owner }
 
 let length t = t.live
 
 let pages t = Array.fold_left (fun n pg -> if pg != t.absent then n + 1 else n) 0 t.dir
 
-(* Independent copy: page by page, sharing only the absent page, which
-   neither map ever writes. *)
+(* A directory copy. Every page becomes foreign to both maps: the source
+   takes a fresh token too, so neither side writes a shared page in place. *)
 let copy t =
-  let absent = t.absent in
-  { dir =
-      Array.map
-        (fun pg ->
-          if pg == absent then absent
-          else { vals = Array.copy pg.vals; bits = Bytes.copy pg.bits; count = pg.count })
-        t.dir;
-    absent;
-    live = t.live }
+  t.owner <- ref ();
+  { dir = Array.copy t.dir; absent = t.absent; live = t.live; owner = ref () }
+
+(* Page [p], writable by [t]: a foreign page is copied and installed
+   first. [pg] is [t.dir.(p)] and is not the absent page. *)
+let own t p (pg : _ page) =
+  if pg.owner == t.owner then pg
+  else begin
+    let pg =
+      { vals = Array.copy pg.vals; bits = Bytes.copy pg.bits; count = pg.count; owner = t.owner }
+    in
+    Array.unsafe_set t.dir p pg;
+    pg
+  end
 
 (* The page holding [key]. A negative key's logical shift is past every
    directory, so it reads as absent like any other unbound key. *)
@@ -93,9 +114,9 @@ let replace t key v =
   if p >= Array.length t.dir then grow t p;
   let pg =
     let pg = Array.unsafe_get t.dir p in
-    if pg != t.absent then pg
+    if pg != t.absent then own t p pg
     else begin
-      let pg = { vals = Array.make page_size v; bits = new_bits (); count = 0 } in
+      let pg = { vals = Array.make page_size v; bits = new_bits (); count = 0; owner = t.owner } in
       Array.unsafe_set t.dir p pg;
       pg
     end
@@ -110,16 +131,22 @@ let replace t key v =
   end;
   Array.unsafe_set pg.vals i v
 
+(* Removing a page's last binding drops the page from this directory
+   only; a map sharing it keeps it. *)
 let remove t key =
   let pg = page t key in
   let i = key land slot_mask in
   if bound pg i then begin
-    let b = i lsr 3 in
-    Bytes.unsafe_set pg.bits b
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get pg.bits b) land lnot (1 lsl (i land 7))));
-    pg.count <- pg.count - 1;
+    let p = key lsr page_bits in
     t.live <- t.live - 1;
-    if pg.count = 0 then Array.unsafe_set t.dir (key lsr page_bits) t.absent
+    if pg.count = 1 then Array.unsafe_set t.dir p t.absent
+    else begin
+      let pg = own t p pg in
+      let b = i lsr 3 in
+      Bytes.unsafe_set pg.bits b
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get pg.bits b) land lnot (1 lsl (i land 7))));
+      pg.count <- pg.count - 1
+    end
   end
 
 (* Ascending key order: pages in directory order, slots in page order.

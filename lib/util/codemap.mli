@@ -2,7 +2,8 @@
     ([Binary.code], [Binary.debug], [Addr_space.code]): a directory indexed
     by [addr lsr 12] holds 4096-slot pages with a presence bitmap. A
     lookup, write or removal hashes nothing; iteration runs in ascending
-    key order; a page is freed when its last binding is removed.
+    key order; a page is freed when its last binding is removed. Pages are
+    shared copy-on-write between a map and its copies.
 
     Keys bound must lie in [0, 2^32); any int may be looked up (one
     outside that range is never found). *)
@@ -20,8 +21,10 @@ val length : 'a t -> int
 (** Number of pages held: those with at least one binding. *)
 val pages : 'a t -> int
 
-(** Independent copy: same bindings, shares no mutable storage with the
-    source. *)
+(** Independent copy: same bindings, and no write or removal on either
+    map is seen by the other. Costs a directory copy: the two maps share
+    every page, and the first write or removal on either side to a shared
+    page copies that page alone (4096 slots and a 512-byte bitmap). *)
 val copy : 'a t -> 'a t
 
 (** Value bound to [key], or [default] when absent; never allocates. *)

@@ -6,8 +6,9 @@
    place and re-injected by a revert, revert as a semantic no-op, one
    snapshot backing two reverts, a revert to C0 on the mysql analog, a
    sorted symbol index resolving every live range after each revert and
-   drain, a frozen fp resolver outliving later transitions, and a
-   re-attached controller finding the live entries. *)
+   drain and after a commit through compensation stubs, a frozen fp
+   resolver outliving later transitions, and a re-attached controller
+   finding the live entries. *)
 
 open Ocolos_workloads
 module O = Ocolos_core.Ocolos
@@ -598,6 +599,32 @@ let test_code_map_views_after_every_transition () =
   Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
   check "reattach" (O.reattach proc) proc
 
+(* Boundary-only frame maps send every mid-block PC through a compensation
+   stub. The round indexes its stubs in one batch once the threads are
+   migrated: afterwards the index is sorted and every stub range the live
+   view names resolves to its function. *)
+let test_sym_index_after_stub_commit () =
+  let w = Apps.tiny ~tx_limit:None () in
+  let proc = Workload.launch ~nthreads:2 w ~input:(Workload.find_input w "a") in
+  let config =
+    { O.default_config with
+      O.bolt = { O.default_config.O.bolt with Ocolos_bolt.Bolt.exact_frame_maps = false } }
+  in
+  let oc = O.attach ~config proc in
+  Proc.run ~cycle_limit:infinity ~max_instrs:40_000 proc;
+  let stubs = ref 0 and rounds = ref 0 in
+  while !stubs = 0 && !rounds < 5 do
+    incr rounds;
+    let _, stats = optimize_once ~profile_instrs:60_000 proc oc in
+    stubs := stats.O.osr_stubs;
+    check_sym_index (Printf.sprintf "after commit %d" !rounds) oc
+  done;
+  Alcotest.(check bool) "a commit went through stubs" true (!stubs > 0);
+  O.verify_no_dangling oc ~freed:[];
+  Proc.run ~cycle_limit:infinity ~max_instrs:200_000 proc;
+  ignore (O.gc_residue oc);
+  check_sym_index "after the drain" oc
+
 let suite =
   [ Alcotest.test_case "never-returning entry replaced" `Slow
       test_never_returning_entry_replaced;
@@ -619,4 +646,6 @@ let suite =
     Alcotest.test_case "reattach after a revert to C0" `Quick test_reattach_after_revert_to_c0;
     Alcotest.test_case "scanner sweeps the code map" `Quick test_scanner_sweeps_the_code_map;
     Alcotest.test_case "code map views after every transition" `Quick
-      test_code_map_views_after_every_transition ]
+      test_code_map_views_after_every_transition;
+    Alcotest.test_case "symbol index after a commit through stubs" `Quick
+      test_sym_index_after_stub_commit ]

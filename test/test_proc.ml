@@ -1,5 +1,6 @@
 (* Unit tests for the process substrate: interpreter semantics, scheduler,
-   hooks, stack walking, pause/resume. *)
+   hooks, stack walking, pause/resume, and a clone replaying like its
+   source. *)
 
 open Ocolos_isa
 open Ocolos_proc
@@ -209,6 +210,47 @@ let test_reserve_code_fresh () =
   Alcotest.(check bool) "above text" true
     (Addr_space.read_code proc.Proc.mem a = None)
 
+(* A clone's threads replay on replay-only cores, which no architectural
+   state may observe: a launched, warmed mysql analog and its clone, run for
+   the same window on the reference engine, take the same branches and end
+   with the same registers, stacks, data words and transaction counts. *)
+let test_clone_replays_like_source () =
+  let module Workload = Ocolos_workloads.Workload in
+  let w = Ocolos_workloads.Apps.mysql_like () in
+  let src = Workload.launch w ~input:(List.hd w.Workload.inputs) in
+  Proc.run ~cycle_limit:infinity ~max_instrs:50_000 src;
+  let cl = Proc.clone src in
+  let replay (p : Proc.t) =
+    let evs = ref [] in
+    p.Proc.hooks.on_taken_branch <-
+      Some (fun ~tid ~from_addr ~to_addr ~kind:_ -> evs := (tid, from_addr, to_addr) :: !evs);
+    Proc.run ~engine:`Reference ~cycle_limit:infinity ~max_instrs:100_000 p;
+    p.Proc.hooks.on_taken_branch <- None;
+    List.rev !evs
+  in
+  let tx0 = Proc.transactions src in
+  let src_evs = replay src and cl_evs = replay cl in
+  Alcotest.(check bool) "events recorded" true (List.length src_evs > 1000);
+  Alcotest.(check (list (triple int int int))) "taken-branch streams" src_evs cl_evs;
+  Alcotest.(check int) "transactions since the clone" (Proc.transactions src - tx0)
+    (Proc.transactions cl);
+  Alcotest.(check bool) "transactions completed" true (Proc.transactions cl > 0);
+  Array.iteri
+    (fun tid (st : Thread.t) ->
+      let ct = cl.Proc.threads.(tid) in
+      let name what = Printf.sprintf "tid %d: %s" tid what in
+      Alcotest.(check (array int)) (name "registers") st.Thread.regs ct.Thread.regs;
+      Alcotest.(check int) (name "pc") st.Thread.pc ct.Thread.pc;
+      Alcotest.(check (list int)) (name "stack") (Thread.return_addresses st)
+        (Thread.return_addresses ct);
+      Alcotest.(check int) (name "instret") st.Thread.instret ct.Thread.instret)
+    src.Proc.threads;
+  let words (p : Proc.t) =
+    Ocolos_util.Itbl.fold (fun a v acc -> (a, v) :: acc) p.Proc.mem.Addr_space.data []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  Alcotest.(check (list (pair int int))) "data words" (words src) (words cl)
+
 let suite =
   [ Alcotest.test_case "alu and halt" `Quick test_alu_and_halt;
     Alcotest.test_case "load/store globals" `Quick test_load_store_globals;
@@ -223,4 +265,5 @@ let suite =
     Alcotest.test_case "pause blocks run" `Quick test_pause_blocks_run;
     Alcotest.test_case "multi-thread round robin" `Quick test_multi_thread_round_robin;
     Alcotest.test_case "stack walk" `Quick test_stack_walk;
-    Alcotest.test_case "reserve code fresh" `Quick test_reserve_code_fresh ]
+    Alcotest.test_case "reserve code fresh" `Quick test_reserve_code_fresh;
+    Alcotest.test_case "a clone replays like its source" `Quick test_clone_replays_like_source ]

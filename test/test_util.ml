@@ -434,7 +434,9 @@ let prop_codemap_matches_model =
         let want = Int_map.bindings m in
         let iterated = ref [] in
         Codemap.iter (fun k v -> iterated := (k, v) :: !iterated) t;
+        let pages = List.sort_uniq Int.compare (List.map (fun (k, _) -> k lsr 12) want) in
         Codemap.length t = Int_map.cardinal m
+        && Codemap.pages t = List.length pages
         && List.rev (Codemap.fold (fun k v acc -> (k, v) :: acc) t []) = want
         && List.rev !iterated = want
         && Array.to_list (Codemap.keys t) = List.map fst want
@@ -494,6 +496,37 @@ let test_codemap_key_range () =
   Alcotest.(check (option string)) "freed page reads absent" None
     (Codemap.find_opt t Codemap.max_key)
 
+(* A copy shares its pages: a write or removal on either side is seen by
+   neither the other side's bindings nor its page count, also when it
+   removes the last key of a shared page. *)
+let test_codemap_copy_on_write () =
+  let module Codemap = Ocolos_util.Codemap in
+  let t = Codemap.create () in
+  Codemap.replace t 10 "a";
+  Codemap.replace t 20 "b";
+  Codemap.replace t 4096 "c";
+  let c = Codemap.copy t in
+  Codemap.remove c 4096;
+  Alcotest.(check int) "copy dropped its last key's page" 1 (Codemap.pages c);
+  Alcotest.(check int) "source keeps the shared page" 2 (Codemap.pages t);
+  Alcotest.(check (option string)) "source keeps the key" (Some "c") (Codemap.find_opt t 4096);
+  Codemap.remove t 10;
+  Codemap.replace t 20 "B";
+  Alcotest.(check (list (pair int string))) "copy unchanged by source writes"
+    [ (10, "a"); (20, "b") ]
+    (List.rev (Codemap.fold (fun k v acc -> (k, v) :: acc) c []));
+  Codemap.replace c 10 "A";
+  Alcotest.(check (list (pair int string))) "source unchanged by copy writes"
+    [ (20, "B"); (4096, "c") ]
+    (List.rev (Codemap.fold (fun k v acc -> (k, v) :: acc) t []));
+  let c2 = Codemap.copy c in
+  Codemap.remove c 10;
+  Codemap.remove c 20;
+  Alcotest.(check int) "copy of a copy keeps its page" 1 (Codemap.pages c2);
+  Alcotest.(check int) "emptied copy holds no page" 0 (Codemap.pages c);
+  Alcotest.(check (list int)) "copy of a copy keeps its keys" [ 10; 20 ]
+    (Array.to_list (Codemap.keys c2))
+
 let suite =
   [ Alcotest.test_case "fault schedule validation" `Quick test_fault_schedule_validation;
     Alcotest.test_case "fault parse_arm" `Quick test_fault_parse_arm;
@@ -517,4 +550,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_itbl_int_matches_model;
     Alcotest.test_case "itbl reserved keys" `Quick test_itbl_reserved_keys;
     QCheck_alcotest.to_alcotest prop_codemap_matches_model;
-    Alcotest.test_case "codemap key range" `Quick test_codemap_key_range ]
+    Alcotest.test_case "codemap key range" `Quick test_codemap_key_range;
+    Alcotest.test_case "codemap copy-on-write" `Quick test_codemap_copy_on_write ]

@@ -343,6 +343,68 @@ let test_shadow_match_on_valid_commit () =
   | Shadow.Match -> ()
   | Shadow.Divergence why -> Alcotest.fail ("second shadow check disagreed: " ^ why)
 
+(* The completion comparison translates a frame's return address through
+   the exact point of the frame map of the function that owns it. Here
+   the only thread halts inside a callee a few thousand instructions
+   after the commit, so both replays run to completion with one frame
+   left, whose return address sits mid-block in [main]: no entry or
+   block start names it, only [main]'s exact points. *)
+let test_shadow_translates_exact_points () =
+  let module Ir = Ocolos_isa.Ir in
+  let iterations = 20_000 in
+  let main =
+    { Ir.fid = 0;
+      fname = "main";
+      blocks =
+        [| { Ir.bid = 0; body = [ Ir.SCall 1; Ir.Plain (Instr.Movi (9, 1)) ]; term = Ir.Thalt } |]
+    }
+  and count_down =
+    { Ir.fid = 1;
+      fname = "count_down";
+      blocks =
+        [| { Ir.bid = 0; body = [ Ir.Plain (Instr.Movi (1, iterations)) ]; term = Ir.Tjump 1 };
+           { Ir.bid = 1;
+             body = [ Ir.Plain (Instr.Alui (Instr.Sub, 1, 1, 1)) ];
+             term = Ir.Tbranch (Instr.Gt, 1, 1, 2) };
+           { Ir.bid = 2; body = []; term = Ir.Thalt } |] }
+  in
+  let program =
+    { Ir.funcs = [| main; count_down |]; vtables = [||]; entry_fid = 0; globals_words = 8;
+      global_init = [] }
+  in
+  let binary = (Ocolos_binary.Emit.emit_default ~name:"count_down" program).Ocolos_binary.Emit.binary in
+  let proc = Proc.load ~nthreads:1 binary in
+  let config =
+    { O.default_config with
+      O.bolt = { O.default_config.O.bolt with Bolt.hot_threshold = 1; max_hot_funcs = None; lite = false } }
+  in
+  let oc = O.attach ~config proc in
+  O.start_profiling oc;
+  Proc.run ~cycle_limit:infinity ~max_instrs:((2 * iterations) - 2_000) proc;
+  let profile, _ = O.stop_profiling oc in
+  let result, _ = O.run_bolt oc profile in
+  let thread = proc.Proc.threads.(0) in
+  let old_ret = thread.Ocolos_proc.Thread.frames.(0).Ocolos_proc.Thread.ret_addr in
+  Alcotest.(check int) "inside the callee" 1 thread.Ocolos_proc.Thread.depth;
+  let pre = Shadow.prepare oc in
+  (match Txn.replace_code oc result with
+  | Txn.Committed _ -> ()
+  | Txn.Rolled_back _ | Txn.Diverged _ -> Alcotest.fail "clean commit did not commit");
+  let new_ret = thread.Ocolos_proc.Thread.frames.(0).Ocolos_proc.Thread.ret_addr in
+  Alcotest.(check bool) "return address migrated" true (new_ret <> old_ret);
+  Alcotest.(check bool) "return address is mid-block" false
+    (List.exists
+       (fun (_, fm) -> Frame_map.block_new_start fm old_ret <> None)
+       result.Bolt.frame_maps);
+  (match Shadow.check (Shadow.arm pre oc result) with
+  | Shadow.Match -> ()
+  | Shadow.Divergence why -> Alcotest.fail ("valid commit flagged divergent: " ^ why));
+  (* The live process is where the post-commit clone was taken: it halts
+     inside the callee within the replay window, its frame still held. *)
+  Proc.run ~cycle_limit:infinity ~max_instrs:Shadow.default_config.Shadow.window proc;
+  Alcotest.(check bool) "halted within the window" false (Proc.runnable proc);
+  Alcotest.(check int) "halted with the frame held" 1 thread.Ocolos_proc.Thread.depth
+
 (* The jump_table blind spot end-to-end: the corrupted result passes
    Tier 1, commits, and the shadow replay catches the rotated indirect
    targets — the single-process campaign (a one-replica fleet) takes a
@@ -655,6 +717,8 @@ let suite =
     Alcotest.test_case "shared CFG memo untouched" `Quick test_shared_cfgs_untouched;
     Alcotest.test_case "shadow matches a valid commit" `Quick
       test_shadow_match_on_valid_commit;
+    Alcotest.test_case "shadow translates exact points at completion" `Quick
+      test_shadow_translates_exact_points;
     Alcotest.test_case "shadow reverts the jump_table blind spot" `Quick
       test_jump_table_caught_by_shadow;
     Alcotest.test_case "miscompile chaos property" `Slow test_miscompile_chaos_property;
