@@ -477,11 +477,11 @@ let replace_code t (result : Bolt.result) : replacement_stats =
   (* 1. Inject the optimized code and its jump-table data. *)
   Trace.span "replace.inject" (fun sp ->
       cut t "mem.exhausted";
-      Array.iter
-        (fun addr ->
-          cut t "inject_code";
-          Addr_space.write_code mem addr (Codemap.find new_text.Binary.code addr))
-        new_text.Binary.code_order;
+      ignore
+        (Addr_space.write_run mem
+           ~each:(fun () -> cut t "inject_code")
+           new_text.Binary.code Addr_space.all_code
+          : int);
       List.iter
         (fun (a, v) ->
           cut t "inject_data";
@@ -795,15 +795,9 @@ let revert t (s : snapshot) : revert_stats =
       List.iter
         (fun (rs, re) ->
           if not (List.mem (rs, re) live.Osr.resident.(fid)) then begin
-            let addr = ref rs in
-            while !addr < re do
-              match Codemap.find_opt sv.Osr.current.Binary.code !addr with
-              | Some instr ->
-                Addr_space.write_code mem !addr instr;
-                reinjected := !reinjected + Instr.size instr;
-                addr := !addr + Instr.size instr
-              | None -> incr addr
-            done;
+            reinjected :=
+              !reinjected
+              + Addr_space.write_run mem ~each:ignore sv.Osr.current.Binary.code (rs, re);
             if
               List.exists
                 (fun (r : Osr.residue) -> List.mem (rs, re) r.rs_ranges)

@@ -88,11 +88,12 @@ let in_ranges (set : range_set) addr =
 let iter_code mem (s, e) f =
   let addr = ref s in
   while !addr < e do
-    match Addr_space.read_code mem !addr with
-    | Some instr ->
+    let instr = Codemap.find_default mem.Addr_space.code !addr ~default:Predecode.unmapped in
+    if instr == Predecode.unmapped then incr addr
+    else begin
       f !addr instr;
       addr := !addr + Instr.size instr
-    | None -> incr addr
+    end
   done
 
 (* Whether any of [addrs] falls inside residue [r]. *)
@@ -467,17 +468,10 @@ let patch_data_words t ctx =
    bytes freed. *)
 let unmap t ~each rs =
   let mem = t.proc.Proc.mem in
-  let bytes = ref 0 in
-  List.iter
-    (fun r ->
-      iter_code mem r (fun addr instr ->
-          each ();
-          bytes := !bytes + Instr.size instr;
-          Addr_space.remove_code mem addr))
-    rs;
+  let bytes = List.fold_left (fun acc r -> acc + Addr_space.remove_run mem ~each r) 0 rs in
   let set = range_set rs in
   Addr_space.remove_sym_ranges mem ~pred:(fun sr -> in_ranges set sr.Addr_space.sr_start);
-  !bytes
+  bytes
 
 (* Reap residue (stubs and kept text) that no thread can reach anymore —
    reachability is PCs, return addresses, saved callee entries and register
@@ -667,22 +661,15 @@ let migrate t ~doomed ~desired ~fms ~cut =
       Array.iter
         (fun (site, owner, callee) ->
           cut "call_patch";
-          let cur_target =
-            match Addr_space.read_code mem site with
-            | Some (Instr.Call cur) -> Some cur
-            | Some _ | None -> None
-          in
-          let target_doomed =
-            match cur_target with Some cur -> in_doomed ctx cur | None -> false
-          in
-          if t.patch_all_direct_calls || Hashtbl.mem live owner || target_doomed then begin
+          match Codemap.find_default mem.Addr_space.code site ~default:Predecode.unmapped with
+          | Instr.Call cur
+            when t.patch_all_direct_calls || Hashtbl.mem live owner || in_doomed ctx cur ->
             let want = desired callee in
-            match cur_target with
-            | Some cur when cur <> want ->
+            if cur <> want then begin
               Addr_space.write_code mem site (Instr.Call want);
               incr sites_patched
-            | Some _ | None -> ()
-          end)
+            end
+          | _ -> ())
         t.offline_sites;
       Trace.set_attr sp "stack_live_funcs" (Trace.I (Hashtbl.length live));
       Trace.set_attr sp "patched" (Trace.I !sites_patched));

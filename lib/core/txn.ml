@@ -9,7 +9,8 @@
    process back to a consistent C_i — the managed process resumes on the
    previous code version instead of crashing on a half-applied patch.
 
-   Mechanics: the address space records an undo log (Addr_space journal),
+   Mechanics: the address space saves its code map as a copy-on-write page
+   directory and records an undo log of data words (Addr_space journal),
    thread PCs and frames are snapshotted up front (replace_code never
    pushes or pops frames, only rewrites them in place), and the
    controller's live view, an immutable value, is kept to assign back. On
@@ -72,9 +73,9 @@ module Events = Ocolos_obs.Events
 
 (* The decoded-block engine invalidates its cache through the address-space
    code watcher, which replace_code exercises on both the forward path and
-   the journal replay of a rollback. An incoherent entry after either means
-   the invalidation feed missed a write — fail loudly rather than let the
-   process resume on stale decoded code. Deliberately not a metric or trace
+   the restore of a rollback's saved code map. An incoherent entry after
+   either means the invalidation feed missed a write — fail loudly rather
+   than let the process resume on stale decoded code. Deliberately not a metric or trace
    attribute: exports must stay byte-identical across engines. *)
 let check_block_cache proc ~after =
   if not (Proc.validate_code_cache proc) then
@@ -84,7 +85,7 @@ let check_block_cache proc ~after =
    mutation of the replacement has been applied (threads migrated, code
    and data patched — the address space reads as C_{i+1}) but before the
    journal is discarded, so a [Error] verdict unwinds through the exact
-   same journal replay a mid-transaction fault uses. That rollback is
+   same journal rollback a mid-transaction fault uses. That rollback is
    byte-exact — thread PCs, registers and frames restored from the
    up-front snapshot — which is what lets the chaos harness demand the
    surviving trace be byte-identical to a run that never attempted the

@@ -25,7 +25,7 @@ type outcome =
   | Rolled_back of rollback
   | Diverged of diverged
       (** the [verify] gate rejected the fully-applied replacement; the
-          transaction was unwound through the same journal replay a
+          transaction was unwound through the same journal rollback a
           mid-transaction fault uses, so the rollback is byte-exact *)
 
 (** = {!Ocolos.injection_points}. *)

@@ -11,24 +11,24 @@ open Ocolos_binary
 
 type sym_range = { sr_start : int; sr_end : int; sr_fid : int }
 
-(* Undo journal for transactional mutation (OCOLOS's code replacement).
-   Each entry records the *previous* contents of a touched location; the
-   symbol index, byte count and mmap cursor are snapshotted wholesale at
-   [begin_journal] since the index is rebuilt (never mutated in place). *)
-type journal_entry =
-  | J_code of int * Instr.t option
-  | J_data of int * int option
+module Itbl = Ocolos_util.Itbl
+module Codemap = Ocolos_util.Codemap
 
+(* Undo journal for transactional mutation (OCOLOS's code replacement).
+   The code map is saved whole at [begin_journal]: a [Codemap.copy] shares
+   every page copy-on-write, so the save point costs one page directory
+   and a write during the transaction copies only the page it touches.
+   Data words are journaled one entry per mutation, recording the previous
+   contents. The symbol index, byte count and mmap cursor are snapshotted
+   wholesale, since the index is rebuilt (never mutated in place). *)
 type journal = {
-  mutable entries : journal_entry list; (* most recent first *)
-  mutable n_entries : int;
+  j_code : Instr.t Codemap.t; (* the code map at [begin_journal] *)
+  mutable j_data : (int * int option) list; (* previous data words, most recent first *)
+  mutable n_entries : int; (* code writes, code removals and data mutations *)
   j_sym_index : sym_range array;
   j_code_bytes : int;
   j_next_map_base : int;
 }
-
-module Itbl = Ocolos_util.Itbl
-module Codemap = Ocolos_util.Codemap
 
 type t = {
   code : Instr.t Codemap.t;
@@ -39,12 +39,13 @@ type t = {
   mutable next_map_base : int; (* first free code address for injection *)
   mutable journal : journal option;
   mutable code_watchers : (int -> int -> unit) list;
-      (* observers of every code-map mutation (write, removal, rollback
-         replay); the execution engines' invalidation feeds. Each is called
-         with the byte span [start, start+len) the mutation touches — not
-         just the keyed address — so a write whose encoding overlays the
-         tail of one cached block and the head of the next invalidates
-         every overlapping block. *)
+      (* observers of every code-map mutation (a write, a run of writes
+         or removals, each slot a rollback restores); the execution engines'
+         invalidation feeds. Each is called with the byte span
+         [start, start+len) the mutation touches — not just the keyed
+         address — so a write whose encoding overlays the tail of one
+         cached block and the head of the next invalidates every
+         overlapping block. *)
 }
 
 let add_code_watcher t f = t.code_watchers <- f :: t.code_watchers
@@ -52,14 +53,20 @@ let add_code_watcher t f = t.code_watchers <- f :: t.code_watchers
 let notify_code_write t addr len =
   List.iter (fun f -> f addr len) t.code_watchers
 
+let count_entries t n =
+  match t.journal with None -> () | Some j -> j.n_entries <- j.n_entries + n
+
 let read_data t addr = Itbl.find_default t.data addr ~default:0
 
-let write_data t addr v =
-  (match t.journal with
+let journal_data t addr old =
+  match t.journal with
   | None -> ()
   | Some j ->
-    j.entries <- J_data (addr, Itbl.find_opt t.data addr) :: j.entries;
-    j.n_entries <- j.n_entries + 1);
+    j.j_data <- (addr, old) :: j.j_data;
+    j.n_entries <- j.n_entries + 1
+
+let write_data t addr v =
+  (match t.journal with None -> () | Some _ -> journal_data t addr (Itbl.find_opt t.data addr));
   Itbl.replace_int t.data addr v
 
 (* Journaled deletion of a data word (absent reads as 0). Used by OCOLOS to
@@ -67,52 +74,89 @@ let write_data t addr v =
 let remove_data t addr =
   match Itbl.find_opt t.data addr with
   | None -> ()
-  | Some v ->
-    (match t.journal with
-    | None -> ()
-    | Some j ->
-      j.entries <- J_data (addr, Some v) :: j.entries;
-      j.n_entries <- j.n_entries + 1);
+  | Some _ as old ->
+    journal_data t addr old;
     Itbl.remove t.data addr
 
 let read_code t addr = Codemap.find_opt t.code addr
 
-(* Journal [addr]'s previous contents [old], as the caller read them. *)
-let journal_code t addr old =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    j.entries <- J_code (addr, old) :: j.entries;
-    j.n_entries <- j.n_entries + 1
+let unmapped = Predecode.unmapped
 
 (* The byte span a mutation at [addr] dirties: the new encoding's bytes and
-   the old one's, whichever reaches further. Watchers must see the full
-   span — a 5-byte write over a 1-byte instruction also clobbers the four
-   bytes after it, which may belong to other cached blocks. *)
+   the old one's, whichever reaches further ([unmapped] on either side
+   counts one byte). Watchers must see the full span — a 5-byte write over
+   a 1-byte instruction also clobbers the four bytes after it, which may
+   belong to other cached blocks. *)
 let write_span old_instr new_instr =
-  let len i = match i with Some i -> Instr.size i | None -> 1 in
+  let len i = if i == unmapped then 1 else Instr.size i in
   max (len old_instr) (len new_instr)
 
-let write_code t addr instr =
+let check_regs addr instr =
   if not (Instr.valid_regs instr) then
-    invalid_arg (Printf.sprintf "Addr_space.write_code: bad register operand at 0x%x" addr);
-  let old = Codemap.find_opt t.code addr in
-  journal_code t addr old;
-  (match old with
-  | Some old -> t.code_bytes <- t.code_bytes - Instr.size old
-  | None -> ());
+    invalid_arg (Printf.sprintf "Addr_space.write_code: bad register operand at 0x%x" addr)
+
+(* Bind [addr] to [instr], keeping [code_bytes] exact. Returns the span the
+   write dirties. *)
+let put_code t addr instr =
+  check_regs addr instr;
+  let old = Codemap.find_default t.code addr ~default:unmapped in
+  if old != unmapped then t.code_bytes <- t.code_bytes - Instr.size old;
   Codemap.replace t.code addr instr;
   t.code_bytes <- t.code_bytes + Instr.size instr;
-  notify_code_write t addr (write_span old (Some instr))
+  write_span old instr
 
-let remove_code t addr =
-  match Codemap.find_opt t.code addr with
-  | Some old as prev ->
-    journal_code t addr prev;
-    t.code_bytes <- t.code_bytes - Instr.size old;
-    Codemap.remove t.code addr;
-    notify_code_write t addr (Instr.size old)
-  | None -> ()
+let write_code t addr instr =
+  let span = put_code t addr instr in
+  count_entries t 1;
+  notify_code_write t addr span
+
+let all_code = (0, Codemap.max_key + 1)
+
+(* Walk the instructions [map] holds in [\[s, e)] as a decoder would: from
+   each instruction to the byte past its encoding, skipping unmapped
+   bytes. [step addr instr] mutates the code map at [addr] and returns the
+   end of the span it dirtied; [each ()] runs first and may raise. However
+   the walk ends, the journal counts every mutation and the watchers hear
+   once, of the span from the first mutated byte to the furthest dirtied
+   one. Returns the bytes of the instructions walked. Inlined, so [step]
+   is a direct call. *)
+let[@inline] run t ~each map (s, e) step =
+  let first = ref max_int and stop = ref 0 and n = ref 0 and bytes = ref 0 in
+  match
+    let a = ref s in
+    while !a < e do
+      let addr = !a in
+      let instr = Codemap.find_default map addr ~default:unmapped in
+      if instr == unmapped then a := Codemap.next_key map (addr + 1)
+      else begin
+        each ();
+        let reach = step addr instr in
+        if !n = 0 then first := addr;
+        incr n;
+        if reach > !stop then stop := reach;
+        let size = Instr.size instr in
+        bytes := !bytes + size;
+        a := addr + size
+      end
+    done
+  with
+  | () ->
+    count_entries t !n;
+    if !n > 0 then notify_code_write t !first (!stop - !first);
+    !bytes
+  | exception ex ->
+    count_entries t !n;
+    if !n > 0 then notify_code_write t !first (!stop - !first);
+    raise ex
+
+let write_run t ~each src range =
+  run t ~each src range (fun addr instr -> addr + put_code t addr instr)
+
+let remove_run t ~each range =
+  run t ~each t.code range (fun addr instr ->
+      t.code_bytes <- t.code_bytes - Instr.size instr;
+      Codemap.remove t.code addr;
+      addr + Instr.size instr)
 
 let journaling t = t.journal <> None
 
@@ -120,7 +164,8 @@ let begin_journal t =
   if t.journal <> None then invalid_arg "Addr_space.begin_journal: journal already open";
   t.journal <-
     Some
-      { entries = [];
+      { j_code = Codemap.copy t.code;
+        j_data = [];
         n_entries = 0;
         j_sym_index = t.sym_index;
         j_code_bytes = t.code_bytes;
@@ -133,26 +178,22 @@ let commit_journal t =
     t.journal <- None;
     j.n_entries
 
-(* Replay the undo log most-recent-first: the oldest entry for an address
-   holds its pre-transaction contents and is applied last. *)
+(* Put the saved code directory back and tell the watchers about each slot
+   it changes, with the span writing the saved contents over the live ones
+   dirties; then replay the data undo log most-recent-first (the oldest
+   entry for a word holds its pre-transaction value and is applied last). *)
 let rollback_journal t =
   match t.journal with
   | None -> invalid_arg "Addr_space.rollback_journal: no open journal"
   | Some j ->
     t.journal <- None;
+    Codemap.restore t.code ~from:j.j_code ~default:unmapped ~changed:(fun addr live saved ->
+        notify_code_write t addr (write_span live saved));
     List.iter
       (function
-        | J_code (addr, Some i) ->
-          let cur = Codemap.find_opt t.code addr in
-          Codemap.replace t.code addr i;
-          notify_code_write t addr (write_span cur (Some i))
-        | J_code (addr, None) ->
-          let cur = Codemap.find_opt t.code addr in
-          Codemap.remove t.code addr;
-          notify_code_write t addr (write_span cur None)
-        | J_data (addr, Some v) -> Itbl.replace_int t.data addr v
-        | J_data (addr, None) -> Itbl.remove t.data addr)
-      j.entries;
+        | addr, Some v -> Itbl.replace_int t.data addr v
+        | addr, None -> Itbl.remove t.data addr)
+      j.j_data;
     t.sym_index <- j.j_sym_index;
     t.code_bytes <- j.j_code_bytes;
     t.next_map_base <- j.j_next_map_base;
@@ -213,9 +254,7 @@ let load (binary : Binary.t) =
       journal = None;
       code_watchers = [] }
   in
-  Array.iter
-    (fun addr -> write_code t addr (Codemap.find binary.Binary.code addr))
-    binary.Binary.code_order;
+  ignore (write_run t ~each:ignore binary.Binary.code all_code : int);
   List.iter (fun (addr, v) -> write_data t addr v) binary.Binary.global_init;
   Array.iter
     (fun vt ->

@@ -24,13 +24,16 @@ type t = {
 }
 
 (** Register a code-write watcher. Each watcher fires on every code-map
-    mutation — {!write_code}, an effective {!remove_code}, and each code
-    entry replayed by {!rollback_journal} — with the byte span
-    [start, len) the mutation dirties: the wider of the old and new
-    encodings at the keyed address, so a write whose encoding overlays
-    neighbouring instructions reports the full overlap. The execution
-    engines use this as their cache-invalidation feed; several engines may
-    watch the same address space at once. *)
+    mutation with the byte span [start, len) it dirties: once per
+    {!write_code}, with the wider of the old and new encodings at the
+    keyed address, so a write whose encoding overlays neighbouring
+    instructions reports the full overlap; once per
+    {!write_run} or {!remove_run}, with the span from the first mutated
+    byte to the furthest one dirtied; and, on {!rollback_journal}, once
+    per slot the restore changes, with the span writing the saved
+    contents over the live ones dirties. The execution engines use this
+    as their cache-invalidation feed; several engines may watch the same
+    address space at once. *)
 val add_code_watcher : t -> (int -> int -> unit) -> unit
 
 val read_data : t -> int -> int
@@ -41,22 +44,49 @@ val write_data : t -> int -> int -> unit
     drained. *)
 val remove_data : t -> int -> unit
 val read_code : t -> int -> Ocolos_isa.Instr.t option
-val write_code : t -> int -> Ocolos_isa.Instr.t -> unit
-val remove_code : t -> int -> unit
 
-(** Start recording an undo log: every subsequent code/data mutation saves
-    the previous contents, and the symbol index, code byte count and mmap
-    cursor are snapshotted. Raises [Invalid_argument] if a journal is
-    already open. *)
+(** Bind one address. Raises [Invalid_argument] for an instruction with a
+    register operand out of range. *)
+val write_code : t -> int -> Ocolos_isa.Instr.t -> unit
+
+(** The whole code address range, for a run over every instruction of a
+    map. *)
+val all_code : int * int
+
+(** [write_run t ~each src (s, e)] maps every instruction [src] holds in
+    [\[s, e)], in ascending order, walked as a decoder would: from each
+    instruction to the byte past its encoding, unmapped bytes skipped.
+    [each ()] runs before every instruction and may raise, ending the run
+    there. Each instruction is checked as {!write_code} checks it, and
+    counts as one journaled mutation. The watchers are told once, of the
+    span mutated, however the run ends. Returns the bytes mapped. *)
+val write_run :
+  t -> each:(unit -> unit) -> Ocolos_isa.Instr.t Ocolos_util.Codemap.t -> int * int -> int
+
+(** [remove_run t ~each (s, e)] unmaps every instruction mapped in
+    [\[s, e)], walked as {!write_run} walks its source, with the same
+    [each], journal count and single notification. Returns the bytes
+    unmapped. *)
+val remove_run : t -> each:(unit -> unit) -> int * int -> int
+
+(** Open a transaction. The code map is saved whole as a copy-on-write
+    {!Ocolos_util.Codemap.copy} — a page directory; every data mutation
+    then journals the word's previous contents, and the symbol index,
+    code byte count and mmap cursor are snapshotted. Raises
+    [Invalid_argument] if a journal is already open. *)
 val begin_journal : t -> unit
 
-(** Discard the open journal, keeping all mutations. Returns the number of
-    journaled mutations. *)
+(** Discard the open journal and its save point, keeping all mutations.
+    Returns the number of journaled mutations: one per {!write_code},
+    instruction a run writes or removes, and data mutation. *)
 val commit_journal : t -> int
 
-(** Undo every journaled mutation (most recent first) and restore the
-    symbol index, code byte count and mmap cursor to their
-    [begin_journal]-time values. Returns the number of mutations undone. *)
+(** Restore the saved code directory in place (telling the watchers
+    about every slot it changes), undo every journaled data mutation
+    (most recent first), and restore the symbol index, code byte count
+    and mmap cursor to their [begin_journal]-time values. Returns the
+    number of mutations undone, counted as {!commit_journal} counts
+    them. *)
 val rollback_journal : t -> int
 
 val journaling : t -> bool

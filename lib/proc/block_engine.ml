@@ -11,12 +11,13 @@
 
    Correctness under OCOLOS-style code replacement comes from a precise
    invalidation feed: the engine registers itself as a code watcher of the
-   address space, so every [Addr_space.write_code]/[remove_code] — including
-   the journal replay of a rolled-back [Txn.replace_code] — invalidates
-   exactly the cached blocks overlapping the written byte span. A generation
-   counter guards the in-flight block: if a hook patches code mid-block,
-   the inner loop bails out and re-dispatches at the current pc, exactly as
-   the reference interpreter would re-fetch. *)
+   address space, so every code write (one instruction, or a whole run of
+   writes or removals) and each slot the restore of a rolled-back
+   [Txn.replace_code] changes invalidates exactly the cached blocks
+   overlapping the written byte span. A generation counter guards the
+   in-flight block: if a hook patches code mid-block, the inner loop bails
+   out and re-dispatches at the current pc, exactly as the reference
+   interpreter would re-fetch. *)
 
 open Ocolos_isa
 
@@ -206,8 +207,9 @@ let register t (e : entry) =
   let start = b.Predecode.b_start in
   Itbl.replace t.blocks start e;
   for line = start lsr line_bits to (b.Predecode.b_end - 1) lsr line_bits do
-    let starts = match Itbl.find_opt t.cover line with Some l -> l | None -> [] in
-    if not (List.mem start starts) then Itbl.replace t.cover line (start :: starts)
+    let starts = Itbl.find_default t.cover line ~default:[] in
+    if not (List.exists (fun s -> s = start) starts) then
+      Itbl.replace t.cover line (start :: starts)
   done
 
 let unregister t (b : Predecode.block) =
@@ -228,24 +230,24 @@ let unregister t (b : Predecode.block) =
    [start]; a wide encoding can overlay the tail of one block and the head
    of the next — bump the generation so any in-flight block re-dispatches,
    and clear the per-thread memos (they may point at dropped blocks). The
-   probe touches at most two cover lines ([len] <= the widest encoding, 7
-   bytes), so invalidation stays O(write span), not O(cache). *)
+   probe walks each cover line of the span once: two at most for one
+   instruction ([len] <= the widest encoding, 7 bytes), and one pass with
+   one memo fill for a whole run of writes or removals, so invalidation
+   stays O(write span), not O(cache). *)
 let invalidate t ~start ~len =
   t.gen <- t.gen + 1;
   let stop = start + len in
   if len > 0 then
     for line = start lsr line_bits to (stop - 1) lsr line_bits do
-      match Itbl.find_opt t.cover line with
-      | None -> ()
-      | Some starts ->
-        List.iter
-          (fun s ->
-            match Itbl.find_opt t.blocks s with
-            | Some { blk = b; _ } when b.Predecode.b_start < stop && start < b.Predecode.b_end ->
-              t.invalidations <- t.invalidations + 1;
-              unregister t b
-            | Some _ | None -> ())
-          starts
+      List.iter
+        (fun s ->
+          let e = Itbl.find_default t.blocks s ~default:no_entry in
+          let b = e.blk in
+          if e != no_entry && b.Predecode.b_start < stop && start < b.Predecode.b_end then begin
+            t.invalidations <- t.invalidations + 1;
+            unregister t b
+          end)
+        (Itbl.find_default t.cover line ~default:[])
     done;
   Array.fill t.memo 0 (Array.length t.memo) no_entry
 

@@ -10,8 +10,8 @@
 
     Cached blocks are invalidated precisely by code-map writes: {!create}
     installs the engine as the address space's code watcher, which covers
-    direct writes, removals, and the journal replay of a rolled-back
-    transaction.
+    single writes, whole runs of writes or removals (one span each), and
+    every slot the restore of a rolled-back transaction changes.
 
     Invariant: the per-instruction and per-taken-branch paths allocate
     nothing (no closure, option, boxed float or polymorphic compare), so a

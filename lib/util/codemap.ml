@@ -19,7 +19,9 @@
    page is then foreign to both; the first write or removal on either side
    copies just that page and stamps it with the writer's token. The tokens
    are fresh blocks compared physically: no global counter, nothing to
-   leak. *)
+   leak. The same sharing makes a save point cheap: [copy] before a
+   transaction, and [restore] puts that directory back, walking only the
+   pages the transaction replaced to report the slots it changed. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -148,6 +150,64 @@ let remove t key =
       pg.count <- pg.count - 1
     end
   end
+
+(* The first bound slot of [pg] at or after slot [i], or -1: the rest of
+   [i]'s bitmap byte, then whole bytes. *)
+let next_slot pg i =
+  let found = ref (-1) and i = ref i in
+  while !found < 0 && !i < page_size do
+    let byte = Char.code (Bytes.unsafe_get pg.bits (!i lsr 3)) lsr (!i land 7) in
+    if byte = 0 then i := (!i lor 7) + 1
+    else if byte land 1 <> 0 then found := !i
+    else incr i
+  done;
+  !found
+
+let next_key t key =
+  let key = if key < 0 then 0 else key in
+  let dir = t.dir in
+  let found = ref max_int and p = ref (key lsr page_bits) and i = ref (key land slot_mask) in
+  while !found = max_int && !p < Array.length dir do
+    let pg = Array.unsafe_get dir !p in
+    (if pg.count > 0 then
+       let j = next_slot pg !i in
+       if j >= 0 then found := (!p lsl page_bits) lor j);
+    incr p;
+    i := 0
+  done;
+  !found
+
+(* The slots of one page position that differ between [before] and
+   [after]: presence, or the value compared physically. An absent page
+   has no bit set, so its value array is never read. *)
+let diff_page changed ~default base (before : _ page) (after : _ page) =
+  for b = 0 to (page_size / 8) - 1 do
+    let x = Char.code (Bytes.unsafe_get before.bits b)
+    and y = Char.code (Bytes.unsafe_get after.bits b) in
+    if x lor y <> 0 then
+      for j = 0 to 7 do
+        let bit = 1 lsl j in
+        if (x lor y) land bit <> 0 then begin
+          let i = (b lsl 3) lor j in
+          let v = if x land bit <> 0 then Array.unsafe_get before.vals i else default in
+          let w = if y land bit <> 0 then Array.unsafe_get after.vals i else default in
+          if x land bit <> y land bit || v != w then changed (base lor i) v w
+        end
+      done
+  done
+
+let restore dst ~from ~default ~changed =
+  let before = dst.dir in
+  let after = Array.map (fun pg -> if pg.count = 0 then dst.absent else pg) from.dir in
+  dst.dir <- after;
+  dst.live <- from.live;
+  dst.owner <- ref ();
+  from.owner <- ref ();
+  let slot dir p = if p < Array.length dir then Array.unsafe_get dir p else dst.absent in
+  for p = 0 to max (Array.length before) (Array.length after) - 1 do
+    let pb = slot before p and pa = slot after p in
+    if pb != pa then diff_page changed ~default (p lsl page_bits) pb pa
+  done
 
 (* Ascending key order: pages in directory order, slots in page order.
    [f] may rebind keys already bound; a key it binds or removes ahead of

@@ -27,6 +27,23 @@ val pages : 'a t -> int
     page copies that page alone (4096 slots and a 512-byte bitmap). *)
 val copy : 'a t -> 'a t
 
+(** [restore dst ~from ~default ~changed] makes [dst] read as [from]
+    (its save point, typically a {!copy} taken earlier), in place, so
+    whoever holds [dst] sees the restored bindings. The restored
+    directory shares [from]'s pages copy-on-write, as {!copy} does: both
+    maps take fresh owner tokens. Then [changed key before after] is
+    called, in ascending key order, for every key whose presence or value
+    (compared physically) differs between [dst]'s old bindings and the
+    restored ones, an absent side read as [default]. Directory entries
+    holding the same page on both sides are skipped whole, so the walk
+    costs the pages replaced since the save point, not the image. *)
+val restore : 'a t -> from:'a t -> default:'a -> changed:(int -> 'a -> 'a -> unit) -> unit
+
+(** The least bound key [>= key], or [max_int] when there is none. Empty
+    pages are skipped whole, so walking an image instruction by
+    instruction with it costs nothing per unmapped byte. *)
+val next_key : 'a t -> int -> int
+
 (** Value bound to [key], or [default] when absent; never allocates. *)
 val find_default : 'a t -> int -> default:'a -> 'a
 

@@ -181,7 +181,7 @@ let test_code_removal_invalidates () =
   let entry = proc.Proc.threads.(0).Thread.pc in
   Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:100 proc;
   Alcotest.(check bool) "cache coherent before" true (Proc.validate_code_cache proc);
-  Addr_space.remove_code proc.Proc.mem entry;
+  ignore (Addr_space.remove_run proc.Proc.mem ~each:ignore (entry, entry + 1) : int);
   (match Proc.code_cache_stats proc with
   | None -> Alcotest.fail "no block cache"
   | Some s ->
@@ -270,6 +270,135 @@ let test_write_mid_instruction_invalidates () =
   Alcotest.(check int) "covering block invalidated" 1 s.Ocolos_proc.Block_engine.invalidations;
   Alcotest.(check int) "one block left" 1 s.Ocolos_proc.Block_engine.resident;
   Alcotest.(check bool) "cache valid after mid-instruction write" true
+    (Proc.validate_code_cache proc)
+
+(* ---- rollback invalidation ---- *)
+
+(* A rollback restores the code map's saved directory and must drop exactly
+   the cached blocks a write of each restored slot would drop: the blocks
+   re-decoded from the transaction's code that overlap a changed slot's
+   span, and none of the blocks whose bytes it left alone. The spans here
+   are an overwrite inside block B, a 7-byte encoding removed from the last
+   slot of a page (its span reaches into the next page, where a block
+   starts at a key inside the encoding), and fresh code the rollback
+   unmaps. *)
+let test_rollback_invalidates_restored_spans () =
+  let proc = launch_blocks straight_70 in
+  let mem = proc.Proc.mem in
+  let th = proc.Proc.threads.(0) in
+  let entry = th.Thread.pc in
+  let run_from pc =
+    th.Thread.pc <- pc;
+    th.Thread.state <- Thread.Running;
+    Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:200 proc
+  in
+  let cached () =
+    List.sort Int.compare
+      (List.filter_map
+         (fun (what, a) -> if what = "block" then Some a else None)
+         (Proc.engine_code_pointers proc))
+  in
+  let x = 0x80_0fff and y = 0x90_0000 in
+  Addr_space.write_code mem (x - 4) (Instr.Alui (Instr.Add, 1, 1, 1));
+  Addr_space.write_code mem x (Instr.FpCreate (1, entry));
+  Addr_space.write_code mem (x + 3) Instr.Halt;
+  Addr_space.write_code mem (x + 7) Instr.Halt;
+  run_from entry;
+  Addr_space.begin_journal mem;
+  Addr_space.write_code mem (entry + (66 * 4)) (Instr.Alui (Instr.Add, 1, 1, 2));
+  ignore (Addr_space.remove_run mem ~each:ignore (x, x + 1) : int);
+  Addr_space.write_code mem y Instr.Nop;
+  Addr_space.write_code mem (y + 1) Instr.Halt;
+  (* Warm the cache on the transaction's code: B re-decoded over the
+     overwrite, the halt keyed inside the removed encoding, the halt just
+     past it, and the fresh code. *)
+  List.iter run_from [ entry; x + 3; x + 7; y ];
+  let b = entry + (64 * 4) in
+  Alcotest.(check (list int)) "warm cache" [ entry; b; x + 3; x + 7; y ] (cached ());
+  let before = (blocks_stats proc).Ocolos_proc.Block_engine.invalidations in
+  Alcotest.(check int) "mutations undone" 4 (Addr_space.rollback_journal mem);
+  let s = blocks_stats proc in
+  Alcotest.(check int) "B, the in-encoding block and the fresh block dropped" 3
+    (s.Ocolos_proc.Block_engine.invalidations - before);
+  Alcotest.(check (list int)) "untouched blocks still resident" [ entry; x + 7 ] (cached ());
+  Alcotest.(check bool) "cache coherent after rollback" true (Proc.validate_code_cache proc);
+  Alcotest.(check bool) "encoding restored" true
+    (Addr_space.read_code mem x = Some (Instr.FpCreate (1, entry)))
+
+(* A run of writes or removals tells the watchers once, of the span it
+   mutated, however it ends: at an [each] that raises part-way (a fault
+   cut), or at an instruction with a bad register operand, which a run
+   rejects as [write_code] does, before writing it. The blocks the mutated
+   prefix overlaps drop, the others stay, and [code_bytes] stays exact. *)
+let test_run_cut_short_invalidates () =
+  let module Codemap = Ocolos_util.Codemap in
+  let proc = launch_blocks straight_70 in
+  let mem = proc.Proc.mem in
+  let th = proc.Proc.threads.(0) in
+  let entry = th.Thread.pc in
+  let b = entry + (64 * 4) in
+  let warm () =
+    th.Thread.pc <- entry;
+    th.Thread.state <- Thread.Running;
+    Proc.run ~engine:`Blocks ~cycle_limit:infinity proc
+  in
+  let cut_at k =
+    let n = ref 0 in
+    fun () ->
+      incr n;
+      if !n = k then raise Exit
+  in
+  let src l =
+    let m = Codemap.create () in
+    List.iter (fun (a, i) -> Codemap.replace m a i) l;
+    m
+  in
+  let invalidations () = (blocks_stats proc).Ocolos_proc.Block_engine.invalidations in
+  let bytes0 = mem.Addr_space.code_bytes in
+  let other = Instr.Alui (Instr.Add, 1, 1, 3) in
+  warm ();
+  (* A fault at the second instruction: the first is written, block A drops. *)
+  let i0 = invalidations () in
+  Alcotest.check_raises "write run cut at its second instruction" Exit (fun () ->
+      ignore
+        (Addr_space.write_run mem ~each:(cut_at 2)
+           (src [ (entry, other); (entry + 4, other); (entry + 8, other) ])
+           Addr_space.all_code
+          : int));
+  Alcotest.(check int) "block A dropped" 1 (invalidations () - i0);
+  Alcotest.(check bool) "prefix written" true (Addr_space.read_code mem entry = Some other);
+  Alcotest.(check bool) "cache coherent after a cut write run" true
+    (Proc.validate_code_cache proc);
+  (* A bad register operand second: the first is written, block B drops,
+     the bad one is not written. *)
+  warm ();
+  let i0 = invalidations () in
+  let bad = Instr.Movi (99, 1) in
+  (match
+     Addr_space.write_run mem ~each:ignore
+       (src [ (b, other); (b + 4, bad) ])
+       Addr_space.all_code
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a run wrote a bad register operand");
+  Alcotest.(check int) "block B dropped" 1 (invalidations () - i0);
+  Alcotest.(check bool) "bad instruction not written" true
+    (Addr_space.read_code mem (b + 4) <> Some bad);
+  Alcotest.(check bool) "cache coherent after a rejected write run" true
+    (Proc.validate_code_cache proc);
+  Alcotest.(check int) "code bytes after same-size rewrites" bytes0 mem.Addr_space.code_bytes;
+  (* A removal run cut at its third instruction unmaps two, block B drops. *)
+  warm ();
+  let i0 = invalidations () in
+  Alcotest.check_raises "remove run cut at its third instruction" Exit (fun () ->
+      ignore (Addr_space.remove_run mem ~each:(cut_at 3) (b, b + 64) : int));
+  Alcotest.(check int) "block B dropped by the removal" 1 (invalidations () - i0);
+  Alcotest.(check bool) "two instructions unmapped" true
+    (Addr_space.read_code mem b = None
+    && Addr_space.read_code mem (b + 4) = None
+    && Addr_space.read_code mem (b + 8) <> None);
+  Alcotest.(check int) "code bytes after the removals" (bytes0 - 8) mem.Addr_space.code_bytes;
+  Alcotest.(check bool) "cache coherent after a cut remove run" true
     (Proc.validate_code_cache proc)
 
 (* ---- resident accounting under overlapping blocks ---- *)
@@ -410,6 +539,10 @@ let suite =
       test_write_spanning_blocks_invalidates_both;
     Alcotest.test_case "write inside an instruction invalidates its block" `Quick
       test_write_mid_instruction_invalidates;
+    Alcotest.test_case "rollback invalidates exactly the restored spans" `Quick
+      test_rollback_invalidates_restored_spans;
+    Alcotest.test_case "a run cut short still invalidates its span" `Quick
+      test_run_cut_short_invalidates;
     Alcotest.test_case "resident accounting under overlapping blocks" `Quick
       test_resident_accounting_overlapping_blocks;
     Alcotest.test_case "write_code rejects bad register operands" `Quick

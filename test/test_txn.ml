@@ -426,6 +426,52 @@ let test_non_fault_exception_rolls_back_and_reraises () =
   | Txn.Rolled_back _ -> Alcotest.fail "clean commit rolled back"
   | Txn.Diverged _ -> Alcotest.fail "clean commit diverged")
 
+(* ---- mutation counts under a fixed fault schedule ---- *)
+
+(* [rb_undone] feeds the simulated pause [Measure] charges for a rollback
+   and the [ocolos_txn_mutations_undone_total] metric, so it must count one
+   mutation per code write, code removal and data mutation however the
+   journal stores them. Fault [point] at each of its hits in turn; within
+   one round the count grows by one per hit (one more instruction injected
+   or unmapped before the fault), from a base pinned per round. *)
+let undone_at_every_hit fault oc result point ~hits =
+  List.init hits (fun k ->
+      disarm_all fault;
+      F.arm fault point (F.Nth (k + 1));
+      match Txn.replace_code oc result with
+      | Txn.Rolled_back rb -> rb.Txn.rb_undone
+      | Txn.Committed _ | Txn.Diverged _ -> Alcotest.fail (point ^ ": armed fault did not fire"))
+
+let test_undone_counts_pinned () =
+  let proc, oc, fault = setup () in
+  (* (round, point, hits, mutations undone at the first hit) *)
+  let pinned =
+    [ (1, "inject_code", 588, 0);
+      (1, "gc_unmap", 587, 884);
+      (2, "inject_code", 576, 0);
+      (2, "gc_unmap", 574, 1270) ]
+  in
+  for round = 1 to 2 do
+    let result = profile_and_bolt proc oc in
+    let counts = probe_hit_counts fault oc result in
+    List.iter
+      (fun (r, point, hits, first) ->
+        if r = round then begin
+          let ctx = Printf.sprintf "r%d %s" round point in
+          Alcotest.(check int) (ctx ^ ": hits") hits (List.assoc point counts);
+          Alcotest.(check (list int))
+            (ctx ^ ": undone at each hit")
+            (List.init hits (fun k -> first + k))
+            (undone_at_every_hit fault oc result point ~hits)
+        end)
+      pinned;
+    disarm_all fault;
+    (match Txn.replace_code oc result with
+    | Txn.Committed _ -> ()
+    | Txn.Rolled_back _ | Txn.Diverged _ -> Alcotest.fail "unarmed commit failed");
+    Proc.run ~cycle_limit:infinity ~max_instrs:80_000 proc
+  done
+
 let suite =
   [ Alcotest.test_case "fault schedules" `Quick test_fault_schedules;
     Alcotest.test_case "fault prob deterministic" `Quick test_fault_prob_deterministic;
@@ -438,4 +484,6 @@ let suite =
       test_trace_identical_after_continuous_rollback;
     Alcotest.test_case "journal nesting rejected" `Quick test_journal_nesting_rejected;
     Alcotest.test_case "foreign faults roll back too" `Quick
-      test_non_fault_exception_rolls_back_and_reraises ]
+      test_non_fault_exception_rolls_back_and_reraises;
+    Alcotest.test_case "undone counts pinned at every inject and unmap hit" `Quick
+      test_undone_counts_pinned ]

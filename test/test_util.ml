@@ -375,7 +375,12 @@ let test_itbl_reserved_keys () =
    order, unsorted, against the model's ascending bindings. Values are
    boxed strings. Each copy gets its own model; the source and the copy
    are both written and unbound after the copy, and every copy is checked
-   at the end, so a page shared or freed across the two shows. *)
+   at the end, so a page shared or freed across the two shows. A restore
+   puts the latest copy's bindings back into the map, as a rollback does
+   with its save point, and must report exactly the keys whose presence or
+   (physical) value the model says differ, in ascending order; the two
+   stay independent afterwards. A lookup also checks [next_key] against
+   the model's next binding. *)
 type cmap_op =
   | C_bind of int * int
   | C_unbind of int
@@ -384,6 +389,7 @@ type cmap_op =
   | C_copy
   | C_bind_copy of int * int
   | C_unbind_copy of int
+  | C_restore
 
 let pp_cmap_op = function
   | C_bind (k, v) -> Printf.sprintf "bind %d %d" k v
@@ -393,6 +399,7 @@ let pp_cmap_op = function
   | C_copy -> "copy"
   | C_bind_copy (k, v) -> Printf.sprintf "bind-copy %d %d" k v
   | C_unbind_copy k -> Printf.sprintf "unbind-copy %d" k
+  | C_restore -> "restore"
 
 let cmap_ops =
   let open QCheck.Gen in
@@ -417,7 +424,8 @@ let cmap_ops =
         (1, return C_scan);
         (1, return C_copy);
         (2, map2 (fun k v -> C_bind_copy (k, v)) key (int_bound 1000));
-        (1, map (fun k -> C_unbind_copy k) key) ]
+        (1, map (fun k -> C_unbind_copy k) key);
+        (1, return C_restore) ]
   in
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map pp_cmap_op ops))
@@ -441,9 +449,20 @@ let prop_codemap_matches_model =
         && List.rev !iterated = want
         && Array.to_list (Codemap.keys t) = List.map fst want
       in
+      (* One string per binding, shared by map and model, so the restore's
+         physical comparison can be checked against the model. *)
       let bind t m k v =
-        Codemap.replace t k (string_of_int v);
-        m := Int_map.add k (string_of_int v) !m
+        let v = string_of_int v in
+        Codemap.replace t k v;
+        m := Int_map.add k v !m
+      in
+      let absent = "absent" in
+      let model_diff before after =
+        let find k m = Option.value ~default:absent (Int_map.find_opt k m) in
+        List.sort_uniq Int.compare (List.map fst (Int_map.bindings before @ Int_map.bindings after))
+        |> List.filter_map (fun k ->
+               let v = find k before and w = find k after in
+               if v != w then Some (k, v, w) else None)
       in
       let unbind t m k =
         Codemap.remove t k;
@@ -461,13 +480,33 @@ let prop_codemap_matches_model =
               || Codemap.mem t k <> (want <> None)
               || Codemap.find_default t k ~default:"none" <> Option.value ~default:"none" want
               || (match Codemap.find t k with v -> Some v | exception Not_found -> None) <> want
+              || Codemap.next_key t k
+                 <> (match Int_map.find_first_opt (fun x -> x >= k) !m with
+                    | Some (x, _) -> x
+                    | None -> max_int)
             then ok := false
           | C_scan -> if not (same t !m) then ok := false
           | C_copy -> copies := (Codemap.copy t, ref !m) :: !copies
           | C_bind_copy (k, v) -> (
             match !copies with (c, cm) :: _ -> bind c cm k v | [] -> ())
           | C_unbind_copy k -> (
-            match !copies with (c, cm) :: _ -> unbind c cm k | [] -> ()))
+            match !copies with (c, cm) :: _ -> unbind c cm k | [] -> ())
+          | C_restore -> (
+            match !copies with
+            | (c, cm) :: _ ->
+              let seen = ref [] in
+              Codemap.restore t ~from:c ~default:absent ~changed:(fun k v w ->
+                  seen := (k, v, w) :: !seen);
+              let want = model_diff !m !cm in
+              if
+                List.length !seen <> List.length want
+                || not
+                     (List.for_all2
+                        (fun (k, v, w) (k', v', w') -> k = k' && v == v' && w == w')
+                        (List.rev !seen) want)
+              then ok := false;
+              m := !cm
+            | [] -> ()))
         ops;
       !ok && same t !m && List.for_all (fun (c, cm) -> same c !cm) !copies)
 
