@@ -35,8 +35,7 @@ type vtable = {
 type t = {
   name : string;
   sections : section list;
-  code : Instr.t Codemap.t;
-  code_order : int array; (* instruction addresses, sorted *)
+  code : Instr.t Codemap.t; (* iterates in ascending address order *)
   symbols : func_sym array; (* indexed by fid *)
   vtables : vtable array; (* indexed by vid *)
   globals_base : int;
@@ -48,12 +47,9 @@ type t = {
 
 let find_instr b addr = Codemap.find_opt b.code addr
 
-let instr_count b = Array.length b.code_order
+let instr_count b = Codemap.length b.code
 
-let text_bytes b =
-  Array.fold_left
-    (fun acc addr -> acc + Instr.size (Codemap.find b.code addr))
-    0 b.code_order
+let text_bytes b = Codemap.fold (fun _ i acc -> acc + Instr.size i) b.code 0
 
 (* Map a code address to the function whose range contains it. *)
 let func_of_addr b addr =
@@ -66,18 +62,26 @@ let func_of_addr b addr =
   in
   scan 0
 
-(* Sorted (range_start, fid) index for fast address->function resolution. *)
-type addr_index = (int * int * int) array (* start, end_exclusive, fid *)
+(* A function's code range [sr_start, sr_end), as the sorted range index
+   holds it. *)
+type sym_range = { sr_start : int; sr_end : int; sr_fid : int }
 
-let build_addr_index b =
-  let ranges =
-    Array.to_list b.symbols
-    |> List.concat_map (fun s ->
-           List.map (fun r -> (r.r_start, r.r_start + r.r_size, s.fs_fid)) s.fs_ranges)
-    |> Array.of_list
-  in
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) ranges;
-  ranges
+(* Sorted by [sr_start]. *)
+type addr_index = sym_range array
+
+let index_of_ranges ranges =
+  let arr = Array.of_list ranges in
+  Array.sort (fun a b -> Int.compare a.sr_start b.sr_start) arr;
+  arr
+
+let sym_ranges b =
+  Array.to_list b.symbols
+  |> List.concat_map (fun s ->
+         List.map
+           (fun r -> { sr_start = r.r_start; sr_end = r.r_start + r.r_size; sr_fid = s.fs_fid })
+           s.fs_ranges)
+
+let build_addr_index b = index_of_ranges (sym_ranges b)
 
 (* Owning fid of [addr], or -1: the allocation-free form of
    [index_lookup], for per-instruction callers. *)
@@ -85,11 +89,11 @@ let index_fid (idx : addr_index) addr =
   let lo = ref 0 and hi = ref (Array.length idx - 1) and found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let s, e, fid = idx.(mid) in
-    if addr < s then hi := mid - 1
-    else if addr >= e then lo := mid + 1
+    let r = idx.(mid) in
+    if addr < r.sr_start then hi := mid - 1
+    else if addr >= r.sr_end then lo := mid + 1
     else begin
-      found := fid;
+      found := r.sr_fid;
       lo := !hi + 1
     end
   done;
@@ -111,12 +115,9 @@ let section_named b name = List.find_opt (fun s -> s.sec_name = name) b.sections
 (* Direct call sites: (site address, callee entry address). OCOLOS parses
    these offline to shorten the stop-the-world phase (Section IV). *)
 let direct_call_sites b =
-  Array.fold_left
-    (fun acc addr ->
-      match Codemap.find b.code addr with
-      | Instr.Call target -> (addr, target) :: acc
-      | _ -> acc)
-    [] b.code_order
+  Codemap.fold
+    (fun addr i acc -> match i with Instr.Call target -> (addr, target) :: acc | _ -> acc)
+    b.code []
   |> List.rev
 
 (* Instructions of one function in address order, as (addr, instr) pairs. *)

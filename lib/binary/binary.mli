@@ -32,7 +32,7 @@ type t = {
   name : string;
   sections : section list;
   code : Ocolos_isa.Instr.t Ocolos_util.Codemap.t;
-  code_order : int array;  (** instruction addresses, sorted ascending *)
+      (** address -> instruction; iterates in ascending address order *)
   symbols : func_sym array;  (** indexed by fid *)
   vtables : vtable array;  (** indexed by vid *)
   globals_base : int;
@@ -49,9 +49,20 @@ val text_bytes : t -> int
 (** Linear-scan address->function resolution (tests, small uses). *)
 val func_of_addr : t -> int -> func_sym option
 
-(** Sorted range index for fast address->fid lookup. *)
-type addr_index
+(** A function's code range [\[sr_start, sr_end)]. *)
+type sym_range = { sr_start : int; sr_end : int; sr_fid : int }
 
+(** Sorted range index for fast address->fid lookup: ranges by ascending
+    [sr_start], searched by binary search. *)
+type addr_index = sym_range array
+
+(** The index of a set of ranges, in any order. *)
+val index_of_ranges : sym_range list -> addr_index
+
+(** Every range of the symbol table, hot range first per function. *)
+val sym_ranges : t -> sym_range list
+
+(** [index_of_ranges (sym_ranges b)]. *)
 val build_addr_index : t -> addr_index
 val index_lookup : addr_index -> int -> int option
 

@@ -73,6 +73,7 @@ type emitted = {
   binary : Binary.t;
   func_entry : int array; (* fid -> entry address; -1 if not emitted *)
   block_addr : int array array; (* fid -> bid -> address; [||] if not emitted *)
+  order : int array; (* [binary]'s instruction addresses, ascending *)
 }
 
 let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
@@ -150,11 +151,11 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
   (* Globals region: program globals then jump tables. *)
   let table_data_base = globals_base + program.Ir.globals_words in
   (* Pass 2: resolve operands and fill the code map. Blocks are visited in
-     placement order, which is ascending address order, so [code_order]
-     fills sorted; it is sized for the known instruction count. *)
+     placement order, which is ascending address order, so [order] fills
+     sorted; it is sized for the known instruction count. *)
   let code = Codemap.create () in
   let debug = Codemap.create () in
-  let code_order = Array.make !n_instrs 0 in
+  let order = Array.make !n_instrs 0 in
   let k = ref 0 in
   List.iter
     (fun (fid, bid, start, instrs) ->
@@ -174,7 +175,7 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
           in
           Codemap.replace code !addr concrete;
           Codemap.replace debug !addr key;
-          code_order.(!k) <- !addr;
+          order.(!k) <- !addr;
           incr k;
           addr := !addr + Instr.size concrete)
         instrs)
@@ -236,7 +237,6 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
       sections =
         [ { Binary.sec_name = section_name; sec_base = text_base; sec_size = text_end - text_base } ];
       code;
-      code_order;
       symbols;
       vtables;
       globals_base;
@@ -245,7 +245,7 @@ let emit ?(text_base = default_text_base) ?(globals_base = default_globals_base)
       entry;
       debug }
   in
-  { binary; func_entry; block_addr }
+  { binary; func_entry; block_addr; order }
 
 (* Convenience: emit with the source-order layout (the unoptimized binary a
    conventional compiler would produce). *)

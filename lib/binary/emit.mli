@@ -17,6 +17,7 @@ type emitted = {
   func_entry : int array;  (** fid -> entry address; [-1] if not emitted *)
   block_addr : int array array;
       (** fid -> bid -> address; [[||]] for a function not emitted *)
+  order : int array;  (** [binary]'s instruction addresses, ascending *)
 }
 
 (** [emit ~name program layout] assembles [program] under [layout].

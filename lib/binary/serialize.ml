@@ -53,15 +53,16 @@ let to_bytes (b : Binary.t) =
   Buffer.add_string buf magic;
   put_string buf b.Binary.name;
   put_list buf put_section b.Binary.sections;
-  (* Code: delta-encoded addresses followed by the instruction record. *)
-  put_int buf (Array.length b.Binary.code_order);
+  (* Code: delta-encoded ascending addresses, each followed by the
+     instruction record. *)
+  put_int buf (Ocolos_util.Codemap.length b.Binary.code);
   let prev = ref 0 in
-  Array.iter
-    (fun addr ->
+  Ocolos_util.Codemap.iter
+    (fun addr i ->
       put_int buf (addr - !prev);
       prev := addr;
-      Encode.encode buf (Ocolos_util.Codemap.find b.Binary.code addr))
-    b.Binary.code_order;
+      Encode.encode buf i)
+    b.Binary.code;
   put_array buf put_symbol b.Binary.symbols;
   put_array buf put_vtable b.Binary.vtables;
   put_int buf b.Binary.globals_base;
@@ -72,17 +73,14 @@ let to_bytes (b : Binary.t) =
       put_int buf v)
     b.Binary.global_init;
   put_int buf b.Binary.entry;
-  (* Debug info, in code order. *)
+  (* Debug info, in address order. *)
   put_int buf (Ocolos_util.Codemap.length b.Binary.debug);
-  Array.iter
-    (fun addr ->
-      match Ocolos_util.Codemap.find_opt b.Binary.debug addr with
-      | Some (fid, bid) ->
-        put_int buf addr;
-        put_int buf fid;
-        put_int buf bid
-      | None -> ())
-    b.Binary.code_order;
+  Ocolos_util.Codemap.iter
+    (fun addr (fid, bid) ->
+      put_int buf addr;
+      put_int buf fid;
+      put_int buf bid)
+    b.Binary.debug;
   Buffer.to_bytes buf
 
 (* ---- reading ---- *)
@@ -138,14 +136,15 @@ let of_bytes bytes =
   let sections = get_list r get_section in
   let ncode = get_int r in
   let code = Ocolos_util.Codemap.create () in
-  let code_order = Array.make ncode 0 in
+  if ncode < 0 then corrupt "negative code count";
   let prev = ref 0 in
   for i = 0 to ncode - 1 do
-    let addr = !prev + get_int r in
+    let delta = get_int r in
+    let addr = !prev + delta in
     if addr < 0 then corrupt "negative code address";
+    if i > 0 && delta <= 0 then corrupt "code address 0x%x does not ascend" addr;
     if addr > Ocolos_util.Codemap.max_key then corrupt "code address out of range";
     prev := addr;
-    code_order.(i) <- addr;
     Ocolos_util.Codemap.replace code addr (Encode.decode r)
   done;
   let symbols = get_array r get_symbol in
@@ -172,7 +171,6 @@ let of_bytes bytes =
   { Binary.name;
     sections;
     code;
-    code_order;
     symbols;
     vtables;
     globals_base;

@@ -8,7 +8,7 @@ exception Corrupt of string
 val to_bytes : Binary.t -> Bytes.t
 
 (** Raises {!Corrupt} (or {!Ocolos_isa.Encode.Decode_error}) on malformed
-    images. *)
+    images, code addresses that do not strictly ascend among them. *)
 val of_bytes : Bytes.t -> Binary.t
 
 val save : string -> Binary.t -> unit

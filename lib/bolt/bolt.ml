@@ -58,6 +58,7 @@ type result = {
   failed : (int * string) list; (* (fid, fault point) degraded per-function *)
   bolt_base : int;
   frame_maps : (int * Frame_map.t) list; (* fid -> OSR map into new_text *)
+  new_order : int array; (* new_text's instruction addresses, ascending *)
 }
 
 let align_up n a = (n + a - 1) / a * a
@@ -382,25 +383,8 @@ let run ?(config = default_config) ?extern_entry ?fault ?cfg_of ~(binary : Binar
     skipped = !skipped;
     failed;
     bolt_base;
-    frame_maps }
-
-(* Two ascending address arrays merged into one (an address in both
-   appears twice, as in their concatenation sorted). *)
-let merge_sorted a b =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
-  let i = ref 0 and j = ref 0 in
-  for k = 0 to na + nb - 1 do
-    if !j >= nb || (!i < na && a.(!i) <= b.(!j)) then begin
-      out.(k) <- a.(!i);
-      incr i
-    end
-    else begin
-      out.(k) <- b.(!j);
-      incr j
-    end
-  done;
-  out
+    frame_maps;
+    new_order = emitted.Emit.order }
 
 (* The BOLTed binary image of a run: the input's code renamed
    [bolt.org.text] plus the optimized [.text], with optimized functions'
@@ -448,7 +432,6 @@ let merge ~(binary : Binary.t) (result : result) =
   { Binary.name = binary.Binary.name ^ ".bolt";
     sections;
     code = overlay binary.Binary.code new_text.Binary.code;
-    code_order = merge_sorted binary.Binary.code_order new_text.Binary.code_order;
     symbols;
     vtables;
     globals_base = binary.Binary.globals_base;

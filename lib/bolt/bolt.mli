@@ -50,6 +50,10 @@ type result = {
   frame_maps : (int * Frame_map.t) list;
       (** per optimized function, the OSR map from its old code version
           into [new_text] (see {!Frame_map}) *)
+  new_order : int array;
+      (** [new_text]'s instruction addresses, ascending, as emission placed
+          them: the position index {!Validate} keys its injectivity
+          bookkeeping by *)
 }
 
 val align_up : int -> int -> int
@@ -86,6 +90,7 @@ val run :
 (** [merge ~binary result] is the BOLTed binary of a [run] over [binary]:
     original + optimized sections, optimized functions' symbols and
     v-table slots at their new entries (offline use: a BOLTed executable
-    to measure or save). [code_order] is merged from the two sorted
-    inputs. *)
+    to measure or save). Its code and debug maps are [binary]'s overlaid
+    with [new_text]'s, sharing [binary]'s pages copy-on-write; like every
+    code map they iterate in ascending address order. *)
 val merge : binary:Ocolos_binary.Binary.t -> result -> Ocolos_binary.Binary.t

@@ -34,26 +34,24 @@ let points =
     "bolt.miscompile.frame_map";
     "bolt.miscompile.jump_table" ]
 
-(* Functional update of [new_text] with a corrupted code map. [code_order]
-   is rebuilt so anything that walks the image in address order (the
-   replacement transaction's code injection) sees the corrupted view
-   consistently. *)
+(* Functional update of [new_text] with a corrupted code map. [new_order]
+   keeps only the addresses still bound, so the validator's position index
+   matches the corrupted text. *)
 let with_code (result : Bolt.result) code =
-  let code_order =
-    Array.of_list (List.filter (fun a -> Codemap.mem code a) (Array.to_list result.Bolt.new_text.Binary.code_order))
+  let new_order =
+    Array.of_list (List.filter (Codemap.mem code) (Array.to_list result.Bolt.new_order))
   in
-  { result with Bolt.new_text = { result.Bolt.new_text with Binary.code; code_order } }
+  { result with Bolt.new_text = { result.Bolt.new_text with Binary.code }; new_order }
 
 let pick salt n = if n <= 0 then invalid_arg "Miscompile.pick" else abs salt mod n
 
 let branch_polarity ~salt (result : Bolt.result) =
   let nt = result.Bolt.new_text in
   let candidates =
-    Array.to_list nt.Binary.code_order
-    |> List.filter_map (fun a ->
-           match Codemap.find_opt nt.Binary.code a with
-           | Some (Instr.Branch (c, r, t)) -> Some (a, c, r, t)
-           | _ -> None)
+    Codemap.fold
+      (fun a i acc -> match i with Instr.Branch (c, r, t) -> (a, c, r, t) :: acc | _ -> acc)
+      nt.Binary.code []
+    |> List.rev
   in
   match candidates with
   | [] -> (result, 0)
@@ -107,14 +105,16 @@ let stale_reloc ~salt (result : Bolt.result) =
   let back = Hashtbl.create 64 in
   List.iter (fun (o, n) -> Hashtbl.replace back n o) result.Bolt.translation;
   let candidates =
-    Array.to_list nt.Binary.code_order
-    |> List.filter_map (fun a ->
-           match Codemap.find_opt nt.Binary.code a with
-           | Some (Instr.Call t) when Hashtbl.mem back t && Hashtbl.find back t <> t ->
-             Some (a, Instr.Call (Hashtbl.find back t))
-           | Some (Instr.FpCreate (r, t)) when Hashtbl.mem back t && Hashtbl.find back t <> t ->
-             Some (a, Instr.FpCreate (r, Hashtbl.find back t))
-           | _ -> None)
+    Codemap.fold
+      (fun a i acc ->
+        match i with
+        | Instr.Call t when Hashtbl.mem back t && Hashtbl.find back t <> t ->
+          (a, Instr.Call (Hashtbl.find back t)) :: acc
+        | Instr.FpCreate (r, t) when Hashtbl.mem back t && Hashtbl.find back t <> t ->
+          (a, Instr.FpCreate (r, Hashtbl.find back t)) :: acc
+        | _ -> acc)
+      nt.Binary.code []
+    |> List.rev
   in
   match candidates with
   | [] -> (result, 0)

@@ -152,13 +152,14 @@ let run ?extern_entry ?cfg_of ~(binary : Binary.t) (result : Bolt.result) =
      result.Bolt.translation);
   (* Injectivity bookkeeping for the exact maps, shared by every function
      of the run: a new PC on an instruction of the new text is keyed by its
-     index in [code_order] (found from a cursor — no hashing, no
-     per-function table), and [claimed] holds the run-wide number of the
-     exact point that last claimed the slot. Points are numbered in walk
-     order, so a claim by the current function is one numbered at or
-     above its first point, and names its old PC.
+     index in [new_order], the emitted text's ascending addresses (found
+     from a cursor — no hashing, no per-function table), and [claimed]
+     holds the run-wide number of the exact point that last claimed the
+     slot. Points are numbered in walk order, so a claim by the current
+     function is one numbered at or above its first point, and names its
+     old PC.
      New PCs off every instruction go to a per-function fallback table. *)
-  let new_order = new_text.Binary.code_order in
+  let new_order = result.Bolt.new_order in
   let claimed = Array.make (Array.length new_order) (-1) in
   let points = ref 0 in
   let funcs = ref 0 in

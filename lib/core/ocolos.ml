@@ -431,7 +431,6 @@ let current_of t ~entry ~resident ~residue ~name_suffix ~extra_init =
   t.cfgs <- None;
   let mem = t.osr.Osr.proc.Proc.mem in
   let code = Codemap.copy mem.Addr_space.code in
-  let code_order = Codemap.keys code in
   let to_ranges = List.map (fun (s, e) -> { Binary.r_start = s; r_size = e - s }) in
   let extra = Array.make (Array.length resident) [] in
   List.iter
@@ -456,7 +455,6 @@ let current_of t ~entry ~resident ~residue ~name_suffix ~extra_init =
     Binary.name = t.original.Binary.name ^ name_suffix;
     sections;
     code;
-    code_order;
     symbols;
     global_init = t.original.Binary.global_init @ extra_init;
     entry = entry.(Imap.find t.original.Binary.entry t.c0.Osr.entry_fid) }
@@ -488,16 +486,8 @@ let replace_code t (result : Bolt.result) : replacement_stats =
           Addr_space.write_data mem a v)
         new_text.Binary.global_init;
       cut t "sym_index";
-      Addr_space.add_sym_ranges mem
-        (Array.to_list new_text.Binary.symbols
-        |> List.concat_map (fun (s : Binary.func_sym) ->
-               List.map
-                 (fun (r : Binary.range) ->
-                   { Addr_space.sr_start = r.Binary.r_start;
-                     sr_end = r.Binary.r_start + r.Binary.r_size;
-                     sr_fid = s.Binary.fs_fid })
-                 s.Binary.fs_ranges));
-      Trace.set_attr sp "instrs" (Trace.I (Array.length new_text.Binary.code_order)));
+      Addr_space.add_sym_ranges mem (Binary.sym_ranges new_text);
+      Trace.set_attr sp "instrs" (Trace.I (Codemap.length new_text.Binary.code)));
   let bytes_injected = Binary.text_bytes new_text in
   (* Keep the mmap cursor above the injected section: stubs are reserved
      from it, and BOLT's 1 MiB guard band keeps the next round's emission

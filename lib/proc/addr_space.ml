@@ -9,7 +9,7 @@
 open Ocolos_isa
 open Ocolos_binary
 
-type sym_range = { sr_start : int; sr_end : int; sr_fid : int }
+type sym_range = Binary.sym_range = { sr_start : int; sr_end : int; sr_fid : int }
 
 module Itbl = Ocolos_util.Itbl
 module Codemap = Ocolos_util.Codemap
@@ -199,10 +199,7 @@ let rollback_journal t =
     t.next_map_base <- j.j_next_map_base;
     j.n_entries
 
-let rebuild_sym_index t ranges =
-  let arr = Array.of_list ranges in
-  Array.sort (fun a b -> compare a.sr_start b.sr_start) arr;
-  t.sym_index <- arr
+let rebuild_sym_index t ranges = t.sym_index <- Binary.index_of_ranges ranges
 
 let add_sym_ranges t ranges =
   rebuild_sym_index t (ranges @ Array.to_list t.sym_index)
@@ -210,21 +207,7 @@ let add_sym_ranges t ranges =
 let remove_sym_ranges t ~pred =
   rebuild_sym_index t (List.filter (fun r -> not (pred r)) (Array.to_list t.sym_index))
 
-(* Binary search over symbol ranges. *)
-let fid_of_addr t addr =
-  let idx = t.sym_index in
-  let lo = ref 0 and hi = ref (Array.length idx - 1) and found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let r = idx.(mid) in
-    if addr < r.sr_start then hi := mid - 1
-    else if addr >= r.sr_end then lo := mid + 1
-    else begin
-      found := Some r.sr_fid;
-      lo := !hi + 1
-    end
-  done;
-  !found
+let fid_of_addr t addr = Binary.index_lookup t.sym_index addr
 
 (* Independent copy, for shadow execution: no write to either space is
    seen by the other. The code map's pages are shared copy-on-write, so
@@ -261,17 +244,7 @@ let load (binary : Binary.t) =
       Array.iteri (fun slot target -> write_data t (vt.Binary.vt_addr + slot) target)
         vt.Binary.vt_entries)
     binary.Binary.vtables;
-  let ranges =
-    Array.to_list binary.Binary.symbols
-    |> List.concat_map (fun s ->
-           List.map
-             (fun r ->
-               { sr_start = r.Binary.r_start;
-                 sr_end = r.Binary.r_start + r.Binary.r_size;
-                 sr_fid = s.Binary.fs_fid })
-             s.Binary.fs_ranges)
-  in
-  rebuild_sym_index t ranges;
+  rebuild_sym_index t (Binary.sym_ranges binary);
   let max_end =
     List.fold_left
       (fun acc (s : Binary.section) -> max acc (s.Binary.sec_base + s.Binary.sec_size))

@@ -6,7 +6,7 @@
     the symbol index so address->function resolution covers the injected
     region. *)
 
-type sym_range = { sr_start : int; sr_end : int; sr_fid : int }
+type sym_range = Ocolos_binary.Binary.sym_range = { sr_start : int; sr_end : int; sr_fid : int }
 
 (** Open undo journal; see {!begin_journal}. *)
 type journal
@@ -15,7 +15,7 @@ type t = {
   code : Ocolos_isa.Instr.t Ocolos_util.Codemap.t;  (** byte address -> instruction *)
   data : int Ocolos_util.Itbl.t;  (** word address -> value; absent reads as 0 *)
   vtable_addr : int array;  (** vid -> base address in data memory *)
-  mutable sym_index : sym_range array;
+  mutable sym_index : sym_range array;  (** sorted by [sr_start] *)
   mutable code_bytes : int;
   mutable next_map_base : int;
   mutable journal : journal option;
@@ -94,7 +94,8 @@ val journaling : t -> bool
 val add_sym_ranges : t -> sym_range list -> unit
 val remove_sym_ranges : t -> pred:(sym_range -> bool) -> unit
 
-(** Function owning a code address, via the symbol index. *)
+(** Function owning a code address, via the symbol index
+    ({!Ocolos_binary.Binary.index_lookup}). *)
 val fid_of_addr : t -> int -> int option
 
 (** Independent copy, for shadow execution: no write to either space is

@@ -59,12 +59,12 @@ let test_addr_resolution () =
   let e = emit_it () in
   let b = e.Emit.binary in
   let index = Binary.build_addr_index b in
-  Array.iter
-    (fun addr ->
+  Ocolos_util.Codemap.iter
+    (fun addr _ ->
       let via_index = Binary.index_lookup index addr in
       let via_scan = Option.map (fun s -> s.Binary.fs_fid) (Binary.func_of_addr b addr) in
       Alcotest.(check (option int)) "index agrees with scan" via_scan via_index)
-    b.Binary.code_order;
+    b.Binary.code;
   Alcotest.(check (option int)) "unmapped" None (Binary.index_lookup index 0x9999999)
 
 let test_direct_call_sites () =

@@ -70,7 +70,7 @@ let test_reconstruction_roundtrip_counts () =
         !found
       in
       Alcotest.(check (list int)) "decoded addresses"
-        (List.filter in_blocks (Array.to_list b.Binary.code_order))
+        (List.filter in_blocks (Array.to_list (Ocolos_util.Codemap.keys b.Binary.code)))
         (Array.to_list rc.Ocolos_bolt.Cfg.rc_instr_addrs))
     b.Binary.symbols
 
@@ -362,11 +362,10 @@ let test_full_pipeline_invariants () =
   let r = Ocolos_bolt.Bolt.run ~binary:b ~profile () in
   let m = Ocolos_bolt.Bolt.merge ~binary:b r in
   (* Original code preserved at original addresses (design principle #1). *)
-  Array.iter
-    (fun addr ->
-      Alcotest.(check bool) "original instr intact" true
-        (Binary.find_instr m addr = Binary.find_instr b addr))
-    b.Binary.code_order;
+  Ocolos_util.Codemap.iter
+    (fun addr i ->
+      Alcotest.(check bool) "original instr intact" true (Binary.find_instr m addr = Some i))
+    b.Binary.code;
   (* Section renaming: bolt.org.text + new .text at a higher base. *)
   Alcotest.(check bool) "bolt.org.text" true (Binary.section_named m "bolt.org.text" <> None);
   (match Binary.section_named m ".text" with
@@ -396,9 +395,10 @@ let test_full_pipeline_invariants () =
   Alcotest.(check bool) "work accounted" true (r.Ocolos_bolt.Bolt.work_instrs > 0)
 
 (* [Bolt.merge] builds the BOLTed image [Bolt.run] used to build along
-   with every result: its code order is the ascending key set of its code
-   map, and every binding, symbol, section, v-table slot and the entry are
-   the input's overlaid by the optimized section's. *)
+   with every result: its code map holds both images' instructions and
+   iterates them in ascending address order, and every binding, symbol,
+   section, v-table slot and the entry are the input's overlaid by the
+   optimized section's. *)
 let test_merge_builds_the_bolted_image () =
   let w, b = tiny_binary () in
   let input = Workload.find_input w "a" in
@@ -410,14 +410,16 @@ let test_merge_builds_the_bolted_image () =
   let nt = r.Ocolos_bolt.Bolt.new_text in
   let m = Ocolos_bolt.Bolt.merge ~binary:b r in
   let module Codemap = Ocolos_util.Codemap in
-  let order = m.Binary.code_order in
+  let order = Codemap.keys m.Binary.code in
   Array.iteri
     (fun i a -> if i > 0 then Alcotest.(check bool) "strictly ascending" true (order.(i - 1) < a))
     order;
-  let keys tbl = List.sort compare (Codemap.fold (fun a _ acc -> a :: acc) tbl []) in
-  Alcotest.(check (list int)) "code order = sorted keys" (keys m.Binary.code) (Array.to_list order);
+  let keys tbl = Codemap.fold (fun a _ acc -> a :: acc) tbl [] in
+  Alcotest.(check (list int)) "code keys = both images' keys"
+    (List.sort compare (keys b.Binary.code @ keys nt.Binary.code))
+    (Array.to_list order);
   Alcotest.(check int) "every instruction of both images"
-    (Array.length b.Binary.code_order + Array.length nt.Binary.code_order)
+    (Codemap.length b.Binary.code + Codemap.length nt.Binary.code)
     (Array.length order);
   let overlay base over a =
     match Codemap.find_opt over a with Some v -> Some v | None -> Codemap.find_opt base a

@@ -166,14 +166,14 @@ let test_continuous_gc_frees_old_version () =
      (functions BOLT skipped in round 2 legitimately keep their C1 text). *)
   let re = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace re f ()) r2.Ocolos_bolt.Bolt.hot_fids;
-  Array.iter
-    (fun addr ->
+  Ocolos_util.Codemap.iter
+    (fun addr _ ->
       match Ocolos_binary.Binary.func_of_addr r1.Ocolos_bolt.Bolt.new_text addr with
       | Some s when Hashtbl.mem re s.Ocolos_binary.Binary.fs_fid ->
         Alcotest.(check bool) "re-optimized C1 unmapped" true
           (Ocolos_proc.Addr_space.read_code proc.Ocolos_proc.Proc.mem addr = None)
       | Some _ | None -> ())
-    r1.Ocolos_bolt.Bolt.new_text.Ocolos_binary.Binary.code_order;
+    r1.Ocolos_bolt.Bolt.new_text.Ocolos_binary.Binary.code;
   (* And the process still runs. *)
   let tx_before = Ocolos_proc.Proc.transactions proc in
   let from = Ocolos_proc.Proc.max_cycles proc in
@@ -258,12 +258,10 @@ let test_jump_table_binary_replacement () =
       ~nthreads:2 base.Workload.gen
   in
   Alcotest.(check bool) "binary really has jump tables" true
-    (Array.exists
-       (fun addr ->
-         match Ocolos_binary.Binary.find_instr w.Workload.binary addr with
-         | Some (Ocolos_isa.Instr.JumpInd _) -> true
-         | Some _ | None -> false)
-       w.Workload.binary.Ocolos_binary.Binary.code_order);
+    (Ocolos_util.Codemap.fold
+       (fun _ i found ->
+         found || match i with Ocolos_isa.Instr.JumpInd _ -> true | _ -> false)
+       w.Workload.binary.Ocolos_binary.Binary.code false);
   let input = Workload.find_input w "a" in
   let reference =
     let proc = Workload.launch w ~input in

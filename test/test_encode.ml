@@ -65,10 +65,9 @@ let test_serialize_roundtrip () =
     (Ocolos_binary.Binary.instr_count b)
     (Ocolos_binary.Binary.instr_count b');
   Alcotest.(check bool) "code identical" true
-    (Array.for_all
-       (fun addr ->
-         Ocolos_binary.Binary.find_instr b addr = Ocolos_binary.Binary.find_instr b' addr)
-       b.Ocolos_binary.Binary.code_order);
+    (Ocolos_util.Codemap.fold
+       (fun addr i same -> same && Ocolos_binary.Binary.find_instr b' addr = Some i)
+       b.Ocolos_binary.Binary.code true);
   Alcotest.(check bool) "symbols identical" true
     (b.Ocolos_binary.Binary.symbols = b'.Ocolos_binary.Binary.symbols);
   Alcotest.(check bool) "vtables identical" true
@@ -112,6 +111,10 @@ let test_save_load_file () =
     (fun () ->
       Ocolos_binary.Serialize.save path merged;
       let b' = Ocolos_binary.Serialize.load path in
+      Alcotest.(check bool) "reloaded image writes the same bytes" true
+        (Bytes.equal
+           (Ocolos_binary.Serialize.to_bytes merged)
+           (Ocolos_binary.Serialize.to_bytes b'));
       Alcotest.(check int) "entry preserved"
         merged.Ocolos_binary.Binary.entry
         b'.Ocolos_binary.Binary.entry;
@@ -119,11 +122,36 @@ let test_save_load_file () =
         (List.length merged.Ocolos_binary.Binary.sections)
         (List.length b'.Ocolos_binary.Binary.sections))
 
+(* A minimal image by hand: no sections, symbols, v-tables, globals or
+   debug info, and one [Nop] per code address delta. *)
+let image_with_deltas deltas =
+  let buf = Buffer.create 64 in
+  let v = Encode.put_varint buf in
+  Buffer.add_string buf "OCLB\001";
+  v 1;
+  Buffer.add_string buf "x";
+  v 0;
+  v (List.length deltas);
+  List.iter
+    (fun d ->
+      v d;
+      Encode.encode buf Instr.Nop)
+    deltas;
+  List.iter v [ 0; 0; 0; 0; 0; 0; 0 ];
+  Buffer.to_bytes buf
+
 let test_corrupt_image_rejected () =
-  Alcotest.(check bool) "bad magic" true
-    (match Ocolos_binary.Serialize.of_bytes (Bytes.of_string "NOPE") with
+  let rejected bytes =
+    match Ocolos_binary.Serialize.of_bytes bytes with
     | exception Ocolos_binary.Serialize.Corrupt _ -> true
-    | _ -> false)
+    | _ -> false
+  in
+  Alcotest.(check bool) "bad magic" true (rejected (Bytes.of_string "NOPE"));
+  Alcotest.(check int) "ascending addresses load" 2
+    (Ocolos_binary.Binary.instr_count
+       (Ocolos_binary.Serialize.of_bytes (image_with_deltas [ 16; 4 ])));
+  Alcotest.(check bool) "repeated address" true (rejected (image_with_deltas [ 16; 0 ]));
+  Alcotest.(check bool) "descending address" true (rejected (image_with_deltas [ 16; -4 ]))
 
 (* qcheck: codec round-trips arbitrary well-formed instructions. *)
 let instr_arbitrary =

@@ -119,11 +119,10 @@ let test_tier1_rejects_across_salts () =
   let nt = result.Bolt.new_text in
   let binary = O.current_binary oc in
   let sites =
-    Array.to_list nt.Binary.code_order
-    |> List.filter_map (fun a ->
-           match Ocolos_util.Codemap.find_opt nt.Binary.code a with
-           | Some (Instr.Branch _) -> Some a
-           | _ -> None)
+    Ocolos_util.Codemap.fold
+      (fun a i acc -> match i with Instr.Branch _ -> a :: acc | _ -> acc)
+      nt.Binary.code []
+    |> List.rev
   in
   let all_blocks =
     List.concat_map
@@ -243,6 +242,43 @@ let test_tier1_reports_pinned () =
              (rj.Validate.rj_check, rj.Validate.rj_fid, rj.Validate.rj_reason))
            r.Validate.rp_rejections))
     pinned_reports
+
+(* The emitted order the validator keys its injectivity bookkeeping by is
+   the new text's ascending key set: on a clean BOLT result and after every
+   corruption of the catalog, some of which remove code. On the mysql
+   analog as the validate smoke profiles it, and on tiny-jt, whose jump
+   tables give the jump_table mode a site. *)
+let test_new_order_is_code_keys () =
+  let mysql =
+    let w = Apps.mysql_like () in
+    let proc = Workload.launch w ~input:(Workload.find_input w "point_select") in
+    let oc = O.attach proc in
+    Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
+    O.start_profiling oc;
+    Proc.run ~cycle_limit:infinity ~max_instrs:120_000 proc;
+    let profile, _ = O.stop_profiling oc in
+    fst (O.run_bolt oc profile)
+  in
+  let _proc, _oc, tiny = profile_and_bolt () in
+  let check name (r : Bolt.result) =
+    Alcotest.(check (array int))
+      (name ^ ": new_order = new text keys")
+      (Ocolos_util.Codemap.keys r.Bolt.new_text.Binary.code)
+      r.Bolt.new_order
+  in
+  List.iter
+    (fun (app, result) ->
+      check (app ^ " clean") result;
+      List.iter
+        (fun point ->
+          List.iter
+            (fun salt ->
+              check
+                (Fmt.str "%s %s salt %d" app point salt)
+                (fst (Miscompile.apply ~point ~salt result)))
+            [ 1; 2; 3 ])
+        Miscompile.points)
+    [ ("mysql", mysql); ("tiny-jt", tiny) ]
 
 (* Exact-map injectivity is bookkept per function: a new PC that an
    earlier function's exact point claimed is not a claim of the current
@@ -712,6 +748,8 @@ let suite =
     Alcotest.test_case "Tier 1 rejects across salts" `Quick test_tier1_rejects_across_salts;
     Alcotest.test_case "Tier 1 reports pinned across the catalog" `Quick
       test_tier1_reports_pinned;
+    Alcotest.test_case "emitted order is the new text's keys" `Quick
+      test_new_order_is_code_keys;
     Alcotest.test_case "exact point on another function's new PC" `Quick
       test_exact_point_on_other_function;
     Alcotest.test_case "shared CFG memo untouched" `Quick test_shared_cfgs_untouched;
